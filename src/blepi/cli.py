@@ -43,7 +43,6 @@ class RunConfig:
     starts: int = 8
     tol: float = 1e-8
     budget_profiles: int = 4096
-    budget_random: int = 8
     samples: int = 50_000
     knn_k: int = 3
     confidence: float = 3.0
@@ -54,9 +53,7 @@ class RunConfig:
 
     @property
     def budget(self) -> SearchBudget:
-        return SearchBudget(
-            profile_cap=self.budget_profiles, random_per_profile=self.budget_random
-        )
+        return SearchBudget(profile_cap=self.budget_profiles)
 
     @property
     def solver_options(self) -> SolverOptions:
@@ -119,17 +116,10 @@ def _load_valid(path, cfg: RunConfig) -> tuple[Optional[Datum], int]:
 
 
 def cmd_validate(path, cfg: RunConfig) -> int:
-    try:
-        datum = load(path)
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_IO
-    except DatumParseError as exc:
-        sys.stderr.write(f"parse error: {exc}\n")
-        return EXIT_IO
-    report = validate(datum)
-    _emit(_json_report({"command": "validate", **report.to_dict()}), cfg)
-    return EXIT_OK if report.ok else EXIT_INVALID
+    datum, code = _load_valid(path, cfg)
+    if datum is not None:
+        _emit(_json_report({"command": "validate", **validate(datum).to_dict()}), cfg)
+    return code
 
 
 def cmd_check(path, cfg: RunConfig) -> int:
@@ -341,7 +331,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--starts", type=int, default=8)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--budget-profiles", type=int, default=4096)
-    p.add_argument("--budget-random", type=int, default=8)
     p.add_argument("--samples", type=int, default=50_000)
     p.add_argument("--knn-k", type=int, default=3)
     p.add_argument("--confidence", type=float, default=3.0, help="one-sided z threshold")
@@ -418,7 +407,6 @@ def _config(args) -> RunConfig:
         starts=args.starts,
         tol=args.tol,
         budget_profiles=args.budget_profiles,
-        budget_random=args.budget_random,
         samples=args.samples,
         knn_k=args.knn_k,
         confidence=args.confidence,

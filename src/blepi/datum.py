@@ -34,6 +34,8 @@ __all__ = [
     "ValidationReport",
     "DatumParseError",
     "validate",
+    "RESIDUAL_TOL",
+    "scaling_residual",
     "make_epi_datum",
     "make_zamir_feder_datum",
     "make_coupled_sums_datum",
@@ -214,6 +216,16 @@ def validate(datum: Datum) -> ValidationReport:
         if di < 0:
             issues.append(Issue("NEGATIVE_EXPONENT", f"d[{i}] = {di} < 0", f"d[{i}]"))
     return ValidationReport(tuple(issues))
+
+
+RESIDUAL_TOL = 1e-9
+
+
+def scaling_residual(datum: Datum) -> float:
+    """sum_i d_i r_i - sum_j c_j n_j; must vanish for a finite constant."""
+    return float(
+        np.dot(datum.d, datum.partition.blocks) - np.dot(datum.c, datum.image_dims)
+    )
 
 
 # ---------------------------------------------------------------------------

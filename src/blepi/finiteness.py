@@ -26,7 +26,7 @@ from typing import Optional, Union
 import numpy as np
 import scipy.linalg
 
-from .datum import Datum, Partition, validate
+from .datum import RESIDUAL_TOL, Datum, Partition, scaling_residual, validate
 from .gauss import divergence_probe
 from .subspace import (
     CRITICAL_TOL,
@@ -62,16 +62,6 @@ __all__ = [
 FINITE = "finite"
 INFINITE = "infinite"
 UNKNOWN = "unknown"
-
-RESIDUAL_TOL = 1e-9
-
-
-def scaling_residual(datum: Datum) -> float:
-    """sum_i d_i r_i - sum_j c_j n_j; must vanish for a finite constant."""
-    return float(
-        np.dot(datum.d, datum.partition.blocks) - np.dot(datum.c, datum.image_dims)
-    )
-
 
 @dataclass(frozen=True)
 class ScalingResidual:
@@ -121,7 +111,8 @@ def check_finiteness(
     Infinite verdicts carry an independently re-checkable witness.
     Finite requires: residual zero, no violating subspace over the
     budget, a complete coordinate-axis enumeration, and a clean
-    divergence probe.  Anything in between is Unknown.
+    divergence probe.  Anything in between is Unknown.  ``rng`` draws
+    the probe's random rays; the subspace search does not use it.
     """
     report = validate(datum)
     if not report.ok:
@@ -133,7 +124,7 @@ def check_finiteness(
             witness=ScalingResidual(res),
             notes="total scaling balance fails",
         )
-    V = find_violating_subspace(datum, budget, rng)
+    V = find_violating_subspace(datum, budget)
     if V is not None:
         sr = slack(datum, V)
         return FinitenessVerdict(
@@ -307,8 +298,8 @@ def _dim1_constant(datum: Datum) -> float:
     )
 
 
-def _critical_candidates(datum, budget, rng):
-    for V in candidate_subspaces(datum, budget, rng):
+def _critical_candidates(datum, budget):
+    for V in candidate_subspaces(datum, budget):
         d = V.dim
         if d == 0 or d == datum.n:
             continue
@@ -324,26 +315,27 @@ def certify(
     """Recursively split along critical subspaces down to base cases.
 
     Precondition: the datum passed check_finiteness with a finite
-    verdict (the scaling balance is re-checked here).
+    verdict (the scaling balance is re-checked here).  ``rng`` is
+    accepted for compatibility; the candidate search does not use it.
     """
     if abs(scaling_residual(datum)) > RESIDUAL_TOL:
         raise ValueError("certify requires a finite verdict (scaling balance fails)")
-    return _certify(datum, budget, rng)
+    return _certify(datum, budget)
 
 
-def _certify(datum: Datum, budget, rng) -> SplitTree:
+def _certify(datum: Datum, budget) -> SplitTree:
     if datum.n == 1:
         return SplitTree(datum=datum, leaf_kind="dim-1", constant=_dim1_constant(datum))
     if datum.m == 1 and datum.maps[0].shape[0] == datum.maps[0].shape[1]:
         const = -float(datum.c[0]) * math.log(abs(np.linalg.det(datum.maps[0])))
         return SplitTree(datum=datum, leaf_kind="single-map", constant=const)
-    for U in _critical_candidates(datum, budget, rng):
+    for U in _critical_candidates(datum, budget):
         try:
             parts = split_datum(datum, U)
         except SplitError:
             continue
-        left = _certify(parts.child_u.datum, budget, rng)
-        right = _certify(parts.child_perp.datum, budget, rng)
+        left = _certify(parts.child_u.datum, budget)
+        right = _certify(parts.child_perp.datum, budget)
         return SplitTree(datum=datum, subspace=U, children=(left, right))
     return SplitTree(datum=datum, leaf_kind="irreducible", constant=None)
 
@@ -357,4 +349,4 @@ def check_and_certify(
     verdict = check_finiteness(datum, budget, rng)
     if verdict.status != FINITE:
         return verdict
-    return replace(verdict, certificate=certify(datum, budget, rng))
+    return replace(verdict, certificate=certify(datum, budget))

@@ -26,7 +26,7 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from .datum import Datum, Partition
+from .datum import RESIDUAL_TOL, Datum, Partition, scaling_residual
 from .subspace import ProductSubspace
 
 __all__ = [
@@ -120,14 +120,6 @@ class PerturbationParams:
             raise ValueError("perturbation levels must be nonnegative")
 
 
-def _logdet_spd(M: np.ndarray, what: str) -> float:
-    try:
-        L = np.linalg.cholesky(M)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateImageError(f"{what} is numerically singular") from exc
-    return 2.0 * float(np.sum(np.log(np.diag(L))))
-
-
 def gaussian_entropy(cov) -> float:
     """Differential entropy of N(0, cov) in nats: 0.5 log((2 pi e)^d det cov).
 
@@ -139,8 +131,8 @@ def gaussian_entropy(cov) -> float:
     d = cov.shape[0]
     if d == 0:
         return 0.0
-    _check_spd(cov, "covariance")
-    return 0.5 * (d * LOG_2PIE + _logdet_spd(cov, "covariance"))
+    L = np.linalg.cholesky(_check_spd(cov, "covariance"))
+    return 0.5 * (d * LOG_2PIE + 2.0 * float(np.sum(np.log(np.diag(L)))))
 
 
 def _image_cov(A: np.ndarray, full: np.ndarray) -> np.ndarray:
@@ -148,35 +140,59 @@ def _image_cov(A: np.ndarray, full: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
+def _logdet_kernel(datum, blocks, factors, epsilon=0.0, cond_limit=None, grad=False):
+    """Objective value at Diag(blocks) and, with ``grad``, its per-block gradient
+
+        0.5 d_i Sigma_i^{-1} - 0.5 [sum_j c_j A_j^T M_j^{-1} A_j]_ii,
+
+    where ``factors`` are lower Cholesky factors of ``blocks`` and each
+    image covariance M_j = A_j Sigma A_j^T + epsilon I.  Raises
+    DegenerateImageError when an M_j has no Cholesky factor or, with
+    ``cond_limit``, a condition number above it.  The comparison is
+    written so that an inf or NaN factor diagonal also fails it.
+    """
+    full = scipy.linalg.block_diag(*blocks)
+    diag_floor = 0.0 if cond_limit is None else cond_limit**-0.5  # diag ratio ~ sqrt(cond)
+    val = 0.0
+    for di, L in zip(datum.d, factors):
+        val += di * 0.5 * (L.shape[0] * LOG_2PIE + 2.0 * np.sum(np.log(np.diag(L))))
+    T = np.zeros((datum.n, datum.n))
+    for cj, A in zip(datum.c, datum.maps):
+        M = _image_cov(A, full) + epsilon * np.eye(A.shape[0])
+        try:
+            cm = np.linalg.cholesky(M)
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateImageError("image covariance is numerically singular") from exc
+        dg = np.diag(cm)
+        if not dg.min() / dg.max() >= diag_floor:
+            raise DegenerateImageError("image covariance is ill-conditioned")
+        val -= cj * 0.5 * (M.shape[0] * LOG_2PIE + 2.0 * np.sum(np.log(dg)))
+        if grad:
+            T += cj * (A.T @ scipy.linalg.cho_solve((cm, True), A))
+    if not grad:
+        return float(val), None
+    grads = []
+    for (start, stop), di, L in zip(datum.partition.offsets(), datum.d, factors):
+        Sinv = scipy.linalg.cho_solve((L, True), np.eye(L.shape[0]))
+        G = 0.5 * di * Sinv - 0.5 * T[start:stop, start:stop]
+        grads.append(0.5 * (G + G.T))
+    return float(val), tuple(grads)
+
+
 def objective(datum: Datum, sigma: BlockCovariance) -> float:
     """Gaussian objective sum_i d_i h(Sigma_i) - sum_j c_j h(A_j Sigma A_j^T)."""
-    if sigma.partition != datum.partition:
-        raise ValueError("covariance blocks do not match the datum partition")
-    full = sigma.full()
-    val = 0.0
-    for di, S in zip(datum.d, sigma.blocks):
-        val += di * 0.5 * (S.shape[0] * LOG_2PIE + _logdet_spd(S, "block"))
-    for cj, A in zip(datum.c, datum.maps):
-        M = _image_cov(A, full)
-        val -= cj * 0.5 * (M.shape[0] * LOG_2PIE + _logdet_spd(M, "image covariance"))
-    return float(val)
+    return objective_perturbed(datum, sigma, PerturbationParams())
 
 
 def objective_perturbed(
     datum: Datum, sigma: BlockCovariance, p: PerturbationParams
 ) -> float:
     """Noise-smoothed objective: blocks get +delta I, images get +epsilon I."""
-    if p.epsilon == 0.0 and p.delta == 0.0:
-        return objective(datum, sigma)
-    blocks = tuple(S + p.delta * np.eye(S.shape[0]) for S in sigma.blocks)
-    full = scipy.linalg.block_diag(*blocks)
-    val = 0.0
-    for di, S in zip(datum.d, blocks):
-        val += di * 0.5 * (S.shape[0] * LOG_2PIE + _logdet_spd(S, "block"))
-    for cj, A in zip(datum.c, datum.maps):
-        M = _image_cov(A, full) + p.epsilon * np.eye(A.shape[0])
-        val -= cj * 0.5 * (M.shape[0] * LOG_2PIE + _logdet_spd(M, "image covariance"))
-    return float(val)
+    if sigma.partition != datum.partition:
+        raise ValueError("covariance blocks do not match the datum partition")
+    blocks = [S + p.delta * np.eye(S.shape[0]) for S in sigma.blocks]
+    factors = [np.linalg.cholesky(S) for S in blocks]
+    return _logdet_kernel(datum, blocks, factors, p.epsilon)[0]
 
 
 def gradient(datum: Datum, sigma: BlockCovariance) -> tuple[np.ndarray, ...]:
@@ -186,26 +202,8 @@ def gradient(datum: Datum, sigma: BlockCovariance) -> tuple[np.ndarray, ...]:
     """
     if sigma.partition != datum.partition:
         raise ValueError("covariance blocks do not match the datum partition")
-    full = sigma.full()
-    n = datum.n
-    T = np.zeros((n, n))
-    for cj, A in zip(datum.c, datum.maps):
-        M = _image_cov(A, full)
-        try:
-            cf = scipy.linalg.cho_factor(M, lower=True)
-        except scipy.linalg.LinAlgError as exc:
-            raise DegenerateImageError("image covariance is numerically singular") from exc
-        T += cj * (A.T @ scipy.linalg.cho_solve(cf, A))
-    grads = []
-    for (start, stop), di, S in zip(datum.partition.offsets(), datum.d, sigma.blocks):
-        try:
-            cf = scipy.linalg.cho_factor(S, lower=True)
-        except scipy.linalg.LinAlgError as exc:
-            raise DegenerateImageError("covariance block is numerically singular") from exc
-        Sinv = scipy.linalg.cho_solve(cf, np.eye(S.shape[0]))
-        G = 0.5 * di * Sinv - 0.5 * T[start:stop, start:stop]
-        grads.append(0.5 * (G + G.T))
-    return tuple(grads)
+    factors = [np.linalg.cholesky(S) for S in sigma.blocks]
+    return _logdet_kernel(datum, sigma.blocks, factors, grad=True)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +240,6 @@ class GaussianSolveResult:
             "starts_used": self.starts_used,
             "gradient_norm": self.gradient_norm,
         }
-
-
-class _EvalFailure(Exception):
-    pass
 
 
 class _Blowup(Exception):
@@ -296,39 +290,14 @@ class _Layout:
         return np.concatenate(parts) if parts else np.zeros(0)
 
 
-def _value_grad(datum: Datum, layout: _Layout, theta: np.ndarray, cond_limit: float = 1e12):
-    """Objective value and flat gradient at theta; raises _EvalFailure when an
-    image covariance is degenerate (cond above the solver threshold)."""
+def _value_grad(datum: Datum, layout: _Layout, theta: np.ndarray, cond_limit: float):
+    """Objective value and flat gradient at theta; raises DegenerateImageError
+    when an image covariance is degenerate (cond above ``cond_limit``)."""
     Ls = layout.factors(theta)
-    blocks = [L @ L.T for L in Ls]
-    full = scipy.linalg.block_diag(*blocks)
-    n = datum.n
-    diag_floor = cond_limit**-0.5  # Cholesky diag ratio ~ sqrt(cond)
-
-    val = 0.0
-    for di, L, r in zip(datum.d, Ls, layout.blocks):
-        val += di * 0.5 * (r * LOG_2PIE + 2.0 * np.sum(np.log(np.diag(L))))
-    T = np.zeros((n, n))
-    for cj, A in zip(datum.c, datum.maps):
-        M = _image_cov(A, full)
-        try:
-            cm = np.linalg.cholesky(M)
-        except np.linalg.LinAlgError:
-            raise _EvalFailure
-        dg = np.diag(cm)
-        if dg.min() <= 0 or dg.min() / dg.max() < diag_floor:
-            raise _EvalFailure
-        val -= cj * 0.5 * (M.shape[0] * LOG_2PIE + 2.0 * np.sum(np.log(dg)))
-        W = scipy.linalg.cho_solve((cm, True), A)
-        T += cj * (A.T @ W)
-
-    block_grads = []
-    for (start, stop), di, L in zip(datum.partition.offsets(), datum.d, Ls):
-        r = L.shape[0]
-        Sinv = scipy.linalg.cho_solve((L, True), np.eye(r))
-        G = 0.5 * di * Sinv - 0.5 * T[start:stop, start:stop]
-        block_grads.append(0.5 * (G + G.T))
-    return float(val), layout.pack_grad(Ls, block_grads)
+    val, block_grads = _logdet_kernel(
+        datum, [L @ L.T for L in Ls], Ls, cond_limit=cond_limit, grad=True
+    )
+    return val, layout.pack_grad(Ls, block_grads)
 
 
 _THETA_WALL = 200.0  # keeps exp() finite; genuine optima sit far inside
@@ -345,7 +314,7 @@ def _newton_polish(datum, layout, theta, opts, steps=5):
     """
     try:
         val, grad = _value_grad(datum, layout, theta, opts.cond_threshold)
-    except _EvalFailure:
+    except DegenerateImageError:
         return None
     p = len(theta)
     for _ in range(steps):
@@ -361,7 +330,7 @@ def _newton_polish(datum, layout, theta, opts, steps=5):
                 _, gp = _value_grad(datum, layout, theta + e, opts.cond_threshold)
                 _, gm = _value_grad(datum, layout, theta - e, opts.cond_threshold)
                 H[:, i] = (gp - gm) / (2 * h)
-        except _EvalFailure:
+        except DegenerateImageError:
             break
         H = 0.5 * (H + H.T)
         step, *_ = np.linalg.lstsq(H, -grad, rcond=1e-12)
@@ -370,7 +339,7 @@ def _newton_polish(datum, layout, theta, opts, steps=5):
             cand = theta + scale * step
             try:
                 cval, cgrad = _value_grad(datum, layout, cand, opts.cond_threshold)
-            except _EvalFailure:
+            except DegenerateImageError:
                 continue
             if np.linalg.norm(cgrad) < gnorm:
                 theta, val, grad = cand, cval, cgrad
@@ -391,7 +360,7 @@ def _run_start(datum, layout, theta0, f_ref, opts):
             return 1e4 * wall * wall, g
         try:
             val, grad = _value_grad(datum, layout, theta, opts.cond_threshold)
-        except _EvalFailure:
+        except DegenerateImageError:
             return 1e60, np.zeros_like(theta)
         if val - f_ref > opts.blowup_threshold:
             raise _Blowup(theta)
@@ -412,7 +381,7 @@ def _run_start(datum, layout, theta0, f_ref, opts):
         theta = res.x
         try:
             val, grad = _value_grad(datum, layout, theta, opts.cond_threshold)
-        except _EvalFailure:
+        except DegenerateImageError:
             return best
         best = (theta, val, float(np.linalg.norm(grad)))
         if best[2] <= opts.tol:
@@ -427,11 +396,26 @@ def _run_start(datum, layout, theta0, f_ref, opts):
 def solve_mg(datum: Datum, opts: SolverOptions = SolverOptions()) -> GaussianSolveResult:
     """Maximize the Gaussian objective over block covariances.
 
-    Runs the divergence probe first; an escape ray short-circuits to an
-    unbounded result.  Otherwise multi-start L-BFGS ascent on the
-    Cholesky parameters, reporting the best run.  ``converged`` means the
+    A datum that fails the scaling balance is unbounded along t * I, on
+    the side of t where the objective grows.  Otherwise the divergence
+    probe runs first, and an escape ray short-circuits to an unbounded
+    result; then multi-start L-BFGS ascent on the Cholesky parameters,
+    reporting the best run.  ``converged`` means the
     gradient norm (in the ascent parameters) fell below ``opts.tol``.
     """
+    res = scaling_residual(datum)
+    if abs(res) > RESIDUAL_TOL:
+        # the objective moves by 0.5 * res * log(t) under Sigma -> t Sigma
+        return GaussianSolveResult(
+            mg_value=math.inf,
+            sigma_star=BlockCovariance.identity(datum.partition).scaled(
+                2.0 ** math.copysign(10, res)
+            ),
+            converged=False,
+            unbounded=True,
+            starts_used=0,
+            gradient_norm=math.inf,
+        )
     rng = np.random.default_rng(np.random.SeedSequence(opts.seed))
     ray = divergence_probe(datum, rng, n_random_rays=opts.probe_rays)
     layout = _Layout(datum.partition)
@@ -622,29 +606,23 @@ class GaussianPair:
 def pair_s(datum: Datum, pair: GaussianPair, p: PerturbationParams) -> float:
     """Two-copy perturbed objective, evaluated in closed form.
 
-    Block terms use the 2r_i x 2r_i joint covariances; image terms use
-    the doubled maps Diag(A_j, A_j) acting on the (copy-1, copy-2)
-    arrangement, plus the delta/epsilon noise.
+    This is the perturbed objective of the doubled datum: block i becomes
+    the 2r_i-dimensional joint block of the two copies, and each map
+    becomes Diag(A_j, A_j), sending (copy 1, copy 2) to (A_j X_1, A_j X_2).
     """
     if pair.partition != datum.partition:
         raise ValueError("pair blocks do not match the datum partition")
-    r = datum.partition.blocks
-    val = 0.0
-    for di, J in zip(datum.d, pair.blocks):
-        val += di * gaussian_entropy(J + p.delta * np.eye(J.shape[0]))
-    C11 = scipy.linalg.block_diag(*(J[: rr, : rr] for J, rr in zip(pair.blocks, r)))
-    C12 = scipy.linalg.block_diag(*(J[: rr, rr:] for J, rr in zip(pair.blocks, r)))
-    C22 = scipy.linalg.block_diag(*(J[rr:, rr:] for J, rr in zip(pair.blocks, r)))
-    dI = p.delta * np.eye(datum.n)
-    for cj, A in zip(datum.c, datum.maps):
-        nj = A.shape[0]
-        eI = p.epsilon * np.eye(nj)
-        J11 = A @ (C11 + dI) @ A.T + eI
-        J22 = A @ (C22 + dI) @ A.T + eI
-        J12 = A @ C12 @ A.T
-        M = np.block([[J11, J12], [J12.T, J22]])
-        val -= cj * gaussian_entropy(0.5 * (M + M.T))
-    return float(val)
+    eye2 = np.eye(2)
+    doubled = Datum(
+        partition=Partition(tuple(2 * r for r in datum.partition.blocks)),
+        maps=tuple(
+            np.hstack([np.kron(eye2, A[:, a:b]) for a, b in datum.partition.offsets()])
+            for A in datum.maps
+        ),
+        c=datum.c,
+        d=datum.d,
+    )
+    return objective_perturbed(doubled, BlockCovariance(pair.blocks), p)
 
 
 def rotate_pair(pair: GaussianPair) -> GaussianPair:

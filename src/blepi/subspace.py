@@ -13,7 +13,8 @@ construction in :mod:`blepi.finiteness` consumes.
 The search over candidate subspaces is deliberately incomplete: it is
 sound for "infinite" (any returned witness re-verifies by recomputing
 its slack) but finding nothing proves nothing.  Candidate iteration is
-deterministic given (budget, rng state).
+deterministic given the budget; the public functions accept an ``rng``
+but the search does not use it.
 """
 
 from __future__ import annotations
@@ -189,12 +190,10 @@ def slack(datum: Datum, V: ProductSubspace) -> SlackResult:
 class SearchBudget:
     """Limits for the candidate iterator.
 
-    profile_cap bounds the coordinate-axis family (2^n subspaces in full);
-    random_per_profile is the number of Haar draws per dimension profile.
+    profile_cap bounds the coordinate-axis family (2^n subspaces in full).
     """
 
     profile_cap: int = 4096
-    random_per_profile: int = 8
 
 
 def coordinate_family_size(partition: Partition) -> int:
@@ -237,25 +236,6 @@ def _kernel_pair_intersection(Ka: np.ndarray, Kb: np.ndarray) -> np.ndarray:
     return scipy.linalg.null_space(stacked.T)
 
 
-def _random_candidates(
-    partition: Partition, per_profile: int, rng: np.random.Generator
-) -> Iterator[ProductSubspace]:
-    profiles = itertools.product(*(range(r + 1) for r in partition.blocks))
-    for profile in profiles:
-        if sum(profile) == 0:
-            continue
-        for _ in range(per_profile):
-            bases = []
-            for r, t in zip(partition.blocks, profile):
-                if t == 0:
-                    bases.append(np.zeros((r, 0)))
-                else:
-                    G = rng.standard_normal((r, t))
-                    Q, _ = np.linalg.qr(G)
-                    bases.append(Q[:, :t])
-            yield ProductSubspace(tuple(bases))
-
-
 def candidate_subspaces(
     datum: Datum,
     budget: SearchBudget,
@@ -265,10 +245,13 @@ def candidate_subspaces(
 
     (a) coordinate-axis products up to ``budget.profile_cap``;
     (b) per-block projections of each map kernel and of pairwise kernel
-        intersections;
-    (c) per dimension profile, ``budget.random_per_profile`` random
-        product subspaces (Haar columns per block).  Skipped when ``rng``
-        is None or the budget is zero.
+        intersections.
+
+    No random subspaces are drawn: a Haar-random product subspace almost
+    surely has the largest dim(A_j V) of its dimension profile for every
+    map, so with c_j >= 0 its slack never exceeds that of the coordinate
+    subspace with the same profile.  ``rng`` is accepted for
+    compatibility and not used.
     """
     partition = datum.partition
     yield from _coordinate_candidates(partition, budget.profile_cap)
@@ -286,9 +269,6 @@ def candidate_subspaces(
         if V is not None:
             yield V
 
-    if rng is not None and budget.random_per_profile > 0:
-        yield from _random_candidates(partition, budget.random_per_profile, rng)
-
 
 def find_violating_subspace(
     datum: Datum,
@@ -298,9 +278,10 @@ def find_violating_subspace(
     """First candidate with slack above tolerance, or None.
 
     A returned subspace is a certified witness that the optimal constant
-    is infinite; returning None is NOT a proof of the reverse.
+    is infinite; returning None is NOT a proof of the reverse.  ``rng``
+    is accepted for compatibility and not used.
     """
-    for V in candidate_subspaces(datum, budget, rng):
+    for V in candidate_subspaces(datum, budget):
         if slack(datum, V).violating:
             return V
     return None

@@ -79,7 +79,7 @@ class TestCheckCommand:
     def test_tiny_budget_is_unknown(self, tmp_path):
         path = tmp_path / "epi2.json"
         blepi.save(blepi.make_epi_datum(0.5, 2), path)
-        assert main(["check", str(path), "--budget-profiles", "2", "--budget-random", "0"]) == 4
+        assert main(["check", str(path), "--budget-profiles", "2"]) == 4
 
 
 class TestSolveCommand:

@@ -90,7 +90,7 @@ class TestCheckFiniteness:
 
     def test_budget_exhaustion_is_unknown(self):
         d = blepi.make_epi_datum(0.5, 2)  # 16 coordinate subspaces
-        v = check_finiteness(d, SearchBudget(profile_cap=2, random_per_profile=0))
+        v = check_finiteness(d, SearchBudget(profile_cap=2))
         assert v.status == UNKNOWN
 
     def test_invalid_datum_rejected(self):

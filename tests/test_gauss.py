@@ -8,8 +8,10 @@ Claims:
       gradient matches central finite differences
     - the perturbed objective reduces to the plain one at zero noise, is
       nonincreasing in epsilon, and converges as the noise vanishes
-    - solve_mg finds the known optima, detects scaling divergence, and
-      reports equal-block covariances for the entropy power datum
+    - solve_mg finds the known optima, detects scaling divergence on
+      either side of the balance, survives starts whose Cholesky factors
+      overflow, and reports equal-block covariances for the entropy
+      power datum
     - pair evaluations are additive for independent pairs and invariant
       under the orthogonal two-copy rotation, which is an involution
     - mixture evaluations are component averages and never exceed the
@@ -218,15 +220,37 @@ class TestSolver:
         assert res.mg_value >= grid_best - 1e-9
 
     def test_scaling_violation_is_unbounded(self):
-        d = Datum(
-            partition=Partition((1,)),
-            maps=(np.array([[1.0]]),),
-            c=np.array([0.5]),
-            d=np.array([1.0]),
-        )
+        cases = [
+            # residual +0.5: the objective grows as Sigma inflates
+            (
+                Datum(
+                    partition=Partition((1,)),
+                    maps=(np.array([[1.0]]),),
+                    c=np.array([0.5]),
+                    d=np.array([1.0]),
+                ),
+                2.0**10,
+            ),
+            # coupled sums (1.05, 0.9, 0.6), residual -0.2: it grows as Sigma shrinks
+            (blepi.make_coupled_sums_datum(1.05, 0.9, 0.6, 0.6), 2.0**-10),
+        ]
+        for d, scale in cases:
+            res = solve_mg(d)
+            assert res.unbounded and not res.converged
+            assert res.mg_value == math.inf
+            assert res.starts_used == 0
+            for S in res.sigma_star.blocks:
+                np.testing.assert_array_equal(S, scale * np.eye(S.shape[0]))
+
+    def test_nonfinite_factor_in_a_start_does_not_crash(self):
+        # random-suite draw #3: a Newton-polish step overflows exp() in a
+        # Cholesky diagonal, and the resulting inf/NaN image factor used
+        # to reach cho_solve and raise ValueError.  The datum is infinite
+        # (its per-block kernel has positive slack), so no convergence.
+        rng = np.random.default_rng(7)
+        d = [random_datum(rng, balanced=True) for _ in range(4)][3]
         res = solve_mg(d)
-        assert res.unbounded and not res.converged
-        assert res.mg_value == math.inf
+        assert not res.converged
 
 
 class TestPairs:
