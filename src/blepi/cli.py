@@ -5,7 +5,8 @@ deterministic for a fixed (command, config, seed): all randomness flows
 from counter-based generators keyed on the seed, and output contains no
 timing information.  Exit codes: 0 success / finite / all pass, 1 I/O or
 parse error, 2 validation or domain failure, 3 infinite, 4 unknown,
-5 unbounded solve, 6 verification failure.
+5 unbounded solve, 6 verification failure, 7 internal error (an uncaught
+exception; its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import io
 import json
 import math
 import sys
+import traceback
 from dataclasses import dataclass
 from typing import Optional
 
@@ -33,6 +35,7 @@ EXIT_INFINITE = 3
 EXIT_UNKNOWN = 4
 EXIT_UNBOUNDED = 5
 EXIT_VERIFY_FAIL = 6
+EXIT_INTERNAL = 7
 
 _LN2 = math.log(2.0)
 
@@ -420,6 +423,14 @@ def _config(args) -> RunConfig:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     cfg = _config(args)
+    try:
+        return _run(args, cfg)
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
+
+
+def _run(args, cfg: RunConfig) -> int:
     if args.command == "validate":
         return cmd_validate(args.datum, cfg)
     if args.command == "check":

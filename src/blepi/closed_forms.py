@@ -264,16 +264,48 @@ def _refine(fun, x0):
     return -res.fun
 
 
+# scan grids of the brute-force oracle, before the Nelder-Mead refinement
+_SCAN_2VAR = (np.tanh(np.linspace(-8.0, 8.0, 161)), np.linspace(-14.0, 14.0, 141))
+_SCAN_4VAR = (np.linspace(-4.0, 4.0, 9),) * 3 + (np.tanh(np.linspace(-6.0, 6.0, 41)),)
+
+
+def _first_max(values, axes):
+    """Largest grid value and its coordinates; the first in C order among
+    ties, which is the point a nested loop with a strict ``>`` keeps."""
+    idx = np.unravel_index(np.argmax(values), values.shape)
+    return float(values[idx]), tuple(float(ax[i]) for ax, i in zip(axes, idx))
+
+
+def _scan_2var(alpha, beta):
+    """_log_ratio_2var over the open grid _SCAN_2VAR, term for term:
+    the maximum and its (rho, log x)."""
+    rho, lx = np.meshgrid(*_SCAN_2VAR, indexing="ij", sparse=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = (
+            beta * lx
+            + (alpha - 1.0) * np.log(1.0 - rho)
+            + alpha * np.log(1.0 + rho)
+            - np.log((1.0 + rho) + 2.0 * np.exp(lx))
+        )
+    v = np.where((-1.0 < rho) & (rho < 1.0), v, -math.inf)
+    return _first_max(v, _SCAN_2VAR)
+
+
+def _scan_4var(alpha, beta, delta):
+    """_log_ratio_4var over the open grid _SCAN_4VAR, term for term:
+    the maximum and its (log K1, log K2, log K3, rho)."""
+    lk1, lk2, lk3, rho = np.meshgrid(*_SCAN_4VAR, indexing="ij", sparse=True)
+    k1, k2, k3 = np.exp(lk1), np.exp(lk2), np.exp(lk3)
+    omr2 = 1.0 - rho * rho
+    den = k1 * k2 * omr2 + k3 * (k1 + k2 - 2.0 * rho * np.sqrt(k1 * k2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = (alpha - delta) * (lk1 + lk2) + alpha * np.log(omr2) + beta * lk3 - np.log(den)
+    v = np.where((omr2 > 0.0) & (den > 0.0) & np.isfinite(den), v, -math.inf)
+    return _first_max(v, _SCAN_4VAR)
+
+
 def _sup_2var(alpha, beta):
-    rhos = np.tanh(np.linspace(-8.0, 8.0, 161))
-    logxs = np.linspace(-14.0, 14.0, 141)
-    best, arg = -math.inf, None
-    for rho in rhos:
-        for lx in logxs:
-            v = _log_ratio_2var(lx, rho, alpha, beta)
-            if v > best:
-                best, arg = v, (lx, rho)
-    lx0, rho0 = arg
+    best, (rho0, lx0) = _scan_2var(alpha, beta)
     val = _refine(
         lambda z: _log_ratio_2var(z[0], math.tanh(z[1]), alpha, beta),
         np.array([lx0, math.atanh(np.clip(rho0, -1 + 1e-12, 1 - 1e-12))]),
@@ -282,16 +314,7 @@ def _sup_2var(alpha, beta):
 
 
 def _sup_4var(alpha, beta, delta, return_argmax=False):
-    grid = np.linspace(-4.0, 4.0, 9)
-    rhos = np.tanh(np.linspace(-6.0, 6.0, 41))
-    best, arg = -math.inf, None
-    for lk1 in grid:
-        for lk2 in grid:
-            for lk3 in grid:
-                for rho in rhos:
-                    v = _log_ratio_4var(lk1, lk2, lk3, rho, alpha, beta, delta)
-                    if v > best:
-                        best, arg = v, (lk1, lk2, lk3, rho)
+    best, arg = _scan_4var(alpha, beta, delta)
     z0 = np.array(
         [arg[0], arg[1], arg[2], math.atanh(np.clip(arg[3], -1 + 1e-12, 1 - 1e-12))]
     )

@@ -5,10 +5,14 @@ For Gaussian inputs the inequality objective
     f(Sigma) = sum_i d_i h(N(0, Sigma_i)) - sum_j c_j h(N(0, A_j Sigma A_j^T))
 
 is a smooth function of the block-diagonal covariance Sigma, with
-closed-form value and gradient.  ``solve_mg`` maximizes it over SPD
-blocks by unconstrained quasi-Newton ascent on Cholesky factors
+closed-form value and gradient.  One kernel, ``_logdet_kernel``, holds
+that algebra; its value path also takes a stack of covariances and
+returns one value per covariance.  ``solve_mg`` maximizes the objective
+over SPD blocks by unconstrained quasi-Newton ascent on Cholesky factors
 (log-parameterized diagonals), with multi-start and divergence
-detection.  Perturbed variants add isotropic noise delta to the blocks
+detection: the scaling balance, the subspace search, and the divergence
+probe, which evaluates all scales of one ray in a single stacked kernel
+call.  Perturbed variants add isotropic noise delta to the blocks
 and epsilon to the images; paired and mixture evaluations cover the
 two-copy rotation identity and auxiliary-variable averages.
 
@@ -27,7 +31,7 @@ import scipy.linalg
 import scipy.optimize
 
 from .datum import RESIDUAL_TOL, Datum, Partition, scaling_residual
-from .subspace import ProductSubspace
+from .subspace import ProductSubspace, SearchBudget, find_violating_subspace
 
 __all__ = [
     "LOG_2PIE",
@@ -61,19 +65,23 @@ class DegenerateImageError(RuntimeError):
     subtracted entropy term diverges to -infinity."""
 
 
-def _check_spd(M: np.ndarray, what: str) -> np.ndarray:
+def _check_spd(M: np.ndarray, what: str, ndim: int = 2) -> np.ndarray:
+    """Lower Cholesky factor of the SPD matrix M or, with ``ndim`` 3, of each
+    matrix M[s] of a stack.  Raises ValueError unless each matrix is square,
+    symmetric within _SYM_TOL relative to its own largest entry, and
+    positive definite."""
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if M.ndim != ndim or M.shape[-2] != M.shape[-1]:
         raise ValueError(f"{what} must be square, got shape {M.shape}")
-    if M.shape[0] == 0:
+    if M.shape[-1] == 0:
         return M
-    if not np.allclose(M, M.T, atol=_SYM_TOL * max(1.0, np.abs(M).max())):
+    scale = np.maximum(1.0, np.abs(M).max(axis=(-2, -1), keepdims=True))
+    if not np.allclose(M, np.swapaxes(M, -2, -1), atol=_SYM_TOL * scale):
         raise ValueError(f"{what} is not symmetric")
     try:
-        np.linalg.cholesky(M)
+        return np.linalg.cholesky(M)
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"{what} is not positive definite") from exc
-    return M
 
 
 @dataclass(frozen=True)
@@ -85,7 +93,8 @@ class BlockCovariance:
     def __post_init__(self):
         frozen = []
         for i, S in enumerate(self.blocks):
-            S = np.array(_check_spd(S, f"covariance block {i}"))
+            S = np.array(S, dtype=float)
+            _check_spd(S, f"covariance block {i}")
             S.setflags(write=False)
             frozen.append(S)
         object.__setattr__(self, "blocks", tuple(frozen))
@@ -131,13 +140,13 @@ def gaussian_entropy(cov) -> float:
     d = cov.shape[0]
     if d == 0:
         return 0.0
-    L = np.linalg.cholesky(_check_spd(cov, "covariance"))
+    L = _check_spd(cov, "covariance")
     return 0.5 * (d * LOG_2PIE + 2.0 * float(np.sum(np.log(np.diag(L)))))
 
 
 def _image_cov(A: np.ndarray, full: np.ndarray) -> np.ndarray:
     M = A @ full @ A.T
-    return 0.5 * (M + M.T)
+    return 0.5 * (M + np.swapaxes(M, -2, -1))
 
 
 def _logdet_kernel(datum, blocks, factors, epsilon=0.0, cond_limit=None, grad=False):
@@ -150,12 +159,22 @@ def _logdet_kernel(datum, blocks, factors, epsilon=0.0, cond_limit=None, grad=Fa
     DegenerateImageError when an M_j has no Cholesky factor or, with
     ``cond_limit``, a condition number above it.  The comparison is
     written so that an inf or NaN factor diagonal also fails it.
+
+    Without ``grad``, blocks and factors may carry a leading stack axis,
+    (S, r_i, r_i) for every block; the value is then an array of S values,
+    one per stacked covariance, and a degenerate image at any of them
+    raises.  Each stacked value is computed as the unstacked call would
+    compute it.
     """
-    full = scipy.linalg.block_diag(*blocks)
+    stack = blocks[0].shape[:-2]
+    full = np.zeros(stack + (datum.n, datum.n))
+    for (start, stop), S in zip(datum.partition.offsets(), blocks):
+        full[..., start:stop, start:stop] = S
     diag_floor = 0.0 if cond_limit is None else cond_limit**-0.5  # diag ratio ~ sqrt(cond)
     val = 0.0
     for di, L in zip(datum.d, factors):
-        val += di * 0.5 * (L.shape[0] * LOG_2PIE + 2.0 * np.sum(np.log(np.diag(L))))
+        logdiag = np.log(np.diagonal(L, axis1=-2, axis2=-1))
+        val += di * 0.5 * (L.shape[-1] * LOG_2PIE + 2.0 * np.sum(logdiag, axis=-1))
     T = np.zeros((datum.n, datum.n))
     for cj, A in zip(datum.c, datum.maps):
         M = _image_cov(A, full) + epsilon * np.eye(A.shape[0])
@@ -163,14 +182,14 @@ def _logdet_kernel(datum, blocks, factors, epsilon=0.0, cond_limit=None, grad=Fa
             cm = np.linalg.cholesky(M)
         except np.linalg.LinAlgError as exc:
             raise DegenerateImageError("image covariance is numerically singular") from exc
-        dg = np.diag(cm)
-        if not dg.min() / dg.max() >= diag_floor:
+        dg = np.diagonal(cm, axis1=-2, axis2=-1)
+        if not np.all(dg.min(axis=-1) / dg.max(axis=-1) >= diag_floor):
             raise DegenerateImageError("image covariance is ill-conditioned")
-        val -= cj * 0.5 * (M.shape[0] * LOG_2PIE + 2.0 * np.sum(np.log(dg)))
+        val -= cj * 0.5 * (A.shape[0] * LOG_2PIE + 2.0 * np.sum(np.log(dg), axis=-1))
         if grad:
             T += cj * (A.T @ scipy.linalg.cho_solve((cm, True), A))
     if not grad:
-        return float(val), None
+        return val, None
     grads = []
     for (start, stop), di, L in zip(datum.partition.offsets(), datum.d, factors):
         Sinv = scipy.linalg.cho_solve((L, True), np.eye(L.shape[0]))
@@ -192,7 +211,7 @@ def objective_perturbed(
         raise ValueError("covariance blocks do not match the datum partition")
     blocks = [S + p.delta * np.eye(S.shape[0]) for S in sigma.blocks]
     factors = [np.linalg.cholesky(S) for S in blocks]
-    return _logdet_kernel(datum, blocks, factors, p.epsilon)[0]
+    return float(_logdet_kernel(datum, blocks, factors, p.epsilon)[0])
 
 
 def gradient(datum: Datum, sigma: BlockCovariance) -> tuple[np.ndarray, ...]:
@@ -397,9 +416,11 @@ def solve_mg(datum: Datum, opts: SolverOptions = SolverOptions()) -> GaussianSol
     """Maximize the Gaussian objective over block covariances.
 
     A datum that fails the scaling balance is unbounded along t * I, on
-    the side of t where the objective grows.  Otherwise the divergence
-    probe runs first, and an escape ray short-circuits to an unbounded
-    result; then multi-start L-BFGS ascent on the Cholesky parameters,
+    the side of t where the objective grows.  Otherwise the subspace
+    search runs, then (if it finds nothing) the divergence probe; a
+    violating subspace or an escape ray V short-circuits to an unbounded
+    result with ``sigma_star = ray_covariance(partition, V, 2**10)``.
+    Then multi-start L-BFGS ascent on the Cholesky parameters,
     reporting the best run.  ``converged`` means the
     gradient norm (in the ascent parameters) fell below ``opts.tol``.
     """
@@ -417,19 +438,29 @@ def solve_mg(datum: Datum, opts: SolverOptions = SolverOptions()) -> GaussianSol
             gradient_norm=math.inf,
         )
     rng = np.random.default_rng(np.random.SeedSequence(opts.seed))
-    ray = divergence_probe(datum, rng, n_random_rays=opts.probe_rays)
-    layout = _Layout(datum.partition)
-    if ray is not None:
+    V = find_violating_subspace(datum, SearchBudget())
+    if V is None:
+        ray = divergence_probe(datum, rng, n_random_rays=opts.probe_rays)
+        V = None if ray is None else ray.direction
+    if V is not None:
+        # along a violating subspace V the objective grows like
+        # 0.5 * slack(V) * log(lam); along an escape ray it grew in the probe
         return GaussianSolveResult(
             mg_value=math.inf,
-            sigma_star=ray_covariance(datum.partition, ray.direction, 2.0**10),
+            sigma_star=ray_covariance(datum.partition, V, 2.0**10),
             converged=False,
             unbounded=True,
             starts_used=0,
             gradient_norm=math.inf,
         )
 
-    f_ref, _ = _value_grad(datum, layout, np.zeros(layout.total), opts.cond_threshold)
+    layout = _Layout(datum.partition)
+    try:
+        f_ref, _ = _value_grad(datum, layout, np.zeros(layout.total), opts.cond_threshold)
+    except DegenerateImageError:
+        # no reference value at Sigma = I: blow-up detection is off, and a
+        # diverging start ends at the theta wall without converging
+        f_ref = math.inf
     best = None
     starts_used = 0
     try:
@@ -502,14 +533,27 @@ _PROBE_INC_TOL = 1e-5
 _PROBE_GAIN_TOL = 1e-4
 
 
+def _ray_values(datum: Datum, V: ProductSubspace) -> np.ndarray:
+    """Objective at ray_covariance(partition, V, 2^s) for s = 0 .. _PROBE_STEPS.
+
+    The scales are one stack per block, validated as BlockCovariance
+    validates each scale, and evaluated in one stacked kernel call.
+    Raises DegenerateImageError when the image is degenerate at any scale.
+    """
+    lam = 2.0 ** np.arange(_PROBE_STEPS + 1)
+    blocks, factors = [], []
+    for i, (r, B) in enumerate(zip(datum.partition.blocks, V.bases)):
+        S = np.eye(r) + (lam[:, None, None] - 1.0) * (B @ B.T)
+        blocks.append(S)
+        factors.append(_check_spd(S, f"covariance block {i}", ndim=3))
+    return _logdet_kernel(datum, blocks, factors)[0]
+
+
 def _ray_escapes(datum: Datum, V: ProductSubspace) -> Optional[float]:
-    vals = []
-    for s in range(_PROBE_STEPS + 1):
-        try:
-            vals.append(objective(datum, ray_covariance(datum.partition, V, 2.0**s)))
-        except DegenerateImageError:
-            return None
-    vals = np.asarray(vals)
+    try:
+        vals = _ray_values(datum, V)
+    except DegenerateImageError:
+        return None
     inc = np.diff(vals)[_PROBE_STEPS // 2 :]
     # genuine escapes grow linearly in log-scale: every late increment is
     # bounded away from zero, while bounded objectives have geometrically
@@ -528,7 +572,10 @@ def divergence_probe(
 
     Deterministic rays: the full space and each single full block.
     Random rays: product subspaces with random dimension profiles and
-    Haar-random per-block bases.  Returns the first escaping ray found.
+    Haar-random per-block bases.  Each ray V is tried at the scales
+    ray_covariance(partition, V, 2^s), s = 0 .. 20, stacked into one
+    kernel call; a degenerate image at any scale rules the ray out.
+    Returns the first escaping ray found.
     """
     partition = datum.partition
     rays = [ProductSubspace.full(partition)]
@@ -575,7 +622,8 @@ class GaussianPair:
     def __post_init__(self):
         frozen = []
         for i, J in enumerate(self.blocks):
-            J = np.array(_check_spd(J, f"pair block {i}"))
+            J = np.array(J, dtype=float)
+            _check_spd(J, f"pair block {i}")
             if J.shape[0] % 2 != 0:
                 raise ValueError(f"pair block {i} must have even dimension")
             J.setflags(write=False)

@@ -3,6 +3,7 @@
 Claims:
     - exit codes are the documented total function of the verdicts
     - parse failures and I/O failures exit 1; semantic validation exits 2
+    - an uncaught exception prints its traceback and exits 7, not 1
     - reports are byte-identical across repeated runs with one seed
     - the bits flag rescales reported values by 1/log(2)
     - closed forms print 12-significant-digit decimals and sweeps emit CSV
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 import blepi
+import blepi.cli
 from blepi.cli import main
 from blepi.datum import Datum, Partition
 
@@ -97,6 +99,15 @@ class TestSolveCommand:
         assert main(["solve", epi_file, "--bits"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["unit"] == "bits"
+
+    def test_crash_exits_internal_error(self, epi_file, capsys, monkeypatch):
+        def crash(datum, opts):
+            raise RuntimeError("solver exploded")
+
+        monkeypatch.setattr(blepi.cli, "solve_mg", crash)
+        assert main(["solve", epi_file]) == 7
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "RuntimeError: solver exploded" in err
 
 
 class TestVerifyCommand:

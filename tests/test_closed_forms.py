@@ -9,15 +9,24 @@ Claims:
     - the four feasibility conditions fire exactly as documented
     - the coupled-sums formula agrees with its own brute-force supremum,
       including at the rho = 1 boundary
+    - the oracle's vectorized grid scans find the same maximum, at the
+      same grid point, as a scalar loop over the grid
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from blepi.closed_forms import (
+    _SCAN_2VAR,
+    _SCAN_4VAR,
     CoupledSumsParams,
+    _log_ratio_2var,
+    _log_ratio_4var,
+    _scan_2var,
+    _scan_4var,
     _sup_4var,
     cauchy_binet_check,
     coupled_sums_bruteforce,
@@ -164,3 +173,24 @@ class TestCoupledSumsConstant:
         _, (k1, k2, _, rho) = _sup_4var(1.25, 0.5, 0.5, return_argmax=True)
         assert k1 == pytest.approx(k2, rel=1e-3)
         assert rho == pytest.approx(0.5, abs=1e-3)
+
+
+def _loop_scan(fun, axes):
+    """Reference scan: the first strict maximum of a nested loop."""
+    best, arg = -math.inf, None
+    for point in itertools.product(*axes):
+        v = fun(*point)
+        if v > best:
+            best, arg = v, point
+    return best, tuple(float(x) for x in arg)
+
+
+@pytest.mark.parametrize("alpha, beta, delta", [(1.25, 0.5, 0.5), (1.0, 0.8, 0.4)])
+def test_grid_scans_match_the_scalar_loop(alpha, beta, delta):
+    assert _scan_2var(alpha, beta) == _loop_scan(
+        lambda rho, lx: _log_ratio_2var(lx, rho, alpha, beta), _SCAN_2VAR
+    )
+    assert _scan_4var(alpha, beta, delta) == _loop_scan(
+        lambda lk1, lk2, lk3, rho: _log_ratio_4var(lk1, lk2, lk3, rho, alpha, beta, delta),
+        _SCAN_4VAR,
+    )

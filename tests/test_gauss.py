@@ -9,9 +9,12 @@ Claims:
     - the perturbed objective reduces to the plain one at zero noise, is
       nonincreasing in epsilon, and converges as the noise vanishes
     - solve_mg finds the known optima, detects scaling divergence on
-      either side of the balance, survives starts whose Cholesky factors
-      overflow, and reports equal-block covariances for the entropy
-      power datum
+      either side of the balance, answers unbounded on a datum with a
+      violating subspace, survives starts whose Cholesky factors
+      overflow and an ill-conditioned image at Sigma = I, and reports
+      equal-block covariances for the entropy power datum
+    - the divergence probe's stacked evaluation of a ray's scales equals
+      the per-scale objective, and fails on exactly the same inputs
     - pair evaluations are additive for independent pairs and invariant
       under the orthogonal two-copy rotation, which is an involution
     - mixture evaluations are component averages and never exceed the
@@ -22,12 +25,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import blepi
 from blepi.datum import Datum, Partition
+from blepi.finiteness import INFINITE, ViolatingSubspace
 from blepi.gauss import (
+    _PROBE_STEPS,
+    _ray_values,
     LOG_2PIE,
     BlockCovariance,
+    DegenerateImageError,
     GaussianMixture,
     GaussianPair,
     PerturbationParams,
@@ -37,9 +46,11 @@ from blepi.gauss import (
     objective,
     objective_perturbed,
     pair_s,
+    ray_covariance,
     rotate_pair,
     solve_mg,
 )
+from blepi.subspace import ProductSubspace, SearchBudget, find_violating_subspace
 from conftest import random_block_covariance, random_datum, random_pair
 
 H1 = 0.5 * LOG_2PIE  # entropy of a unit-variance scalar Gaussian
@@ -251,6 +262,78 @@ class TestSolver:
         d = [random_datum(rng, balanced=True) for _ in range(4)][3]
         res = solve_mg(d)
         assert not res.converged
+
+    def test_ill_conditioned_identity_image_does_not_raise(self):
+        # A Sigma A^T at Sigma = I has condition number 1e14, above the
+        # solver's 1e12, and the objective is the constant -log(1e-7);
+        # the reference value at Sigma = I used to raise out of solve_mg
+        d = Datum(
+            partition=Partition((2,)),
+            maps=(np.array([[1.0, 0.0], [0.0, 1e-7]]),),
+            c=np.array([1.0]),
+            d=np.array([1.0]),
+        )
+        res = solve_mg(d)
+        assert not res.unbounded
+        if res.converged:
+            assert res.mg_value == pytest.approx(-math.log(1e-7), abs=1e-6)
+
+    def test_violating_subspace_is_unbounded(self):
+        # seeded random draw 16 of np.random.default_rng([1, 3]) (every
+        # fifth draw unbalanced): its (2, 2) datum has a subspace witness
+        # that no probe ray hits, and solve_mg used to return 2.29
+        rng = np.random.default_rng([1, 3])
+        d = [random_datum(rng, balanced=(i + 1) % 5 != 0) for i in range(17)][16]
+        verdict = blepi.check_finiteness(d, rng=np.random.default_rng(0))
+        assert verdict.status == INFINITE
+        assert isinstance(verdict.witness, ViolatingSubspace)
+        res = solve_mg(d)
+        assert res.unbounded and not res.converged
+        assert res.mg_value == math.inf and res.starts_used == 0
+        V = find_violating_subspace(d, SearchBudget())
+        expected = ray_covariance(d.partition, V, 2.0**10)
+        for S, E in zip(res.sigma_star.blocks, expected.blocks):
+            np.testing.assert_array_equal(S, E)
+
+
+def _ray_objectives(datum, V):
+    """The probe's values one scale at a time, or None if any is degenerate."""
+    try:
+        return np.array(
+            [
+                objective(datum, ray_covariance(datum.partition, V, 2.0**s))
+                for s in range(_PROBE_STEPS + 1)
+            ]
+        )
+    except DegenerateImageError:
+        return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), squeeze=st.sampled_from([0.0, 1e-6, 1e-9, 1e-12]))
+@example(seed=3, squeeze=1e-12)
+def test_stacked_ray_values_match_per_scale_objective(seed, squeeze):
+    rng = np.random.default_rng(seed)
+    datum = random_datum(rng)
+    A = datum.maps[0].copy()
+    if squeeze and A.shape[0] >= 2:
+        # nearly dependent rows: images along a ray can lose definiteness
+        A[-1] = A[0] + squeeze * A[-1]
+        datum = Datum(datum.partition, (A,) + datum.maps[1:], datum.c, datum.d)
+    V = ProductSubspace(
+        tuple(
+            np.linalg.qr(rng.standard_normal((r, r)))[0][:, : int(rng.integers(0, r + 1))]
+            for r in datum.partition.blocks
+        )
+    )
+    per_scale = _ray_objectives(datum, V)
+    try:
+        stacked = _ray_values(datum, V)
+    except DegenerateImageError:
+        stacked = None
+    assert (stacked is None) == (per_scale is None)
+    if stacked is not None:
+        np.testing.assert_allclose(stacked, per_scale, rtol=1e-12, atol=0)
 
 
 class TestPairs:
