@@ -42,10 +42,10 @@ _LN2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class RunConfig:
-    seed: int = 0
-    starts: int = 8
-    tol: float = 1e-8
-    budget_profiles: int = 4096
+    seed: int = SolverOptions.seed
+    starts: int = SolverOptions.starts
+    tol: float = SolverOptions.tol
+    budget_profiles: int = SearchBudget.profile_cap
     samples: int = 50_000
     knn_k: int = 3
     confidence: float = 3.0
@@ -129,7 +129,7 @@ def cmd_check(path, cfg: RunConfig) -> int:
     datum, code = _load_valid(path, cfg)
     if datum is None:
         return code
-    verdict = finiteness.check_finiteness(datum, cfg.budget, _rng(cfg, 0))
+    verdict = finiteness.check_finiteness(datum, cfg.budget)
     _emit(_json_report({"command": "check", "seed": cfg.seed, **verdict.to_dict()}), cfg)
     return {
         finiteness.FINITE: EXIT_OK,
@@ -330,17 +330,18 @@ def cmd_closed_form(args, cfg: RunConfig) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--starts", type=int, default=8)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--budget-profiles", type=int, default=4096)
-    p.add_argument("--samples", type=int, default=50_000)
-    p.add_argument("--knn-k", type=int, default=3)
-    p.add_argument("--confidence", type=float, default=3.0, help="one-sided z threshold")
-    p.add_argument("--format", dest="fmt", choices=["structured-text", "csv"], default="structured-text")
-    p.add_argument("--out", default=None)
+    cfg = RunConfig()
+    p.add_argument("--seed", type=int, default=cfg.seed)
+    p.add_argument("--starts", type=int, default=cfg.starts)
+    p.add_argument("--tol", type=float, default=cfg.tol)
+    p.add_argument("--budget-profiles", type=int, default=cfg.budget_profiles)
+    p.add_argument("--samples", type=int, default=cfg.samples)
+    p.add_argument("--knn-k", type=int, default=cfg.knn_k)
+    p.add_argument("--confidence", type=float, default=cfg.confidence, help="one-sided z threshold")
+    p.add_argument("--format", dest="fmt", choices=["structured-text", "csv"], default=cfg.fmt)
+    p.add_argument("--out", default=cfg.out)
     p.add_argument("--bits", action="store_true", help="report in bits instead of nats")
-    p.add_argument("--mg-override", type=float, default=None, help="test only")
+    p.add_argument("--mg-override", type=float, default=cfg.mg_override, help="test only")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,12 +2,13 @@
 
 The optimal constant of a datum is finite iff (i) the total scaling
 balance sum_i d_i r_i = sum_j c_j n_j holds and (ii) no product-form
-subspace has positive slack.  Violations of (i) are witnessed by the
-exact residual (the objective grows like residual * log(scale) along the
-isotropic ray); violations of (ii) by a concrete subspace.  Since the
-subspace search is incomplete, a "finite" verdict additionally requires
-the Gaussian solver's escape-ray probe to come back clean; two
-independent incomplete checks sharply reduce false positives.
+subspace has positive slack (Bennett-Carbery-Christ-Tao).  Violations of
+(i) are witnessed by the exact residual (the objective grows like
+residual * log(scale) along the isotropic ray); violations of (ii) by a
+concrete subspace.  The balance and the subspace search decide the
+verdict.  The deterministic escape-ray probe (the full space and each
+single block) still runs before a "finite" verdict; a growth ray without
+a subspace witness would make the verdict unknown.
 
 A finite datum can be decomposed along critical subspaces: restricting
 the maps to U and projecting the rest onto the orthocomplements yields
@@ -111,8 +112,9 @@ def check_finiteness(
     Infinite verdicts carry an independently re-checkable witness.
     Finite requires: residual zero, no violating subspace over the
     budget, a complete coordinate-axis enumeration, and a clean
-    divergence probe.  Anything in between is Unknown.  ``rng`` draws
-    the probe's random rays; the subspace search does not use it.
+    divergence probe.  Anything in between is Unknown.  ``rng`` is
+    accepted for compatibility and not used; the verdict is
+    deterministic.
     """
     report = validate(datum)
     if not report.ok:
@@ -132,7 +134,7 @@ def check_finiteness(
             witness=ViolatingSubspace(subspace=V, slack=sr.slack),
             notes="product subspace with positive slack",
         )
-    ray = divergence_probe(datum, rng)
+    ray = divergence_probe(datum)
     if ray is not None:
         return FinitenessVerdict(
             status=UNKNOWN,

@@ -7,14 +7,15 @@ For Gaussian inputs the inequality objective
 is a smooth function of the block-diagonal covariance Sigma, with
 closed-form value and gradient.  One kernel, ``_logdet_kernel``, holds
 that algebra; its value path also takes a stack of covariances and
-returns one value per covariance.  ``solve_mg`` maximizes the objective
-over SPD blocks by unconstrained quasi-Newton ascent on Cholesky factors
-(log-parameterized diagonals), with multi-start and divergence
-detection: the scaling balance, the subspace search, and the divergence
-probe, which evaluates all scales of one ray in a single stacked kernel
-call.  Perturbed variants add isotropic noise delta to the blocks
-and epsilon to the images; paired and mixture evaluations cover the
-two-copy rotation identity and auxiliary-variable averages.
+returns one value per covariance.  ``solve_mg`` answers unbounded when
+the scaling balance fails or the subspace search finds a violating
+subspace; otherwise it maximizes the objective over SPD blocks by
+multi-start quasi-Newton ascent on Cholesky factors (log-parameterized
+diagonals).  The divergence probe tries the full space and each single
+block as escape rays, evaluating all scales of one ray in a single
+stacked kernel call.  Perturbed variants add isotropic noise delta to
+the blocks and epsilon to the images; paired and mixture evaluations
+cover the two-copy rotation identity and auxiliary-variable averages.
 
 Everything is in nats.  All value types are immutable; multi-start runs
 are independent given the seed.
@@ -235,10 +236,11 @@ class SolverOptions:
     starts: int = 8
     tol: float = 1e-8            # gradient norm in the Cholesky parameters
     seed: int = 0
-    blowup_threshold: float = 1e3   # nats above the Sigma = I value
-    cond_threshold: float = 1e12
-    max_iter: int = 5000
-    probe_rays: int = 8
+
+
+_MAX_ITER = 5000      # L-BFGS iterations per restart
+_COND_LIMIT = 1e12    # image covariances beyond this count as degenerate
+_THETA_WALL = 200.0   # keeps exp() finite; genuine optima sit far inside
 
 
 @dataclass(frozen=True)
@@ -259,11 +261,6 @@ class GaussianSolveResult:
             "starts_used": self.starts_used,
             "gradient_norm": self.gradient_norm,
         }
-
-
-class _Blowup(Exception):
-    def __init__(self, theta):
-        self.theta = theta
 
 
 class _Layout:
@@ -309,17 +306,17 @@ class _Layout:
         return np.concatenate(parts) if parts else np.zeros(0)
 
 
-def _value_grad(datum: Datum, layout: _Layout, theta: np.ndarray, cond_limit: float):
+def _value_grad(datum: Datum, layout: _Layout, theta: np.ndarray):
     """Objective value and flat gradient at theta; raises DegenerateImageError
-    when an image covariance is degenerate (cond above ``cond_limit``)."""
+    when theta is beyond the wall or an image covariance is degenerate
+    (condition number above _COND_LIMIT)."""
+    if theta.size and np.abs(theta).max() > _THETA_WALL:
+        raise DegenerateImageError("parameters beyond the theta wall")
     Ls = layout.factors(theta)
     val, block_grads = _logdet_kernel(
-        datum, [L @ L.T for L in Ls], Ls, cond_limit=cond_limit, grad=True
+        datum, [L @ L.T for L in Ls], Ls, cond_limit=_COND_LIMIT, grad=True
     )
     return val, layout.pack_grad(Ls, block_grads)
-
-
-_THETA_WALL = 200.0  # keeps exp() finite; genuine optima sit far inside
 
 
 def _newton_polish(datum, layout, theta, opts, steps=5):
@@ -332,7 +329,7 @@ def _newton_polish(datum, layout, theta, opts, steps=5):
     gradient the rest of the way down.
     """
     try:
-        val, grad = _value_grad(datum, layout, theta, opts.cond_threshold)
+        val, grad = _value_grad(datum, layout, theta)
     except DegenerateImageError:
         return None
     p = len(theta)
@@ -346,8 +343,8 @@ def _newton_polish(datum, layout, theta, opts, steps=5):
             for i in range(p):
                 e = np.zeros(p)
                 e[i] = h
-                _, gp = _value_grad(datum, layout, theta + e, opts.cond_threshold)
-                _, gm = _value_grad(datum, layout, theta - e, opts.cond_threshold)
+                _, gp = _value_grad(datum, layout, theta + e)
+                _, gm = _value_grad(datum, layout, theta - e)
                 H[:, i] = (gp - gm) / (2 * h)
         except DegenerateImageError:
             break
@@ -357,7 +354,7 @@ def _newton_polish(datum, layout, theta, opts, steps=5):
         for scale in (1.0, 0.5, 0.25, 0.125):
             cand = theta + scale * step
             try:
-                cval, cgrad = _value_grad(datum, layout, cand, opts.cond_threshold)
+                cval, cgrad = _value_grad(datum, layout, cand)
             except DegenerateImageError:
                 continue
             if np.linalg.norm(cgrad) < gnorm:
@@ -369,7 +366,7 @@ def _newton_polish(datum, layout, theta, opts, steps=5):
     return theta, val, float(np.linalg.norm(grad))
 
 
-def _run_start(datum, layout, theta0, f_ref, opts):
+def _run_start(datum, layout, theta0, opts):
     def fun(theta):
         wall = np.abs(theta).max() - _THETA_WALL if theta.size else -1.0
         if wall > 0:
@@ -378,11 +375,9 @@ def _run_start(datum, layout, theta0, f_ref, opts):
             g[hot] = 2e4 * (np.abs(theta[hot]) - _THETA_WALL) * np.sign(theta[hot])
             return 1e4 * wall * wall, g
         try:
-            val, grad = _value_grad(datum, layout, theta, opts.cond_threshold)
+            val, grad = _value_grad(datum, layout, theta)
         except DegenerateImageError:
             return 1e60, np.zeros_like(theta)
-        if val - f_ref > opts.blowup_threshold:
-            raise _Blowup(theta)
         return -val, -grad
 
     theta = theta0
@@ -395,11 +390,11 @@ def _run_start(datum, layout, theta0, f_ref, opts):
             theta,
             jac=True,
             method="L-BFGS-B",
-            options={"maxiter": opts.max_iter, "ftol": 1e-16, "gtol": 1e-12, "maxcor": 20},
+            options={"maxiter": _MAX_ITER, "ftol": 1e-16, "gtol": 1e-12, "maxcor": 20},
         )
         theta = res.x
         try:
-            val, grad = _value_grad(datum, layout, theta, opts.cond_threshold)
+            val, grad = _value_grad(datum, layout, theta)
         except DegenerateImageError:
             return best
         best = (theta, val, float(np.linalg.norm(grad)))
@@ -412,82 +407,55 @@ def _run_start(datum, layout, theta0, f_ref, opts):
     return best
 
 
+def _unbounded(partition: Partition, V: ProductSubspace, lam: float) -> GaussianSolveResult:
+    return GaussianSolveResult(
+        mg_value=math.inf,
+        sigma_star=ray_covariance(partition, V, lam),
+        converged=False,
+        unbounded=True,
+        starts_used=0,
+        gradient_norm=math.inf,
+    )
+
+
 def solve_mg(datum: Datum, opts: SolverOptions = SolverOptions()) -> GaussianSolveResult:
     """Maximize the Gaussian objective over block covariances.
 
-    A datum that fails the scaling balance is unbounded along t * I, on
-    the side of t where the objective grows.  Otherwise the subspace
-    search runs, then (if it finds nothing) the divergence probe; a
-    violating subspace or an escape ray V short-circuits to an unbounded
-    result with ``sigma_star = ray_covariance(partition, V, 2**10)``.
-    Then multi-start L-BFGS ascent on the Cholesky parameters,
-    reporting the best run.  ``converged`` means the
-    gradient norm (in the ascent parameters) fell below ``opts.tol``.
+    The constant is finite iff the scaling balance holds and no product
+    subspace has positive slack, so those two checks come first.  A datum
+    that fails the balance is unbounded along the full space V, on the
+    side of the scale where the objective grows; one with a violating
+    subspace V found by the search is unbounded along V.  Both answers
+    carry ``sigma_star = ray_covariance(partition, V, lam)`` with lam
+    2**10, or 2**-10 when the objective grows as Sigma shrinks.
+    Otherwise multi-start L-BFGS ascent on the Cholesky parameters
+    reports the best run; ``converged`` means the gradient norm (in the
+    ascent parameters) fell below ``opts.tol``.
     """
     res = scaling_residual(datum)
     if abs(res) > RESIDUAL_TOL:
         # the objective moves by 0.5 * res * log(t) under Sigma -> t Sigma
-        return GaussianSolveResult(
-            mg_value=math.inf,
-            sigma_star=BlockCovariance.identity(datum.partition).scaled(
-                2.0 ** math.copysign(10, res)
-            ),
-            converged=False,
-            unbounded=True,
-            starts_used=0,
-            gradient_norm=math.inf,
-        )
-    rng = np.random.default_rng(np.random.SeedSequence(opts.seed))
+        full = ProductSubspace.full(datum.partition)
+        return _unbounded(datum.partition, full, 2.0 ** math.copysign(10, res))
     V = find_violating_subspace(datum, SearchBudget())
-    if V is None:
-        ray = divergence_probe(datum, rng, n_random_rays=opts.probe_rays)
-        V = None if ray is None else ray.direction
     if V is not None:
-        # along a violating subspace V the objective grows like
-        # 0.5 * slack(V) * log(lam); along an escape ray it grew in the probe
-        return GaussianSolveResult(
-            mg_value=math.inf,
-            sigma_star=ray_covariance(datum.partition, V, 2.0**10),
-            converged=False,
-            unbounded=True,
-            starts_used=0,
-            gradient_norm=math.inf,
-        )
+        # along V the objective grows like 0.5 * slack(V) * log(lam)
+        return _unbounded(datum.partition, V, 2.0**10)
 
+    rng = np.random.default_rng(np.random.SeedSequence(opts.seed))
     layout = _Layout(datum.partition)
-    try:
-        f_ref, _ = _value_grad(datum, layout, np.zeros(layout.total), opts.cond_threshold)
-    except DegenerateImageError:
-        # no reference value at Sigma = I: blow-up detection is off, and a
-        # diverging start ends at the theta wall without converging
-        f_ref = math.inf
     best = None
-    starts_used = 0
-    try:
-        for s in range(max(1, opts.starts)):
-            theta0 = (
-                np.zeros(layout.total)
-                if s == 0
-                else rng.normal(0.0, 0.5, layout.total)
-            )
-            out = _run_start(datum, layout, theta0, f_ref, opts)
-            starts_used += 1
-            if out is None:
-                continue
-            theta, val, gnorm = out
-            if best is None or val > best[1] + 1e-15 or (
-                abs(val - best[1]) <= 1e-12 and gnorm < best[2]
-            ):
-                best = (theta, val, gnorm)
-    except _Blowup as b:
-        return GaussianSolveResult(
-            mg_value=math.inf,
-            sigma_star=layout.covariance(np.clip(b.theta, -_THETA_WALL, _THETA_WALL)),
-            converged=False,
-            unbounded=True,
-            starts_used=starts_used + 1,
-            gradient_norm=math.inf,
-        )
+    starts = max(1, opts.starts)
+    for s in range(starts):
+        theta0 = np.zeros(layout.total) if s == 0 else rng.normal(0.0, 0.5, layout.total)
+        out = _run_start(datum, layout, theta0, opts)
+        if out is None:
+            continue
+        theta, val, gnorm = out
+        if best is None or val > best[1] + 1e-15 or (
+            abs(val - best[1]) <= 1e-12 and gnorm < best[2]
+        ):
+            best = (theta, val, gnorm)
 
     if best is None:
         return GaussianSolveResult(
@@ -495,7 +463,7 @@ def solve_mg(datum: Datum, opts: SolverOptions = SolverOptions()) -> GaussianSol
             sigma_star=BlockCovariance.identity(datum.partition),
             converged=False,
             unbounded=False,
-            starts_used=starts_used,
+            starts_used=starts,
             gradient_norm=math.inf,
         )
     theta, val, gnorm = best
@@ -504,7 +472,7 @@ def solve_mg(datum: Datum, opts: SolverOptions = SolverOptions()) -> GaussianSol
         sigma_star=layout.covariance(theta),
         converged=gnorm <= opts.tol,
         unbounded=False,
-        starts_used=starts_used,
+        starts_used=starts,
         gradient_norm=gnorm,
     )
 
@@ -563,16 +531,12 @@ def _ray_escapes(datum: Datum, V: ProductSubspace) -> Optional[float]:
     return None
 
 
-def divergence_probe(
-    datum: Datum,
-    rng: Optional[np.random.Generator] = None,
-    n_random_rays: int = 8,
-) -> Optional[EscapeRay]:
+def divergence_probe(datum: Datum) -> Optional[EscapeRay]:
     """Search for a ray along which the objective grows without bound.
 
-    Deterministic rays: the full space and each single full block.
-    Random rays: product subspaces with random dimension profiles and
-    Haar-random per-block bases.  Each ray V is tried at the scales
+    The rays are the full space and each single full block; no random
+    rays are drawn, since a Haar-random subspace has the smallest slack
+    of its dimension profile.  Each ray V is tried at the scales
     ray_covariance(partition, V, 2^s), s = 0 .. 20, stacked into one
     kernel call; a degenerate image at any scale rules the ray out.
     Returns the first escaping ray found.
@@ -585,20 +549,6 @@ def divergence_probe(
             for j, r in enumerate(partition.blocks)
         ]
         rays.append(ProductSubspace(tuple(bases)))
-    if rng is not None:
-        for _ in range(n_random_rays):
-            while True:
-                profile = [int(rng.integers(0, r + 1)) for r in partition.blocks]
-                if sum(profile) > 0:
-                    break
-            bases = []
-            for r, t in zip(partition.blocks, profile):
-                if t == 0:
-                    bases.append(np.zeros((r, 0)))
-                else:
-                    Q, _ = np.linalg.qr(rng.standard_normal((r, t)))
-                    bases.append(Q[:, :t])
-            rays.append(ProductSubspace(tuple(bases)))
     for V in rays:
         gain = _ray_escapes(datum, V)
         if gain is not None:

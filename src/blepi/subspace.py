@@ -10,9 +10,15 @@ Positive slack certifies that the datum's optimal constant is infinite
 (within tolerance) marks V as critical, which is what the splitting
 construction in :mod:`blepi.finiteness` consumes.
 
-The search over candidate subspaces is deliberately incomplete: it is
-sound for "infinite" (any returned witness re-verifies by recomputing
-its slack) but finding nothing proves nothing.  Candidate iteration is
+Image dimensions dim(A_j V) are numerical ranks with a tolerance
+relative to the map A_j, so a subspace inside ker A_j scores zero.
+
+Together with the scaling balance, this search is the package's one
+unboundedness decision (Bennett-Carbery-Christ-Tao: the constant is
+finite iff the balance holds and no product subspace has positive
+slack).  The search over candidate subspaces is incomplete: it is sound
+for "infinite" (any returned witness re-verifies by recomputing its
+slack) but finding nothing proves nothing.  Candidate iteration is
 deterministic given the budget; the public functions accept an ``rng``
 but the search does not use it.
 """
@@ -47,6 +53,10 @@ __all__ = [
 CRITICAL_TOL = 1e-7
 
 _ORTHO_TOL = 1e-10
+
+# A @ null_space(A) reaches a few eps * ||A|| (3.4 seen on random maps with
+# row scales 1e+-3), so the rank cut sits an order of magnitude above that.
+_RANK_TOL = 10.0
 
 
 def orthonormal_columns(M: np.ndarray, rtol: float | None = None) -> np.ndarray:
@@ -164,14 +174,20 @@ def embed(V: ProductSubspace) -> np.ndarray:
 
 
 def dim_image(A: np.ndarray, V: ProductSubspace) -> int:
-    """Numerical rank of A restricted to V, i.e. dim(A V)."""
+    """Numerical rank of A restricted to V, i.e. dim(A V).
+
+    The rank tolerance is relative to the map, _RANK_TOL * max(A.shape) *
+    eps * ||A||_F, not to A E: when V lies in ker A, A E is rounding noise
+    and a tolerance relative to that noise would count it as rank.
+    """
     A = np.asarray(A, dtype=float)
     E = embed(V)
     if A.shape[1] != E.shape[0]:
         raise ValueError(f"map has {A.shape[1]} columns, subspace lives in R^{E.shape[0]}")
     if E.shape[1] == 0:
         return 0
-    return int(np.linalg.matrix_rank(A @ E))
+    tol = _RANK_TOL * max(A.shape) * np.finfo(float).eps * np.linalg.norm(A)
+    return int(np.linalg.matrix_rank(A @ E, tol=tol))
 
 
 def slack(datum: Datum, V: ProductSubspace) -> SlackResult:

@@ -5,6 +5,7 @@ Claims:
     - parse failures and I/O failures exit 1; semantic validation exits 2
     - an uncaught exception prints its traceback and exits 7, not 1
     - reports are byte-identical across repeated runs with one seed
+    - the parsed defaults of every subcommand are RunConfig's defaults
     - the bits flag rescales reported values by 1/log(2)
     - closed forms print 12-significant-digit decimals and sweeps emit CSV
 """
@@ -16,7 +17,7 @@ import pytest
 
 import blepi
 import blepi.cli
-from blepi.cli import main
+from blepi.cli import RunConfig, _config, build_parser, main
 from blepi.datum import Datum, Partition
 
 
@@ -211,3 +212,12 @@ class TestDeterminism:
         main(["verify", epi_file, "--samples", "3000", "--seed", "6", "--out", str(out2)])
         capsys.readouterr()
         assert out1.read_bytes() != out2.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["validate", "d.json"], ["check", "d.json"], ["solve", "d.json"], ["verify", "d.json"],
+     ["closed-form", "epi", "--lambda", "0.5"]],
+)
+def test_parsed_defaults_are_run_config_defaults(argv):
+    assert _config(build_parser().parse_args(argv)) == RunConfig()

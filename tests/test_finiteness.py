@@ -4,6 +4,7 @@ Claims:
     - the scaling residual matches hand values and drives Infinite
       verdicts with an exact, re-checkable witness
     - subspace witnesses re-verify by recomputing slack from scratch
+    - verdicts do not depend on the rng
     - splitting along a critical subspace yields children that satisfy
       both finiteness conditions, reconstruct the parent maps exactly,
       and obey the solver-level subadditivity bound
@@ -33,6 +34,7 @@ from blepi.finiteness import (
 )
 from blepi.gauss import SolverOptions, solve_mg
 from blepi.subspace import ProductSubspace, SearchBudget, find_violating_subspace, slack
+from conftest import random_datum
 
 
 def diag_subspace():
@@ -87,6 +89,35 @@ class TestCheckFiniteness:
         # the documented witness ( {0} x R ) has slack 0.2
         axis = ProductSubspace.coordinate(d.partition, ((), (0,)))
         assert slack(d, axis).slack == pytest.approx(0.2)
+
+    def test_kernel_witness_of_random_suite_draw_134(self):
+        # its ker A_2 witness was scored with dim(A_2 V) = 1 from rounding
+        # noise; the verdict then hung on the probe's random rays
+        rng = np.random.default_rng(7)
+        d = [random_datum(rng, balanced=True) for _ in range(135)][134]
+        v = check_finiteness(d)
+        assert v.status == INFINITE
+        assert isinstance(v.witness, ViolatingSubspace)
+        assert v.witness.slack == pytest.approx(0.50438, abs=1e-5)
+        assert slack(d, v.witness.subspace).slack == v.witness.slack
+        assert solve_mg(d).unbounded
+
+    def test_verdict_ignores_the_rng(self):
+        # random-suite draws 127-134; the verdict of draw 134 used to
+        # depend on the probe's random rays (unknown with the last generator,
+        # the one `blepi check --seed 0` passed)
+        rng = np.random.default_rng(7)
+        for d in [random_datum(rng, balanced=True) for _ in range(135)][127:]:
+            docs = [
+                check_finiteness(d, rng=g).to_dict()
+                for g in (
+                    None,
+                    np.random.default_rng(0),
+                    np.random.default_rng(1),
+                    np.random.Generator(np.random.Philox(np.random.SeedSequence(0, spawn_key=(0,)))),
+                )
+            ]
+            assert all(doc == docs[0] for doc in docs)
 
     def test_budget_exhaustion_is_unknown(self):
         d = blepi.make_epi_datum(0.5, 2)  # 16 coordinate subspaces

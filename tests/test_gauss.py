@@ -11,8 +11,9 @@ Claims:
     - solve_mg finds the known optima, detects scaling divergence on
       either side of the balance, answers unbounded on a datum with a
       violating subspace, survives starts whose Cholesky factors
-      overflow and an ill-conditioned image at Sigma = I, and reports
-      equal-block covariances for the entropy power datum
+      overflow and an ill-conditioned image at Sigma = I without a
+      RuntimeWarning, and reports equal-block covariances for the
+      entropy power datum
     - the divergence probe's stacked evaluation of a ray's scales equals
       the per-scale objective, and fails on exactly the same inputs
     - pair evaluations are additive for independent pairs and invariant
@@ -22,6 +23,7 @@ Claims:
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -262,6 +264,16 @@ class TestSolver:
         d = [random_datum(rng, balanced=True) for _ in range(4)][3]
         res = solve_mg(d)
         assert not res.converged
+
+    def test_no_runtime_warnings(self):
+        # seeded random draw 2 of np.random.default_rng([2, 3]): Newton
+        # polish steps beyond the theta wall used to overflow exp() and
+        # print RuntimeWarnings (log(0), overflow and NaN in matmul)
+        rng = np.random.default_rng([2, 3])
+        d = [random_datum(rng, balanced=(i + 1) % 5 != 0) for i in range(3)][2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            solve_mg(d)
 
     def test_ill_conditioned_identity_image_does_not_raise(self):
         # A Sigma A^T at Sigma = I has condition number 1e14, above the

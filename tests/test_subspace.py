@@ -3,7 +3,9 @@
 Claims:
     - embed stacks per-block bases block-diagonally and orthonormally
     - dim_image is a numerical rank, bounded by min(dim V, n_j) and
-      monotone under inclusion
+      monotone under inclusion; its tolerance is relative to the map, so
+      a kernel has image dimension zero and the full space image
+      dimension n_j even when the rows are scaled over six decades
     - slack matches the hand-computed values on the named data, is zero
       on the zero subspace, equals the scaling residual on the full
       space, and is invariant under per-block re-bases
@@ -16,6 +18,7 @@ Claims:
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -95,6 +98,23 @@ class TestDimImage:
                 ds, db = dim_image(A, small), dim_image(A, big)
                 assert ds <= min(small.dim, A.shape[0])
                 assert ds <= db  # inclusion is monotone
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_kernel_has_zero_image_and_full_space_full_rank(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 13))
+    nj = int(rng.integers(1, n + 1))
+    while True:
+        A = 10.0 ** rng.uniform(-3, 3, (nj, 1)) * rng.standard_normal((nj, n))
+        if np.linalg.matrix_rank(A) == nj:
+            break
+    part = Partition((n,))
+    # A @ null_space(A) is rounding noise; a tolerance relative to that
+    # noise used to count it as rank
+    assert dim_image(A, ProductSubspace((scipy.linalg.null_space(A),))) == 0
+    assert dim_image(A, ProductSubspace.full(part)) == nj
 
 
 class TestSlack:
