@@ -7,7 +7,10 @@ For Gaussian inputs the inequality objective
 is a smooth function of the block-diagonal covariance Sigma, with
 closed-form value and gradient.  One kernel, ``_logdet_kernel``, holds
 that algebra; its value path also takes a stack of covariances and
-returns one value per covariance.  ``solve_mg`` answers unbounded when
+returns one value per covariance, and its gradient path calls LAPACK's
+dpotrs directly, without scipy's finiteness checks: covariance blocks
+are checked finite, symmetric and positive definite when they are
+built.  ``solve_mg`` answers unbounded when
 the scaling balance fails or the subspace search finds a violating
 subspace; otherwise it maximizes the objective over SPD blocks by
 multi-start quasi-Newton ascent on Cholesky factors (log-parameterized
@@ -23,6 +26,7 @@ are independent given the seed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -30,6 +34,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 import scipy.optimize
+from scipy.linalg.lapack import dpotrs
 
 from .datum import RESIDUAL_TOL, Datum, Partition, scaling_residual
 from .subspace import ProductSubspace, SearchBudget, find_violating_subspace
@@ -69,13 +74,15 @@ class DegenerateImageError(RuntimeError):
 def _check_spd(M: np.ndarray, what: str, ndim: int = 2) -> np.ndarray:
     """Lower Cholesky factor of the SPD matrix M or, with ``ndim`` 3, of each
     matrix M[s] of a stack.  Raises ValueError unless each matrix is square,
-    symmetric within _SYM_TOL relative to its own largest entry, and
-    positive definite."""
+    finite, symmetric within _SYM_TOL relative to its own largest entry,
+    and positive definite."""
     M = np.asarray(M, dtype=float)
     if M.ndim != ndim or M.shape[-2] != M.shape[-1]:
         raise ValueError(f"{what} must be square, got shape {M.shape}")
     if M.shape[-1] == 0:
         return M
+    if not np.isfinite(M).all():
+        raise ValueError(f"{what} has non-finite entries")
     scale = np.maximum(1.0, np.abs(M).max(axis=(-2, -1), keepdims=True))
     if not np.allclose(M, np.swapaxes(M, -2, -1), atol=_SYM_TOL * scale):
         raise ValueError(f"{what} is not symmetric")
@@ -145,9 +152,29 @@ def gaussian_entropy(cov) -> float:
     return 0.5 * (d * LOG_2PIE + 2.0 * float(np.sum(np.log(np.diag(L)))))
 
 
+@functools.lru_cache(maxsize=None)
+def _eye(r: int) -> np.ndarray:
+    """The r x r identity, built once and read-only."""
+    eye = np.eye(r)
+    eye.setflags(write=False)
+    return eye
+
+
+def _cho_solve(L: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """(L L^T)^{-1} B for a lower Cholesky factor L: the LAPACK call that
+    scipy.linalg.cho_solve makes, without its argument checks.  Nothing
+    here looks for inf or NaN: block factors come from finite blocks, and
+    an image factor is non-finite only where A Sigma A^T overflows, which
+    the solver's conditioning test rejects."""
+    X, info = dpotrs(L, B, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrs")
+    return X
+
+
 def _image_cov(A: np.ndarray, full: np.ndarray) -> np.ndarray:
     M = A @ full @ A.T
-    return 0.5 * (M + np.swapaxes(M, -2, -1))
+    return 0.5 * (M + M.swapaxes(-2, -1))
 
 
 def _logdet_kernel(datum, blocks, factors, epsilon=0.0, cond_limit=None, grad=False):
@@ -168,33 +195,35 @@ def _logdet_kernel(datum, blocks, factors, epsilon=0.0, cond_limit=None, grad=Fa
     compute it.
     """
     stack = blocks[0].shape[:-2]
+    offsets = datum.partition.offsets()
     full = np.zeros(stack + (datum.n, datum.n))
-    for (start, stop), S in zip(datum.partition.offsets(), blocks):
+    for (start, stop), S in zip(offsets, blocks):
         full[..., start:stop, start:stop] = S
     diag_floor = 0.0 if cond_limit is None else cond_limit**-0.5  # diag ratio ~ sqrt(cond)
     val = 0.0
     for di, L in zip(datum.d, factors):
-        logdiag = np.log(np.diagonal(L, axis1=-2, axis2=-1))
-        val += di * 0.5 * (L.shape[-1] * LOG_2PIE + 2.0 * np.sum(logdiag, axis=-1))
+        logdiag = np.log(L.diagonal(axis1=-2, axis2=-1))
+        val += di * 0.5 * (L.shape[-1] * LOG_2PIE + 2.0 * logdiag.sum(axis=-1))
     T = np.zeros((datum.n, datum.n))
     for cj, A in zip(datum.c, datum.maps):
-        M = _image_cov(A, full) + epsilon * np.eye(A.shape[0])
+        M = _image_cov(A, full)
+        if epsilon:
+            M = M + epsilon * _eye(A.shape[0])
         try:
             cm = np.linalg.cholesky(M)
         except np.linalg.LinAlgError as exc:
             raise DegenerateImageError("image covariance is numerically singular") from exc
-        dg = np.diagonal(cm, axis1=-2, axis2=-1)
-        if not np.all(dg.min(axis=-1) / dg.max(axis=-1) >= diag_floor):
+        dg = cm.diagonal(axis1=-2, axis2=-1)
+        if not (dg.min(axis=-1) / dg.max(axis=-1) >= diag_floor).all():
             raise DegenerateImageError("image covariance is ill-conditioned")
-        val -= cj * 0.5 * (A.shape[0] * LOG_2PIE + 2.0 * np.sum(np.log(dg), axis=-1))
+        val -= cj * 0.5 * (A.shape[0] * LOG_2PIE + 2.0 * np.log(dg).sum(axis=-1))
         if grad:
-            T += cj * (A.T @ scipy.linalg.cho_solve((cm, True), A))
+            T += cj * (A.T @ _cho_solve(cm, A))
     if not grad:
         return val, None
     grads = []
-    for (start, stop), di, L in zip(datum.partition.offsets(), datum.d, factors):
-        Sinv = scipy.linalg.cho_solve((L, True), np.eye(L.shape[0]))
-        G = 0.5 * di * Sinv - 0.5 * T[start:stop, start:stop]
+    for (start, stop), di, L in zip(offsets, datum.d, factors):
+        G = 0.5 * di * _cho_solve(L, _eye(L.shape[0])) - 0.5 * T[start:stop, start:stop]
         grads.append(0.5 * (G + G.T))
     return float(val), tuple(grads)
 
@@ -210,7 +239,7 @@ def objective_perturbed(
     """Noise-smoothed objective: blocks get +delta I, images get +epsilon I."""
     if sigma.partition != datum.partition:
         raise ValueError("covariance blocks do not match the datum partition")
-    blocks = [S + p.delta * np.eye(S.shape[0]) for S in sigma.blocks]
+    blocks = [S + p.delta * _eye(S.shape[0]) for S in sigma.blocks]
     factors = [np.linalg.cholesky(S) for S in blocks]
     return float(_logdet_kernel(datum, blocks, factors, p.epsilon)[0])
 
@@ -267,43 +296,46 @@ class _Layout:
     """Packing of per-block lower-triangular factors into one flat vector.
 
     Strictly-lower entries are stored raw; diagonal entries are stored as
-    logs, so every parameter vector maps to an SPD block covariance.
+    logs, so every parameter vector maps to an SPD block covariance.  The
+    index arrays are built once: per block, its slice of the vector and
+    the flat positions of its entries inside the r x r factor; and the
+    positions in the vector of the log-diagonal entries.
     """
 
     def __init__(self, partition: Partition):
-        self.blocks = partition.blocks
-        self.tril = [np.tril_indices(r) for r in self.blocks]
-        self.sizes = [r * (r + 1) // 2 for r in self.blocks]
-        self.total = sum(self.sizes)
+        self.parts = []
+        diag, pos = [], 0
+        for r in partition.blocks:
+            rows, cols = np.tril_indices(r)
+            self.parts.append((r, slice(pos, pos + rows.size), rows * r + cols))
+            diag.append(pos + np.flatnonzero(rows == cols))
+            pos += rows.size
+        self.total = pos
+        self.diag = np.concatenate(diag)
 
-    def split(self, theta: np.ndarray) -> list[np.ndarray]:
-        out, pos = [], 0
-        for s in self.sizes:
-            out.append(theta[pos : pos + s])
-            pos += s
-        return out
-
-    def factors(self, theta: np.ndarray) -> list[np.ndarray]:
+    def factors(self, theta: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+        """The lower factors at theta, and their diagonals in the order of
+        ``self.diag``."""
+        diag = np.exp(theta[self.diag])
+        packed = theta.copy()
+        packed[self.diag] = diag
         Ls = []
-        for r, (rows, cols), part in zip(self.blocks, self.tril, self.split(theta)):
+        for r, part, tril in self.parts:
             L = np.zeros((r, r))
-            L[rows, cols] = part
-            idx = np.arange(r)
-            L[idx, idx] = np.exp(L[idx, idx])
+            L.ravel()[tril] = packed[part]
             Ls.append(L)
-        return Ls
+        return Ls, diag
 
     def covariance(self, theta: np.ndarray) -> BlockCovariance:
-        return BlockCovariance(tuple(L @ L.T for L in self.factors(theta)))
+        return BlockCovariance(tuple(L @ L.T for L in self.factors(theta)[0]))
 
-    def pack_grad(self, Ls, block_grads) -> np.ndarray:
-        parts = []
-        for L, G, (rows, cols) in zip(Ls, block_grads, self.tril):
-            GL = 2.0 * (G @ L)
-            idx = np.arange(L.shape[0])
-            GL[idx, idx] *= L[idx, idx]  # chain rule through the log-diagonal
-            parts.append(GL[rows, cols])
-        return np.concatenate(parts) if parts else np.zeros(0)
+    def pack_grad(self, Ls, diag, block_grads) -> np.ndarray:
+        """Flat gradient in theta from the per-block gradients in Sigma_i."""
+        out = np.empty(self.total)
+        for (_, part, tril), L, G in zip(self.parts, Ls, block_grads):
+            out[part] = (2.0 * (G @ L)).ravel()[tril]
+        out[self.diag] *= diag  # chain rule through the log-diagonal
+        return out
 
 
 def _value_grad(datum: Datum, layout: _Layout, theta: np.ndarray):
@@ -312,11 +344,11 @@ def _value_grad(datum: Datum, layout: _Layout, theta: np.ndarray):
     (condition number above _COND_LIMIT)."""
     if theta.size and np.abs(theta).max() > _THETA_WALL:
         raise DegenerateImageError("parameters beyond the theta wall")
-    Ls = layout.factors(theta)
+    Ls, diag = layout.factors(theta)
     val, block_grads = _logdet_kernel(
         datum, [L @ L.T for L in Ls], Ls, cond_limit=_COND_LIMIT, grad=True
     )
-    return val, layout.pack_grad(Ls, block_grads)
+    return val, layout.pack_grad(Ls, diag, block_grads)
 
 
 def _newton_polish(datum, layout, theta, opts, steps=5):

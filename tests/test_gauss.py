@@ -2,7 +2,7 @@
 
 Claims:
     - gaussian_entropy matches the closed form, handles dimension zero,
-      and rejects non-SPD input
+      and rejects non-SPD and non-finite input, as BlockCovariance does
     - the objective reproduces hand values, is exactly homogeneous of
       degree (scaling residual)/2 in log-scale, and its analytic
       gradient matches central finite differences
@@ -14,6 +14,10 @@ Claims:
       overflow and an ill-conditioned image at Sigma = I without a
       RuntimeWarning, and reports equal-block covariances for the
       entropy power datum
+    - the solver's value and gradient equal, bit for bit, the same
+      formula written with scipy.linalg.cho_solve, and fail on exactly
+      the same parameters; a random draw whose optimum is near the
+      boundary of the cone solves to a valid covariance
     - the divergence probe's stacked evaluation of a ray's scales equals
       the per-scale objective, and fails on exactly the same inputs
     - pair evaluations are additive for independent pairs and invariant
@@ -27,6 +31,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -34,8 +39,12 @@ import blepi
 from blepi.datum import Datum, Partition
 from blepi.finiteness import INFINITE, ViolatingSubspace
 from blepi.gauss import (
+    _COND_LIMIT,
     _PROBE_STEPS,
+    _THETA_WALL,
+    _Layout,
     _ray_values,
+    _value_grad,
     LOG_2PIE,
     BlockCovariance,
     DegenerateImageError,
@@ -102,6 +111,23 @@ class TestGaussianEntropy:
     def test_rejects_non_spd(self):
         with pytest.raises(ValueError):
             gaussian_entropy([[1.0, 2.0], [2.0, 1.0]])
+
+    @pytest.mark.parametrize(
+        "M",
+        [
+            [[math.inf]],
+            [[1.0, math.inf], [math.inf, math.inf]],
+            [[1.0, math.nan], [math.nan, 1.0]],
+        ],
+    )
+    def test_rejects_non_finite(self, M):
+        # np.linalg.cholesky factors these with at most a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                gaussian_entropy(M)
+            with pytest.raises(ValueError, match="non-finite"):
+                BlockCovariance((np.array(M),))
 
 
 class TestObjective:
@@ -290,6 +316,18 @@ class TestSolver:
         if res.converged:
             assert res.mg_value == pytest.approx(-math.log(1e-7), abs=1e-6)
 
+    def test_boundary_random_draw_solves_to_a_valid_covariance(self):
+        # seeded random draw 18 of np.random.default_rng([1, 3]): the datum
+        # is infinite through a per-block kernel subspace that the search
+        # does not try, so the starts run to the edge of the cone, where
+        # any other rounding of the objective can end in a sigma_star that
+        # is not positive definite and a ValueError out of solve_mg
+        rng = np.random.default_rng([1, 3])
+        d = [random_datum(rng, balanced=(i + 1) % 5 != 0) for i in range(19)][18]
+        res = solve_mg(d)
+        revalidated = BlockCovariance(res.sigma_star.blocks)
+        assert all(np.isfinite(S).all() for S in revalidated.blocks)
+
     def test_violating_subspace_is_unbounded(self):
         # seeded random draw 16 of np.random.default_rng([1, 3]) (every
         # fifth draw unbalanced): its (2, 2) datum has a subspace witness
@@ -306,6 +344,79 @@ class TestSolver:
         expected = ray_covariance(d.partition, V, 2.0**10)
         for S, E in zip(res.sigma_star.blocks, expected.blocks):
             np.testing.assert_array_equal(S, E)
+
+
+def _reference_value_grad(datum, theta):
+    """_value_grad's algebra spelled out with scipy.linalg.cho_solve: factors
+    by two-index assignment, an explicit + 0 I on each image covariance,
+    and the chain rule applied to the full r x r product."""
+    if theta.size and np.abs(theta).max() > _THETA_WALL:
+        raise DegenerateImageError("parameters beyond the theta wall")
+    Ls, pos = [], 0
+    for r in datum.partition.blocks:
+        rows, cols = np.tril_indices(r)
+        L = np.zeros((r, r))
+        L[rows, cols] = theta[pos : pos + rows.size]
+        idx = np.arange(r)
+        L[idx, idx] = np.exp(L[idx, idx])
+        Ls.append(L)
+        pos += rows.size
+    offsets = datum.partition.offsets()
+    full = np.zeros((datum.n, datum.n))
+    for (start, stop), L in zip(offsets, Ls):
+        full[start:stop, start:stop] = L @ L.T
+    val = 0.0
+    for di, L in zip(datum.d, Ls):
+        logdiag = np.log(np.diagonal(L, axis1=-2, axis2=-1))
+        val += di * 0.5 * (L.shape[-1] * LOG_2PIE + 2.0 * np.sum(logdiag, axis=-1))
+    T = np.zeros((datum.n, datum.n))
+    for cj, A in zip(datum.c, datum.maps):
+        M = A @ full @ A.T
+        M = 0.5 * (M + np.swapaxes(M, -2, -1)) + 0.0 * np.eye(A.shape[0])
+        try:
+            cm = np.linalg.cholesky(M)
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateImageError("singular image") from exc
+        dg = np.diagonal(cm, axis1=-2, axis2=-1)
+        if not np.all(dg.min(axis=-1) / dg.max(axis=-1) >= _COND_LIMIT**-0.5):
+            raise DegenerateImageError("ill-conditioned image")
+        val -= cj * 0.5 * (A.shape[0] * LOG_2PIE + 2.0 * np.sum(np.log(dg), axis=-1))
+        T += cj * (A.T @ scipy.linalg.cho_solve((cm, True), A))
+    parts = []
+    for (start, stop), di, L in zip(offsets, datum.d, Ls):
+        Sinv = scipy.linalg.cho_solve((L, True), np.eye(L.shape[0]))
+        G = 0.5 * di * Sinv - 0.5 * T[start:stop, start:stop]
+        G = 0.5 * (G + G.T)
+        GL = 2.0 * (G @ L)
+        idx = np.arange(L.shape[0])
+        GL[idx, idx] *= L[idx, idx]
+        parts.append(GL[np.tril_indices(L.shape[0])])
+    return float(val), np.concatenate(parts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    balanced=st.booleans(),
+    scale=st.sampled_from([0.1, 0.5, 2.0, 10.0, 60.0]),
+)
+@example(seed=0, balanced=True, scale=60.0)
+def test_value_grad_matches_cho_solve_reference(seed, balanced, scale):
+    rng = np.random.default_rng(seed)
+    datum = random_datum(rng, balanced=balanced)
+    layout = _Layout(datum.partition)
+    theta = np.clip(rng.normal(0.0, scale, layout.total), -_THETA_WALL, _THETA_WALL)
+    outcomes = []
+    for evaluate in (_value_grad, lambda d, _, t: _reference_value_grad(d, t)):
+        try:
+            outcomes.append(evaluate(datum, layout, theta))
+        except DegenerateImageError:
+            outcomes.append(None)
+    got, ref = outcomes
+    assert (got is None) == (ref is None)
+    if got is not None:
+        assert got[0] == ref[0]
+        np.testing.assert_array_equal(got[1], ref[1])
 
 
 def _ray_objectives(datum, V):
