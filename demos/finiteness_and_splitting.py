@@ -48,14 +48,12 @@ def main():
     tree = blepi.certify(datum, rng=rng)
     show_tree(tree)
 
-    print("\nsubadditivity across the root split:")
-    U = tree.subspace
-    parts = blepi.split_datum(datum, U)
-    opts = blepi.SolverOptions(tol=1e-4)
-    parent = blepi.solve_mg(datum, opts).mg_value
-    left = blepi.solve_mg(parts.child_u.datum, opts).mg_value
-    right = blepi.solve_mg(parts.child_perp.datum, opts).mg_value
-    print(f"  M(parent) = {parent:+.2e} <= {left:+.2e} + {right:+.2e} = M(U) + M(U_perp)")
+    print("\nthe constant splits exactly across the root split:")
+    parts = blepi.split_datum(datum, tree.subspace)
+    parent = blepi.solve_mg(datum).mg_value
+    left = blepi.solve_mg(parts.child_u.datum).mg_value
+    right = blepi.solve_mg(parts.child_perp.datum).mg_value
+    print(f"  M(parent) = {parent:+.2e} = {left:+.2e} + {right:+.2e} = M(U) + M(U_perp)")
 
 
 if __name__ == "__main__":

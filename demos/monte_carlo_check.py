@@ -16,7 +16,7 @@ from blepi.estimate import gaussian_model, laplace_model, mixture_model, uniform
 
 
 def run(datum, label, n=30_000, seed=0):
-    res = blepi.solve_mg(datum, blepi.SolverOptions(tol=1e-4))
+    res = blepi.solve_mg(datum)
     models = [
         uniform_model(datum.partition),
         laplace_model(datum.partition),

@@ -18,7 +18,7 @@ import json
 import math
 import sys
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -45,7 +45,6 @@ class RunConfig:
     seed: int = SolverOptions.seed
     starts: int = SolverOptions.starts
     tol: float = SolverOptions.tol
-    budget_profiles: int = SearchBudget.profile_cap
     samples: int = 50_000
     knn_k: int = 3
     confidence: float = 3.0
@@ -53,10 +52,6 @@ class RunConfig:
     out: Optional[str] = None
     bits: bool = False
     mg_override: Optional[float] = None
-
-    @property
-    def budget(self) -> SearchBudget:
-        return SearchBudget(profile_cap=self.budget_profiles)
 
     @property
     def solver_options(self) -> SolverOptions:
@@ -129,7 +124,7 @@ def cmd_check(path, cfg: RunConfig) -> int:
     datum, code = _load_valid(path, cfg)
     if datum is None:
         return code
-    verdict = finiteness.check_finiteness(datum, cfg.budget)
+    verdict = finiteness.check_finiteness(datum, SearchBudget())
     _emit(_json_report({"command": "check", "seed": cfg.seed, **verdict.to_dict()}), cfg)
     return {
         finiteness.FINITE: EXIT_OK,
@@ -334,7 +329,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=cfg.seed)
     p.add_argument("--starts", type=int, default=cfg.starts)
     p.add_argument("--tol", type=float, default=cfg.tol)
-    p.add_argument("--budget-profiles", type=int, default=cfg.budget_profiles)
     p.add_argument("--samples", type=int, default=cfg.samples)
     p.add_argument("--knn-k", type=int, default=cfg.knn_k)
     p.add_argument("--confidence", type=float, default=cfg.confidence, help="one-sided z threshold")
@@ -406,19 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config(args) -> RunConfig:
-    return RunConfig(
-        seed=args.seed,
-        starts=args.starts,
-        tol=args.tol,
-        budget_profiles=args.budget_profiles,
-        samples=args.samples,
-        knn_k=args.knn_k,
-        confidence=args.confidence,
-        fmt=args.fmt,
-        out=args.out,
-        bits=args.bits,
-        mg_override=args.mg_override,
-    )
+    return RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
 
 
 def main(argv=None) -> int:

@@ -12,10 +12,12 @@ a subspace witness would make the verdict unknown.
 
 A finite datum can be decomposed along critical subspaces: restricting
 the maps to U and projecting the rest onto the orthocomplements yields
-two smaller data whose constants upper-bound the parent's sum-wise.
-Recursing until dimension-one or single-square-map base cases (whose
-constants are explicit log-determinants) produces a :class:`SplitTree`
-certificate.
+two smaller data whose constants sum to the parent's.  Recursing until
+dimension-one or single-square-map base cases (whose constants are
+explicit log-determinants) produces a :class:`SplitTree` certificate,
+along which ``gauss.solve_mg`` computes the constant.  Each node makes
+one pass over its candidates, which rejects a violating subspace and
+collects the critical ones.
 """
 
 from __future__ import annotations
@@ -30,14 +32,13 @@ import scipy.linalg
 from .datum import RESIDUAL_TOL, Datum, Partition, scaling_residual, validate
 from .gauss import divergence_probe
 from .subspace import (
-    CRITICAL_TOL,
     ProductSubspace,
     SearchBudget,
     candidate_subspaces,
     coordinate_family_size,
     embed,
     find_violating_subspace,
-    orthonormal_columns,
+    rank_tol,
     slack,
 )
 
@@ -52,6 +53,7 @@ __all__ = [
     "SplitChild",
     "SplitResult",
     "SplitError",
+    "ViolationError",
     "SplitTree",
     "scaling_residual",
     "check_finiteness",
@@ -160,6 +162,14 @@ class SplitError(ValueError):
     pass
 
 
+class ViolationError(ValueError):
+    """certify's candidate pass found a subspace with positive slack."""
+
+    def __init__(self, subspace: ProductSubspace):
+        super().__init__("certify requires a finite verdict (a subspace has positive slack)")
+        self.subspace = subspace
+
+
 @dataclass(frozen=True)
 class SplitChild:
     """Child datum plus the bookkeeping of which original blocks and maps
@@ -188,12 +198,13 @@ def split_datum(datum: Datum, U: ProductSubspace) -> SplitResult:
     """Split a datum along a critical product subspace U.
 
     The child on U restricts each map to U, expressed in orthonormal
-    bases of U and A_j U.  The child on the orthocomplement projects each
-    map onto (A_j U)^perp.  The leftover component of A_j on U^perp that
-    lands inside A_j U is returned as a cross map; together the three
-    pieces reconstruct A_j exactly.  Exponents carry over; blocks or
-    images that collapse to dimension zero are dropped with the index
-    maps recording the survivors.
+    bases of U and A_j U (the singular vectors of A_j E above the cut
+    rank_tol(A_j) that dim_image counts).  The child on the
+    orthocomplement projects each map onto (A_j U)^perp.  The leftover
+    component of A_j on U^perp that lands inside A_j U is returned as a
+    cross map; together the three pieces reconstruct A_j exactly.
+    Exponents carry over; blocks or images that collapse to dimension
+    zero are dropped with the index maps recording the survivors.
     """
     sr = slack(datum, U)
     if not sr.critical:
@@ -210,7 +221,8 @@ def split_datum(datum: Datum, U: ProductSubspace) -> SplitResult:
     restricted, quotient, cross = [], [], []
     for A in datum.maps:
         AE = A @ E
-        F = orthonormal_columns(AE)
+        W, sv, _ = scipy.linalg.svd(AE, full_matrices=False)
+        F = W[:, : int(np.sum(sv > rank_tol(A)))]
         G = scipy.linalg.null_space(F.T) if F.shape[1] < A.shape[0] else np.zeros((A.shape[0], 0))
         image_bases.append(F)
         coimage_bases.append(G)
@@ -261,7 +273,8 @@ class SplitTree:
 
     Leaves are the explicit base cases (dimension one, or a single square
     map) with their constants in nats, or irreducible nodes where no
-    proper critical subspace was found within budget.
+    proper critical subspace splits the datum within budget, or where a
+    violating subspace turned up below the root.
     """
 
     datum: Datum
@@ -300,13 +313,17 @@ def _dim1_constant(datum: Datum) -> float:
     )
 
 
-def _critical_candidates(datum, budget):
+def _scan(datum: Datum, budget):
+    """One pass over the candidates: the first violating subspace (or
+    None), and the proper critical candidates in candidate order."""
+    critical = []
     for V in candidate_subspaces(datum, budget):
-        d = V.dim
-        if d == 0 or d == datum.n:
-            continue
-        if abs(slack(datum, V).slack) <= CRITICAL_TOL:
-            yield V
+        sr = slack(datum, V)
+        if sr.violating:
+            return V, critical
+        if sr.critical and 0 < V.dim < datum.n:
+            critical.append(V)
+    return None, critical
 
 
 def certify(
@@ -316,22 +333,30 @@ def certify(
 ) -> SplitTree:
     """Recursively split along critical subspaces down to base cases.
 
-    Precondition: the datum passed check_finiteness with a finite
-    verdict (the scaling balance is re-checked here).  ``rng`` is
-    accepted for compatibility; the candidate search does not use it.
+    Each node above dimension one makes one pass over its candidates and
+    splits along the first critical one that splits.  The root must
+    balance (ValueError), and a violating candidate of the root raises
+    ViolationError.  Below the root, one leaves its node irreducible (an
+    infinite constant that no solve converges on).  ``rng`` is accepted
+    for compatibility; the candidate search does not use it.
     """
     if abs(scaling_residual(datum)) > RESIDUAL_TOL:
         raise ValueError("certify requires a finite verdict (scaling balance fails)")
-    return _certify(datum, budget)
+    return _certify(datum, budget, root=True)
 
 
-def _certify(datum: Datum, budget) -> SplitTree:
+def _certify(datum: Datum, budget, root: bool = False) -> SplitTree:
     if datum.n == 1:
         return SplitTree(datum=datum, leaf_kind="dim-1", constant=_dim1_constant(datum))
+    violating, critical = _scan(datum, budget)
+    if violating is not None:
+        if root:
+            raise ViolationError(violating)
+        return SplitTree(datum=datum, leaf_kind="irreducible", constant=None)
     if datum.m == 1 and datum.maps[0].shape[0] == datum.maps[0].shape[1]:
         const = -float(datum.c[0]) * math.log(abs(np.linalg.det(datum.maps[0])))
         return SplitTree(datum=datum, leaf_kind="single-map", constant=const)
-    for U in _critical_candidates(datum, budget):
+    for U in critical:
         try:
             parts = split_datum(datum, U)
         except SplitError:

@@ -10,15 +10,16 @@ that algebra; its value path also takes a stack of covariances and
 returns one value per covariance, and its gradient path calls LAPACK's
 dpotrs directly, without scipy's finiteness checks: covariance blocks
 are checked finite, symmetric and positive definite when they are
-built.  ``solve_mg`` answers unbounded when
-the scaling balance fails or the subspace search finds a violating
-subspace; otherwise it maximizes the objective over SPD blocks by
-multi-start quasi-Newton ascent on Cholesky factors (log-parameterized
-diagonals).  The divergence probe tries the full space and each single
-block as escape rays, evaluating all scales of one ray in a single
-stacked kernel call.  Perturbed variants add isotropic noise delta to
-the blocks and epsilon to the images; paired and mixture evaluations
-cover the two-copy rotation identity and auxiliary-variable averages.
+built.  ``solve_mg`` answers unbounded when the scaling balance fails
+or ``certify``'s candidate pass finds a violating subspace; otherwise it
+sums the leaf constants of ``certify``'s split tree, maximizing the
+objective on each irreducible leaf by multi-start quasi-Newton ascent on
+Cholesky factors (log-parameterized diagonals).  The divergence probe
+tries the full space and each single block as escape rays, evaluating
+all scales of one ray in a single stacked kernel call.  Perturbed
+variants add isotropic noise delta to the blocks and epsilon to the
+images; paired and mixture evaluations cover the two-copy rotation
+identity and auxiliary-variable averages.
 
 Everything is in nats.  All value types are immutable; multi-start runs
 are independent given the seed.
@@ -37,7 +38,7 @@ import scipy.optimize
 from scipy.linalg.lapack import dpotrs
 
 from .datum import RESIDUAL_TOL, Datum, Partition, scaling_residual
-from .subspace import ProductSubspace, SearchBudget, find_violating_subspace
+from .subspace import ProductSubspace, SearchBudget, embed
 
 __all__ = [
     "LOG_2PIE",
@@ -412,31 +413,64 @@ def _run_start(datum, layout, theta0, opts):
             return 1e60, np.zeros_like(theta)
         return -val, -grad
 
-    theta = theta0
-    best = None
-    # restarting from the endpoint resets the curvature memory, which
-    # usually buys another order of magnitude on the gradient norm
-    for _ in range(3):
-        res = scipy.optimize.minimize(
-            fun,
-            theta,
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": _MAX_ITER, "ftol": 1e-16, "gtol": 1e-12, "maxcor": 20},
-        )
-        theta = res.x
-        try:
-            val, grad = _value_grad(datum, layout, theta)
-        except DegenerateImageError:
-            return best
-        best = (theta, val, float(np.linalg.norm(grad)))
-        if best[2] <= opts.tol:
-            break
-    if best is not None and best[2] > opts.tol:
-        polished = _newton_polish(datum, layout, best[0], opts)
+    options = {"maxiter": _MAX_ITER, "ftol": 1e-16, "gtol": 1e-12, "maxcor": 20}
+    theta = scipy.optimize.minimize(fun, theta0, jac=True, method="L-BFGS-B", options=options).x
+    try:
+        val, grad = _value_grad(datum, layout, theta)
+    except DegenerateImageError:
+        return None
+    best = (theta, val, float(np.linalg.norm(grad)))
+    if best[2] > opts.tol:
+        polished = _newton_polish(datum, layout, theta, opts)
         if polished is not None and polished[2] < best[2]:
             best = polished
     return best
+
+
+def _multistart(datum: Datum, opts: SolverOptions):
+    """(value, covariance blocks, gradient norm) of the best of ``opts.starts``
+    ascents from Sigma = I and seeded random factors; (nan, I, inf) if all fail."""
+    rng = np.random.default_rng(np.random.SeedSequence(opts.seed))
+    layout = _Layout(datum.partition)
+    best = None
+    for s in range(max(1, opts.starts)):
+        theta0 = np.zeros(layout.total) if s == 0 else rng.normal(0.0, 0.5, layout.total)
+        out = _run_start(datum, layout, theta0, opts)
+        if out is None:
+            continue
+        theta, val, gnorm = out
+        if best is None or val > best[1] + 1e-15 or (
+            abs(val - best[1]) <= 1e-12 and gnorm < best[2]
+        ):
+            best = (theta, val, gnorm)
+    if best is None:
+        return math.nan, [np.eye(r) for r in datum.partition.blocks], math.inf
+    theta, val, gnorm = best
+    return val, list(layout.covariance(theta).blocks), gnorm
+
+
+# lam of the split covariances Sigma_U + lam Sigma_perp; at 2**-30 the
+# one of coupled sums (1, 1, 0.5) is no longer numerically positive definite
+_SPLIT_LAM = 2.0**-20
+
+
+def _solve_tree(node, opts: SolverOptions):
+    """Value, covariance blocks, irreducible-leaf gradient norms and starts
+    run of a split tree node.  Explicit leaves are constant in Sigma and
+    take the identity; a split node sums its children's values and places
+    their covariances on U and _SPLIT_LAM U_perp."""
+    if node.leaf_kind == "irreducible":
+        val, blocks, gnorm = _multistart(node.datum, opts)
+        return val, blocks, [gnorm], max(1, opts.starts)
+    if node.is_leaf:
+        return node.constant, [np.eye(r) for r in node.datum.partition.blocks], [], 0
+    (v_u, s_u, g_u, n_u), (v_p, s_p, g_p, n_p) = (_solve_tree(c, opts) for c in node.children)
+    E, Eperp = embed(node.subspace), embed(node.subspace.orthocomplement())
+    full = E @ scipy.linalg.block_diag(*s_u) @ E.T
+    full += _SPLIT_LAM * (Eperp @ scipy.linalg.block_diag(*s_p) @ Eperp.T)
+    full = 0.5 * (full + full.T)
+    blocks = [full[start:stop, start:stop] for start, stop in node.datum.partition.offsets()]
+    return v_u + v_p, blocks, g_u + g_p, n_u + n_p
 
 
 def _unbounded(partition: Partition, V: ProductSubspace, lam: float) -> GaussianSolveResult:
@@ -451,57 +485,40 @@ def _unbounded(partition: Partition, V: ProductSubspace, lam: float) -> Gaussian
 
 
 def solve_mg(datum: Datum, opts: SolverOptions = SolverOptions()) -> GaussianSolveResult:
-    """Maximize the Gaussian objective over block covariances.
+    """The optimal constant M of the datum, computed along a split tree.
 
     The constant is finite iff the scaling balance holds and no product
     subspace has positive slack, so those two checks come first.  A datum
     that fails the balance is unbounded along the full space V, on the
-    side of the scale where the objective grows; one with a violating
-    subspace V found by the search is unbounded along V.  Both answers
+    side of the scale where the objective grows; one whose candidate pass
+    finds a violating subspace V is unbounded along V.  Both answers
     carry ``sigma_star = ray_covariance(partition, V, lam)`` with lam
     2**10, or 2**-10 when the objective grows as Sigma shrinks.
-    Otherwise multi-start L-BFGS ascent on the Cholesky parameters
-    reports the best run; ``converged`` means the gradient norm (in the
-    ascent parameters) fell below ``opts.tol``.
+
+    Otherwise ``mg_value`` sums the leaves of ``certify``'s split tree
+    (M = M_U + M_perp along a critical U): explicit constants, and the
+    best of ``opts.starts`` ascents on each irreducible leaf, whose
+    gradient norms give ``converged`` (all at most ``opts.tol``) and
+    ``gradient_norm`` (their maximum, 0 without such a leaf).  A split
+    datum's ``sigma_star`` is Sigma_U + lam Sigma_perp at every split with
+    lam = 2**-20; its objective is below ``mg_value`` by about 1e-6.
     """
     res = scaling_residual(datum)
     if abs(res) > RESIDUAL_TOL:
         # the objective moves by 0.5 * res * log(t) under Sigma -> t Sigma
         full = ProductSubspace.full(datum.partition)
         return _unbounded(datum.partition, full, 2.0 ** math.copysign(10, res))
-    V = find_violating_subspace(datum, SearchBudget())
-    if V is not None:
+    from . import finiteness  # finiteness imports this module
+    try:
+        tree = finiteness.certify(datum, SearchBudget())
+    except finiteness.ViolationError as exc:
         # along V the objective grows like 0.5 * slack(V) * log(lam)
-        return _unbounded(datum.partition, V, 2.0**10)
-
-    rng = np.random.default_rng(np.random.SeedSequence(opts.seed))
-    layout = _Layout(datum.partition)
-    best = None
-    starts = max(1, opts.starts)
-    for s in range(starts):
-        theta0 = np.zeros(layout.total) if s == 0 else rng.normal(0.0, 0.5, layout.total)
-        out = _run_start(datum, layout, theta0, opts)
-        if out is None:
-            continue
-        theta, val, gnorm = out
-        if best is None or val > best[1] + 1e-15 or (
-            abs(val - best[1]) <= 1e-12 and gnorm < best[2]
-        ):
-            best = (theta, val, gnorm)
-
-    if best is None:
-        return GaussianSolveResult(
-            mg_value=math.nan,
-            sigma_star=BlockCovariance.identity(datum.partition),
-            converged=False,
-            unbounded=False,
-            starts_used=starts,
-            gradient_norm=math.inf,
-        )
-    theta, val, gnorm = best
+        return _unbounded(datum.partition, exc.subspace, 2.0**10)
+    val, blocks, gnorms, starts = _solve_tree(tree, opts)
+    gnorm = max(gnorms, default=0.0)
     return GaussianSolveResult(
         mg_value=val,
-        sigma_star=layout.covariance(theta),
+        sigma_star=BlockCovariance(tuple(blocks)),
         converged=gnorm <= opts.tol,
         unbounded=False,
         starts_used=starts,

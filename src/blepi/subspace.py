@@ -41,6 +41,7 @@ __all__ = [
     "CRITICAL_TOL",
     "orthonormal_columns",
     "embed",
+    "rank_tol",
     "dim_image",
     "slack",
     "candidate_subspaces",
@@ -173,21 +174,21 @@ def embed(V: ProductSubspace) -> np.ndarray:
     return E
 
 
-def dim_image(A: np.ndarray, V: ProductSubspace) -> int:
-    """Numerical rank of A restricted to V, i.e. dim(A V).
+def rank_tol(A: np.ndarray) -> float:
+    """Rank cut for A E, relative to the map and not to A E, which is
+    rounding noise when E spans a subspace of ker A."""
+    return _RANK_TOL * max(A.shape) * np.finfo(float).eps * float(np.linalg.norm(A))
 
-    The rank tolerance is relative to the map, _RANK_TOL * max(A.shape) *
-    eps * ||A||_F, not to A E: when V lies in ker A, A E is rounding noise
-    and a tolerance relative to that noise would count it as rank.
-    """
+
+def dim_image(A: np.ndarray, V: ProductSubspace) -> int:
+    """Numerical rank of A restricted to V, i.e. dim(A V), cut at rank_tol(A)."""
     A = np.asarray(A, dtype=float)
     E = embed(V)
     if A.shape[1] != E.shape[0]:
         raise ValueError(f"map has {A.shape[1]} columns, subspace lives in R^{E.shape[0]}")
     if E.shape[1] == 0:
         return 0
-    tol = _RANK_TOL * max(A.shape) * np.finfo(float).eps * np.linalg.norm(A)
-    return int(np.linalg.matrix_rank(A @ E, tol=tol))
+    return int(np.linalg.matrix_rank(A @ E, tol=rank_tol(A)))
 
 
 def slack(datum: Datum, V: ProductSubspace) -> SlackResult:

@@ -79,11 +79,6 @@ class TestCheckCommand:
         assert doc["witness"]["kind"] == "scaling_residual"
         assert doc["witness"]["value"] == pytest.approx(0.5)
 
-    def test_tiny_budget_is_unknown(self, tmp_path):
-        path = tmp_path / "epi2.json"
-        blepi.save(blepi.make_epi_datum(0.5, 2), path)
-        assert main(["check", str(path), "--budget-profiles", "2"]) == 4
-
 
 class TestSolveCommand:
     def test_epi_reports_zero(self, epi_file, capsys):

@@ -7,9 +7,11 @@ Claims:
     - verdicts do not depend on the rng
     - splitting along a critical subspace yields children that satisfy
       both finiteness conditions, reconstruct the parent maps exactly,
-      and obey the solver-level subadditivity bound
+      keep an image basis exactly as wide as the image dimension, and
+      split the solved optimum exactly
     - certificates terminate at the documented base cases with the
-      documented constants
+      documented constants, and reject a datum whose candidates include a
+      violating subspace
 """
 
 import math
@@ -26,13 +28,14 @@ from blepi.finiteness import (
     ScalingResidual,
     SplitError,
     ViolatingSubspace,
+    ViolationError,
     certify,
     check_and_certify,
     check_finiteness,
     scaling_residual,
     split_datum,
 )
-from blepi.gauss import SolverOptions, solve_mg
+from blepi.gauss import solve_mg
 from blepi.subspace import ProductSubspace, SearchBudget, find_violating_subspace, slack
 from conftest import random_datum
 
@@ -180,14 +183,28 @@ class TestSplit:
                 np.testing.assert_allclose(A @ x, recon, atol=1e-9)
 
     def test_subadditivity_of_the_optimum(self):
+        # the constant splits exactly along a critical subspace
         d = blepi.make_coupled_sums_datum(1.0, 1.0, 0.5, 0.5)
         parts = split_datum(d, diag_subspace())
-        opts = SolverOptions(tol=1e-4)
-        parent = solve_mg(d, opts)
-        left = solve_mg(parts.child_u.datum, opts)
-        right = solve_mg(parts.child_perp.datum, opts)
-        assert not (parent.unbounded or left.unbounded or right.unbounded)
-        assert parent.mg_value <= left.mg_value + right.mg_value + 1e-4
+        parent = solve_mg(d)
+        left = solve_mg(parts.child_u.datum)
+        right = solve_mg(parts.child_perp.datum)
+        for res in (parent, left, right):
+            assert res.converged and not res.unbounded
+        assert parent.mg_value == pytest.approx(left.mg_value + right.mg_value, abs=1e-9)
+
+    def test_image_basis_of_a_subspace_in_a_kernel_is_empty(self):
+        # coupled sums (1, 1, 0.5, 0.5) split along its second block leaves
+        # a (2,) child whose first map kills span(1, 1) up to rounding
+        # (A E = 7.8e-17); its image basis used to keep that noise as one
+        # column, which left the U_perp grandchild with no maps (SplitError)
+        d = blepi.make_coupled_sums_datum(1.0, 1.0, 0.5, 0.5)
+        U = ProductSubspace.coordinate(d.partition, ((), (0,)))
+        child = split_datum(d, U).child_perp.datum
+        diag = ProductSubspace.from_spans(child.partition, [np.array([[1.0], [1.0]])])
+        parts = split_datum(child, diag)
+        assert [F.shape[1] for F in parts.image_bases] == list(slack(child, diag).per_map_dims)
+        assert [F.shape[1] for F in parts.image_bases] == [0, 1, 1]
 
 
 class TestCertify:
@@ -224,6 +241,31 @@ class TestCertify:
             assert leaf.leaf_kind in ("dim-1", "single-map", "irreducible")
             if leaf.leaf_kind != "irreducible":
                 assert math.isfinite(leaf.constant)
+
+    def test_beta_one_coupled_sums_splits_into_dim_one_leaves(self):
+        tree = certify(blepi.make_coupled_sums_datum(1.0, 1.0, 0.5, 0.5))
+        assert [leaf.leaf_kind for leaf in tree.leaves()] == ["dim-1"] * 3
+        assert sum(leaf.constant for leaf in tree.leaves()) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "d",
+        [
+            blepi.make_coupled_sums_datum(1.0, 1.2, 0.6, 0.6),
+            # one square map but d_1 != c: once a finite single-map leaf
+            Datum(
+                partition=Partition((1, 1)),
+                maps=(np.eye(2),),
+                c=np.array([1.0]),
+                d=np.array([1.5, 0.5]),
+            ),
+        ],
+    )
+    def test_violating_subspace_raises_with_the_witness(self, d):
+        with pytest.raises(ViolationError) as exc:
+            certify(d)
+        assert exc.value.subspace.dim > 0
+        assert slack(d, exc.value.subspace).violating
+        assert isinstance(exc.value, ValueError)
 
     def test_children_inherit_balance(self):
         d = blepi.make_coupled_sums_datum(1.0, 1.0, 0.5, 0.5)

@@ -14,6 +14,9 @@ Claims:
       overflow and an ill-conditioned image at Sigma = I without a
       RuntimeWarning, and reports equal-block covariances for the
       entropy power datum
+    - boundary data, whose supremum is attained only in a degenerate
+      limit, are solved exactly along the split tree, and the tree value
+      equals the whole-datum ascent wherever that converges
     - the solver's value and gradient equal, bit for bit, the same
       formula written with scipy.linalg.cho_solve, and fail on exactly
       the same parameters; a random draw whose optimum is near the
@@ -37,12 +40,13 @@ from hypothesis import strategies as st
 
 import blepi
 from blepi.datum import Datum, Partition
-from blepi.finiteness import INFINITE, ViolatingSubspace
+from blepi.finiteness import INFINITE, ViolatingSubspace, ViolationError, certify
 from blepi.gauss import (
     _COND_LIMIT,
     _PROBE_STEPS,
     _THETA_WALL,
     _Layout,
+    _multistart,
     _ray_values,
     _value_grad,
     LOG_2PIE,
@@ -51,6 +55,7 @@ from blepi.gauss import (
     GaussianMixture,
     GaussianPair,
     PerturbationParams,
+    SolverOptions,
     gaussian_entropy,
     gradient,
     mixture_s,
@@ -303,8 +308,9 @@ class TestSolver:
 
     def test_ill_conditioned_identity_image_does_not_raise(self):
         # A Sigma A^T at Sigma = I has condition number 1e14, above the
-        # solver's 1e12, and the objective is the constant -log(1e-7);
-        # the reference value at Sigma = I used to raise out of solve_mg
+        # solver's 1e12, and the objective is the constant -log(1e-7); the
+        # reference value at Sigma = I used to raise out of solve_mg, and
+        # every start used to fail; it is a single-map leaf of its tree
         d = Datum(
             partition=Partition((2,)),
             maps=(np.array([[1.0, 0.0], [0.0, 1e-7]]),),
@@ -312,9 +318,8 @@ class TestSolver:
             d=np.array([1.0]),
         )
         res = solve_mg(d)
-        assert not res.unbounded
-        if res.converged:
-            assert res.mg_value == pytest.approx(-math.log(1e-7), abs=1e-6)
+        assert res.converged and not res.unbounded
+        assert res.mg_value == pytest.approx(-math.log(1e-7), abs=1e-9)
 
     def test_boundary_random_draw_solves_to_a_valid_covariance(self):
         # seeded random draw 18 of np.random.default_rng([1, 3]): the datum
@@ -327,6 +332,26 @@ class TestSolver:
         res = solve_mg(d)
         revalidated = BlockCovariance(res.sigma_star.blocks)
         assert all(np.isfinite(S).all() for S in revalidated.blocks)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_beta_one_coupled_sums_is_solved_exactly(self, seed):
+        # the supremum 0 is attained only in a degenerate limit; every
+        # leaf of the split tree is explicit, so no start runs
+        d = blepi.make_coupled_sums_datum(1.0, 1.0, 0.5, 0.5)
+        res = solve_mg(d, SolverOptions(seed=seed))
+        assert res.converged and not res.unbounded
+        assert abs(res.mg_value) <= 1e-12
+        assert res.starts_used == 0 and res.gradient_norm == 0.0
+
+    def test_boundary_coupled_sums_is_solved_exactly(self):
+        # the families boundary point alpha = 1, rho = 1: the whole-datum
+        # ascent used to stop at gradient norm 0.38
+        d = blepi.make_coupled_sums_datum(1.0, 0.8, 0.4, 0.4)
+        res = solve_mg(d)
+        C, _ = blepi.coupled_sums_constant(1.0, 0.8, 0.4)
+        assert res.converged and not res.unbounded
+        assert res.mg_value == pytest.approx(C, abs=1e-12)
+        assert res.mg_value - 1e-6 <= objective(d, res.sigma_star) <= res.mg_value + 1e-12
 
     def test_violating_subspace_is_unbounded(self):
         # seeded random draw 16 of np.random.default_rng([1, 3]) (every
@@ -344,6 +369,34 @@ class TestSolver:
         expected = ray_covariance(d.partition, V, 2.0**10)
         for S, E in zip(res.sigma_star.blocks, expected.blocks):
             np.testing.assert_array_equal(S, E)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), draw=st.integers(0, 9))
+@example(seed=7, draw=5)
+@example(seed=7, draw=42)
+def test_split_tree_value_matches_the_whole_datum_ascent(seed, draw):
+    """Where the multi-start ascent on the whole datum converges, the sum
+    over the split tree equals its value, and the objective at sigma_star
+    does not exceed it.  A datum whose tree is one irreducible leaf is
+    solved by that same ascent, so only split data are compared.  Draws 5
+    and 42 of default_rng(7) are the two data of the 150-draw random
+    suite whose trees split."""
+    rng = np.random.default_rng(seed)
+    d = [random_datum(rng, balanced=True) for _ in range(draw + 1)][draw]
+    try:
+        tree = certify(d)
+    except ViolationError:
+        return
+    if tree.leaf_kind == "irreducible":
+        return
+    opts = SolverOptions()
+    whole, _, gnorm = _multistart(d, opts)
+    if gnorm <= opts.tol:
+        res = solve_mg(d, opts)
+        assert res.converged
+        assert res.mg_value == pytest.approx(whole, abs=1e-9)
+        assert objective(d, res.sigma_star) <= res.mg_value + 1e-9
 
 
 def _reference_value_grad(datum, theta):
