@@ -51,7 +51,6 @@ class RunConfig:
     fmt: str = "structured-text"
     out: Optional[str] = None
     bits: bool = False
-    mg_override: Optional[float] = None
 
     @property
     def solver_options(self) -> SolverOptions:
@@ -168,7 +167,7 @@ def cmd_verify(path, cfg: RunConfig, model_names: list[str]) -> int:
     if result.unbounded:
         _emit(_json_report({"command": "verify", "error": "solve is unbounded"}), cfg)
         return EXIT_UNBOUNDED
-    mg = cfg.mg_override if cfg.mg_override is not None else result.mg_value
+    mg = result.mg_value
     reports = estimate.verify_inequality(
         datum,
         models,
@@ -328,14 +327,15 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     cfg = RunConfig()
     p.add_argument("--seed", type=int, default=cfg.seed)
     p.add_argument("--starts", type=int, default=cfg.starts)
-    p.add_argument("--tol", type=float, default=cfg.tol)
+    p.add_argument(
+        "--tol", type=float, default=cfg.tol, help="converged at scale-free gradient norm <= this"
+    )
     p.add_argument("--samples", type=int, default=cfg.samples)
     p.add_argument("--knn-k", type=int, default=cfg.knn_k)
     p.add_argument("--confidence", type=float, default=cfg.confidence, help="one-sided z threshold")
     p.add_argument("--format", dest="fmt", choices=["structured-text", "csv"], default=cfg.fmt)
     p.add_argument("--out", default=cfg.out)
     p.add_argument("--bits", action="store_true", help="report in bits instead of nats")
-    p.add_argument("--mg-override", type=float, default=cfg.mg_override, help="test only")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -6,20 +6,22 @@ For Gaussian inputs the inequality objective
 
 is a smooth function of the block-diagonal covariance Sigma, with
 closed-form value and gradient.  One kernel, ``_logdet_kernel``, holds
-that algebra; its value path also takes a stack of covariances and
-returns one value per covariance, and its gradient path calls LAPACK's
-dpotrs directly, without scipy's finiteness checks: covariance blocks
-are checked finite, symmetric and positive definite when they are
-built.  ``solve_mg`` answers unbounded when the scaling balance fails
-or ``certify``'s candidate pass finds a violating subspace; otherwise it
-sums the leaf constants of ``certify``'s split tree, maximizing the
-objective on each irreducible leaf by multi-start quasi-Newton ascent on
-Cholesky factors (log-parameterized diagonals).  The divergence probe
-tries the full space and each single block as escape rays, evaluating
-all scales of one ray in a single stacked kernel call.  Perturbed
-variants add isotropic noise delta to the blocks and epsilon to the
-images; paired and mixture evaluations cover the two-copy rotation
-identity and auxiliary-variable averages.
+that algebra.  It takes the block Cholesky factors L_i and reads each
+image log-det off a QR factorization of (A_j L)^T, so A_j Sigma A_j^T is
+never formed; its value path also takes a stack of factors and returns
+one value per covariance.  In the coordinates Sigma = L exp(X) L^T the
+objective is geodesically concave: the block terms are linear in X and
+the Hessian is negative semidefinite, and the kernel returns both the
+gradient and the Hessian there.  ``solve_mg`` answers unbounded when the
+scaling balance fails or ``certify``'s candidate pass finds a violating
+subspace; otherwise it sums the leaf constants of ``certify``'s split
+tree, maximizing the objective on each irreducible leaf by multi-start
+damped Newton ascent in those coordinates.  The divergence probe tries
+the full space and each single block as escape rays, evaluating all
+scales of one ray in a single stacked kernel call.  Perturbed variants
+add isotropic noise delta to the blocks and epsilon to the images;
+paired and mixture evaluations cover the two-copy rotation identity and
+auxiliary-variable averages.
 
 Everything is in nats.  All value types are immutable; multi-start runs
 are independent given the seed.
@@ -27,15 +29,12 @@ are independent given the seed.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
-from scipy.linalg.lapack import dpotrs
 
 from .datum import RESIDUAL_TOL, Datum, Partition, scaling_residual
 from .subspace import ProductSubspace, SearchBudget, embed
@@ -153,80 +152,71 @@ def gaussian_entropy(cov) -> float:
     return 0.5 * (d * LOG_2PIE + 2.0 * float(np.sum(np.log(np.diag(L)))))
 
 
-@functools.lru_cache(maxsize=None)
-def _eye(r: int) -> np.ndarray:
-    """The r x r identity, built once and read-only."""
-    eye = np.eye(r)
-    eye.setflags(write=False)
-    return eye
+def _logdet_kernel(datum, factors, epsilon=0.0, cond_limit=None, basis=None):
+    """Objective value at Sigma = Diag(L_i L_i^T) from the lower block factors L_i.
 
+    Each image log-det comes from the QR factorization (A_j L)^T = Q_j R_j,
+    with the rows sqrt(epsilon) I stacked under (A_j L)^T when epsilon > 0,
+    so A_j Sigma A_j^T + epsilon I = R_j^T R_j is never formed and |diag R_j|
+    is its Cholesky diagonal.  Raises DegenerateImageError when some
+    min |diag R_j| / max |diag R_j| is below cond_limit**-0.5 or, without
+    ``cond_limit``, below sqrt(eps), where the Cholesky factorization of
+    A_j Sigma A_j^T fails; a NaN also fails the comparison.
 
-def _cho_solve(L: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """(L L^T)^{-1} B for a lower Cholesky factor L: the LAPACK call that
-    scipy.linalg.cho_solve makes, without its argument checks.  Nothing
-    here looks for inf or NaN: block factors come from finite blocks, and
-    an image factor is non-finite only where A Sigma A^T overflows, which
-    the solver's conditioning test rejects."""
-    X, info = dpotrs(L, B, lower=1)
-    if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of dpotrs")
-    return X
+    Returns (value, g, H).  Without ``basis``, g and H are None and, at
+    epsilon 0, the factors may carry a leading stack axis, (S, r_i, r_i)
+    for every block: the value is then an array of S values, and a
+    degenerate image at any of them raises.  With ``basis``, an
+    orthonormal basis (p, n, n) of the block-diagonal symmetric X, g and H
+    are the gradient and Hessian of X -> f(L exp(X) L^T) at X = 0 (epsilon
+    0, unstacked), with D = Diag(d_i I_{r_i}) and P_j = Q_j Q_j^T:
 
-
-def _image_cov(A: np.ndarray, full: np.ndarray) -> np.ndarray:
-    M = A @ full @ A.T
-    return 0.5 * (M + M.swapaxes(-2, -1))
-
-
-def _logdet_kernel(datum, blocks, factors, epsilon=0.0, cond_limit=None, grad=False):
-    """Objective value at Diag(blocks) and, with ``grad``, its per-block gradient
-
-        0.5 d_i Sigma_i^{-1} - 0.5 [sum_j c_j A_j^T M_j^{-1} A_j]_ii,
-
-    where ``factors`` are lower Cholesky factors of ``blocks`` and each
-    image covariance M_j = A_j Sigma A_j^T + epsilon I.  Raises
-    DegenerateImageError when an M_j has no Cholesky factor or, with
-    ``cond_limit``, a condition number above it.  The comparison is
-    written so that an inf or NaN factor diagonal also fails it.
-
-    Without ``grad``, blocks and factors may carry a leading stack axis,
-    (S, r_i, r_i) for every block; the value is then an array of S values,
-    one per stacked covariance, and a degenerate image at any of them
-    raises.  Each stacked value is computed as the unstacked call would
-    compute it.
+        g(X) = 1/2 tr(D X) - 1/2 sum_j c_j tr(Q_j^T X Q_j),
+        H(X, X) = -1/2 sum_j c_j ||(I - P_j) X Q_j||_F^2 <= 0.
     """
-    stack = blocks[0].shape[:-2]
-    offsets = datum.partition.offsets()
-    full = np.zeros(stack + (datum.n, datum.n))
-    for (start, stop), S in zip(offsets, blocks):
-        full[..., start:stop, start:stop] = S
-    diag_floor = 0.0 if cond_limit is None else cond_limit**-0.5  # diag ratio ~ sqrt(cond)
+    stack = factors[0].shape[:-2]
+    L = np.zeros(stack + (datum.n, datum.n))
+    for (start, stop), F in zip(datum.partition.offsets(), factors):
+        L[..., start:stop, start:stop] = F
+    # the diagonal ratio is about 1 / sqrt(condition number)
+    diag_floor = np.finfo(float).eps ** 0.5 if cond_limit is None else cond_limit**-0.5
     val = 0.0
-    for di, L in zip(datum.d, factors):
-        logdiag = np.log(L.diagonal(axis1=-2, axis2=-1))
-        val += di * 0.5 * (L.shape[-1] * LOG_2PIE + 2.0 * logdiag.sum(axis=-1))
-    T = np.zeros((datum.n, datum.n))
+    for di, F in zip(datum.d, factors):
+        logdiag = np.log(F.diagonal(axis1=-2, axis2=-1))
+        val += di * 0.5 * (F.shape[-1] * LOG_2PIE + 2.0 * logdiag.sum(axis=-1))
+    if basis is not None:
+        gmat = 0.5 * np.diag(np.repeat(datum.d, datum.partition.blocks))  # g as a matrix
+        H = np.zeros((len(basis), len(basis)))
     for cj, A in zip(datum.c, datum.maps):
-        M = _image_cov(A, full)
+        BT = np.swapaxes(A @ L, -2, -1)
         if epsilon:
-            M = M + epsilon * _eye(A.shape[0])
-        try:
-            cm = np.linalg.cholesky(M)
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateImageError("image covariance is numerically singular") from exc
-        dg = cm.diagonal(axis1=-2, axis2=-1)
-        if not (dg.min(axis=-1) / dg.max(axis=-1) >= diag_floor).all():
+            BT = np.vstack([BT, math.sqrt(epsilon) * np.eye(A.shape[0])])
+        Q, R = np.linalg.qr(BT)
+        dg = np.abs(R.diagonal(axis1=-2, axis2=-1))
+        if not (dg.min(axis=-1) >= diag_floor * dg.max(axis=-1)).all():
             raise DegenerateImageError("image covariance is ill-conditioned")
         val -= cj * 0.5 * (A.shape[0] * LOG_2PIE + 2.0 * np.log(dg).sum(axis=-1))
-        if grad:
-            T += cj * (A.T @ _cho_solve(cm, A))
-    if not grad:
-        return val, None
-    grads = []
-    for (start, stop), di, L in zip(offsets, datum.d, factors):
-        G = 0.5 * di * _cho_solve(L, _eye(L.shape[0])) - 0.5 * T[start:stop, start:stop]
-        grads.append(0.5 * (G + G.T))
-    return float(val), tuple(grads)
+        if basis is not None:
+            gmat -= 0.5 * cj * (Q @ Q.T)
+            XQ = basis @ Q
+            W = (XQ - Q @ (Q.T @ XQ)).reshape(len(basis), -1)   # (I - P_j) X Q_j
+            H -= 0.5 * cj * (W @ W.T)
+    if basis is None:
+        return val, None, None
+    return float(val), basis.reshape(len(basis), -1) @ gmat.ravel(), H
+
+
+def _sym_basis(partition: Partition) -> np.ndarray:
+    """Orthonormal basis (p, n, n) of the block-diagonal symmetric matrices."""
+    n = partition.n
+    basis = []
+    for start, stop in partition.offsets():
+        for a in range(start, stop):
+            for b in range(a, stop):
+                E = np.zeros((n, n))
+                E[a, b] = E[b, a] = 1.0 if a == b else math.sqrt(0.5)
+                basis.append(E)
+    return np.array(basis)
 
 
 def objective(datum: Datum, sigma: BlockCovariance) -> float:
@@ -240,37 +230,47 @@ def objective_perturbed(
     """Noise-smoothed objective: blocks get +delta I, images get +epsilon I."""
     if sigma.partition != datum.partition:
         raise ValueError("covariance blocks do not match the datum partition")
-    blocks = [S + p.delta * _eye(S.shape[0]) for S in sigma.blocks]
-    factors = [np.linalg.cholesky(S) for S in blocks]
-    return float(_logdet_kernel(datum, blocks, factors, p.epsilon)[0])
+    factors = [np.linalg.cholesky(S + p.delta * np.eye(S.shape[0])) for S in sigma.blocks]
+    return float(_logdet_kernel(datum, factors, p.epsilon)[0])
 
 
 def gradient(datum: Datum, sigma: BlockCovariance) -> tuple[np.ndarray, ...]:
     """Per-block symmetric gradient of the Gaussian objective.
 
-    Block i:  0.5 d_i Sigma_i^{-1} - 0.5 [sum_j c_j A_j^T (A_j Sigma A_j^T)^{-1} A_j]_ii
+    Block i:  0.5 d_i Sigma_i^{-1} - 0.5 [sum_j c_j A_j^T (A_j Sigma A_j^T)^{-1} A_j]_ii,
+    computed as L_i^{-T} g_i L_i^{-1} from the kernel's gradient g in the
+    coordinates Sigma = L exp(X) L^T.
     """
     if sigma.partition != datum.partition:
         raise ValueError("covariance blocks do not match the datum partition")
     factors = [np.linalg.cholesky(S) for S in sigma.blocks]
-    return _logdet_kernel(datum, sigma.blocks, factors, grad=True)[1]
+    basis = _sym_basis(datum.partition)
+    gmat = np.tensordot(_logdet_kernel(datum, factors, basis=basis)[1], basis, 1)
+    grads = []
+    for (start, stop), F in zip(datum.partition.offsets(), factors):
+        Finv = scipy.linalg.solve_triangular(F, np.eye(F.shape[0]), lower=True)
+        G = Finv.T @ gmat[start:stop, start:stop] @ Finv
+        grads.append(0.5 * (G + G.T))
+    return tuple(grads)
 
 
 # ---------------------------------------------------------------------------
-# Cholesky-parameterized multi-start ascent
+# damped Newton ascent in geodesic coordinates
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class SolverOptions:
     starts: int = 8
-    tol: float = 1e-8            # gradient norm in the Cholesky parameters
+    tol: float = 1e-8            # scale-free gradient norm ||Diag(L_i^T G_i L_i)||_F
     seed: int = 0
 
 
-_MAX_ITER = 5000      # L-BFGS iterations per restart
+_NEWTON_STEPS = 60    # Newton steps per start
+_HALVINGS = 10        # step halvings before a start stops
+_MAX_STEP = 2.0       # Frobenius norm cap on one step X
+_ROUNDING = 1e-14     # predicted rises below this, relative to max(1, |value|), are rounding
 _COND_LIMIT = 1e12    # image covariances beyond this count as degenerate
-_THETA_WALL = 200.0   # keeps exp() finite; genuine optima sit far inside
 
 
 @dataclass(frozen=True)
@@ -293,160 +293,88 @@ class GaussianSolveResult:
         }
 
 
-class _Layout:
-    """Packing of per-block lower-triangular factors into one flat vector.
+def _moved(datum: Datum, factors, X: np.ndarray):
+    """Blocks of L exp(X) L^T and their lower Cholesky factors; raises
+    DegenerateImageError when a block is not numerically positive definite."""
+    blocks, out = [], []
+    for (start, stop), F in zip(datum.partition.offsets(), factors):
+        w, V = np.linalg.eigh(X[start:stop, start:stop])
+        half = F @ (V * np.exp(0.5 * w))
+        S = half @ half.T
+        try:
+            out.append(_check_spd(S, "covariance block"))
+        except ValueError as exc:
+            raise DegenerateImageError("covariance block is numerically singular") from exc
+        blocks.append(S)
+    return blocks, out
 
-    Strictly-lower entries are stored raw; diagonal entries are stored as
-    logs, so every parameter vector maps to an SPD block covariance.  The
-    index arrays are built once: per block, its slice of the vector and
-    the flat positions of its entries inside the r x r factor; and the
-    positions in the vector of the log-diagonal entries.
+
+def _newton(datum: Datum, blocks, basis: np.ndarray, opts: SolverOptions):
+    """(value, covariance blocks, gradient norm) after damped Newton ascent
+    from the given blocks, or None when the start itself is degenerate.
+
+    Each step solves H x = -g in the least-squares sense (H is singular
+    along the scaling direction), caps ||x|| at _MAX_STEP and is halved
+    until the value rises or, once the predicted rise g.x is at rounding
+    level, until the gradient norm falls.  A start ends at a gradient
+    within ``opts.tol`` whose predicted rise is rounding, when no halving
+    is accepted, or after _NEWTON_STEPS steps; the step cap and count bound
+    how far it can move, so nothing overflows.
     """
-
-    def __init__(self, partition: Partition):
-        self.parts = []
-        diag, pos = [], 0
-        for r in partition.blocks:
-            rows, cols = np.tril_indices(r)
-            self.parts.append((r, slice(pos, pos + rows.size), rows * r + cols))
-            diag.append(pos + np.flatnonzero(rows == cols))
-            pos += rows.size
-        self.total = pos
-        self.diag = np.concatenate(diag)
-
-    def factors(self, theta: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-        """The lower factors at theta, and their diagonals in the order of
-        ``self.diag``."""
-        diag = np.exp(theta[self.diag])
-        packed = theta.copy()
-        packed[self.diag] = diag
-        Ls = []
-        for r, part, tril in self.parts:
-            L = np.zeros((r, r))
-            L.ravel()[tril] = packed[part]
-            Ls.append(L)
-        return Ls, diag
-
-    def covariance(self, theta: np.ndarray) -> BlockCovariance:
-        return BlockCovariance(tuple(L @ L.T for L in self.factors(theta)[0]))
-
-    def pack_grad(self, Ls, diag, block_grads) -> np.ndarray:
-        """Flat gradient in theta from the per-block gradients in Sigma_i."""
-        out = np.empty(self.total)
-        for (_, part, tril), L, G in zip(self.parts, Ls, block_grads):
-            out[part] = (2.0 * (G @ L)).ravel()[tril]
-        out[self.diag] *= diag  # chain rule through the log-diagonal
-        return out
-
-
-def _value_grad(datum: Datum, layout: _Layout, theta: np.ndarray):
-    """Objective value and flat gradient at theta; raises DegenerateImageError
-    when theta is beyond the wall or an image covariance is degenerate
-    (condition number above _COND_LIMIT)."""
-    if theta.size and np.abs(theta).max() > _THETA_WALL:
-        raise DegenerateImageError("parameters beyond the theta wall")
-    Ls, diag = layout.factors(theta)
-    val, block_grads = _logdet_kernel(
-        datum, [L @ L.T for L in Ls], Ls, cond_limit=_COND_LIMIT, grad=True
-    )
-    return val, layout.pack_grad(Ls, diag, block_grads)
-
-
-def _newton_polish(datum, layout, theta, opts, steps=5):
-    """Final gradient push for ill-conditioned optima.
-
-    Near a boundary-flat maximizer the quasi-Newton loop stagnates once
-    objective improvements fall below machine precision, while the
-    gradient can still sit around 1e-8.  A few damped Newton steps on a
-    finite-difference Hessian (cheap: a handful of parameters) drive the
-    gradient the rest of the way down.
-    """
+    factors = [np.linalg.cholesky(S) for S in blocks]
     try:
-        val, grad = _value_grad(datum, layout, theta)
+        val, g, H = _logdet_kernel(datum, factors, cond_limit=_COND_LIMIT, basis=basis)
     except DegenerateImageError:
         return None
-    p = len(theta)
-    for _ in range(steps):
-        gnorm = np.linalg.norm(grad)
-        if gnorm <= opts.tol or p == 0:
+    gnorm = float(np.linalg.norm(g))
+    for _ in range(_NEWTON_STEPS):
+        x = np.linalg.lstsq(H, -g, rcond=None)[0]
+        x *= _MAX_STEP / max(float(np.linalg.norm(x)), _MAX_STEP)
+        rounding = float(g @ x) <= _ROUNDING * max(1.0, abs(val))
+        if rounding and gnorm <= opts.tol:
             break
-        h = 1e-6 * max(1.0, float(np.abs(theta).max()))
-        H = np.zeros((p, p))
-        try:
-            for i in range(p):
-                e = np.zeros(p)
-                e[i] = h
-                _, gp = _value_grad(datum, layout, theta + e)
-                _, gm = _value_grad(datum, layout, theta - e)
-                H[:, i] = (gp - gm) / (2 * h)
-        except DegenerateImageError:
-            break
-        H = 0.5 * (H + H.T)
-        step, *_ = np.linalg.lstsq(H, -grad, rcond=1e-12)
-        improved = False
-        for scale in (1.0, 0.5, 0.25, 0.125):
-            cand = theta + scale * step
+        X = np.tensordot(x, basis, 1)
+        for t in 0.5 ** np.arange(_HALVINGS):
             try:
-                cval, cgrad = _value_grad(datum, layout, cand)
+                tblocks, tfactors = _moved(datum, factors, t * X)
+                tval, tg, tH = _logdet_kernel(datum, tfactors, cond_limit=_COND_LIMIT, basis=basis)
             except DegenerateImageError:
                 continue
-            if np.linalg.norm(cgrad) < gnorm:
-                theta, val, grad = cand, cval, cgrad
-                improved = True
+            tnorm = float(np.linalg.norm(tg))
+            if (tnorm < gnorm) if rounding else (tval > val):
                 break
-        if not improved:
+        else:
             break
-    return theta, val, float(np.linalg.norm(grad))
-
-
-def _run_start(datum, layout, theta0, opts):
-    def fun(theta):
-        wall = np.abs(theta).max() - _THETA_WALL if theta.size else -1.0
-        if wall > 0:
-            g = np.zeros_like(theta)
-            hot = np.abs(theta) > _THETA_WALL
-            g[hot] = 2e4 * (np.abs(theta[hot]) - _THETA_WALL) * np.sign(theta[hot])
-            return 1e4 * wall * wall, g
-        try:
-            val, grad = _value_grad(datum, layout, theta)
-        except DegenerateImageError:
-            return 1e60, np.zeros_like(theta)
-        return -val, -grad
-
-    options = {"maxiter": _MAX_ITER, "ftol": 1e-16, "gtol": 1e-12, "maxcor": 20}
-    theta = scipy.optimize.minimize(fun, theta0, jac=True, method="L-BFGS-B", options=options).x
-    try:
-        val, grad = _value_grad(datum, layout, theta)
-    except DegenerateImageError:
-        return None
-    best = (theta, val, float(np.linalg.norm(grad)))
-    if best[2] > opts.tol:
-        polished = _newton_polish(datum, layout, theta, opts)
-        if polished is not None and polished[2] < best[2]:
-            best = polished
-    return best
+        blocks, factors, val, g, H, gnorm = tblocks, tfactors, tval, tg, tH, tnorm
+    return val, blocks, gnorm
 
 
 def _multistart(datum: Datum, opts: SolverOptions):
     """(value, covariance blocks, gradient norm) of the best of ``opts.starts``
-    ascents from Sigma = I and seeded random factors; (nan, I, inf) if all fail."""
+    Newton ascents from Sigma = I and seeded random factors; (nan, I, inf)
+    if all fail."""
     rng = np.random.default_rng(np.random.SeedSequence(opts.seed))
-    layout = _Layout(datum.partition)
+    basis = _sym_basis(datum.partition)
     best = None
     for s in range(max(1, opts.starts)):
-        theta0 = np.zeros(layout.total) if s == 0 else rng.normal(0.0, 0.5, layout.total)
-        out = _run_start(datum, layout, theta0, opts)
+        blocks = []
+        for r in datum.partition.blocks:
+            F = np.eye(r)
+            if s > 0:
+                F = np.tril(rng.normal(0.0, 0.5, (r, r)), -1)
+                F += np.diag(np.exp(rng.normal(0.0, 0.5, r)))
+            blocks.append(F @ F.T)
+        out = _newton(datum, blocks, basis, opts)
         if out is None:
             continue
-        theta, val, gnorm = out
-        if best is None or val > best[1] + 1e-15 or (
-            abs(val - best[1]) <= 1e-12 and gnorm < best[2]
+        val, blocks, gnorm = out
+        if best is None or val > best[0] + 1e-15 or (
+            abs(val - best[0]) <= 1e-12 and gnorm < best[2]
         ):
-            best = (theta, val, gnorm)
+            best = (val, blocks, gnorm)
     if best is None:
         return math.nan, [np.eye(r) for r in datum.partition.blocks], math.inf
-    theta, val, gnorm = best
-    return val, list(layout.covariance(theta).blocks), gnorm
+    return best
 
 
 # lam of the split covariances Sigma_U + lam Sigma_perp; at 2**-30 the
@@ -498,9 +426,11 @@ def solve_mg(datum: Datum, opts: SolverOptions = SolverOptions()) -> GaussianSol
     Otherwise ``mg_value`` sums the leaves of ``certify``'s split tree
     (M = M_U + M_perp along a critical U): explicit constants, and the
     best of ``opts.starts`` ascents on each irreducible leaf, whose
-    gradient norms give ``converged`` (all at most ``opts.tol``) and
-    ``gradient_norm`` (their maximum, 0 without such a leaf).  A split
-    datum's ``sigma_star`` is Sigma_U + lam Sigma_perp at every split with
+    scale-free gradient norms give ``converged`` (all at most ``opts.tol``)
+    and ``gradient_norm`` (their maximum, 0 without such a leaf).  On an
+    unsplit datum the objective at ``sigma_star`` is ``mg_value``: the
+    ascent evaluates the blocks it returns.  A split datum's
+    ``sigma_star`` is Sigma_U + lam Sigma_perp at every split with
     lam = 2**-20; its objective is below ``mg_value`` by about 1e-6.
     """
     res = scaling_residual(datum)
@@ -558,12 +488,11 @@ def _ray_values(datum: Datum, V: ProductSubspace) -> np.ndarray:
     Raises DegenerateImageError when the image is degenerate at any scale.
     """
     lam = 2.0 ** np.arange(_PROBE_STEPS + 1)
-    blocks, factors = [], []
+    factors = []
     for i, (r, B) in enumerate(zip(datum.partition.blocks, V.bases)):
         S = np.eye(r) + (lam[:, None, None] - 1.0) * (B @ B.T)
-        blocks.append(S)
         factors.append(_check_spd(S, f"covariance block {i}", ndim=3))
-    return _logdet_kernel(datum, blocks, factors)[0]
+    return _logdet_kernel(datum, factors)[0]
 
 
 def _ray_escapes(datum: Datum, V: ProductSubspace) -> Optional[float]:

@@ -10,6 +10,7 @@ Claims:
     - closed forms print 12-significant-digit decimals and sweeps emit CSV
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -113,11 +114,14 @@ class TestVerifyCommand:
         doc = json.loads(capsys.readouterr().out)
         assert {r["model"] for r in doc["reports"]} == {"uniform", "laplace", "mixture"}
 
-    def test_corrupted_reference_fails(self, epi_file):
-        code = main(
-            ["verify", epi_file, "--samples", "5000", "--models", "gaussian",
-             "--mg-override", "-1.0"]
-        )
+    def test_corrupted_reference_fails(self, epi_file, monkeypatch):
+        solve = blepi.cli.solve_mg
+
+        def corrupted(datum, opts):
+            return dataclasses.replace(solve(datum, opts), mg_value=-1.0)
+
+        monkeypatch.setattr(blepi.cli, "solve_mg", corrupted)
+        code = main(["verify", epi_file, "--samples", "5000", "--models", "gaussian"])
         assert code == 6
 
     def test_csv_format(self, epi_file, capsys):
