@@ -163,6 +163,11 @@ def cmd_verify(path, cfg: RunConfig, model_names: list[str]) -> int:
     except KeyError as exc:
         sys.stderr.write(f"unknown model family {exc}; choose from {sorted(_MODEL_BUILDERS)}\n")
         return EXIT_INVALID
+    try:
+        estimate.check_knn_size(cfg.samples, cfg.knn_k)
+    except ValueError as exc:
+        sys.stderr.write(f"invalid --samples/--knn-k: {exc}\n")
+        return EXIT_INVALID
     result = solve_mg(datum, cfg.solver_options)
     if result.unbounded:
         _emit(_json_report({"command": "verify", "error": "solve is unbounded"}), cfg)

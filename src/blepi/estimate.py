@@ -40,6 +40,7 @@ __all__ = [
     "sample",
     "exact_entropy",
     "knn_entropy",
+    "check_knn_size",
     "empirical_f",
     "empirical_f_detailed",
     "verify_inequality",
@@ -138,6 +139,7 @@ class TwoGaussianMixBlock:
     weight: float
     cov_a: np.ndarray
     cov_b: np.ndarray
+    _components: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.weight < 1.0:
@@ -152,6 +154,14 @@ class TwoGaussianMixBlock:
         cb.setflags(write=False)
         object.__setattr__(self, "cov_a", ca)
         object.__setattr__(self, "cov_b", cb)
+        # (weight, inverse covariance, log normalizer) of each component,
+        # computed once for the quadrature's many density evaluations
+        components = []
+        for w, cov in ((self.weight, ca), (1.0 - self.weight, cb)):
+            _, logdet = np.linalg.slogdet(cov)
+            log_norm = 0.5 * (self.dim * math.log(2 * math.pi) + logdet)
+            components.append((w, np.linalg.inv(cov), log_norm))
+        object.__setattr__(self, "_components", tuple(components))
 
     @property
     def dim(self) -> int:
@@ -166,11 +176,9 @@ class TwoGaussianMixBlock:
 
     def _pdf(self, pts: np.ndarray) -> np.ndarray:
         out = np.zeros(pts.shape[0])
-        for w, cov in ((self.weight, self.cov_a), (1.0 - self.weight, self.cov_b)):
-            inv = np.linalg.inv(cov)
-            _, logdet = np.linalg.slogdet(cov)
+        for w, inv, log_norm in self._components:
             quad = np.einsum("ni,ij,nj->n", pts, inv, pts)
-            out += w * np.exp(-0.5 * quad - 0.5 * (self.dim * math.log(2 * math.pi) + logdet))
+            out += w * np.exp(-0.5 * quad - log_norm)
         return out
 
     def entropy(self) -> float:
@@ -257,6 +265,47 @@ def _closed_form_estimate(value: float) -> EntropyEstimate:
 _N_BATCHES = 10
 
 
+def check_knn_size(n: int, k: int) -> None:
+    """Raise ValueError unless k >= 1 and n >= max(k + 1, 10) samples: each
+    sample needs k other samples, and each of the 10 batches behind the
+    standard error needs at least one sample."""
+    if k < 1:
+        raise ValueError(f"need k >= 1 neighbors, got {k}")
+    need = max(k + 1, _N_BATCHES)
+    if n < need:
+        raise ValueError(f"need at least max(k+1, {_N_BATCHES}) = {need} samples, got {n}")
+
+
+def _kth_neighbor_distances(X: np.ndarray, k: int) -> np.ndarray:
+    """Distance from each row of X to its k-th nearest other row; equal, bit
+    for bit, to ``cKDTree(X).query(X, k=k + 1)[0][:, k]``.
+
+    In one dimension the k + 1 nearest points of s_i (itself included) are
+    a window s_a..s_{a+k} of the sorted order with i - k <= a <= i, so the
+    distance is the least over those windows of the farther end.  Rounded
+    differences keep the order of exact ones, so the window picks the
+    tree's neighbours.  Otherwise a k-d tree answers on all cores; tree
+    shape and thread count change neither the neighbours nor their
+    distances.
+    """
+    n, d = X.shape
+    if d > 1:
+        tree = cKDTree(X, balanced_tree=False, compact_nodes=False)
+        return tree.query(X, k=[k + 1], workers=-1)[0][:, 0]
+    order = np.argsort(X[:, 0])
+    s = X[order, 0]
+    pad = np.concatenate([np.full(k, -np.inf), s, np.full(k, np.inf)])
+    far = np.full(n, np.inf)
+    for j in range(k + 1):
+        np.minimum(far, np.maximum(s - pad[j : j + n], pad[k + j : k + j + n] - s), out=far)
+    out = np.empty(n)
+    with np.errstate(over="ignore"):
+        # the tree's arithmetic, sqrt of the squared difference: equal to
+        # the difference unless the square under- or overflows
+        out[order] = np.sqrt(far * far)
+    return out
+
+
 def knn_entropy(samples, k: int = 3, rng: Optional[np.random.Generator] = None) -> EntropyEstimate:
     """k-nearest-neighbor entropy estimate (Euclidean metric), in nats:
 
@@ -264,8 +313,10 @@ def knn_entropy(samples, k: int = 3, rng: Optional[np.random.Generator] = None) 
 
     where eps_i(k) is the distance from sample i to its k-th neighbor and
     V_d the unit-ball volume.  The standard error comes from 10 batch
-    means of the per-sample terms.  Coincident samples (zero distance)
-    are jittered at 1e-12 scale and reported via a warning.
+    means of the per-sample terms, so N must be at least max(k + 1, 10);
+    samples must be finite.  Coincident samples (zero distance) are
+    jittered at 1e-12 of the largest magnitude and reported via a
+    warning; a zero distance left after the jitter raises ValueError.
     """
     X = np.array(np.asarray(samples, dtype=float), copy=True)
     if X.ndim != 2:
@@ -273,8 +324,9 @@ def knn_entropy(samples, k: int = 3, rng: Optional[np.random.Generator] = None) 
     n, d = X.shape
     if d < 1:
         raise ValueError("need at least one dimension")
-    if n < k + 1:
-        raise ValueError(f"need at least k+1 = {k + 1} samples, got {n}")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("samples must be finite")
+    check_knn_size(n, k)
     if d > KNN_DIM_WARN:
         warnings.warn(
             f"k-NN entropy in dimension {d} > {KNN_DIM_WARN} is strongly biased "
@@ -282,7 +334,7 @@ def knn_entropy(samples, k: int = 3, rng: Optional[np.random.Generator] = None) 
             RuntimeWarning,
             stacklevel=2,
         )
-    eps = cKDTree(X).query(X, k=k + 1)[0][:, k]
+    eps = _kth_neighbor_distances(X, k)
     if np.any(eps <= 0.0):
         warnings.warn(
             "duplicate samples detected; applying 1e-12-scale jitter",
@@ -290,8 +342,10 @@ def knn_entropy(samples, k: int = 3, rng: Optional[np.random.Generator] = None) 
             stacklevel=2,
         )
         jrng = rng if rng is not None else np.random.default_rng(0)
-        X = X + jrng.normal(0.0, 1e-12 * max(1.0, float(np.std(X))), X.shape)
-        eps = cKDTree(X).query(X, k=k + 1)[0][:, k]
+        X = X + jrng.normal(0.0, 1e-12 * max(1.0, float(np.max(np.abs(X)))), X.shape)
+        eps = _kth_neighbor_distances(X, k)
+        if np.any(eps <= 0.0):
+            raise ValueError("duplicate samples remain after jitter")
     const = float(digamma(n) - digamma(k)) + 0.5 * d * math.log(math.pi) - float(
         gammaln(0.5 * d + 1.0)
     )

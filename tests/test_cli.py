@@ -2,7 +2,8 @@
 
 Claims:
     - exit codes are the documented total function of the verdicts
-    - parse failures and I/O failures exit 1; semantic validation exits 2
+    - parse failures and I/O failures exit 1; semantic validation exits 2,
+      and so do verify sample sizes the k-NN estimator cannot use
     - an uncaught exception prints its traceback and exits 7, not 1
     - reports are byte-identical across repeated runs with one seed
     - the parsed defaults of every subcommand are RunConfig's defaults
@@ -138,6 +139,19 @@ class TestVerifyCommand:
     def test_unknown_model_rejected(self, epi_file):
         assert main(["verify", epi_file, "--models", "cauchy"]) == 2
 
+    @pytest.mark.parametrize(
+        "options", [["--samples", "3"], ["--samples", "8"], ["--knn-k", "0"], ["--knn-k", "-2"]]
+    )
+    def test_bad_knn_options_rejected_before_solving(self, epi_file, options, capsys,
+                                                     monkeypatch):
+        def no_solve(datum, opts):
+            raise AssertionError("solved before validating the k-NN options")
+
+        monkeypatch.setattr(blepi.cli, "solve_mg", no_solve)
+        assert main(["verify", epi_file, *options]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "samples" in err
+
 
 class TestClosedFormCommand:
     def test_epi(self, capsys):
@@ -202,6 +216,18 @@ class TestDeterminism:
         main(["verify", epi_file, "--samples", "3000", "--seed", "5", "--out", str(out2)])
         capsys.readouterr()
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_verify_with_threaded_tree_is_byte_identical(self, tmp_path, capsys):
+        # coupled sums has a 2-D image (k-d tree on all cores) and 1-D
+        # images (sorted path)
+        path = tmp_path / "cs.json"
+        blepi.save(blepi.make_coupled_sums_datum(1.25, 0.5, 0.5, 0.5), path)
+        outs = [tmp_path / "r1.json", tmp_path / "r2.json"]
+        for out in outs:
+            argv = ["verify", str(path), "--samples", "20000", "--seed", "5", "--out", str(out)]
+            assert main(argv) == 0
+            capsys.readouterr()
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_different_seeds_differ(self, epi_file, tmp_path, capsys):
         out1 = tmp_path / "r1.json"

@@ -17,6 +17,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 import blepi
 from blepi.datum import Datum, Partition
@@ -37,6 +40,7 @@ from blepi.estimate import (
     uniform_model,
     verify_inequality,
 )
+from blepi.estimate import _kth_neighbor_distances
 from blepi.gauss import BlockCovariance, objective
 
 N_FAST = 20_000
@@ -81,6 +85,11 @@ class TestExactEntropy:
         est = knn_entropy(sample(model, 50_000, rng), k=3)
         assert est.value == pytest.approx(exact, abs=0.02)
 
+    @pytest.mark.parametrize("dim, value", [(1, 1.5116719148710853), (2, 3.0111924173159563)])
+    def test_mixture_quadrature_is_pinned(self, dim, value):
+        block = TwoGaussianMixBlock(0.5, 0.5 * np.eye(dim), 2.0 * np.eye(dim))
+        assert block.entropy() == value
+
     def test_degenerate_mixture_matches_gaussian(self):
         block = TwoGaussianMixBlock(0.5, np.eye(2), np.eye(2))
         model = SampleModel("m", (block,))
@@ -112,14 +121,71 @@ class TestKnnEntropy:
             est = knn_entropy(x, k=3, rng=rng)
         assert math.isfinite(est.value)
 
+    def test_jitter_survives_rounding_at_large_offset(self, rng):
+        # one ulp of 1e6 is 1.2e-10: a jitter of 1e-12 times the standard
+        # deviation (0.014) would vanish in rounding and leave zero distances
+        x = 1e6 + np.repeat(np.arange(50.0), 6)[:, None] * 1e-3
+        with pytest.warns(RuntimeWarning, match="jitter"):
+            est = knn_entropy(x, k=3, rng=rng)
+        assert math.isfinite(est.value) and math.isfinite(est.std_error)
+
+    def test_duplicates_left_after_jitter_rejected(self):
+        class NoJitter:
+            def normal(self, loc, scale, size):
+                return np.zeros(size)
+
+        x = np.repeat(np.arange(20.0), 4)[:, None]
+        with pytest.warns(RuntimeWarning, match="jitter"):
+            with pytest.raises(ValueError, match="after jitter"):
+                knn_entropy(x, k=3, rng=NoJitter())
+
     def test_high_dimension_warns(self, rng):
         x = rng.standard_normal((300, 9))
         with pytest.warns(RuntimeWarning, match="dimension"):
             knn_entropy(x, k=3)
 
     def test_needs_enough_samples(self, rng):
-        with pytest.raises(ValueError):
-            knn_entropy(rng.standard_normal((3, 1)), k=3)
+        # n < 10 used to leave empty batches and a NaN standard error
+        for n, k in [(3, 3), (8, 3), (9, 1), (9, 8), (10, 10), (50, 0), (50, -2)]:
+            with pytest.raises(ValueError, match="need"):
+                knn_entropy(rng.standard_normal((n, 1)), k=k)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_samples_rejected(self, rng, d, bad):
+        x = rng.standard_normal((50, d))
+        x[3, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            knn_entropy(x, k=3)
+
+    @pytest.mark.parametrize("n, k", [(10, 1), (10, 9)])
+    def test_smallest_sample_is_estimated(self, rng, n, k):
+        est = knn_entropy(rng.standard_normal((n, 1)), k=k)
+        assert math.isfinite(est.value) and math.isfinite(est.std_error)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.sampled_from([1, 2]),
+        k=st.integers(1, 8),
+        n=st.integers(9, 300),
+        kind=st.sampled_from(["continuous", "integer_ties", "duplicates"]),
+        scale=st.one_of(
+            st.integers(-8, 8).map(lambda e: 10.0**e), st.sampled_from([1e-160, 1e155])
+        ),
+        offset=st.sampled_from([0.0, 1e6]),
+    )
+    def test_kth_distances_match_tree(self, seed, d, k, n, kind, scale, offset):
+        g = np.random.default_rng(seed)
+        if kind == "continuous":
+            x = g.standard_normal((n, d))
+        elif kind == "integer_ties":
+            x = g.integers(-5, 6, (n, d)).astype(float)
+        else:
+            x = g.standard_normal((max(1, n // 3), d))[g.integers(0, max(1, n // 3), n)]
+        x = offset + scale * x
+        reference = cKDTree(x).query(x, k=k + 1)[0][:, k]
+        assert np.array_equal(_kth_neighbor_distances(x, k), reference)
 
     def test_batch_standard_error_scale(self, rng):
         est = knn_entropy(rng.standard_normal((N_FAST, 1)), k=3)
