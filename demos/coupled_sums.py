@@ -27,13 +27,16 @@ def main():
         tag = "feasible" if feas.feasible else f"fails conditions {feas.failed_conditions()}"
         print(f"  alpha={alpha:.2f} beta={beta:.2f}: {tag}")
 
-    print("\nthree routes to the constant at (alpha, beta, delta) = (1.25, 0.5, 0.5):")
-    C, D = blepi.coupled_sums_constant(1.25, 0.5, 0.5)
-    bf = blepi.coupled_sums_bruteforce(1.25, 0.5, 0.5)
-    res = blepi.solve_mg(blepi.make_coupled_sums_datum(1.25, 0.5, 0.5, 0.5))
-    print(f"  closed form   C = {C:.10f}")
-    print(f"  brute force       {bf:.10f}")
-    print(f"  general solver    {res.mg_value:.10f}")
+    # (1.0, 0.8, 0.4) sits on the boundary rho = beta / (2 delta) = 1, where
+    # the supremum is a limit that the brute force approaches from below
+    for alpha, beta, delta in ((1.25, 0.5, 0.5), (1.0, 0.8, 0.4)):
+        print(f"\nthree routes to the constant at (alpha, beta, delta) = {(alpha, beta, delta)}:")
+        C, D = blepi.coupled_sums_constant(alpha, beta, delta)
+        bf = blepi.coupled_sums_bruteforce(alpha, beta, delta)
+        res = blepi.solve_mg(blepi.make_coupled_sums_datum(alpha, beta, delta, delta))
+        print(f"  closed form   C = {C:.10f}")
+        print(f"  brute force       {bf:.10f}")
+        print(f"  general solver    {res.mg_value:.10f}")
 
     print("\nconstant along beta at delta = 0.5 (alpha balanced):")
     for beta in np.linspace(0.1, 0.9, 9):

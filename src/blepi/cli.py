@@ -335,9 +335,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--tol", type=float, default=cfg.tol, help="converged at scale-free gradient norm <= this"
     )
-    p.add_argument("--samples", type=int, default=cfg.samples)
-    p.add_argument("--knn-k", type=int, default=cfg.knn_k)
-    p.add_argument("--confidence", type=float, default=cfg.confidence, help="one-sided z threshold")
     p.add_argument("--format", dest="fmt", choices=["structured-text", "csv"], default=cfg.fmt)
     p.add_argument("--out", default=cfg.out)
     p.add_argument("--bits", action="store_true", help="report in bits instead of nats")
@@ -369,6 +366,10 @@ def build_parser() -> argparse.ArgumentParser:
         default="uniform,laplace,mixture",
         help="comma-separated families: uniform,laplace,mixture,gaussian",
     )
+    cfg = RunConfig()
+    p.add_argument("--samples", type=int, default=cfg.samples)
+    p.add_argument("--knn-k", type=int, default=cfg.knn_k)
+    p.add_argument("--confidence", type=float, default=cfg.confidence, help="one-sided z threshold")
     _add_common(p)
 
     p = sub.add_parser("closed-form", help="evaluate a named closed form")
@@ -405,7 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config(args) -> RunConfig:
-    return RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
+    """The parsed options; a field the subcommand does not take keeps its default."""
+    given = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
+    return RunConfig(**given)
 
 
 def main(argv=None) -> int:

@@ -6,6 +6,11 @@ coupled-sums family (X1 + Y, X2 + Y), whose optimal constant has an
 explicit expression when delta1 = delta2 and is also computed here by
 brute-force maximization of the underlying determinant ratio as an
 independent oracle.
+
+The oracle works in t = atanh(rho), in which both log ratios are written
+without cancellation. At alpha = 1 (rho = 1) the supremum is a limit as
+t -> infinity that the oracle approaches from below, and its Nelder-Mead
+refinements stop on their own tolerances there as in the interior.
 """
 
 from __future__ import annotations
@@ -225,48 +230,63 @@ def coupled_sums_constant(alpha: float, beta: float, delta: float) -> tuple[floa
     return C, C
 
 
-def _log_ratio_4var(logk1, logk2, logk3, rho, alpha, beta, delta):
-    k1, k2, k3 = math.exp(logk1), math.exp(logk2), math.exp(logk3)
-    omr2 = 1.0 - rho * rho
-    if omr2 <= 0.0:
-        return -math.inf
-    den = k1 * k2 * omr2 + k3 * (k1 + k2 - 2.0 * rho * math.sqrt(k1 * k2))
+_LOG2 = math.log(2.0)
+
+
+def _log_1mr_1pr(t):
+    """log(1 - rho) and log(1 + rho) at rho = tanh(t), without cancellation:
+    log(1 -+ rho) = log 2 - log(1 + exp(+-2t)), in logaddexp form."""
+    tail = math.log1p(math.exp(-abs(2.0 * t)))
+    return _LOG2 - (max(2.0 * t, 0.0) + tail), _LOG2 - (max(-2.0 * t, 0.0) + tail)
+
+
+def _log_ratio_4var(logk1, logk2, logk3, t, alpha, beta, delta):
+    """Log of the raw determinant ratio at (K1, K2, K3, rho = tanh t).
+
+    Two rewrites keep the rounding from growing with |t| or with the
+    scale of K. The denominator's k1 + k2 - 2 rho sqrt(k1 k2) is written
+    (sqrt k1 - sqrt k2)^2 + 2 (1 - rho) sqrt(k1 k2). And the ratio is
+    evaluated at k = K / K3, plus the balance residual
+    2 (alpha - delta) + beta - 2 times log K3: the ratio changes by that
+    residual times log s under K -> s K.
+    """
+    lk1, lk2 = logk1 - logk3, logk2 - logk3
+    k1, k2 = math.exp(lk1), math.exp(lk2)
+    l1m, l1p = _log_1mr_1pr(t)
+    gap = math.sqrt(k1) - math.sqrt(k2)
+    den = k1 * k2 * math.exp(l1m + l1p) + gap * gap + 2.0 * math.exp(l1m) * math.sqrt(k1 * k2)
     if den <= 0.0 or not math.isfinite(den):
         return -math.inf
     num = (
-        (alpha - delta) * (logk1 + logk2)
-        + alpha * math.log(omr2)
-        + beta * logk3
+        (alpha - delta) * (lk1 + lk2)
+        + alpha * (l1m + l1p)
+        + (2.0 * (alpha - delta) + beta - 2.0) * logk3
     )
     return num - math.log(den)
 
 
-def _log_ratio_2var(logx, rho, alpha, beta):
-    if not -1.0 < rho < 1.0:
-        return -math.inf
-    x = math.exp(logx)
-    den = (1.0 + rho) + 2.0 * x
-    return (
-        beta * logx
-        + (alpha - 1.0) * math.log(1.0 - rho)
-        + alpha * math.log(1.0 + rho)
-        - math.log(den)
-    )
+def _log_ratio_2var(logx, t, alpha, beta):
+    """Log of the reduced ratio (K1 = K2 = K, x = K3 / K) at rho = tanh t."""
+    l1m, l1p = _log_1mr_1pr(t)
+    den = math.exp(l1p) + 2.0 * math.exp(logx)
+    return beta * logx + (alpha - 1.0) * l1m + alpha * l1p - math.log(den)
 
 
-def _refine(fun, x0):
+def _refine(fun, x0, maxfev):
+    """Nelder-Mead ascent of fun from x0: the best value and its point."""
     res = scipy.optimize.minimize(
-        lambda z: -fun(z),
+        lambda z: -fun(*z),
         x0,
         method="Nelder-Mead",
-        options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 20000, "maxfev": 20000},
+        options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": maxfev, "maxfev": maxfev},
     )
-    return -res.fun
+    return -res.fun, res.x
 
 
-# scan grids of the brute-force oracle, before the Nelder-Mead refinement
-_SCAN_2VAR = (np.tanh(np.linspace(-8.0, 8.0, 161)), np.linspace(-14.0, 14.0, 141))
-_SCAN_4VAR = (np.linspace(-4.0, 4.0, 9),) * 3 + (np.tanh(np.linspace(-6.0, 6.0, 41)),)
+# scan grids of the brute-force oracle, before the Nelder-Mead refinement:
+# (log x, t) and (log K1, log K2, log K3, t), with t = atanh(rho)
+_SCAN_2VAR = (np.linspace(-14.0, 14.0, 141), np.linspace(-8.0, 8.0, 161))
+_SCAN_4VAR = (np.linspace(-4.0, 4.0, 9),) * 3 + (np.linspace(-6.0, 6.0, 41),)
 
 
 def _first_max(values, axes):
@@ -277,65 +297,64 @@ def _first_max(values, axes):
 
 
 def _scan_2var(alpha, beta):
-    """_log_ratio_2var over the open grid _SCAN_2VAR, term for term:
-    the maximum and its (rho, log x)."""
-    rho, lx = np.meshgrid(*_SCAN_2VAR, indexing="ij", sparse=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v = (
-            beta * lx
-            + (alpha - 1.0) * np.log(1.0 - rho)
-            + alpha * np.log(1.0 + rho)
-            - np.log((1.0 + rho) + 2.0 * np.exp(lx))
-        )
-    v = np.where((-1.0 < rho) & (rho < 1.0), v, -math.inf)
+    """_log_ratio_2var over the grid _SCAN_2VAR, term for term: the maximum
+    and its (log x, t)."""
+    lx, _ = np.meshgrid(*_SCAN_2VAR, indexing="ij", sparse=True)
+    l1m, l1p = np.array([_log_1mr_1pr(t) for t in _SCAN_2VAR[1]]).T
+    den = np.exp(l1p) + 2.0 * np.exp(lx)
+    v = beta * lx + (alpha - 1.0) * l1m + alpha * l1p - np.log(den)
     return _first_max(v, _SCAN_2VAR)
 
 
 def _scan_4var(alpha, beta, delta):
-    """_log_ratio_4var over the open grid _SCAN_4VAR, term for term:
-    the maximum and its (log K1, log K2, log K3, rho)."""
-    lk1, lk2, lk3, rho = np.meshgrid(*_SCAN_4VAR, indexing="ij", sparse=True)
-    k1, k2, k3 = np.exp(lk1), np.exp(lk2), np.exp(lk3)
-    omr2 = 1.0 - rho * rho
-    den = k1 * k2 * omr2 + k3 * (k1 + k2 - 2.0 * rho * np.sqrt(k1 * k2))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v = (alpha - delta) * (lk1 + lk2) + alpha * np.log(omr2) + beta * lk3 - np.log(den)
-    v = np.where((omr2 > 0.0) & (den > 0.0) & np.isfinite(den), v, -math.inf)
+    """_log_ratio_4var over the grid _SCAN_4VAR, term for term: the maximum
+    and its (log K1, log K2, log K3, t). The denominator is positive and
+    finite on the whole grid."""
+    lk1, lk2, lk3, _ = np.meshgrid(*_SCAN_4VAR, indexing="ij", sparse=True)
+    u1, u2 = lk1 - lk3, lk2 - lk3
+    k1, k2 = np.exp(u1), np.exp(u2)
+    l1m, l1p = np.array([_log_1mr_1pr(t) for t in _SCAN_4VAR[3]]).T
+    gap = np.sqrt(k1) - np.sqrt(k2)
+    den = k1 * k2 * np.exp(l1m + l1p) + gap * gap + 2.0 * np.exp(l1m) * np.sqrt(k1 * k2)
+    v = (
+        (alpha - delta) * (u1 + u2)
+        + alpha * (l1m + l1p)
+        + (2.0 * (alpha - delta) + beta - 2.0) * lk3
+        - np.log(den)
+    )
     return _first_max(v, _SCAN_4VAR)
 
 
 def _sup_2var(alpha, beta):
-    best, (rho0, lx0) = _scan_2var(alpha, beta)
-    val = _refine(
-        lambda z: _log_ratio_2var(z[0], math.tanh(z[1]), alpha, beta),
-        np.array([lx0, math.atanh(np.clip(rho0, -1 + 1e-12, 1 - 1e-12))]),
-    )
+    """Supremum of the reduced log ratio over (log x, t), t = atanh(rho):
+    the grid maximum refined by Nelder-Mead, whichever is larger.
+
+    At alpha = 1 the supremum is a limit as t -> infinity, approached from
+    below. There the (alpha - 1) log(1 - rho) term vanishes and the others
+    carry no cancellation, so the refinement stops on its xatol/fatol
+    tolerances rather than on maxfev.
+    """
+    best, z0 = _scan_2var(alpha, beta)
+    val, _ = _refine(lambda *z: _log_ratio_2var(*z, alpha, beta), np.array(z0), 20000)
     return max(best, val)
 
 
 def _sup_4var(alpha, beta, delta, return_argmax=False):
-    best, arg = _scan_4var(alpha, beta, delta)
-    z0 = np.array(
-        [arg[0], arg[1], arg[2], math.atanh(np.clip(arg[3], -1 + 1e-12, 1 - 1e-12))]
-    )
+    """Supremum of the raw log ratio over (log K1, log K2, log K3, t),
+    t = atanh(rho): the grid maximum refined by Nelder-Mead, whichever is
+    larger; with return_argmax also its point as (K1, K2, K3, rho).
 
-    def fun(z):
-        return _log_ratio_4var(z[0], z[1], z[2], math.tanh(z[3]), alpha, beta, delta)
-
-    res = scipy.optimize.minimize(
-        lambda z: -fun(z),
-        z0,
-        method="Nelder-Mead",
-        options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 40000, "maxfev": 40000},
-    )
-    val = -res.fun
+    At alpha = 1 the supremum is a limit as t -> infinity, approached from
+    below. The ratio's terms carry no cancellation as t grows and do not
+    grow with the scale of K, so the refinement stops on its xatol/fatol
+    tolerances rather than on maxfev, there as in the interior.
+    """
+    best, z0 = _scan_4var(alpha, beta, delta)
+    val, z = _refine(lambda *z: _log_ratio_4var(*z, alpha, beta, delta), np.array(z0), 40000)
     if val < best:
-        val, res_x = best, z0
-    else:
-        res_x = res.x
+        val, z = best, z0
     if return_argmax:
-        k = (math.exp(res_x[0]), math.exp(res_x[1]), math.exp(res_x[2]), math.tanh(res_x[3]))
-        return val, k
+        return val, (math.exp(z[0]), math.exp(z[1]), math.exp(z[2]), math.tanh(z[3]))
     return val
 
 
@@ -344,8 +363,9 @@ def coupled_sums_bruteforce(alpha: float, beta: float, delta: float) -> float:
 
     Maximizes both the raw four-variable ratio over (K1, K2, K3, rho) and
     the reduced two-variable form obtained by setting K1 = K2 and
-    x = K3 / K; the two computations must agree to 1e-4 relative, and the
-    larger (both approach the supremum from below) is returned as a
+    x = K3 / K, both in t = atanh(rho); the two constants must agree to
+    1e-4, and the larger (both approach the supremum from below, also
+    at the alpha = 1 boundary where it is a limit) is returned as a
     constant in nats.
     """
     p = CoupledSumsParams(alpha, beta, delta, delta)

@@ -140,6 +140,7 @@ class TwoGaussianMixBlock:
     cov_a: np.ndarray
     cov_b: np.ndarray
     _components: tuple = field(init=False, repr=False, compare=False)
+    _entropy: Optional[float] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.weight < 1.0:
@@ -182,6 +183,12 @@ class TwoGaussianMixBlock:
         return out
 
     def entropy(self) -> float:
+        """The quadrature below, computed on first use and kept."""
+        if self._entropy is None:
+            object.__setattr__(self, "_entropy", self._quadrature())
+        return self._entropy
+
+    def _quadrature(self) -> float:
         if self.dim == 1:
             smax = math.sqrt(max(self.cov_a[0, 0], self.cov_b[0, 0]))
             L = 12.0 * smax
@@ -511,13 +518,12 @@ def laplace_model(partition: Partition, scale: float = 1.0) -> SampleModel:
 def mixture_model(
     partition: Partition, weight: float = 0.5, var_a: float = 0.5, var_b: float = 2.0
 ) -> SampleModel:
-    return SampleModel(
-        "mixture",
-        tuple(
-            TwoGaussianMixBlock(float(weight), var_a * np.eye(r), var_b * np.eye(r))
-            for r in partition.blocks
-        ),
-    )
+    # one block per width, so each quadrature entropy is computed once
+    by_width = {
+        r: TwoGaussianMixBlock(float(weight), var_a * np.eye(r), var_b * np.eye(r))
+        for r in set(partition.blocks)
+    }
+    return SampleModel("mixture", tuple(by_width[r] for r in partition.blocks))
 
 
 def gaussian_model(partition: Partition, variance: float = 1.0) -> SampleModel:

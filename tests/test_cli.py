@@ -4,6 +4,8 @@ Claims:
     - exit codes are the documented total function of the verdicts
     - parse failures and I/O failures exit 1; semantic validation exits 2,
       and so do verify sample sizes the k-NN estimator cannot use
+    - --samples, --knn-k and --confidence are options of verify alone:
+      any other subcommand rejects them as an argparse error (exit 2)
     - an uncaught exception prints its traceback and exits 7, not 1
     - reports are byte-identical across repeated runs with one seed
     - the parsed defaults of every subcommand are RunConfig's defaults
@@ -151,6 +153,23 @@ class TestVerifyCommand:
         assert main(["verify", epi_file, *options]) == 2
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "samples" in err
+
+    @pytest.mark.parametrize("command", ["validate", "check", "solve"])
+    @pytest.mark.parametrize(
+        "options", [["--samples", "3"], ["--knn-k", "0"], ["--confidence", "2.0"]]
+    )
+    def test_verify_options_belong_to_verify_only(self, epi_file, command, options, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, epi_file, *options])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_verify_reads_its_own_options(self, epi_file, monkeypatch):
+        seen = []
+        monkeypatch.setattr(blepi.cli, "cmd_verify", lambda path, cfg, names: seen.append(cfg))
+        argv = ["verify", epi_file, "--samples", "123", "--knn-k", "4", "--confidence", "2.5"]
+        main(argv)
+        assert [(c.samples, c.knn_k, c.confidence) for c in seen] == [(123, 4, 2.5)]
 
 
 class TestClosedFormCommand:

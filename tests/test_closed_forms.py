@@ -9,6 +9,9 @@ Claims:
     - the four feasibility conditions fire exactly as documented
     - the coupled-sums formula agrees with its own brute-force supremum,
       including at the rho = 1 boundary
+    - the brute force is within 1e-12 of the formula and never above it,
+      and its Nelder-Mead refinements stop on their tolerances, not on
+      their evaluation caps, at alpha = 1 and on feasible interior tuples
     - the oracle's vectorized grid scans find the same maximum, at the
       same grid point, as a scalar loop over the grid
 """
@@ -18,6 +21,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blepi.closed_forms import (
     _SCAN_2VAR,
@@ -175,6 +181,46 @@ class TestCoupledSumsConstant:
         assert rho == pytest.approx(0.5, abs=1e-3)
 
 
+def _oracle_runs(alpha, beta, delta):
+    """coupled_sums_bruteforce and the results of its two refinements."""
+    runs = []
+    minimize = scipy.optimize.minimize
+
+    def recording(*args, **kwargs):
+        runs.append(minimize(*args, **kwargs))
+        return runs[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scipy.optimize, "minimize", recording)
+        bf = coupled_sums_bruteforce(alpha, beta, delta)
+    return bf, runs
+
+
+def _assert_oracle_exact(alpha, beta, delta):
+    C, _ = coupled_sums_constant(alpha, beta, delta)
+    bf, (run2, run4) = _oracle_runs(alpha, beta, delta)
+    assert bf <= C + 1e-12
+    assert abs(bf - C) <= 1e-12
+    # the caps are 20000 and 40000 evaluations
+    assert run2.nfev < 20000 and run4.nfev < 40000
+
+
+# 0.96858... is a seeded draw on which the refinement still ran to its cap
+# while the raw ratio was evaluated at K rather than at K / K3
+@pytest.mark.parametrize("beta", [0.8, 0.5, 0.05, 0.2, 0.95, 0.9685870541253776, 0.999])
+def test_boundary_oracle_is_exact_and_stops_on_its_tolerances(beta):
+    # alpha = 1 forces beta = 2 delta (rho = 1): the supremum is a limit,
+    # approached from below as t = atanh(rho) grows
+    _assert_oracle_exact(1.0, beta, beta / 2.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(delta=st.floats(0.01, 3.0), share=st.floats(0.001, 0.999))
+def test_interior_oracle_is_exact_and_stops_on_its_tolerances(delta, share):
+    beta = share * min(1.0, 2.0 * delta)
+    _assert_oracle_exact(1.0 + delta - beta / 2.0, beta, delta)
+
+
 def _loop_scan(fun, axes):
     """Reference scan: the first strict maximum of a nested loop."""
     best, arg = -math.inf, None
@@ -188,9 +234,9 @@ def _loop_scan(fun, axes):
 @pytest.mark.parametrize("alpha, beta, delta", [(1.25, 0.5, 0.5), (1.0, 0.8, 0.4)])
 def test_grid_scans_match_the_scalar_loop(alpha, beta, delta):
     assert _scan_2var(alpha, beta) == _loop_scan(
-        lambda rho, lx: _log_ratio_2var(lx, rho, alpha, beta), _SCAN_2VAR
+        lambda lx, t: _log_ratio_2var(lx, t, alpha, beta), _SCAN_2VAR
     )
     assert _scan_4var(alpha, beta, delta) == _loop_scan(
-        lambda lk1, lk2, lk3, rho: _log_ratio_4var(lk1, lk2, lk3, rho, alpha, beta, delta),
+        lambda lk1, lk2, lk3, t: _log_ratio_4var(lk1, lk2, lk3, t, alpha, beta, delta),
         _SCAN_4VAR,
     )

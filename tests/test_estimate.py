@@ -3,7 +3,8 @@
 Claims:
     - samples have the documented moments and exact block independence
     - closed-form entropies match textbook values; the two-component
-      mixture quadrature is consistent with a large-sample k-NN estimate
+      mixture quadrature is consistent with a large-sample k-NN estimate,
+      and a mixture model integrates it once per block width
     - the k-NN estimator is calibrated on known densities, translation
       invariant, scale equivariant, and survives duplicate samples
     - the empirical objective reproduces hand values for the entropy
@@ -239,6 +240,22 @@ class TestVerifyInequality:
         assert [r.model for r in reports] == ["uniform", "laplace", "mixture"]
         assert all(r.passed for r in reports)
         assert all(r.margin < 0 for r in reports)  # strictly inside for these families
+
+    def test_mixture_entropy_is_integrated_once_per_block_width(self, rng, monkeypatch):
+        calls = []
+        quadrature = TwoGaussianMixBlock._quadrature
+
+        def counted(block):
+            calls.append(block.dim)
+            return quadrature(block)
+
+        monkeypatch.setattr(TwoGaussianMixBlock, "_quadrature", counted)
+        Q, _ = np.linalg.qr(rng.standard_normal((5, 2)))
+        for d, dim in ((blepi.make_zamir_feder_datum(Q.T), 1), (blepi.make_epi_datum(0.4, 2), 2)):
+            calls.clear()
+            model = mixture_model(d.partition)
+            verify_inequality(d, [model, model], mg=0.0, n_samples=N_FAST, rng=rng)
+            assert calls == [dim]
 
     def test_corrupted_reference_fails(self, rng):
         d = blepi.make_epi_datum(0.5, 1)
