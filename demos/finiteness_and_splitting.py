@@ -5,7 +5,8 @@ product-form subspace has positive slack.  Violations come with concrete
 witnesses: the exact residual, or a subspace whose slack certifies
 divergence.  Finite data can be decomposed along critical (zero-slack)
 subspaces into smaller data, down to one-dimensional or single-map
-leaves with explicit constants.
+leaves with explicit constants.  A change of units inside one block
+changes no verdict: every verdict is read off the slack.
 """
 
 import numpy as np
@@ -42,6 +43,15 @@ def main():
     describe("coupled(1, 1, .5, .5)", blepi.make_coupled_sums_datum(1, 1, 0.5, 0.5), rng)
     describe("coupled(1, 1.2,.6,.6)", blepi.make_coupled_sums_datum(1, 1.2, 0.6, 0.6), rng)
     describe("coupled(1, 1, 0, 0)  ", blepi.make_coupled_sums_datum(1, 1, 0, 0), rng)
+
+    # the EPI datum with X2 measured in units 1000 times larger: map [1, 1e-3]
+    milli = blepi.Datum(
+        partition=blepi.Partition((1, 1)),
+        maps=(np.array([[1.0, 1e-3]]),),
+        c=np.array([1.0]),
+        d=np.array([0.5, 0.5]),
+    )
+    describe("EPI, X2 in 1e-3 units", milli, rng)
 
     print("\nsplit certificate for coupled(1, 1, .5, .5):")
     datum = blepi.make_coupled_sums_datum(1, 1, 0.5, 0.5)

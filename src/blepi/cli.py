@@ -6,7 +6,9 @@ from counter-based generators keyed on the seed, and output contains no
 timing information.  Exit codes: 0 success / finite / all pass, 1 I/O or
 parse error, 2 validation or domain failure, 3 infinite, 4 unknown,
 5 unbounded solve, 6 verification failure, 7 internal error (an uncaught
-exception; its traceback goes to stderr).
+exception; its traceback goes to stderr).  Each subcommand takes only
+the options it reads (``--out`` everywhere); any other is an argparse
+error, exit 2.
 """
 
 from __future__ import annotations
@@ -328,16 +330,24 @@ def cmd_closed_form(args, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_options(
+    p: argparse.ArgumentParser, seed=False, solver=False, fmt=False, bits=False
+) -> None:
+    """``--out`` plus the options the subcommand reads: ``--seed``,
+    ``--starts`` and ``--tol`` (solver), ``--format`` and ``--bits``."""
     cfg = RunConfig()
-    p.add_argument("--seed", type=int, default=cfg.seed)
-    p.add_argument("--starts", type=int, default=cfg.starts)
-    p.add_argument(
-        "--tol", type=float, default=cfg.tol, help="converged at scale-free gradient norm <= this"
-    )
-    p.add_argument("--format", dest="fmt", choices=["structured-text", "csv"], default=cfg.fmt)
+    if seed:
+        p.add_argument("--seed", type=int, default=cfg.seed)
+    if solver:
+        p.add_argument("--starts", type=int, default=cfg.starts)
+        p.add_argument(
+            "--tol", type=float, default=cfg.tol, help="converged at scale-free gradient norm <= this"
+        )
+    if fmt:
+        p.add_argument("--format", dest="fmt", choices=["structured-text", "csv"], default=cfg.fmt)
     p.add_argument("--out", default=cfg.out)
-    p.add_argument("--bits", action="store_true", help="report in bits instead of nats")
+    if bits:
+        p.add_argument("--bits", action="store_true", help="report in bits instead of nats")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -349,15 +359,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="validate a datum file")
     p.add_argument("datum")
-    _add_common(p)
+    _add_options(p)
 
     p = sub.add_parser("check", help="decide finiteness of the optimal constant")
     p.add_argument("datum")
-    _add_common(p)
+    _add_options(p, seed=True)
 
     p = sub.add_parser("solve", help="maximize the Gaussian objective")
     p.add_argument("datum")
-    _add_common(p)
+    _add_options(p, seed=True, solver=True, bits=True)
 
     p = sub.add_parser("verify", help="Monte Carlo verification for non-Gaussian inputs")
     p.add_argument("datum")
@@ -370,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=cfg.samples)
     p.add_argument("--knn-k", type=int, default=cfg.knn_k)
     p.add_argument("--confidence", type=float, default=cfg.confidence, help="one-sided z threshold")
-    _add_common(p)
+    _add_options(p, seed=True, solver=True, fmt=True, bits=True)
 
     p = sub.add_parser("closed-form", help="evaluate a named closed form")
     forms = p.add_subparsers(dest="form", required=True)
@@ -378,20 +388,20 @@ def build_parser() -> argparse.ArgumentParser:
     q = forms.add_parser("epi")
     q.add_argument("--lambda", dest="lam", type=float, required=True)
     q.add_argument("--dim", type=int, default=1)
-    _add_common(q)
+    _add_options(q, bits=True)
 
     q = forms.add_parser("zf-coeffs")
     q.add_argument("matrix", help="JSON file holding the matrix rows")
-    _add_common(q)
+    _add_options(q)  # unitless output
 
     q = forms.add_parser("zf-f")
     q.add_argument("matrix")
     q.add_argument("--lambdas", required=True, help="comma-separated positive diagonal")
-    _add_common(q)
+    _add_options(q, bits=True)
 
     q = forms.add_parser("cauchy-binet")
     q.add_argument("matrix")
-    _add_common(q)
+    _add_options(q)  # unitless output
 
     q = forms.add_parser("coupled-sums")
     q.add_argument("--alpha", type=float, default=None)
@@ -400,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--sweep-alpha", default=None, help="START:STOP:COUNT grid for CSV output")
     q.add_argument("--sweep-beta", default=None)
     q.add_argument("--sweep-delta", default=None)
-    _add_common(q)
+    _add_options(q, bits=True)
 
     return parser
 

@@ -380,4 +380,4 @@ def coupled_sums_bruteforce(alpha: float, beta: float, delta: float) -> float:
         raise RuntimeError(
             f"four-variable and reduced maximizations disagree: {s4} vs {s2}"
         )
-    return 0.5 * max(s2, s4)
+    return float(0.5 * max(s2, s4))

@@ -5,10 +5,10 @@ balance sum_i d_i r_i = sum_j c_j n_j holds and (ii) no product-form
 subspace has positive slack (Bennett-Carbery-Christ-Tao).  Violations of
 (i) are witnessed by the exact residual (the objective grows like
 residual * log(scale) along the isotropic ray); violations of (ii) by a
-concrete subspace.  The balance and the subspace search decide the
-verdict.  The deterministic escape-ray probe (the full space and each
-single block) still runs before a "finite" verdict; a growth ray without
-a subspace witness would make the verdict unknown.
+concrete subspace.  The balance and ``slack`` decide every verdict: the
+candidate search and the escape-ray probe (the full space and each
+single block, scored with ``slack``) both return a subspace witness, and
+the only unknown left is a truncated coordinate family.
 
 A finite datum can be decomposed along critical subspaces: restricting
 the maps to U and projecting the rest onto the orthocomplements yields
@@ -111,12 +111,12 @@ def check_finiteness(
 ) -> FinitenessVerdict:
     """Decide finiteness of the optimal constant, with witnesses.
 
-    Infinite verdicts carry an independently re-checkable witness.
-    Finite requires: residual zero, no violating subspace over the
-    budget, a complete coordinate-axis enumeration, and a clean
-    divergence probe.  Anything in between is Unknown.  ``rng`` is
-    accepted for compatibility and not used; the verdict is
-    deterministic.
+    Infinite verdicts carry an independently re-checkable witness: the
+    scaling residual, or a subspace with positive slack from the
+    candidate search or the divergence probe.  Finite requires a zero
+    residual, neither of those subspaces, and a complete coordinate-axis
+    enumeration; a truncated one is Unknown.  ``rng`` is accepted for
+    compatibility and not used; the verdict is deterministic.
     """
     report = validate(datum)
     if not report.ok:
@@ -128,22 +128,13 @@ def check_finiteness(
             witness=ScalingResidual(res),
             notes="total scaling balance fails",
         )
-    V = find_violating_subspace(datum, budget)
+    V = find_violating_subspace(datum, budget) or divergence_probe(datum)
     if V is not None:
         sr = slack(datum, V)
         return FinitenessVerdict(
             status=INFINITE,
             witness=ViolatingSubspace(subspace=V, slack=sr.slack),
             notes="product subspace with positive slack",
-        )
-    ray = divergence_probe(datum)
-    if ray is not None:
-        return FinitenessVerdict(
-            status=UNKNOWN,
-            notes=(
-                "divergence probe found a growth ray "
-                f"(gain {ray.gain:.3g}) but no subspace witness"
-            ),
         )
     if coordinate_family_size(datum.partition) > budget.profile_cap:
         return FinitenessVerdict(

@@ -8,17 +8,18 @@ is a smooth function of the block-diagonal covariance Sigma, with
 closed-form value and gradient.  One kernel, ``_logdet_kernel``, holds
 that algebra.  It takes the block Cholesky factors L_i and reads each
 image log-det off a QR factorization of (A_j L)^T, so A_j Sigma A_j^T is
-never formed; its value path also takes a stack of factors and returns
-one value per covariance.  In the coordinates Sigma = L exp(X) L^T the
+never formed.  In the coordinates Sigma = L exp(X) L^T the
 objective is geodesically concave: the block terms are linear in X and
 the Hessian is negative semidefinite, and the kernel returns both the
 gradient and the Hessian there.  ``solve_mg`` answers unbounded when the
 scaling balance fails or ``certify``'s candidate pass finds a violating
 subspace; otherwise it sums the leaf constants of ``certify``'s split
 tree, maximizing the objective on each irreducible leaf by multi-start
-damped Newton ascent in those coordinates.  The divergence probe tries
-the full space and each single block as escape rays, evaluating all
-scales of one ray in a single stacked kernel call.  Perturbed variants
+damped Newton ascent in those coordinates.  The divergence probe scores
+the full space and each single block with ``slack``: along
+``ray_covariance(partition, V, lam)`` the objective is
+0.5 * slack(V) * log(lam) + O(1), so a ray escapes exactly when its
+slack is positive.  Perturbed variants
 add isotropic noise delta to the blocks and epsilon to the images;
 paired and mixture evaluations cover the two-copy rotation identity and
 auxiliary-variable averages.
@@ -37,7 +38,7 @@ import numpy as np
 import scipy.linalg
 
 from .datum import RESIDUAL_TOL, Datum, Partition, scaling_residual
-from .subspace import ProductSubspace, SearchBudget, embed
+from .subspace import ProductSubspace, SearchBudget, embed, slack
 
 __all__ = [
     "LOG_2PIE",
@@ -47,7 +48,6 @@ __all__ = [
     "GaussianPair",
     "GaussianMixture",
     "SolverOptions",
-    "EscapeRay",
     "DegenerateImageError",
     "gaussian_entropy",
     "objective",
@@ -71,20 +71,19 @@ class DegenerateImageError(RuntimeError):
     subtracted entropy term diverges to -infinity."""
 
 
-def _check_spd(M: np.ndarray, what: str, ndim: int = 2) -> np.ndarray:
-    """Lower Cholesky factor of the SPD matrix M or, with ``ndim`` 3, of each
-    matrix M[s] of a stack.  Raises ValueError unless each matrix is square,
-    finite, symmetric within _SYM_TOL relative to its own largest entry,
-    and positive definite."""
+def _check_spd(M: np.ndarray, what: str) -> np.ndarray:
+    """Lower Cholesky factor of the SPD matrix M.  Raises ValueError unless
+    M is square, finite, symmetric within _SYM_TOL relative to its largest
+    entry, and positive definite."""
     M = np.asarray(M, dtype=float)
-    if M.ndim != ndim or M.shape[-2] != M.shape[-1]:
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"{what} must be square, got shape {M.shape}")
-    if M.shape[-1] == 0:
+    if M.shape[0] == 0:
         return M
     if not np.isfinite(M).all():
         raise ValueError(f"{what} has non-finite entries")
-    scale = np.maximum(1.0, np.abs(M).max(axis=(-2, -1), keepdims=True))
-    if not np.allclose(M, np.swapaxes(M, -2, -1), atol=_SYM_TOL * scale):
+    scale = max(1.0, float(np.abs(M).max()))
+    if not np.allclose(M, M.T, atol=_SYM_TOL * scale):
         raise ValueError(f"{what} is not symmetric")
     try:
         return np.linalg.cholesky(M)
@@ -163,39 +162,35 @@ def _logdet_kernel(datum, factors, epsilon=0.0, cond_limit=None, basis=None):
     ``cond_limit``, below sqrt(eps), where the Cholesky factorization of
     A_j Sigma A_j^T fails; a NaN also fails the comparison.
 
-    Returns (value, g, H).  Without ``basis``, g and H are None and, at
-    epsilon 0, the factors may carry a leading stack axis, (S, r_i, r_i)
-    for every block: the value is then an array of S values, and a
-    degenerate image at any of them raises.  With ``basis``, an
-    orthonormal basis (p, n, n) of the block-diagonal symmetric X, g and H
-    are the gradient and Hessian of X -> f(L exp(X) L^T) at X = 0 (epsilon
-    0, unstacked), with D = Diag(d_i I_{r_i}) and P_j = Q_j Q_j^T:
+    Returns (value, g, H).  Without ``basis``, g and H are None.  With
+    ``basis``, an orthonormal basis (p, n, n) of the block-diagonal
+    symmetric X, g and H are the gradient and Hessian of
+    X -> f(L exp(X) L^T) at X = 0 (epsilon 0), with D = Diag(d_i I_{r_i})
+    and P_j = Q_j Q_j^T:
 
         g(X) = 1/2 tr(D X) - 1/2 sum_j c_j tr(Q_j^T X Q_j),
         H(X, X) = -1/2 sum_j c_j ||(I - P_j) X Q_j||_F^2 <= 0.
     """
-    stack = factors[0].shape[:-2]
-    L = np.zeros(stack + (datum.n, datum.n))
+    L = np.zeros((datum.n, datum.n))
     for (start, stop), F in zip(datum.partition.offsets(), factors):
-        L[..., start:stop, start:stop] = F
+        L[start:stop, start:stop] = F
     # the diagonal ratio is about 1 / sqrt(condition number)
     diag_floor = np.finfo(float).eps ** 0.5 if cond_limit is None else cond_limit**-0.5
     val = 0.0
     for di, F in zip(datum.d, factors):
-        logdiag = np.log(F.diagonal(axis1=-2, axis2=-1))
-        val += di * 0.5 * (F.shape[-1] * LOG_2PIE + 2.0 * logdiag.sum(axis=-1))
+        val += di * 0.5 * (F.shape[0] * LOG_2PIE + 2.0 * np.log(np.diag(F)).sum())
     if basis is not None:
         gmat = 0.5 * np.diag(np.repeat(datum.d, datum.partition.blocks))  # g as a matrix
         H = np.zeros((len(basis), len(basis)))
     for cj, A in zip(datum.c, datum.maps):
-        BT = np.swapaxes(A @ L, -2, -1)
+        BT = (A @ L).T
         if epsilon:
             BT = np.vstack([BT, math.sqrt(epsilon) * np.eye(A.shape[0])])
         Q, R = np.linalg.qr(BT)
-        dg = np.abs(R.diagonal(axis1=-2, axis2=-1))
-        if not (dg.min(axis=-1) >= diag_floor * dg.max(axis=-1)).all():
+        dg = np.abs(np.diag(R))
+        if not dg.min() >= diag_floor * dg.max():
             raise DegenerateImageError("image covariance is ill-conditioned")
-        val -= cj * 0.5 * (A.shape[0] * LOG_2PIE + 2.0 * np.log(dg).sum(axis=-1))
+        val -= cj * 0.5 * (A.shape[0] * LOG_2PIE + 2.0 * np.log(dg).sum())
         if basis is not None:
             gmat -= 0.5 * cj * (Q @ Q.T)
             XQ = basis @ Q
@@ -461,12 +456,6 @@ def solve_mg(datum: Datum, opts: SolverOptions = SolverOptions()) -> GaussianSol
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EscapeRay:
-    direction: ProductSubspace
-    gain: float  # objective increase over the last ten doublings
-
-
 def ray_covariance(partition: Partition, V: ProductSubspace, lam: float) -> BlockCovariance:
     """Identity inflated by a factor lam along the product subspace V."""
     blocks = []
@@ -475,49 +464,15 @@ def ray_covariance(partition: Partition, V: ProductSubspace, lam: float) -> Bloc
     return BlockCovariance(tuple(blocks))
 
 
-_PROBE_STEPS = 20  # doublings; final scale 2^20 ~ 1e6
-_PROBE_INC_TOL = 1e-5
-_PROBE_GAIN_TOL = 1e-4
+def divergence_probe(datum: Datum) -> Optional[ProductSubspace]:
+    """First escape ray with positive slack, or None.
 
-
-def _ray_values(datum: Datum, V: ProductSubspace) -> np.ndarray:
-    """Objective at ray_covariance(partition, V, 2^s) for s = 0 .. _PROBE_STEPS.
-
-    The scales are one stack per block, validated as BlockCovariance
-    validates each scale, and evaluated in one stacked kernel call.
-    Raises DegenerateImageError when the image is degenerate at any scale.
-    """
-    lam = 2.0 ** np.arange(_PROBE_STEPS + 1)
-    factors = []
-    for i, (r, B) in enumerate(zip(datum.partition.blocks, V.bases)):
-        S = np.eye(r) + (lam[:, None, None] - 1.0) * (B @ B.T)
-        factors.append(_check_spd(S, f"covariance block {i}", ndim=3))
-    return _logdet_kernel(datum, factors)[0]
-
-
-def _ray_escapes(datum: Datum, V: ProductSubspace) -> Optional[float]:
-    try:
-        vals = _ray_values(datum, V)
-    except DegenerateImageError:
-        return None
-    inc = np.diff(vals)[_PROBE_STEPS // 2 :]
-    # genuine escapes grow linearly in log-scale: every late increment is
-    # bounded away from zero, while bounded objectives have geometrically
-    # decaying increments.
-    if np.all(inc > _PROBE_INC_TOL) and float(np.sum(inc)) > _PROBE_GAIN_TOL:
-        return float(np.sum(inc))
-    return None
-
-
-def divergence_probe(datum: Datum) -> Optional[EscapeRay]:
-    """Search for a ray along which the objective grows without bound.
-
-    The rays are the full space and each single full block; no random
-    rays are drawn, since a Haar-random subspace has the smallest slack
-    of its dimension profile.  Each ray V is tried at the scales
-    ray_covariance(partition, V, 2^s), s = 0 .. 20, stacked into one
-    kernel call; a degenerate image at any scale rules the ray out.
-    Returns the first escaping ray found.
+    The rays are the full space and each single full block.  Along
+    ray_covariance(partition, V, lam) the objective is
+    0.5 * slack(V) * log(lam) + O(1), so a ray escapes exactly when
+    ``slack(datum, V).violating``, with the search's own rank cut; the
+    returned ray is a re-checkable witness, as from
+    ``find_violating_subspace``.
     """
     partition = datum.partition
     rays = [ProductSubspace.full(partition)]
@@ -528,9 +483,8 @@ def divergence_probe(datum: Datum) -> Optional[EscapeRay]:
         ]
         rays.append(ProductSubspace(tuple(bases)))
     for V in rays:
-        gain = _ray_escapes(datum, V)
-        if gain is not None:
-            return EscapeRay(direction=V, gain=gain)
+        if slack(datum, V).violating:
+            return V
     return None
 
 

@@ -13,12 +13,14 @@ construction in :mod:`blepi.finiteness` consumes.
 Image dimensions dim(A_j V) are numerical ranks with a tolerance
 relative to the map A_j, so a subspace inside ker A_j scores zero.
 
-Together with the scaling balance, this search is the package's one
+Together with the scaling balance, slack is the package's one
 unboundedness decision (Bennett-Carbery-Christ-Tao: the constant is
 finite iff the balance holds and no product subspace has positive
-slack).  The search over candidate subspaces is incomplete: it is sound
-for "infinite" (any returned witness re-verifies by recomputing its
-slack) but finding nothing proves nothing.  Candidate iteration is
+slack); the divergence probe in :mod:`blepi.gauss` scores its rays with
+it too, so ``rank_tol`` is the only rank cut behind a verdict.  The
+search over candidate subspaces is incomplete: it is sound for
+"infinite" (any returned witness re-verifies by recomputing its slack)
+but finding nothing proves nothing.  Candidate iteration is
 deterministic given the budget; the public functions accept an ``rng``
 but the search does not use it.
 """
@@ -262,7 +264,9 @@ def candidate_subspaces(
 
     (a) coordinate-axis products up to ``budget.profile_cap``;
     (b) per-block projections of each map kernel and of pairwise kernel
-        intersections.
+        intersections;
+    (c) per-block kernel products ker(A_j|block_1) x ... x ker(A_j|block_k),
+        the largest product subspace inside ker A_j.
 
     No random subspaces are drawn: a Haar-random product subspace almost
     surely has the largest dim(A_j V) of its dimension profile for every
@@ -284,6 +288,12 @@ def candidate_subspaces(
         K = _kernel_pair_intersection(Ka, Kb)
         V = _block_projections(partition, K)
         if V is not None:
+            yield V
+    for A in datum.maps:
+        V = ProductSubspace(
+            tuple(scipy.linalg.null_space(A[:, start:stop]) for start, stop in partition.offsets())
+        )
+        if V.dim > 0:
             yield V
 
 

@@ -5,7 +5,9 @@ Claims:
     - parse failures and I/O failures exit 1; semantic validation exits 2,
       and so do verify sample sizes the k-NN estimator cannot use
     - --samples, --knn-k and --confidence are options of verify alone:
-      any other subcommand rejects them as an argparse error (exit 2)
+      any other subcommand rejects them as an argparse error (exit 2);
+      so do the subcommands that do not read --starts, --tol, --format,
+      --bits or --seed
     - an uncaught exception prints its traceback and exits 7, not 1
     - reports are byte-identical across repeated runs with one seed
     - the parsed defaults of every subcommand are RunConfig's defaults
@@ -170,6 +172,23 @@ class TestVerifyCommand:
         argv = ["verify", epi_file, "--samples", "123", "--knn-k", "4", "--confidence", "2.5"]
         main(argv)
         assert [(c.samples, c.knn_k, c.confidence) for c in seen] == [(123, 4, 2.5)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "{datum}", "--format", "csv"],
+        ["check", "{datum}", "--bits"],
+        ["validate", "{datum}", "--starts", "0", "--tol", "-1"],
+        ["closed-form", "epi", "--lambda", "0.5", "--starts", "-3", "--seed", "4"],
+        ["closed-form", "zf-coeffs", "{datum}", "--bits"],
+    ],
+)
+def test_options_a_subcommand_does_not_read_are_rejected(epi_file, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(datum=epi_file) for a in argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestClosedFormCommand:

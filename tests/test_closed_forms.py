@@ -160,6 +160,9 @@ class TestCoupledSumsConstant:
         assert D == C  # same constant in both roles, bit for bit
         assert coupled_sums_bruteforce(1.25, 0.5, 0.5) == pytest.approx(C, abs=1e-4)
 
+    def test_bruteforce_returns_a_python_float(self):
+        assert type(coupled_sums_bruteforce(1.25, 0.5, 0.5)) is float
+
     def test_boundary_rho_one_limit(self):
         # alpha = 1 forces rho = beta/(2 delta) = 1; the zero base carries a
         # zero exponent, so the formula stays finite

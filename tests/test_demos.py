@@ -2,6 +2,7 @@
 
 Claims:
     - every script in demos/ runs as __main__ without raising
+    - the finiteness demo calls the EPI datum finite in other units too
 """
 
 import runpy
@@ -16,3 +17,9 @@ DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 def test_demo_runs(path, capsys):
     runpy.run_path(str(path), run_name="__main__")
     assert capsys.readouterr().out
+
+
+def test_finiteness_demo_is_unit_free(capsys):
+    path = next(p for p in DEMOS if p.stem == "finiteness_and_splitting")
+    runpy.run_path(str(path), run_name="__main__")
+    assert "EPI, X2 in 1e-3 units: finite\n" in capsys.readouterr().out

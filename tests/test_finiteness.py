@@ -4,7 +4,11 @@ Claims:
     - the scaling residual matches hand values and drives Infinite
       verdicts with an exact, re-checkable witness
     - subspace witnesses re-verify by recomputing slack from scratch
-    - verdicts do not depend on the rng
+    - verdicts do not depend on the rng, nor on the units of one block:
+      scaling one block's columns of every map leaves the status alone
+    - the escape-ray probe answers infinite with a slack witness (a single
+      block beyond a truncated coordinate family), and a per-block kernel
+      product is a witness the other candidates miss
     - splitting along a critical subspace yields children that satisfy
       both finiteness conditions, reconstruct the parent maps exactly,
       keep an image basis exactly as wide as the image dimension, and
@@ -18,6 +22,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import blepi
 from blepi.datum import Datum, Partition
@@ -122,6 +128,48 @@ class TestCheckFiniteness:
             ]
             assert all(doc == docs[0] for doc in docs)
 
+    @pytest.mark.parametrize("scale", [1e-3, 1e-6])
+    def test_epi_with_one_block_in_other_units_is_finite(self, scale):
+        # EPI with X2 measured in other units: slack does not see the units
+        d = Datum(
+            partition=Partition((1, 1)),
+            maps=(np.array([[1.0, scale]]),),
+            c=np.array([1.0]),
+            d=np.array([0.5, 0.5]),
+        )
+        assert check_finiteness(d).status == FINITE
+        res = solve_mg(d)
+        assert res.converged and not res.unbounded
+
+    def test_probe_ray_beyond_the_coordinate_budget_is_a_witness(self):
+        # 13 scalar blocks: the first 4096 coordinate candidates all leave
+        # block 0 out, and block 0 alone has slack 1.5 - 1 = 0.5
+        A = np.random.default_rng(0).standard_normal((12, 13))
+        d = Datum(
+            partition=Partition((1,) * 13),
+            maps=(A,),
+            c=np.array([1.0]),
+            d=np.array([1.5] + [10.5 / 12] * 12),
+        )
+        v = check_finiteness(d)
+        assert v.status == INFINITE
+        assert isinstance(v.witness, ViolatingSubspace)
+        assert v.witness.subspace.block_dims == (1,) + (0,) * 12
+        assert slack(d, v.witness.subspace).slack == v.witness.slack == pytest.approx(0.5)
+
+    def test_per_block_kernel_witness_of_draw_739(self):
+        # the witness is ker maps[1][:, block 3], with slack 0.0235; no
+        # coordinate or whole-kernel candidate has positive slack
+        rng = np.random.default_rng(123)
+        d = [random_datum(rng, balanced=True) for _ in range(740)][739]
+        v = check_finiteness(d)
+        assert v.status == INFINITE
+        assert isinstance(v.witness, ViolatingSubspace)
+        assert v.witness.subspace.block_dims == (0, 0, 1)
+        sr = slack(d, v.witness.subspace)
+        assert sr.violating and sr.slack == v.witness.slack == pytest.approx(0.0235, abs=1e-4)
+        assert solve_mg(d).unbounded
+
     def test_budget_exhaustion_is_unknown(self):
         d = blepi.make_epi_datum(0.5, 2)  # 16 coordinate subspaces
         v = check_finiteness(d, SearchBudget(profile_cap=2))
@@ -136,6 +184,25 @@ class TestCheckFiniteness:
         )
         with pytest.raises(ValueError):
             check_finiteness(bad)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1e-6, 1e-2, 1e2, 1e6]),
+    data=st.data(),
+)
+def test_verdict_is_invariant_under_a_change_of_units_in_one_block(seed, scale, data):
+    d = random_datum(np.random.default_rng(seed), balanced=True)
+    i = data.draw(st.integers(0, d.partition.k - 1))
+    start, stop = d.partition.offsets()[i]
+    maps = []
+    for A in d.maps:
+        A = A.copy()
+        A[:, start:stop] *= scale
+        maps.append(A)
+    scaled = Datum(partition=d.partition, maps=tuple(maps), c=d.c, d=d.d)
+    assert check_finiteness(scaled).status == check_finiteness(d).status
 
 
 class TestSplit:

@@ -23,8 +23,6 @@ Claims:
       and its Hessian matches central differences of the gradient and is
       negative semidefinite; a random draw whose optimum is near the
       boundary of the cone solves to a valid covariance
-    - the divergence probe's stacked evaluation of a ray's scales equals
-      the per-scale objective, and fails on exactly the same inputs
     - pair evaluations are additive for independent pairs and invariant
       under the orthogonal two-copy rotation, which is an involution
     - mixture evaluations are component averages and never exceed the
@@ -45,11 +43,9 @@ from blepi.datum import Datum, Partition
 from blepi.finiteness import INFINITE, ViolatingSubspace, ViolationError, certify
 from blepi.gauss import (
     _COND_LIMIT,
-    _PROBE_STEPS,
     _logdet_kernel,
     _moved,
     _multistart,
-    _ray_values,
     _sym_basis,
     LOG_2PIE,
     BlockCovariance,
@@ -68,7 +64,7 @@ from blepi.gauss import (
     rotate_pair,
     solve_mg,
 )
-from blepi.subspace import ProductSubspace, SearchBudget, find_violating_subspace
+from blepi.subspace import SearchBudget, find_violating_subspace
 from conftest import random_block_covariance, random_datum, random_pair
 
 H1 = 0.5 * LOG_2PIE  # entropy of a unit-variance scalar Gaussian
@@ -543,46 +539,6 @@ def test_logdet_kernel_matches_cholesky_formulas(seed, balanced, scale):
         fd[:, k] = (sides[0] - sides[1]) / (2 * h)
     np.testing.assert_allclose(H, fd, rtol=0, atol=1e-6 * (1.0 + np.abs(H).max()))
     assert np.linalg.eigvalsh(H).max() <= 1e-12 * (1.0 + np.abs(H).max())
-
-
-def _ray_objectives(datum, V):
-    """The probe's values one scale at a time, or None if any is degenerate."""
-    try:
-        return np.array(
-            [
-                objective(datum, ray_covariance(datum.partition, V, 2.0**s))
-                for s in range(_PROBE_STEPS + 1)
-            ]
-        )
-    except DegenerateImageError:
-        return None
-
-
-@settings(max_examples=80, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), squeeze=st.sampled_from([0.0, 1e-6, 1e-9, 1e-12]))
-@example(seed=3, squeeze=1e-12)
-def test_stacked_ray_values_match_per_scale_objective(seed, squeeze):
-    rng = np.random.default_rng(seed)
-    datum = random_datum(rng)
-    A = datum.maps[0].copy()
-    if squeeze and A.shape[0] >= 2:
-        # nearly dependent rows: images along a ray can lose definiteness
-        A[-1] = A[0] + squeeze * A[-1]
-        datum = Datum(datum.partition, (A,) + datum.maps[1:], datum.c, datum.d)
-    V = ProductSubspace(
-        tuple(
-            np.linalg.qr(rng.standard_normal((r, r)))[0][:, : int(rng.integers(0, r + 1))]
-            for r in datum.partition.blocks
-        )
-    )
-    per_scale = _ray_objectives(datum, V)
-    try:
-        stacked = _ray_values(datum, V)
-    except DegenerateImageError:
-        stacked = None
-    assert (stacked is None) == (per_scale is None)
-    if stacked is not None:
-        np.testing.assert_allclose(stacked, per_scale, rtol=1e-12, atol=0)
 
 
 class TestPairs:
