@@ -1,14 +1,14 @@
 """Command-line entry point.
 
 Subcommands: validate, check, solve, verify, closed-form.  Reports are
-deterministic for a fixed (command, config, seed): all randomness flows
-from counter-based generators keyed on the seed, and output contains no
-timing information.  Exit codes: 0 success / finite / all pass, 1 I/O or
-parse error, 2 validation or domain failure, 3 infinite, 4 unknown,
-5 unbounded solve, 6 verification failure, 7 internal error (an uncaught
-exception; its traceback goes to stderr).  Each subcommand takes only
-the options it reads (``--out`` everywhere); any other is an argparse
-error, exit 2.
+deterministic for a fixed (command, config): check and solve use no
+randomness, verify draws its samples from counter-based generators keyed
+on ``--seed``, and output contains no timing information.  Exit codes:
+0 success / finite / all pass, 1 I/O or parse error, 2 validation or
+domain failure, 3 infinite, 4 unknown, 5 unbounded solve, 6 verification
+failure, 7 internal error (an uncaught exception; its traceback goes to
+stderr).  Each subcommand takes only the options it reads (``--out``
+everywhere); any other is an argparse error, exit 2.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ _LN2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class RunConfig:
-    seed: int = SolverOptions.seed
+    seed: int = 0
     starts: int = SolverOptions.starts
     tol: float = SolverOptions.tol
     samples: int = 50_000
@@ -56,7 +56,7 @@ class RunConfig:
 
     @property
     def solver_options(self) -> SolverOptions:
-        return SolverOptions(starts=self.starts, tol=self.tol, seed=self.seed)
+        return SolverOptions(starts=self.starts, tol=self.tol)
 
 
 def _rng(cfg: RunConfig, stream: int) -> np.random.Generator:
@@ -126,7 +126,7 @@ def cmd_check(path, cfg: RunConfig) -> int:
     if datum is None:
         return code
     verdict = finiteness.check_finiteness(datum, SearchBudget())
-    _emit(_json_report({"command": "check", "seed": cfg.seed, **verdict.to_dict()}), cfg)
+    _emit(_json_report({"command": "check", **verdict.to_dict()}), cfg)
     return {
         finiteness.FINITE: EXIT_OK,
         finiteness.INFINITE: EXIT_INFINITE,
@@ -141,7 +141,7 @@ def cmd_solve(path, cfg: RunConfig) -> int:
     result = solve_mg(datum, cfg.solver_options)
     doc = result.to_dict()
     doc["mg_value"] = _conv(doc["mg_value"], cfg)
-    doc.update({"command": "solve", "seed": cfg.seed, "unit": _unit(cfg)})
+    doc.update({"command": "solve", "unit": _unit(cfg)})
     _emit(_json_report(doc), cfg)
     if result.unbounded:
         return EXIT_UNBOUNDED
@@ -330,14 +330,10 @@ def cmd_closed_form(args, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_options(
-    p: argparse.ArgumentParser, seed=False, solver=False, fmt=False, bits=False
-) -> None:
-    """``--out`` plus the options the subcommand reads: ``--seed``,
-    ``--starts`` and ``--tol`` (solver), ``--format`` and ``--bits``."""
+def _add_options(p: argparse.ArgumentParser, solver=False, fmt=False, bits=False) -> None:
+    """``--out`` plus the options the subcommand reads: ``--starts`` and
+    ``--tol`` (solver), ``--format`` and ``--bits``."""
     cfg = RunConfig()
-    if seed:
-        p.add_argument("--seed", type=int, default=cfg.seed)
     if solver:
         p.add_argument("--starts", type=int, default=cfg.starts)
         p.add_argument(
@@ -363,11 +359,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="decide finiteness of the optimal constant")
     p.add_argument("datum")
-    _add_options(p, seed=True)
+    _add_options(p)
 
     p = sub.add_parser("solve", help="maximize the Gaussian objective")
     p.add_argument("datum")
-    _add_options(p, seed=True, solver=True, bits=True)
+    _add_options(p, solver=True, bits=True)
 
     p = sub.add_parser("verify", help="Monte Carlo verification for non-Gaussian inputs")
     p.add_argument("datum")
@@ -380,7 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=cfg.samples)
     p.add_argument("--knn-k", type=int, default=cfg.knn_k)
     p.add_argument("--confidence", type=float, default=cfg.confidence, help="one-sided z threshold")
-    _add_options(p, seed=True, solver=True, fmt=True, bits=True)
+    p.add_argument("--seed", type=int, default=cfg.seed, help="seeds the Monte Carlo samples")
+    _add_options(p, solver=True, fmt=True, bits=True)
 
     p = sub.add_parser("closed-form", help="evaluate a named closed form")
     forms = p.add_subparsers(dest="form", required=True)

@@ -51,16 +51,16 @@ def epi_mg(lam: float, dim: int) -> float:
     return 0.0
 
 
-def _check_orthonormal_rows(A: np.ndarray, tol: float) -> np.ndarray:
+def _check_orthonormal_rows(A: np.ndarray) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise ValueError("expected a matrix")
-    if not np.allclose(A @ A.T, np.eye(A.shape[0]), atol=tol):
+    if not np.allclose(A @ A.T, np.eye(A.shape[0]), atol=_ORTHO_TOL):
         raise ValueError("rows are not orthonormal (A A^T != I)")
     return A
 
 
-def zf_coefficients(A, tol: float = _ORTHO_TOL) -> np.ndarray:
+def zf_coefficients(A) -> np.ndarray:
     """Squared column norms alpha_j^2 of a matrix with orthonormal rows.
 
     These are the block exponents of the Zamir-Feder datum, and equal the
@@ -68,22 +68,22 @@ def zf_coefficients(A, tol: float = _ORTHO_TOL) -> np.ndarray:
     the identity is re-derived here through the matrix-inverse route as a
     consistency check on the cheap column-sum formula.
     """
-    A = _check_orthonormal_rows(A, tol)
+    A = _check_orthonormal_rows(A)
     alpha_sq = np.sum(A * A, axis=0)
     gram_inv = np.linalg.inv(A @ A.T)
     deriv = np.einsum("ij,ik,kj->j", A, gram_inv, A)
-    if not np.allclose(alpha_sq, deriv, atol=100 * tol):
+    if not np.allclose(alpha_sq, deriv, atol=100 * _ORTHO_TOL):
         raise RuntimeError("column-norm and derivative routes disagree")
     return alpha_sq
 
 
-def zf_F(A, lambdas, tol: float = _ORTHO_TOL) -> float:
+def zf_F(A, lambdas) -> float:
     """F(Lambda) = log det(A Lambda A^T) - sum_j alpha_j^2 log(lambda_j).
 
     Nonnegative for orthonormal-row A and positive diagonal Lambda, with
     equality at Lambda proportional to the identity.
     """
-    A = _check_orthonormal_rows(A, tol)
+    A = _check_orthonormal_rows(A)
     lam = np.asarray(lambdas, dtype=float)
     if lam.ndim != 1 or len(lam) != A.shape[1]:
         raise ValueError("need one positive diagonal entry per column of A")

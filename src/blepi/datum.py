@@ -256,10 +256,13 @@ def make_epi_datum(lam: float, dim: int) -> Datum:
     )
 
 
-def make_zamir_feder_datum(A, tol: float = 1e-9) -> Datum:
+_ORTHO_TOL = 1e-9
+
+
+def make_zamir_feder_datum(A) -> Datum:
     """Datum for the Zamir-Feder inequality: h(AX) >= sum_j alpha_j^2 h(X_j).
 
-    Requires ``A A^T = I`` within ``tol``.  Each coordinate is its own
+    Requires ``A A^T = I`` entrywise within 1e-9.  Each coordinate is its own
     block and the block exponent is the squared norm of the matching
     column of A.
     """
@@ -267,7 +270,7 @@ def make_zamir_feder_datum(A, tol: float = 1e-9) -> Datum:
     if A.ndim != 2:
         raise ValueError("A must be a 2-d matrix")
     gram = A @ A.T
-    if not np.allclose(gram, np.eye(A.shape[0]), atol=tol):
+    if not np.allclose(gram, np.eye(A.shape[0]), atol=_ORTHO_TOL):
         raise ValueError("rows of A are not orthonormal (A A^T != I)")
     alpha_sq = np.sum(A * A, axis=0)
     return Datum(

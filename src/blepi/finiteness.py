@@ -154,7 +154,7 @@ class SplitError(ValueError):
 
 
 class ViolationError(ValueError):
-    """certify's candidate pass found a subspace with positive slack."""
+    """certify found a subspace with positive slack at the root."""
 
     def __init__(self, subspace: ProductSubspace):
         super().__init__("certify requires a finite verdict (a subspace has positive slack)")
@@ -214,7 +214,7 @@ def split_datum(datum: Datum, U: ProductSubspace) -> SplitResult:
         AE = A @ E
         W, sv, _ = scipy.linalg.svd(AE, full_matrices=False)
         F = W[:, : int(np.sum(sv > rank_tol(A)))]
-        G = scipy.linalg.null_space(F.T) if F.shape[1] < A.shape[0] else np.zeros((A.shape[0], 0))
+        G = scipy.linalg.null_space(F.T)
         image_bases.append(F)
         coimage_bases.append(G)
         restricted.append(F.T @ AE)
@@ -326,10 +326,13 @@ def certify(
 
     Each node above dimension one makes one pass over its candidates and
     splits along the first critical one that splits.  The root must
-    balance (ValueError), and a violating candidate of the root raises
-    ViolationError.  Below the root, one leaves its node irreducible (an
-    infinite constant that no solve converges on).  ``rng`` is accepted
-    for compatibility; the candidate search does not use it.
+    balance (ValueError).  A violating subspace of the root raises
+    ViolationError: a violating candidate or, when the candidate pass
+    finds none, the first escaping ray of the divergence probe, as in
+    ``check_finiteness``.  Below the root, a violating candidate leaves
+    its node irreducible (an infinite constant that no solve converges
+    on).  ``rng`` is accepted for compatibility; the candidate search
+    does not use it.
     """
     if abs(scaling_residual(datum)) > RESIDUAL_TOL:
         raise ValueError("certify requires a finite verdict (scaling balance fails)")
@@ -340,6 +343,8 @@ def _certify(datum: Datum, budget, root: bool = False) -> SplitTree:
     if datum.n == 1:
         return SplitTree(datum=datum, leaf_kind="dim-1", constant=_dim1_constant(datum))
     violating, critical = _scan(datum, budget)
+    if root:
+        violating = violating or divergence_probe(datum)
     if violating is not None:
         if root:
             raise ViolationError(violating)

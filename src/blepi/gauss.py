@@ -12,20 +12,20 @@ never formed.  In the coordinates Sigma = L exp(X) L^T the
 objective is geodesically concave: the block terms are linear in X and
 the Hessian is negative semidefinite, and the kernel returns both the
 gradient and the Hessian there.  ``solve_mg`` answers unbounded when the
-scaling balance fails or ``certify``'s candidate pass finds a violating
-subspace; otherwise it sums the leaf constants of ``certify``'s split
-tree, maximizing the objective on each irreducible leaf by multi-start
-damped Newton ascent in those coordinates.  The divergence probe scores
-the full space and each single block with ``slack``: along
-``ray_covariance(partition, V, lam)`` the objective is
-0.5 * slack(V) * log(lam) + O(1), so a ray escapes exactly when its
-slack is positive.  Perturbed variants
-add isotropic noise delta to the blocks and epsilon to the images;
-paired and mixture evaluations cover the two-copy rotation identity and
-auxiliary-variable averages.
+scaling balance fails or ``certify`` finds a violating subspace (its
+root's candidate pass, then the divergence probe); otherwise it sums the
+leaf constants of ``certify``'s split tree, maximizing the objective on
+each irreducible leaf by multi-start damped Newton ascent in those
+coordinates.  The divergence probe scores the full space and each single
+block with ``slack``: along ``ray_covariance(partition, V, lam)`` the
+objective is 0.5 * slack(V) * log(lam) + O(1), so a ray escapes exactly
+when its slack is positive.  Perturbed variants add isotropic noise
+delta to the blocks and epsilon to the images; paired and mixture
+evaluations cover the two-copy rotation identity and auxiliary-variable
+averages.
 
-Everything is in nats.  All value types are immutable; multi-start runs
-are independent given the seed.
+Everything is in nats.  All value types are immutable; the random
+starts are drawn from one fixed seed, so every solve is deterministic.
 """
 
 from __future__ import annotations
@@ -258,7 +258,6 @@ def gradient(datum: Datum, sigma: BlockCovariance) -> tuple[np.ndarray, ...]:
 class SolverOptions:
     starts: int = 8
     tol: float = 1e-8            # scale-free gradient norm ||Diag(L_i^T G_i L_i)||_F
-    seed: int = 0
 
 
 _NEWTON_STEPS = 60    # Newton steps per start
@@ -346,9 +345,9 @@ def _newton(datum: Datum, blocks, basis: np.ndarray, opts: SolverOptions):
 
 def _multistart(datum: Datum, opts: SolverOptions):
     """(value, covariance blocks, gradient norm) of the best of ``opts.starts``
-    Newton ascents from Sigma = I and seeded random factors; (nan, I, inf)
-    if all fail."""
-    rng = np.random.default_rng(np.random.SeedSequence(opts.seed))
+    Newton ascents from Sigma = I and random factors drawn from
+    SeedSequence(0); (nan, I, inf) if all fail."""
+    rng = np.random.default_rng(np.random.SeedSequence(0))
     basis = _sym_basis(datum.partition)
     best = None
     for s in range(max(1, opts.starts)):
@@ -413,8 +412,9 @@ def solve_mg(datum: Datum, opts: SolverOptions = SolverOptions()) -> GaussianSol
     The constant is finite iff the scaling balance holds and no product
     subspace has positive slack, so those two checks come first.  A datum
     that fails the balance is unbounded along the full space V, on the
-    side of the scale where the objective grows; one whose candidate pass
-    finds a violating subspace V is unbounded along V.  Both answers
+    side of the scale where the objective grows; one in which ``certify``
+    finds a violating subspace V (its root's candidate pass, then the
+    divergence probe) is unbounded along V.  Both answers
     carry ``sigma_star = ray_covariance(partition, V, lam)`` with lam
     2**10, or 2**-10 when the objective grows as Sigma shrinks.
 
@@ -515,14 +515,6 @@ class GaussianPair:
     @property
     def partition(self) -> Partition:
         return Partition(tuple(J.shape[0] // 2 for J in self.blocks))
-
-    def marginals(self) -> tuple[BlockCovariance, BlockCovariance]:
-        firsts, seconds = [], []
-        for J in self.blocks:
-            r = J.shape[0] // 2
-            firsts.append(J[:r, :r])
-            seconds.append(J[r:, r:])
-        return BlockCovariance(tuple(firsts)), BlockCovariance(tuple(seconds))
 
     @staticmethod
     def independent(first: BlockCovariance, second: BlockCovariance) -> "GaussianPair":

@@ -62,14 +62,12 @@ _ORTHO_TOL = 1e-10
 _RANK_TOL = 10.0
 
 
-def orthonormal_columns(M: np.ndarray, rtol: float | None = None) -> np.ndarray:
+def orthonormal_columns(M: np.ndarray) -> np.ndarray:
     """Orthonormal basis for the column span of M (possibly empty)."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise ValueError("expected a matrix")
-    if M.shape[1] == 0:
-        return np.zeros((M.shape[0], 0))
-    return scipy.linalg.orth(M, rcond=rtol)
+    return scipy.linalg.orth(M)
 
 
 @dataclass(frozen=True)
@@ -135,23 +133,13 @@ class ProductSubspace:
 
     def orthocomplement(self) -> "ProductSubspace":
         """Per-block orthogonal complement."""
-        bases = []
-        for B in self.bases:
-            r, t = B.shape
-            if t == 0:
-                bases.append(np.eye(r))
-            elif t == r:
-                bases.append(np.zeros((r, 0)))
-            else:
-                bases.append(scipy.linalg.null_space(B.T))
-        return ProductSubspace(tuple(bases))
+        return ProductSubspace(tuple(scipy.linalg.null_space(B.T) for B in self.bases))
 
 
 @dataclass(frozen=True)
 class SlackResult:
     slack: float
     per_map_dims: tuple[int, ...]
-    per_block_dims: tuple[int, ...]
 
     @property
     def critical(self) -> bool:
@@ -199,10 +187,9 @@ def slack(datum: Datum, V: ProductSubspace) -> SlackResult:
         raise ValueError(
             f"subspace block shape {V.ambient} does not match partition {datum.partition.blocks}"
         )
-    t = V.block_dims
     img = tuple(dim_image(A, V) for A in datum.maps)
-    value = float(np.dot(datum.d, t) - np.dot(datum.c, img))
-    return SlackResult(slack=value, per_map_dims=img, per_block_dims=t)
+    value = float(np.dot(datum.d, V.block_dims) - np.dot(datum.c, img))
+    return SlackResult(slack=value, per_map_dims=img)
 
 
 @dataclass(frozen=True)
@@ -246,12 +233,7 @@ def _block_projections(partition: Partition, K: np.ndarray) -> Optional[ProductS
 
 def _kernel_pair_intersection(Ka: np.ndarray, Kb: np.ndarray) -> np.ndarray:
     """Basis of span(Ka) ∩ span(Kb) via the joint orthocomplement."""
-    n = Ka.shape[0]
-    Pa = scipy.linalg.null_space(Ka.T) if Ka.shape[1] < n else np.zeros((n, 0))
-    Pb = scipy.linalg.null_space(Kb.T) if Kb.shape[1] < n else np.zeros((n, 0))
-    stacked = np.hstack([Pa, Pb])
-    if stacked.shape[1] == 0:
-        return np.eye(n)
+    stacked = np.hstack([scipy.linalg.null_space(Ka.T), scipy.linalg.null_space(Kb.T)])
     return scipy.linalg.null_space(stacked.T)
 
 

@@ -7,7 +7,7 @@ Claims:
     - --samples, --knn-k and --confidence are options of verify alone:
       any other subcommand rejects them as an argparse error (exit 2);
       so do the subcommands that do not read --starts, --tol, --format,
-      --bits or --seed
+      --bits or --seed (only verify reads --seed)
     - an uncaught exception prints its traceback and exits 7, not 1
     - reports are byte-identical across repeated runs with one seed
     - the parsed defaults of every subcommand are RunConfig's defaults
@@ -182,6 +182,8 @@ class TestVerifyCommand:
         ["validate", "{datum}", "--starts", "0", "--tol", "-1"],
         ["closed-form", "epi", "--lambda", "0.5", "--starts", "-3", "--seed", "4"],
         ["closed-form", "zf-coeffs", "{datum}", "--bits"],
+        ["check", "{datum}", "--seed", "1"],
+        ["solve", "{datum}", "--seed", "1"],
     ],
 )
 def test_options_a_subcommand_does_not_read_are_rejected(epi_file, argv, capsys):
@@ -240,9 +242,9 @@ class TestClosedFormCommand:
 
 class TestDeterminism:
     def test_check_is_byte_identical(self, epi_file, capsys):
-        main(["check", epi_file, "--seed", "11"])
+        main(["check", epi_file])
         first = capsys.readouterr().out
-        main(["check", epi_file, "--seed", "11"])
+        main(["check", epi_file])
         second = capsys.readouterr().out
         assert first == second
 

@@ -14,8 +14,8 @@ Claims:
       keep an image basis exactly as wide as the image dimension, and
       split the solved optimum exactly
     - certificates terminate at the documented base cases with the
-      documented constants, and reject a datum whose candidates include a
-      violating subspace
+      documented constants, and reject a datum whose candidates or probe
+      rays include a violating subspace
 """
 
 import math
@@ -333,6 +333,23 @@ class TestCertify:
         assert exc.value.subspace.dim > 0
         assert slack(d, exc.value.subspace).violating
         assert isinstance(exc.value, ValueError)
+
+    def test_probe_ray_beyond_the_coordinate_budget_raises(self):
+        # block 0 alone has slack 1.5 - 0.5 - 0.5 = 0.5, but the first two
+        # coordinate candidates leave it out; certify used to return one
+        # irreducible leaf where check_finiteness answers infinite
+        d = Datum(
+            partition=Partition((1, 1, 1)),
+            maps=(np.ones((1, 3)), np.eye(3)),
+            c=np.array([0.5, 0.5]),
+            d=np.array([1.5, 0.25, 0.25]),
+        )
+        budget = SearchBudget(profile_cap=2)
+        assert check_finiteness(d, budget).status == INFINITE
+        with pytest.raises(ViolationError) as exc:
+            certify(d, budget)
+        assert exc.value.subspace.block_dims == (1, 0, 0)
+        assert slack(d, exc.value.subspace).slack == pytest.approx(0.5)
 
     def test_children_inherit_balance(self):
         d = blepi.make_coupled_sums_datum(1.0, 1.0, 0.5, 0.5)

@@ -10,11 +10,11 @@ Claims:
       nonincreasing in epsilon, and converges as the noise vanishes
     - solve_mg finds the known optima, detects scaling divergence on
       either side of the balance, answers unbounded on a datum with a
-      violating subspace, survives starts that run to the edge of the
-      cone and an ill-conditioned image at Sigma = I without a
-      RuntimeWarning, reports values accurate to rounding on seeded
-      random draws, and reports equal-block covariances for the entropy
-      power datum
+      violating subspace or an escaping probe ray, survives starts that
+      run to the edge of the cone and an ill-conditioned image at
+      Sigma = I without a RuntimeWarning, reports values accurate to
+      rounding on seeded random draws, and reports equal-block
+      covariances for the entropy power datum
     - boundary data, whose supremum is attained only in a degenerate
       limit, are solved exactly along the split tree, and the tree value
       equals the whole-datum ascent wherever that converges
@@ -64,7 +64,7 @@ from blepi.gauss import (
     rotate_pair,
     solve_mg,
 )
-from blepi.subspace import SearchBudget, find_violating_subspace
+from blepi.subspace import ProductSubspace, SearchBudget, find_violating_subspace
 from conftest import random_block_covariance, random_datum, random_pair
 
 H1 = 0.5 * LOG_2PIE  # entropy of a unit-variance scalar Gaussian
@@ -363,12 +363,11 @@ class TestSolver:
         revalidated = BlockCovariance(res.sigma_star.blocks)
         assert all(np.isfinite(S).all() for S in revalidated.blocks)
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_beta_one_coupled_sums_is_solved_exactly(self, seed):
+    def test_beta_one_coupled_sums_is_solved_exactly(self):
         # the supremum 0 is attained only in a degenerate limit; every
         # leaf of the split tree is explicit, so no start runs
         d = blepi.make_coupled_sums_datum(1.0, 1.0, 0.5, 0.5)
-        res = solve_mg(d, SolverOptions(seed=seed))
+        res = solve_mg(d)
         assert res.converged and not res.unbounded
         assert abs(res.mg_value) <= 1e-12
         assert res.starts_used == 0 and res.gradient_norm == 0.0
@@ -396,6 +395,25 @@ class TestSolver:
         assert res.unbounded and not res.converged
         assert res.mg_value == math.inf and res.starts_used == 0
         V = find_violating_subspace(d, SearchBudget())
+        expected = ray_covariance(d.partition, V, 2.0**10)
+        for S, E in zip(res.sigma_star.blocks, expected.blocks):
+            np.testing.assert_array_equal(S, E)
+
+    def test_probe_ray_beyond_the_coordinate_budget_is_unbounded(self):
+        # 13 scalar blocks: the first 4096 coordinate candidates all leave
+        # block 0 out, and block 0 alone has slack 2 - 0.5 - 0.5 = 1;
+        # solve_mg used to return 13.815, unconverged and not unbounded
+        d = Datum(
+            partition=Partition((1,) * 13),
+            maps=(np.ones((1, 13)), np.eye(13)),
+            c=np.array([0.5, 0.5]),
+            d=np.array([2.0] + [5 / 12] * 12),
+        )
+        assert blepi.check_finiteness(d).status == INFINITE
+        res = solve_mg(d)
+        assert res.unbounded and not res.converged
+        assert res.mg_value == math.inf and res.starts_used == 0
+        V = ProductSubspace.coordinate(d.partition, ((0,),) + ((),) * 12)
         expected = ray_covariance(d.partition, V, 2.0**10)
         for S, E in zip(res.sigma_star.blocks, expected.blocks):
             np.testing.assert_array_equal(S, E)
