@@ -45,7 +45,6 @@ _LN2 = math.log(2.0)
 @dataclass(frozen=True)
 class RunConfig:
     seed: int = 0
-    starts: int = SolverOptions.starts
     tol: float = SolverOptions.tol
     samples: int = 50_000
     knn_k: int = 3
@@ -56,7 +55,7 @@ class RunConfig:
 
     @property
     def solver_options(self) -> SolverOptions:
-        return SolverOptions(starts=self.starts, tol=self.tol)
+        return SolverOptions(tol=self.tol)
 
 
 def _rng(cfg: RunConfig, stream: int) -> np.random.Generator:
@@ -331,11 +330,10 @@ def cmd_closed_form(args, cfg: RunConfig) -> int:
 
 
 def _add_options(p: argparse.ArgumentParser, solver=False, fmt=False, bits=False) -> None:
-    """``--out`` plus the options the subcommand reads: ``--starts`` and
-    ``--tol`` (solver), ``--format`` and ``--bits``."""
+    """``--out`` plus the options the subcommand reads: ``--tol`` (solver),
+    ``--format`` and ``--bits``."""
     cfg = RunConfig()
     if solver:
-        p.add_argument("--starts", type=int, default=cfg.starts)
         p.add_argument(
             "--tol", type=float, default=cfg.tol, help="converged at scale-free gradient norm <= this"
         )

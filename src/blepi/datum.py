@@ -177,8 +177,9 @@ def validate(datum: Datum) -> ValidationReport:
     """Check every datum invariant and report all violations.
 
     Checks, per map: column count equals n (DIMENSION_MISMATCH), at least
-    one output row (EMPTY_IMAGE), full numerical row rank (SURJECTIVITY).
-    Exponents must be nonnegative (NEGATIVE_EXPONENT).  Rank uses the
+    one output row (EMPTY_IMAGE), finite entries (NONFINITE_ENTRY), full
+    numerical row rank (SURJECTIVITY).  Exponents must be finite
+    (NONFINITE_ENTRY) and nonnegative (NEGATIVE_EXPONENT).  Rank uses the
     standard SVD tolerance max(shape) * eps * sigma_max.
     """
     issues: list[Issue] = []
@@ -209,12 +210,13 @@ def validate(datum: Datum) -> ValidationReport:
                     loc,
                 )
             )
-    for j, cj in enumerate(datum.c):
-        if cj < 0:
-            issues.append(Issue("NEGATIVE_EXPONENT", f"c[{j}] = {cj} < 0", f"c[{j}]"))
-    for i, di in enumerate(datum.d):
-        if di < 0:
-            issues.append(Issue("NEGATIVE_EXPONENT", f"d[{i}] = {di} < 0", f"d[{i}]"))
+    for name, exponents in (("c", datum.c), ("d", datum.d)):
+        for j, e in enumerate(exponents):
+            loc = f"{name}[{j}]"
+            if not math.isfinite(e):
+                issues.append(Issue("NONFINITE_ENTRY", f"{loc} = {e} is not finite", loc))
+            elif e < 0:
+                issues.append(Issue("NEGATIVE_EXPONENT", f"{loc} = {e} < 0", loc))
     return ValidationReport(tuple(issues))
 
 
@@ -346,6 +348,8 @@ def datum_from_dict(doc: dict) -> Datum:
         partition = Partition(tuple(int(b) for b in doc["partition"]))
     except (TypeError, ValueError) as exc:
         raise DatumParseError(f"bad 'partition' field: {exc}") from exc
+    if not isinstance(doc["maps"], list):
+        raise DatumParseError(f"'maps' must be a list, got {type(doc['maps']).__name__}")
     maps = []
     for j, entry in enumerate(doc["maps"]):
         try:

@@ -15,24 +15,25 @@ gradient and the Hessian there.  ``solve_mg`` answers unbounded when the
 scaling balance fails or ``certify`` finds a violating subspace (its
 root's candidate pass, then the divergence probe); otherwise it sums the
 leaf constants of ``certify``'s split tree, maximizing the objective on
-each irreducible leaf by multi-start damped Newton ascent in those
-coordinates.  The divergence probe scores the full space and each single
-block with ``slack``: along ``ray_covariance(partition, V, lam)`` the
-objective is 0.5 * slack(V) * log(lam) + O(1), so a ray escapes exactly
-when its slack is positive.  Perturbed variants add isotropic noise
+each irreducible leaf by one damped Newton ascent from Sigma = I in those
+coordinates; concavity makes a converged ascent the global maximum.  The
+divergence probe scores the full space and each single block with
+``slack``: along ``ray_covariance(partition, V, lam)`` the objective is
+0.5 * slack(V) * log(lam) + O(1), so a ray escapes exactly when its
+slack is positive.  Perturbed variants add isotropic noise
 delta to the blocks and epsilon to the images; paired and mixture
 evaluations cover the two-copy rotation identity and auxiliary-variable
 averages.
 
-Everything is in nats.  All value types are immutable; the random
-starts are drawn from one fixed seed, so every solve is deterministic.
+Everything is in nats.  All value types are immutable, and the solver
+draws no random numbers, so every solve is deterministic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 import scipy.linalg
@@ -256,12 +257,12 @@ def gradient(datum: Datum, sigma: BlockCovariance) -> tuple[np.ndarray, ...]:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    starts: int = 8
     tol: float = 1e-8            # scale-free gradient norm ||Diag(L_i^T G_i L_i)||_F
+    starts: ClassVar[int] = 1    # ascents per irreducible leaf
 
 
-_NEWTON_STEPS = 60    # Newton steps per start
-_HALVINGS = 10        # step halvings before a start stops
+_NEWTON_STEPS = 60    # Newton steps per ascent
+_HALVINGS = 10        # step halvings before the ascent stops
 _MAX_STEP = 2.0       # Frobenius norm cap on one step X
 _ROUNDING = 1e-14     # predicted rises below this, relative to max(1, |value|), are rounding
 _COND_LIMIT = 1e12    # image covariances beyond this count as degenerate
@@ -303,23 +304,26 @@ def _moved(datum: Datum, factors, X: np.ndarray):
     return blocks, out
 
 
-def _newton(datum: Datum, blocks, basis: np.ndarray, opts: SolverOptions):
+def _newton(datum: Datum, opts: SolverOptions):
     """(value, covariance blocks, gradient norm) after damped Newton ascent
-    from the given blocks, or None when the start itself is degenerate.
+    from Sigma = I, or (nan, I, inf) when Sigma = I is degenerate.
 
     Each step solves H x = -g in the least-squares sense (H is singular
     along the scaling direction), caps ||x|| at _MAX_STEP and is halved
     until the value rises or, once the predicted rise g.x is at rounding
-    level, until the gradient norm falls.  A start ends at a gradient
+    level, until the gradient norm falls.  The ascent ends at a gradient
     within ``opts.tol`` whose predicted rise is rounding, when no halving
     is accepted, or after _NEWTON_STEPS steps; the step cap and count bound
-    how far it can move, so nothing overflows.
+    how far it can move, so nothing overflows.  The objective is concave
+    in X, so an ascent that ends within ``opts.tol`` is at the global
+    maximum.
     """
-    factors = [np.linalg.cholesky(S) for S in blocks]
+    blocks = factors = [np.eye(r) for r in datum.partition.blocks]
+    basis = _sym_basis(datum.partition)
     try:
         val, g, H = _logdet_kernel(datum, factors, cond_limit=_COND_LIMIT, basis=basis)
     except DegenerateImageError:
-        return None
+        return math.nan, blocks, math.inf
     gnorm = float(np.linalg.norm(g))
     for _ in range(_NEWTON_STEPS):
         x = np.linalg.lstsq(H, -g, rcond=None)[0]
@@ -343,56 +347,29 @@ def _newton(datum: Datum, blocks, basis: np.ndarray, opts: SolverOptions):
     return val, blocks, gnorm
 
 
-def _multistart(datum: Datum, opts: SolverOptions):
-    """(value, covariance blocks, gradient norm) of the best of ``opts.starts``
-    Newton ascents from Sigma = I and random factors drawn from
-    SeedSequence(0); (nan, I, inf) if all fail."""
-    rng = np.random.default_rng(np.random.SeedSequence(0))
-    basis = _sym_basis(datum.partition)
-    best = None
-    for s in range(max(1, opts.starts)):
-        blocks = []
-        for r in datum.partition.blocks:
-            F = np.eye(r)
-            if s > 0:
-                F = np.tril(rng.normal(0.0, 0.5, (r, r)), -1)
-                F += np.diag(np.exp(rng.normal(0.0, 0.5, r)))
-            blocks.append(F @ F.T)
-        out = _newton(datum, blocks, basis, opts)
-        if out is None:
-            continue
-        val, blocks, gnorm = out
-        if best is None or val > best[0] + 1e-15 or (
-            abs(val - best[0]) <= 1e-12 and gnorm < best[2]
-        ):
-            best = (val, blocks, gnorm)
-    if best is None:
-        return math.nan, [np.eye(r) for r in datum.partition.blocks], math.inf
-    return best
-
-
 # lam of the split covariances Sigma_U + lam Sigma_perp; at 2**-30 the
 # one of coupled sums (1, 1, 0.5) is no longer numerically positive definite
 _SPLIT_LAM = 2.0**-20
 
 
 def _solve_tree(node, opts: SolverOptions):
-    """Value, covariance blocks, irreducible-leaf gradient norms and starts
-    run of a split tree node.  Explicit leaves are constant in Sigma and
-    take the identity; a split node sums its children's values and places
-    their covariances on U and _SPLIT_LAM U_perp."""
+    """Value, covariance blocks and irreducible-leaf gradient norms of a
+    split tree node.  Each irreducible leaf gets one ascent; explicit
+    leaves are constant in Sigma and take the identity; a split node sums
+    its children's values and places their covariances on U and
+    _SPLIT_LAM U_perp."""
     if node.leaf_kind == "irreducible":
-        val, blocks, gnorm = _multistart(node.datum, opts)
-        return val, blocks, [gnorm], max(1, opts.starts)
+        val, blocks, gnorm = _newton(node.datum, opts)
+        return val, blocks, [gnorm]
     if node.is_leaf:
-        return node.constant, [np.eye(r) for r in node.datum.partition.blocks], [], 0
-    (v_u, s_u, g_u, n_u), (v_p, s_p, g_p, n_p) = (_solve_tree(c, opts) for c in node.children)
+        return node.constant, [np.eye(r) for r in node.datum.partition.blocks], []
+    (v_u, s_u, g_u), (v_p, s_p, g_p) = (_solve_tree(c, opts) for c in node.children)
     E, Eperp = embed(node.subspace), embed(node.subspace.orthocomplement())
     full = E @ scipy.linalg.block_diag(*s_u) @ E.T
     full += _SPLIT_LAM * (Eperp @ scipy.linalg.block_diag(*s_p) @ Eperp.T)
     full = 0.5 * (full + full.T)
     blocks = [full[start:stop, start:stop] for start, stop in node.datum.partition.offsets()]
-    return v_u + v_p, blocks, g_u + g_p, n_u + n_p
+    return v_u + v_p, blocks, g_u + g_p
 
 
 def _unbounded(partition: Partition, V: ProductSubspace, lam: float) -> GaussianSolveResult:
@@ -419,10 +396,11 @@ def solve_mg(datum: Datum, opts: SolverOptions = SolverOptions()) -> GaussianSol
     2**10, or 2**-10 when the objective grows as Sigma shrinks.
 
     Otherwise ``mg_value`` sums the leaves of ``certify``'s split tree
-    (M = M_U + M_perp along a critical U): explicit constants, and the
-    best of ``opts.starts`` ascents on each irreducible leaf, whose
+    (M = M_U + M_perp along a critical U): explicit constants, and one
+    Newton ascent from Sigma = I on each irreducible leaf, whose
     scale-free gradient norms give ``converged`` (all at most ``opts.tol``)
-    and ``gradient_norm`` (their maximum, 0 without such a leaf).  On an
+    and ``gradient_norm`` (their maximum, 0 without such a leaf);
+    ``starts_used`` counts those leaves.  On an
     unsplit datum the objective at ``sigma_star`` is ``mg_value``: the
     ascent evaluates the blocks it returns.  A split datum's
     ``sigma_star`` is Sigma_U + lam Sigma_perp at every split with
@@ -439,14 +417,14 @@ def solve_mg(datum: Datum, opts: SolverOptions = SolverOptions()) -> GaussianSol
     except finiteness.ViolationError as exc:
         # along V the objective grows like 0.5 * slack(V) * log(lam)
         return _unbounded(datum.partition, exc.subspace, 2.0**10)
-    val, blocks, gnorms, starts = _solve_tree(tree, opts)
+    val, blocks, gnorms = _solve_tree(tree, opts)
     gnorm = max(gnorms, default=0.0)
     return GaussianSolveResult(
         mg_value=val,
         sigma_star=BlockCovariance(tuple(blocks)),
         converged=gnorm <= opts.tol,
         unbounded=False,
-        starts_used=starts,
+        starts_used=len(gnorms),  # one ascent per irreducible leaf
         gradient_norm=gnorm,
     )
 

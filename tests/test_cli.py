@@ -3,11 +3,13 @@
 Claims:
     - exit codes are the documented total function of the verdicts
     - parse failures and I/O failures exit 1; semantic validation exits 2,
-      and so do verify sample sizes the k-NN estimator cannot use
+      a non-finite exponent included, and so do verify sample sizes the
+      k-NN estimator cannot use
     - --samples, --knn-k and --confidence are options of verify alone:
       any other subcommand rejects them as an argparse error (exit 2);
-      so do the subcommands that do not read --starts, --tol, --format,
-      --bits or --seed (only verify reads --seed)
+      so do the subcommands that do not read --tol, --format, --bits or
+      --seed (only verify reads --seed), and solve and verify reject
+      --starts: the solver runs one ascent per irreducible leaf
     - an uncaught exception prints its traceback and exits 7, not 1
     - reports are byte-identical across repeated runs with one seed
     - the parsed defaults of every subcommand are RunConfig's defaults
@@ -17,6 +19,7 @@ Claims:
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -24,7 +27,7 @@ import pytest
 import blepi
 import blepi.cli
 from blepi.cli import RunConfig, _config, build_parser, main
-from blepi.datum import Datum, Partition
+from blepi.datum import Datum, Partition, datum_to_dict
 
 
 @pytest.fixture
@@ -84,6 +87,23 @@ class TestCheckCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["witness"]["kind"] == "scaling_residual"
         assert doc["witness"]["value"] == pytest.approx(0.5)
+
+    def test_nan_exponent_is_invalid(self, tmp_path, capsys):
+        # a NaN c used to be reported finite with exit 0
+        doc = datum_to_dict(blepi.make_epi_datum(0.5, 1))
+        doc["c"] = [math.nan]
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", str(path)]) == 2
+        issues = json.loads(capsys.readouterr().out)["issues"]
+        assert [(i["code"], i["location"]) for i in issues] == [("NONFINITE_ENTRY", "c[0]")]
+
+    def test_maps_that_are_not_a_list_is_a_parse_error(self, tmp_path):
+        doc = datum_to_dict(blepi.make_epi_datum(0.5, 1))
+        doc["maps"] = 5
+        path = tmp_path / "maps.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", str(path)]) == 1
 
 
 class TestSolveCommand:
@@ -184,6 +204,8 @@ class TestVerifyCommand:
         ["closed-form", "zf-coeffs", "{datum}", "--bits"],
         ["check", "{datum}", "--seed", "1"],
         ["solve", "{datum}", "--seed", "1"],
+        ["solve", "{datum}", "--starts", "8"],
+        ["verify", "{datum}", "--starts", "8"],
     ],
 )
 def test_options_a_subcommand_does_not_read_are_rejected(epi_file, argv, capsys):

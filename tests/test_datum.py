@@ -2,7 +2,8 @@
 
 Claims:
     - constructors produce data that pass validation
-    - validation reports (never raises) rank, shape, and sign problems
+    - validation reports (never raises) rank, shape, sign, and non-finite
+      exponent problems, each at its location
     - the named families have the documented shapes and exponents
     - save/load is a field-exact round trip; malformed files fail with
       a parse error naming the field
@@ -58,6 +59,17 @@ class TestValidate:
         )
         report = blepi.validate(bad)
         assert any(i.code == "DIMENSION_MISMATCH" for i in report.issues)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["c", "d"])
+    def test_nonfinite_exponent_is_flagged(self, field, bad):
+        # NaN and +inf exponents used to pass validation: check called a NaN
+        # datum finite, and solve exited 7 from inside LAPACK
+        base = blepi.make_epi_datum(0.5, 1)
+        exponents = {"c": base.c.copy(), "d": base.d.copy()}
+        exponents[field][0] = bad
+        report = blepi.validate(Datum(partition=base.partition, maps=base.maps, **exponents))
+        assert [(i.code, i.location) for i in report.issues] == [("NONFINITE_ENTRY", f"{field}[0]")]
 
     def test_idempotent(self):
         d = blepi.make_coupled_sums_datum(1.0, 1.0, 0.5, 0.5)
@@ -153,6 +165,16 @@ class TestSerialization:
     def test_missing_field_names_it(self, tmp_path):
         path = tmp_path / "broken.json"
         doc = {"partition": [1, 1], "c": [1.0], "d": [0.5, 0.5]}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DatumParseError, match="maps"):
+            blepi.load(path)
+
+    @pytest.mark.parametrize("maps", [5, None])
+    def test_maps_that_are_not_a_list_name_it(self, tmp_path, maps):
+        # enumerate() used to raise a raw TypeError, which the CLI reported
+        # as an internal error
+        path = tmp_path / "broken.json"
+        doc = {"partition": [1, 1], "maps": maps, "c": [1.0], "d": [0.5, 0.5]}
         path.write_text(json.dumps(doc))
         with pytest.raises(DatumParseError, match="maps"):
             blepi.load(path)

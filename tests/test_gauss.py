@@ -10,11 +10,14 @@ Claims:
       nonincreasing in epsilon, and converges as the noise vanishes
     - solve_mg finds the known optima, detects scaling divergence on
       either side of the balance, answers unbounded on a datum with a
-      violating subspace or an escaping probe ray, survives starts that
+      violating subspace or an escaping probe ray, survives ascents that
       run to the edge of the cone and an ill-conditioned image at
       Sigma = I without a RuntimeWarning, reports values accurate to
       rounding on seeded random draws, and reports equal-block
       covariances for the entropy power datum
+    - the solver takes no start count: each irreducible leaf gets one
+      ascent from Sigma = I, so starts_used counts those leaves, and on a
+      converged one-leaf datum no random covariance beats the value
     - boundary data, whose supremum is attained only in a degenerate
       limit, are solved exactly along the split tree, and the tree value
       equals the whole-datum ascent wherever that converges
@@ -45,7 +48,7 @@ from blepi.gauss import (
     _COND_LIMIT,
     _logdet_kernel,
     _moved,
-    _multistart,
+    _newton,
     _sym_basis,
     LOG_2PIE,
     BlockCovariance,
@@ -68,6 +71,25 @@ from blepi.subspace import ProductSubspace, SearchBudget, find_violating_subspac
 from conftest import random_block_covariance, random_datum, random_pair
 
 H1 = 0.5 * LOG_2PIE  # entropy of a unit-variance scalar Gaussian
+
+
+def _zamir_feder(seed, n, k):
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, k)))
+    return blepi.make_zamir_feder_datum(Q.T)
+
+
+# the named families: entropy power, interior and boundary coupled sums
+# (alpha = 1 + delta - beta / 2) and Zamir-Feder
+_FAMILIES = [
+    blepi.make_epi_datum(0.3, 1),
+    blepi.make_epi_datum(0.5, 2),
+    blepi.make_epi_datum(0.3, 3),
+    blepi.make_coupled_sums_datum(1.25, 0.5, 0.5, 0.5),
+    blepi.make_coupled_sums_datum(1.3, 0.4, 0.5, 0.5),
+    blepi.make_coupled_sums_datum(1.0, 0.8, 0.4, 0.4),
+    _zamir_feder(1, 4, 2),
+    _zamir_feder(2, 6, 3),
+]
 
 
 def fd_gradient(datum, sigma, h=1e-5):
@@ -286,7 +308,7 @@ class TestSolver:
 
     def test_nonfinite_factor_in_a_start_does_not_crash(self):
         # random-suite draw #3 is infinite through a per-block kernel
-        # subspace that the search does not try, so the starts run towards
+        # subspace that the search does not try, so the ascent runs towards
         # the edge of the cone; an earlier solver overflowed exp() there and
         # raised ValueError.  No convergence.
         rng = np.random.default_rng(7)
@@ -340,7 +362,7 @@ class TestSolver:
         # A Sigma A^T at Sigma = I has condition number 1e14, above the
         # solver's 1e12, and the objective is the constant -log(1e-7); the
         # reference value at Sigma = I used to raise out of solve_mg, and
-        # every start used to fail; it is a single-map leaf of its tree
+        # every ascent used to fail; it is a single-map leaf of its tree
         d = Datum(
             partition=Partition((2,)),
             maps=(np.array([[1.0, 0.0], [0.0, 1e-7]]),),
@@ -354,7 +376,7 @@ class TestSolver:
     def test_boundary_random_draw_solves_to_a_valid_covariance(self):
         # seeded random draw 18 of np.random.default_rng([1, 3]): the datum
         # is infinite through a per-block kernel subspace that the search
-        # does not try, so the starts run to the edge of the cone, where
+        # does not try, so the ascent runs to the edge of the cone, where
         # any other rounding of the objective can end in a sigma_star that
         # is not positive definite and a ValueError out of solve_mg
         rng = np.random.default_rng([1, 3])
@@ -365,7 +387,7 @@ class TestSolver:
 
     def test_beta_one_coupled_sums_is_solved_exactly(self):
         # the supremum 0 is attained only in a degenerate limit; every
-        # leaf of the split tree is explicit, so no start runs
+        # leaf of the split tree is explicit, so no ascent runs
         d = blepi.make_coupled_sums_datum(1.0, 1.0, 0.5, 0.5)
         res = solve_mg(d)
         assert res.converged and not res.unbounded
@@ -418,15 +440,48 @@ class TestSolver:
         for S, E in zip(res.sigma_star.blocks, expected.blocks):
             np.testing.assert_array_equal(S, E)
 
+    def test_start_count_is_not_an_option(self):
+        with pytest.raises(TypeError):
+            SolverOptions(starts=8)
+        assert SolverOptions().starts == 1
+
+    @pytest.mark.parametrize("d", _FAMILIES, ids=lambda d: d.metadata["family"])
+    def test_one_ascent_per_irreducible_leaf(self, d):
+        res = solve_mg(d)
+        assert res.converged
+        kinds = [leaf.leaf_kind for leaf in certify(d).leaves()]
+        assert res.starts_used == kinds.count("irreducible")
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_no_random_covariance_beats_a_converged_one_leaf_solve(seed):
+    """On a one-leaf datum the single ascent from Sigma = I is the whole
+    solve; wherever it converges, concavity makes its value the maximum,
+    so the objective at 20 random block covariances stays below it."""
+    rng = np.random.default_rng(seed)
+    d = random_datum(rng, balanced=True)
+    try:
+        tree = certify(d)
+    except ViolationError:
+        return
+    if len(tree.leaves()) != 1:
+        return
+    res = solve_mg(d)
+    if not res.converged:
+        return
+    for _ in range(20):
+        assert objective(d, random_block_covariance(rng, d.partition)) <= res.mg_value + 1e-9
+
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), draw=st.integers(0, 9))
 @example(seed=7, draw=5)
 @example(seed=7, draw=42)
 def test_split_tree_value_matches_the_whole_datum_ascent(seed, draw):
-    """Where the multi-start ascent on the whole datum converges, the sum
-    over the split tree equals its value, and the objective at sigma_star
-    does not exceed it.  A datum whose tree is one irreducible leaf is
+    """Where the ascent on the whole datum converges, the sum over the
+    split tree equals its value, and the objective at sigma_star does not
+    exceed it.  A datum whose tree is one irreducible leaf is
     solved by that same ascent, so only split data are compared.  Draws 5
     and 42 of default_rng(7) are the two data of the 150-draw random
     suite whose trees split."""
@@ -439,7 +494,7 @@ def test_split_tree_value_matches_the_whole_datum_ascent(seed, draw):
     if tree.leaf_kind == "irreducible":
         return
     opts = SolverOptions()
-    whole, _, gnorm = _multistart(d, opts)
+    whole, _, gnorm = _newton(d, opts)
     if gnorm <= opts.tol:
         res = solve_mg(d, opts)
         assert res.converged
