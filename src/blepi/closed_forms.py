@@ -11,6 +11,9 @@ The oracle works in t = atanh(rho), in which both log ratios are written
 without cancellation. At alpha = 1 (rho = 1) the supremum is a limit as
 t -> infinity that the oracle approaches from below, and its Nelder-Mead
 refinements stop on their own tolerances there as in the interior.
+The refinement is scipy.optimize's Nelder-Mead, the only use of scipy in
+this module; it is imported on the oracle's first call, so importing the
+module loads numpy only.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 __all__ = [
     "CoupledSumsParams",
@@ -274,6 +276,8 @@ def _log_ratio_2var(logx, t, alpha, beta):
 
 def _refine(fun, x0, maxfev):
     """Nelder-Mead ascent of fun from x0: the best value and its point."""
+    import scipy.optimize
+
     res = scipy.optimize.minimize(
         lambda z: -fun(*z),
         x0,

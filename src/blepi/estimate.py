@@ -10,6 +10,11 @@ Kozachenko-Leonenko k-nearest-neighbor estimator otherwise (always for
 the transformed images A_j X), and compare the empirical combination to
 a reference optimum with batch-means error bars.  A failing report flags
 a statistical counterexample candidate; it is never a proof.
+
+scipy is imported inside the three calls that use it: the 1-D mixture
+entropy quadrature (``scipy.integrate.quad``), the k-d tree behind k-NN
+distances in dimension d > 1 and the digamma/log-gamma constants of
+``knn_entropy``.  Importing the module loads numpy only.
 """
 
 from __future__ import annotations
@@ -20,9 +25,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.integrate
-from scipy.spatial import cKDTree
-from scipy.special import digamma, gammaln
 
 from .datum import Datum, Partition
 from .gauss import gaussian_entropy
@@ -190,6 +192,8 @@ class TwoGaussianMixBlock:
 
     def _quadrature(self) -> float:
         if self.dim == 1:
+            import scipy.integrate
+
             smax = math.sqrt(max(self.cov_a[0, 0], self.cov_b[0, 0]))
             L = 12.0 * smax
 
@@ -297,6 +301,8 @@ def _kth_neighbor_distances(X: np.ndarray, k: int) -> np.ndarray:
     """
     n, d = X.shape
     if d > 1:
+        from scipy.spatial import cKDTree
+
         tree = cKDTree(X, balanced_tree=False, compact_nodes=False)
         return tree.query(X, k=[k + 1], workers=-1)[0][:, 0]
     order = np.argsort(X[:, 0])
@@ -353,6 +359,8 @@ def knn_entropy(samples, k: int = 3, rng: Optional[np.random.Generator] = None) 
         eps = _kth_neighbor_distances(X, k)
         if np.any(eps <= 0.0):
             raise ValueError("duplicate samples remain after jitter")
+    from scipy.special import digamma, gammaln
+
     const = float(digamma(n) - digamma(k)) + 0.5 * d * math.log(math.pi) - float(
         gammaln(0.5 * d + 1.0)
     )

@@ -27,7 +27,6 @@ from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
-import scipy.linalg
 
 from .datum import RESIDUAL_TOL, Datum, Partition, scaling_residual, validate
 from .gauss import divergence_probe
@@ -38,6 +37,7 @@ from .subspace import (
     coordinate_family_size,
     embed,
     find_violating_subspace,
+    null_space,
     rank_tol,
     slack,
 )
@@ -212,9 +212,9 @@ def split_datum(datum: Datum, U: ProductSubspace) -> SplitResult:
     restricted, quotient, cross = [], [], []
     for A in datum.maps:
         AE = A @ E
-        W, sv, _ = scipy.linalg.svd(AE, full_matrices=False)
+        W, sv, _ = np.linalg.svd(AE, full_matrices=False)
         F = W[:, : int(np.sum(sv > rank_tol(A)))]
-        G = scipy.linalg.null_space(F.T)
+        G = null_space(F.T)
         image_bases.append(F)
         coimage_bases.append(G)
         restricted.append(F.T @ AE)

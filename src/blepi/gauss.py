@@ -36,10 +36,9 @@ from dataclasses import dataclass
 from typing import ClassVar, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .datum import RESIDUAL_TOL, Datum, Partition, scaling_residual
-from .subspace import ProductSubspace, SearchBudget, embed, slack
+from .subspace import ProductSubspace, SearchBudget, block_diag, embed, slack
 
 __all__ = [
     "LOG_2PIE",
@@ -112,7 +111,7 @@ class BlockCovariance:
         return Partition(tuple(S.shape[0] for S in self.blocks))
 
     def full(self) -> np.ndarray:
-        return scipy.linalg.block_diag(*self.blocks)
+        return block_diag(self.blocks)
 
     def scaled(self, t: float) -> "BlockCovariance":
         return BlockCovariance(tuple(t * S for S in self.blocks))
@@ -172,9 +171,7 @@ def _logdet_kernel(datum, factors, epsilon=0.0, cond_limit=None, basis=None):
         g(X) = 1/2 tr(D X) - 1/2 sum_j c_j tr(Q_j^T X Q_j),
         H(X, X) = -1/2 sum_j c_j ||(I - P_j) X Q_j||_F^2 <= 0.
     """
-    L = np.zeros((datum.n, datum.n))
-    for (start, stop), F in zip(datum.partition.offsets(), factors):
-        L[start:stop, start:stop] = F
+    L = block_diag(factors)
     # the diagonal ratio is about 1 / sqrt(condition number)
     diag_floor = np.finfo(float).eps ** 0.5 if cond_limit is None else cond_limit**-0.5
     val = 0.0
@@ -244,7 +241,7 @@ def gradient(datum: Datum, sigma: BlockCovariance) -> tuple[np.ndarray, ...]:
     gmat = np.tensordot(_logdet_kernel(datum, factors, basis=basis)[1], basis, 1)
     grads = []
     for (start, stop), F in zip(datum.partition.offsets(), factors):
-        Finv = scipy.linalg.solve_triangular(F, np.eye(F.shape[0]), lower=True)
+        Finv = np.linalg.solve(F, np.eye(F.shape[0]))
         G = Finv.T @ gmat[start:stop, start:stop] @ Finv
         grads.append(0.5 * (G + G.T))
     return tuple(grads)
@@ -365,8 +362,8 @@ def _solve_tree(node, opts: SolverOptions):
         return node.constant, [np.eye(r) for r in node.datum.partition.blocks], []
     (v_u, s_u, g_u), (v_p, s_p, g_p) = (_solve_tree(c, opts) for c in node.children)
     E, Eperp = embed(node.subspace), embed(node.subspace.orthocomplement())
-    full = E @ scipy.linalg.block_diag(*s_u) @ E.T
-    full += _SPLIT_LAM * (Eperp @ scipy.linalg.block_diag(*s_p) @ Eperp.T)
+    full = E @ block_diag(s_u) @ E.T
+    full += _SPLIT_LAM * (Eperp @ block_diag(s_p) @ Eperp.T)
     full = 0.5 * (full + full.T)
     blocks = [full[start:stop, start:stop] for start, stop in node.datum.partition.offsets()]
     return v_u + v_p, blocks, g_u + g_p
@@ -497,7 +494,7 @@ class GaussianPair:
     @staticmethod
     def independent(first: BlockCovariance, second: BlockCovariance) -> "GaussianPair":
         blocks = tuple(
-            scipy.linalg.block_diag(S1, S2)
+            block_diag((S1, S2))
             for S1, S2 in zip(first.blocks, second.blocks)
         )
         return GaussianPair(blocks)

@@ -12,6 +12,10 @@ construction in :mod:`blepi.finiteness` consumes.
 
 Image dimensions dim(A_j V) are numerical ranks with a tolerance
 relative to the map A_j, so a subspace inside ker A_j scores zero.
+Kernel and span bases (``null_space``, ``orthonormal_columns``) are read
+off ``numpy.linalg.svd`` with the rank cut eps * max(shape) relative to
+the largest singular value, and ``block_diag`` stacks blocks by slice
+assignment: the package's linear algebra needs numpy only.
 
 Together with the scaling balance, slack is the package's one
 unboundedness decision (Bennett-Carbery-Christ-Tao: the constant is
@@ -32,7 +36,6 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .datum import Datum, Partition
 
@@ -42,6 +45,8 @@ __all__ = [
     "SearchBudget",
     "CRITICAL_TOL",
     "orthonormal_columns",
+    "null_space",
+    "block_diag",
     "embed",
     "rank_tol",
     "dim_image",
@@ -62,12 +67,38 @@ _ORTHO_TOL = 1e-10
 _RANK_TOL = 10.0
 
 
+def _svd_rank(s: np.ndarray, shape: tuple[int, int]) -> int:
+    """Singular values above eps * max(shape) times the largest one."""
+    return int(np.sum(s > np.amax(s, initial=0.0) * np.finfo(float).eps * max(shape)))
+
+
 def orthonormal_columns(M: np.ndarray) -> np.ndarray:
-    """Orthonormal basis for the column span of M (possibly empty)."""
+    """Orthonormal basis for the column span of M (possibly empty): the
+    leading left singular vectors up to the ``_svd_rank`` cut."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise ValueError("expected a matrix")
-    return scipy.linalg.orth(M)
+    u, s, _ = np.linalg.svd(M, full_matrices=False)
+    return u[:, : _svd_rank(s, M.shape)]
+
+
+def null_space(A: np.ndarray) -> np.ndarray:
+    """Orthonormal basis for ker A (possibly empty): the right singular
+    vectors past the ``_svd_rank`` cut."""
+    _, s, vh = np.linalg.svd(A, full_matrices=True)
+    return vh[_svd_rank(s, A.shape) :].T
+
+
+def block_diag(blocks) -> np.ndarray:
+    """Matrices (rectangular or empty allowed) stacked along the diagonal."""
+    out = np.zeros((sum(B.shape[0] for B in blocks), sum(B.shape[1] for B in blocks)))
+    row = col = 0
+    for B in blocks:
+        r, t = B.shape
+        out[row : row + r, col : col + t] = B
+        row += r
+        col += t
+    return out
 
 
 @dataclass(frozen=True)
@@ -133,7 +164,7 @@ class ProductSubspace:
 
     def orthocomplement(self) -> "ProductSubspace":
         """Per-block orthogonal complement."""
-        return ProductSubspace(tuple(scipy.linalg.null_space(B.T) for B in self.bases))
+        return ProductSubspace(tuple(null_space(B.T) for B in self.bases))
 
 
 @dataclass(frozen=True)
@@ -152,16 +183,7 @@ class SlackResult:
 
 def embed(V: ProductSubspace) -> np.ndarray:
     """Orthonormal n x dim(V) basis of V inside R^n (block-diagonal stacking)."""
-    n = sum(V.ambient)
-    t = V.dim
-    E = np.zeros((n, t))
-    row = col = 0
-    for B in V.bases:
-        r, ti = B.shape
-        E[row : row + r, col : col + ti] = B
-        row += r
-        col += ti
-    return E
+    return block_diag(V.bases)
 
 
 def rank_tol(A: np.ndarray) -> float:
@@ -233,8 +255,8 @@ def _block_projections(partition: Partition, K: np.ndarray) -> Optional[ProductS
 
 def _kernel_pair_intersection(Ka: np.ndarray, Kb: np.ndarray) -> np.ndarray:
     """Basis of span(Ka) ∩ span(Kb) via the joint orthocomplement."""
-    stacked = np.hstack([scipy.linalg.null_space(Ka.T), scipy.linalg.null_space(Kb.T)])
-    return scipy.linalg.null_space(stacked.T)
+    stacked = np.hstack([null_space(Ka.T), null_space(Kb.T)])
+    return null_space(stacked.T)
 
 
 def candidate_subspaces(
@@ -259,7 +281,7 @@ def candidate_subspaces(
     partition = datum.partition
     yield from _coordinate_candidates(partition, budget.profile_cap)
 
-    kernels = [scipy.linalg.null_space(A) for A in datum.maps]
+    kernels = [null_space(A) for A in datum.maps]
     for K in kernels:
         V = _block_projections(partition, K)
         if V is not None:
@@ -273,7 +295,7 @@ def candidate_subspaces(
             yield V
     for A in datum.maps:
         V = ProductSubspace(
-            tuple(scipy.linalg.null_space(A[:, start:stop]) for start, stop in partition.offsets())
+            tuple(null_space(A[:, start:stop]) for start, stop in partition.offsets())
         )
         if V.dim > 0:
             yield V

@@ -23,8 +23,9 @@ Claims:
       equals the whole-datum ascent wherever that converges
     - the log-det kernel's value and geodesic gradient match the Cholesky
       formulas, it is degenerate where their Cholesky diagonals say so,
-      and its Hessian matches central differences of the gradient and is
-      negative semidefinite; a random draw whose optimum is near the
+      and its Hessian matches Richardson-extrapolated central differences
+      of the gradient and is negative semidefinite; the public gradient
+      matches the Cholesky formulas; a random draw whose optimum is near the
       boundary of the cone solves to a valid covariance
     - pair evaluations are additive for independent pairs and invariant
       under the orthogonal two-copy rotation, which is an involution
@@ -534,6 +535,19 @@ def _reference_gradient(datum, factors):
     return val, grads, ratio
 
 
+def _reference_kappa(datum, factors):
+    """The reference forms Sigma and A_j Sigma A_j^T, so it is accurate to
+    about eps times the largest of their condition numbers, returned here."""
+    full = scipy.linalg.block_diag(*(F @ F.T for F in factors))
+    return max(
+        [np.linalg.cond(F) ** 2 for F in factors]
+        + [
+            np.linalg.norm(A, 2) ** 2 * np.linalg.norm(full, 2) / np.linalg.eigvalsh(A @ full @ A.T)[0]
+            for A in datum.maps
+        ]
+    )
+
+
 def _whitened(datum, factors, grads, basis):
     """The gradient in the coordinates Sigma = L exp(X) L^T: Diag(L_i^T G_i L_i)
     in the basis."""
@@ -549,53 +563,14 @@ def _random_factors(rng, partition, scale):
     return factors
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    balanced=st.booleans(),
-    scale=st.sampled_from([0.1, 0.5, 1.0, 2.0]),
-)
-@example(seed=0, balanced=True, scale=2.0)
-def test_logdet_kernel_matches_cholesky_formulas(seed, balanced, scale):
-    """The QR kernel's value and geodesic gradient equal the Cholesky
-    formulas within a relative tolerance, it is degenerate where the
-    Cholesky diagonals say so, its Hessian matches central differences of
-    the reference gradient along each basis direction, and it is negative
-    semidefinite."""
-    rng = np.random.default_rng(seed)
-    datum = random_datum(rng, balanced=balanced)
-    basis = _sym_basis(datum.partition)
-    factors = _random_factors(rng, datum.partition, scale)
-    ref_val, ref_grads, ratio = _reference_gradient(datum, factors)
-    floor = _COND_LIMIT**-0.5
-    try:
-        val, g, H = _logdet_kernel(datum, factors, cond_limit=_COND_LIMIT, basis=basis)
-    except DegenerateImageError:
-        assert ratio < 1.01 * floor
-        return
-    assert ratio > floor / 1.01
-    # the reference forms Sigma and A_j Sigma A_j^T, so it is accurate to
-    # about eps times these condition numbers (at most 5 eps kappa in the
-    # value and 2.2 eps kappa in the gradient over 4000 seeded draws)
-    full = scipy.linalg.block_diag(*(F @ F.T for F in factors))
-    kappa = max(
-        [np.linalg.cond(F) ** 2 for F in factors]
-        + [
-            np.linalg.norm(A, 2) ** 2 * np.linalg.norm(full, 2) / np.linalg.eigvalsh(A @ full @ A.T)[0]
-            for A in datum.maps
-        ]
-    )
-    rtol = 64 * np.finfo(float).eps * kappa
-    assert abs(val - ref_val) <= rtol * (1.0 + abs(ref_val))
-    ref_g = _whitened(datum, factors, ref_grads, basis)
-    np.testing.assert_allclose(g, ref_g, rtol=0, atol=rtol * (1.0 + np.abs(ref_g).max()))
-    # H[:, k]: central differences in h of the gradient in the frame
-    # F = L exp(+-h E_k / 2), which is the gradient of X -> f(L exp(X) L^T)
-    # at X = +-h E_k times an operator I + O(h^2) that is even in h; the
-    # kernel takes the triangular T = F U^T, whose frame is rotated by U
-    h = 1e-4
+def _fd_hessian(datum, factors, basis, h):
+    """Column k: central differences in h of the kernel gradient in the
+    frame F = L exp(+-h E_k / 2), which is the gradient of
+    X -> f(L exp(X) L^T) at X = +-h E_k times an operator I + O(h^2) that
+    is even in h; the kernel takes the triangular T = F U^T, whose frame
+    is rotated by U."""
     offsets = datum.partition.offsets()
-    fd = np.empty_like(H)
+    fd = np.empty((len(basis), len(basis)))
     for k, E in enumerate(basis):
         sides = []
         for X in (h * E, -h * E):
@@ -610,8 +585,68 @@ def test_logdet_kernel_matches_cholesky_formulas(seed, balanced, scale):
             )
             sides.append(basis.reshape(len(basis), -1) @ (U.T @ gT @ U).ravel())
         fd[:, k] = (sides[0] - sides[1]) / (2 * h)
+    return fd
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    balanced=st.booleans(),
+    scale=st.sampled_from([0.1, 0.5, 1.0, 2.0]),
+)
+@example(seed=0, balanced=True, scale=2.0)
+@example(seed=1802539, balanced=False, scale=2.0)
+def test_logdet_kernel_matches_cholesky_formulas(seed, balanced, scale):
+    """The QR kernel's value and geodesic gradient equal the Cholesky
+    formulas within a relative tolerance, it is degenerate where the
+    Cholesky diagonals say so, its Hessian matches Richardson-extrapolated
+    central differences of its gradient along each basis direction, and it
+    is negative semidefinite."""
+    rng = np.random.default_rng(seed)
+    datum = random_datum(rng, balanced=balanced)
+    basis = _sym_basis(datum.partition)
+    factors = _random_factors(rng, datum.partition, scale)
+    ref_val, ref_grads, ratio = _reference_gradient(datum, factors)
+    floor = _COND_LIMIT**-0.5
+    try:
+        val, g, H = _logdet_kernel(datum, factors, cond_limit=_COND_LIMIT, basis=basis)
+    except DegenerateImageError:
+        assert ratio < 1.01 * floor
+        return
+    assert ratio > floor / 1.01
+    # at most 5 eps kappa in the value and 2.2 eps kappa in the gradient
+    # over 4000 seeded draws
+    rtol = 64 * np.finfo(float).eps * _reference_kappa(datum, factors)
+    assert abs(val - ref_val) <= rtol * (1.0 + abs(ref_val))
+    ref_g = _whitened(datum, factors, ref_grads, basis)
+    np.testing.assert_allclose(g, ref_g, rtol=0, atol=rtol * (1.0 + np.abs(ref_g).max()))
+    # Richardson extrapolation of the steps h and 2h cancels the h^2 term
+    # of the differences' truncation error, so h can be large enough that
+    # the rounding of the gradient, amplified by 1/h, stays small: at
+    # h = 1e-4 without it, a factor with cond^2 = 1.8e8 put 1.7e-6 of
+    # rounding into fd (the pinned example above)
+    h = 1e-3
+    fd = (4.0 * _fd_hessian(datum, factors, basis, h) - _fd_hessian(datum, factors, basis, 2 * h)) / 3.0
     np.testing.assert_allclose(H, fd, rtol=0, atol=1e-6 * (1.0 + np.abs(H).max()))
     assert np.linalg.eigvalsh(H).max() <= 1e-12 * (1.0 + np.abs(H).max())
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), balanced=st.booleans(), scale=st.sampled_from([0.1, 0.5]))
+def test_gradient_matches_cholesky_formulas(seed, balanced, scale):
+    """The public per-block gradient, unwhitened from the kernel by solves
+    with the Cholesky factors, equals the Cholesky formulas within 64 eps kappa
+    (at most 7 eps kappa over 2000 seeded draws at scale 0.5)."""
+    rng = np.random.default_rng(seed)
+    datum = random_datum(rng, balanced=balanced)
+    factors = _random_factors(rng, datum.partition, scale)
+    _, ref_grads, ratio = _reference_gradient(datum, factors)
+    if ratio < _COND_LIMIT**-0.5:
+        return
+    grads = gradient(datum, BlockCovariance(tuple(F @ F.T for F in factors)))
+    rtol = 64 * np.finfo(float).eps * _reference_kappa(datum, factors)
+    for G, ref in zip(grads, ref_grads):
+        np.testing.assert_allclose(G, ref, rtol=0, atol=rtol * (1.0 + np.abs(ref).max()))
 
 
 class TestPairs:

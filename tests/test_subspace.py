@@ -2,6 +2,9 @@
 
 Claims:
     - embed stacks per-block bases block-diagonally and orthonormally
+    - the numpy bases null_space and orthonormal_columns, and block_diag,
+      equal scipy.linalg's null_space, orth and block_diag bit for bit on
+      shapes 0 to 7, rank-deficient and badly scaled matrices included
     - dim_image is a numerical rank, bounded by min(dim V, n_j) and
       monotone under inclusion; its tolerance is relative to the map, so
       a kernel has image dimension zero and the full space image
@@ -27,10 +30,13 @@ from blepi.datum import Datum, Partition
 from blepi.subspace import (
     ProductSubspace,
     SearchBudget,
+    block_diag,
     candidate_subspaces,
     dim_image,
     embed,
     find_violating_subspace,
+    null_space,
+    orthonormal_columns,
     slack,
 )
 from conftest import random_datum
@@ -59,6 +65,40 @@ class TestEmbed:
     def test_rejects_nonorthonormal_basis(self):
         with pytest.raises(ValueError):
             ProductSubspace((np.array([[1.0], [1.0]]),))
+
+
+def _defective_matrix(rng, m, n, defect):
+    """An m x n Gaussian matrix, then one defect: a duplicated row, a zeroed
+    column, rows scaled by 10^+-6, or rank at most min(m, n) - 1."""
+    A = rng.standard_normal((m, n))
+    if defect == "duplicate_row" and m >= 2:
+        A[-1] = A[0]
+    elif defect == "zero_column" and n >= 1:
+        A[:, int(rng.integers(n))] = 0.0
+    elif defect == "scaled_rows":
+        A *= 10.0 ** rng.choice([-6.0, 0.0, 6.0], size=(m, 1))
+    elif defect == "low_rank":
+        k = max(min(m, n) - 1, 0)
+        A = rng.standard_normal((m, k)) @ rng.standard_normal((k, n))
+    return A
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(0, 7),
+    n=st.integers(0, 7),
+    defect=st.sampled_from(["none", "duplicate_row", "zero_column", "scaled_rows", "low_rank"]),
+)
+def test_numpy_bases_equal_scipy_bit_for_bit(seed, m, n, defect):
+    """null_space and orthonormal_columns are scipy.linalg's null_space and
+    orth, and block_diag is scipy.linalg.block_diag, entry for entry."""
+    rng = np.random.default_rng(seed)
+    A = _defective_matrix(rng, m, n, defect)
+    assert np.array_equal(null_space(A), scipy.linalg.null_space(A))
+    assert np.array_equal(orthonormal_columns(A), scipy.linalg.orth(A))
+    blocks = [A] + [rng.standard_normal(tuple(rng.integers(0, 4, 2))) for _ in range(rng.integers(0, 3))]
+    assert np.array_equal(block_diag(blocks), scipy.linalg.block_diag(*blocks))
 
 
 class TestDimImage:
