@@ -17,6 +17,12 @@ off ``numpy.linalg.svd`` with the rank cut eps * max(shape) relative to
 the largest singular value, and ``block_diag`` stacks blocks by slice
 assignment: the package's linear algebra needs numpy only.
 
+A ``ProductSubspace`` is validated once, when it is built, by one
+orthonormality check on its block-diagonal embedding; it carries that
+embedding, read-only, so ``slack``, the split and the solver read it
+instead of rebuilding it.  The coordinate family builds each block's
+axis bases once per scan.
+
 Together with the scaling balance, slack is the package's one
 unboundedness decision (Bennett-Carbery-Christ-Tao: the constant is
 finite iff the balance holds and no product subspace has positive
@@ -32,7 +38,7 @@ but the search does not use it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 import numpy as np
@@ -101,11 +107,26 @@ def block_diag(blocks) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+def _orthonormal(M: np.ndarray) -> bool:
+    """``np.allclose(M.T @ M, I, atol=_ORTHO_TOL)`` with its default rtol
+    1e-5 written out; NaN and inf fail it without a warning."""
+    eye = np.eye(M.shape[1])
+    with np.errstate(invalid="ignore", over="ignore"):
+        return bool(np.all(np.abs(M.T @ M - eye) <= _ORTHO_TOL + 1e-5 * eye))
+
+
+@dataclass(frozen=True, eq=False)
 class ProductSubspace:
-    """Per-block orthonormal bases B_i of shape (r_i, t_i); t_i = 0 allowed."""
+    """Per-block orthonormal bases B_i of shape (r_i, t_i); t_i = 0 allowed.
+
+    The bases are validated once, on the block-diagonal embedding
+    ``block_diag(bases)``, whose Gram matrix is block diagonal with the
+    blocks' Gram matrices; the embedding is kept, read-only, as
+    ``embedding``.  Equality is identity (the fields are arrays).
+    """
 
     bases: tuple[np.ndarray, ...]
+    embedding: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         frozen = []
@@ -116,11 +137,15 @@ class ProductSubspace:
             r, t = B.shape
             if not 0 <= t <= r:
                 raise ValueError(f"block {i}: {t} basis columns in dimension {r}")
-            if t > 0 and not np.allclose(B.T @ B, np.eye(t), atol=_ORTHO_TOL):
-                raise ValueError(f"block {i}: columns are not orthonormal")
             B.setflags(write=False)
             frozen.append(B)
+        E = block_diag(frozen)
+        if not _orthonormal(E):
+            bad = next(i for i, B in enumerate(frozen) if not _orthonormal(B))
+            raise ValueError(f"block {bad}: columns are not orthonormal")
+        E.setflags(write=False)
         object.__setattr__(self, "bases", tuple(frozen))
+        object.__setattr__(self, "embedding", E)
 
     @property
     def block_dims(self) -> tuple[int, ...]:
@@ -145,13 +170,9 @@ class ProductSubspace:
     @staticmethod
     def coordinate(partition: Partition, axes: tuple[tuple[int, ...], ...]) -> "ProductSubspace":
         """Span of the given coordinate axes within each block."""
-        bases = []
-        for r, idx in zip(partition.blocks, axes):
-            B = np.zeros((r, len(idx)))
-            for col, a in enumerate(idx):
-                B[a, col] = 1.0
-            bases.append(B)
-        return ProductSubspace(tuple(bases))
+        return ProductSubspace(
+            tuple(np.eye(r)[:, list(idx)] for r, idx in zip(partition.blocks, axes))
+        )
 
     @staticmethod
     def from_spans(partition: Partition, spans) -> "ProductSubspace":
@@ -182,8 +203,9 @@ class SlackResult:
 
 
 def embed(V: ProductSubspace) -> np.ndarray:
-    """Orthonormal n x dim(V) basis of V inside R^n (block-diagonal stacking)."""
-    return block_diag(V.bases)
+    """Orthonormal n x dim(V) basis of V inside R^n (block-diagonal stacking),
+    the read-only ``V.embedding``."""
+    return V.embedding
 
 
 def rank_tol(A: np.ndarray) -> float:
@@ -195,12 +217,13 @@ def rank_tol(A: np.ndarray) -> float:
 def dim_image(A: np.ndarray, V: ProductSubspace) -> int:
     """Numerical rank of A restricted to V, i.e. dim(A V), cut at rank_tol(A)."""
     A = np.asarray(A, dtype=float)
-    E = embed(V)
+    E = V.embedding
     if A.shape[1] != E.shape[0]:
         raise ValueError(f"map has {A.shape[1]} columns, subspace lives in R^{E.shape[0]}")
     if E.shape[1] == 0:
         return 0
-    return int(np.linalg.matrix_rank(A @ E, tol=rank_tol(A)))
+    # np.linalg.matrix_rank(A @ E, tol=rank_tol(A)) without its wrapper
+    return int(np.count_nonzero(np.linalg.svd(A @ E, compute_uv=False) > rank_tol(A)))
 
 
 def slack(datum: Datum, V: ProductSubspace) -> SlackResult:
@@ -230,17 +253,15 @@ def coordinate_family_size(partition: Partition) -> int:
 
 def _coordinate_candidates(partition: Partition, cap: int) -> Iterator[ProductSubspace]:
     per_block = [
-        list(itertools.chain.from_iterable(
-            itertools.combinations(range(r), t) for t in range(r + 1)
-        ))
+        [
+            np.eye(r)[:, list(idx)]
+            for t in range(r + 1)
+            for idx in itertools.combinations(range(r), t)
+        ]
         for r in partition.blocks
     ]
-    count = 0
-    for combo in itertools.product(*per_block):
-        if count >= cap:
-            return
-        yield ProductSubspace.coordinate(partition, combo)
-        count += 1
+    for bases in itertools.islice(itertools.product(*per_block), cap):
+        yield ProductSubspace(bases)
 
 
 def _block_projections(partition: Partition, K: np.ndarray) -> Optional[ProductSubspace]:

@@ -1,23 +1,34 @@
 """Product subspaces: embedding, image dimensions, slack, and the search.
 
 Claims:
-    - embed stacks per-block bases block-diagonally and orthonormally
+    - embed stacks per-block bases block-diagonally and orthonormally;
+      the embedding is stored on the subspace, read-only, and equals
+      block_diag of the bases
+    - the one orthonormality check of the embedding accepts and rejects
+      exactly as np.allclose(B^T B, I, atol=_ORTHO_TOL) on every block
+      (tolerance edges, NaN, inf and empty blocks included) and names the
+      first bad block; subspaces compare by identity and hash
     - the numpy bases null_space and orthonormal_columns, and block_diag,
       equal scipy.linalg's null_space, orth and block_diag bit for bit on
       shapes 0 to 7, rank-deficient and badly scaled matrices included
-    - dim_image is a numerical rank, bounded by min(dim V, n_j) and
-      monotone under inclusion; its tolerance is relative to the map, so
-      a kernel has image dimension zero and the full space image
-      dimension n_j even when the rows are scaled over six decades
+    - dim_image is np.linalg.matrix_rank of A E at rank_tol(A), bounded
+      by min(dim V, n_j) and monotone under inclusion; its tolerance is
+      relative to the map, so a kernel has image dimension zero and the
+      full space image dimension n_j even when the rows are scaled over
+      six decades
     - slack matches the hand-computed values on the named data, is zero
       on the zero subspace, equals the scaling residual on the full
       space, and is invariant under per-block re-bases
     - a Haar-random product subspace has, map by map, image dimensions
       at least those of the coordinate subspace with the same dimension
       profile, so its slack is never larger (why the search draws none)
-    - the candidate iterator enumerates the documented families and the
-      search returns only certified (slack-positive) witnesses
+    - the candidate iterator enumerates the documented families, the
+      coordinate family in the order and with the bases of a
+      column-by-column construction up to the cap, and the search returns
+      only certified (slack-positive) witnesses
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -28,8 +39,10 @@ from hypothesis import strategies as st
 import blepi
 from blepi.datum import Datum, Partition
 from blepi.subspace import (
+    _ORTHO_TOL,
     ProductSubspace,
     SearchBudget,
+    _coordinate_candidates,
     block_diag,
     candidate_subspaces,
     dim_image,
@@ -37,6 +50,7 @@ from blepi.subspace import (
     find_violating_subspace,
     null_space,
     orthonormal_columns,
+    rank_tol,
     slack,
 )
 from conftest import random_datum
@@ -65,6 +79,112 @@ class TestEmbed:
     def test_rejects_nonorthonormal_basis(self):
         with pytest.raises(ValueError):
             ProductSubspace((np.array([[1.0], [1.0]]),))
+
+    def test_equality_is_identity_and_hash_works(self):
+        V = ProductSubspace.full(Partition((2, 1)))
+        W = ProductSubspace.full(Partition((2, 1)))
+        # generated field-wise == on array fields raises (ambiguous truth
+        # value), and a frozen dataclass with eq=True has no usable hash
+        assert V == V and V != W
+        assert hash(V) == hash(V)
+        assert len({V, W, V}) == 2
+
+
+# how one block's Gram matrix B^T B is moved off the identity: np.allclose
+# with atol=_ORTHO_TOL allows |G - I| <= 1e-10 off the diagonal and
+# 1e-10 + 1e-5 on it (its default rtol times |I|)
+_GRAM_MOVES = {
+    "none": None,
+    "diagonal_inside": ("diag", (_ORTHO_TOL + 1e-5) * (1 - 1e-4)),
+    "diagonal_outside": ("diag", (_ORTHO_TOL + 1e-5) * (1 + 1e-4)),
+    "off_diagonal_inside": ("off", _ORTHO_TOL * (1 - 1e-2)),
+    "off_diagonal_outside": ("off", _ORTHO_TOL * (1 + 1e-2)),
+    "nan": ("entry", np.nan),
+    "inf": ("entry", np.inf),
+    "minus_inf": ("entry", -np.inf),
+}
+
+
+def _moved_basis(rng, r, t, move, sign):
+    """An r x t basis whose Gram matrix is I moved as ``_GRAM_MOVES[move]``
+    says: B = Q chol(I + D)^T with Q orthonormal has B^T B = I + D."""
+    B = np.linalg.qr(rng.standard_normal((r, t)))[0]
+    kind = _GRAM_MOVES[move]
+    if kind is None or t == 0:
+        return B
+    where, size = kind
+    if where == "entry":
+        B[int(rng.integers(r)), int(rng.integers(t))] = size
+        return B
+    D = np.zeros((t, t))
+    i = int(rng.integers(t))
+    if where == "diag":
+        D[i, i] = sign * size
+    elif t >= 2:
+        j = (i + 1 + int(rng.integers(t - 1))) % t
+        D[i, j] = D[j, i] = sign * size
+    return B @ np.linalg.cholesky(np.eye(t) + D).T
+
+
+def _per_block_check(B):
+    """The reference: np.allclose on one block's Gram matrix."""
+    t = B.shape[1]
+    with np.errstate(invalid="ignore", over="ignore"):
+        return t == 0 or np.allclose(B.T @ B, np.eye(t), atol=_ORTHO_TOL)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    blocks=st.lists(
+        st.tuples(
+            st.integers(1, 4),
+            st.integers(0, 4),
+            st.sampled_from(sorted(_GRAM_MOVES)),
+            st.sampled_from([-1.0, 1.0]),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_one_check_on_the_embedding_equals_the_per_block_checks(seed, blocks):
+    """The single orthonormality check of the block-diagonal embedding
+    accepts exactly when every block passes np.allclose(B^T B, I,
+    atol=_ORTHO_TOL), NaN, inf and t = 0 blocks included, and the error
+    names the first block that does not."""
+    rng = np.random.default_rng(seed)
+    bases = [_moved_basis(rng, r, min(t, r), move, sign) for r, t, move, sign in blocks]
+    bad = [i for i, B in enumerate(bases) if not _per_block_check(B)]
+    if not bad:
+        V = ProductSubspace(tuple(bases))
+        assert all(np.array_equal(B, C) for B, C in zip(V.bases, bases))
+        return
+    with pytest.raises(ValueError, match=rf"^block {bad[0]}: columns are not orthonormal$"):
+        ProductSubspace(tuple(bases))
+
+
+@pytest.mark.parametrize("move", sorted(_GRAM_MOVES))
+def test_every_gram_move_is_classified_as_documented(move):
+    """The moves of the property above land where their names say, so it
+    sees both sides of each tolerance."""
+    rng = np.random.default_rng(3)
+    accepted = {_per_block_check(_moved_basis(rng, 4, 3, move, sign)) for sign in (-1.0, 1.0)}
+    assert accepted == {move in ("none", "diagonal_inside", "off_diagonal_inside")}
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_embedding_is_the_read_only_block_diagonal_of_the_bases(seed):
+    rng = np.random.default_rng(seed)
+    part = random_datum(rng).partition
+    V = ProductSubspace(
+        tuple(np.linalg.qr(rng.standard_normal((r, int(rng.integers(0, r + 1)))))[0] for r in part.blocks)
+    )
+    assert embed(V) is V.embedding
+    assert np.array_equal(V.embedding, block_diag(V.bases))
+    assert not V.embedding.flags.writeable
+    with pytest.raises(ValueError):
+        V.embedding[0, 0] = 2.0
 
 
 def _defective_matrix(rng, m, n, defect):
@@ -155,6 +275,32 @@ def test_kernel_has_zero_image_and_full_space_full_rank(seed):
     # noise used to count it as rank
     assert dim_image(A, ProductSubspace((scipy.linalg.null_space(A),))) == 0
     assert dim_image(A, ProductSubspace.full(part)) == nj
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), inside_kernel=st.booleans())
+def test_dim_image_is_matrix_rank_at_rank_tol(seed, inside_kernel):
+    """dim_image counts the singular values of A E above rank_tol(A), which
+    is np.linalg.matrix_rank at that tolerance, also on subspaces inside
+    ker A, where A E is rounding noise, and on maps scaled by 10^+-12."""
+    rng = np.random.default_rng(seed)
+    datum = random_datum(rng)
+    for A in datum.maps:
+        A = 10.0 ** rng.uniform(-12, 12) * A
+        if inside_kernel:
+            V = ProductSubspace(tuple(null_space(A[:, a:b]) for a, b in datum.partition.offsets()))
+        else:
+            V = ProductSubspace(
+                tuple(
+                    np.linalg.qr(rng.standard_normal((r, int(rng.integers(0, r + 1)))))[0]
+                    for r in datum.partition.blocks
+                )
+            )
+        E = V.embedding
+        expected = 0 if E.shape[1] == 0 else int(np.linalg.matrix_rank(A @ E, tol=rank_tol(A)))
+        assert dim_image(A, V) == expected
+        if inside_kernel:
+            assert expected == 0
 
 
 class TestSlack:
@@ -250,6 +396,43 @@ class TestCandidates:
             if np.allclose(E @ E.T, target @ target.T, atol=1e-9):
                 found = True
         assert found
+
+    @pytest.mark.parametrize(
+        "blocks, cap", [((2, 1, 3), 4096), ((2, 1, 3), 37), ((1,) * 6, 4096), ((1,) * 6, 21)]
+    )
+    def test_coordinate_family_is_the_axis_subsets_in_order(self, blocks, cap):
+        """The coordinate candidates are, basis for basis and in order, the
+        products of each block's axis subsets by size, then
+        lexicographically, built column by column, up to the cap."""
+        part = Partition(blocks)
+        per_block = [
+            [idx for t in range(r + 1) for idx in itertools.combinations(range(r), t)]
+            for r in blocks
+        ]
+        expected = []
+        for combo in itertools.islice(itertools.product(*per_block), cap):
+            bases = []
+            for r, idx in zip(blocks, combo):
+                B = np.zeros((r, len(idx)))
+                for col, a in enumerate(idx):
+                    B[a, col] = 1.0
+                bases.append(B)
+            expected.append(bases)
+        assert len(expected) == min(cap, 2**part.n)
+        rng = np.random.default_rng(4)
+        datum = Datum(
+            partition=part,
+            maps=(rng.standard_normal((2, part.n)), rng.standard_normal((3, part.n))),
+            c=np.array([0.5, 0.5]),
+            d=np.full(part.k, 0.5),
+        )
+        coordinate = list(_coordinate_candidates(part, cap))
+        cands = list(candidate_subspaces(datum, SearchBudget(profile_cap=cap)))
+        assert len(coordinate) == len(expected)
+        for family in (coordinate, cands[: len(expected)]):
+            for V, bases in zip(family, expected):
+                assert len(V.bases) == len(bases)
+                assert all(np.array_equal(B, C) for B, C in zip(V.bases, bases))
 
     def test_profile_cap_truncates(self):
         datum = blepi.make_epi_datum(0.5, 2)  # 2^4 = 16 coordinate members
