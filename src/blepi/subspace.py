@@ -20,8 +20,14 @@ assignment: the package's linear algebra needs numpy only.
 A ``ProductSubspace`` is validated once, when it is built, by one
 orthonormality check on its block-diagonal embedding; it carries that
 embedding, read-only, so ``slack``, the split and the solver read it
-instead of rebuilding it.  The coordinate family builds each block's
-axis bases once per scan.
+instead of rebuilding it.
+
+The coordinate family (every product of per-block axis subsets, 2^n in
+full) is scored in bulk: per map and subset size one stacked SVD of the
+column submatrices A_j[:, S], cut at ``rank_tol(A_j)`` computed once per
+map, and the slack rule of ``SlackResult`` on each member.  Only critical
+or violating members, the ones a scan uses, become ``ProductSubspace``s;
+their slack is ``slack``'s own expression, bit for bit.
 
 Together with the scaling balance, slack is the package's one
 unboundedness decision (Bennett-Carbery-Christ-Tao: the constant is
@@ -233,8 +239,12 @@ def slack(datum: Datum, V: ProductSubspace) -> SlackResult:
             f"subspace block shape {V.ambient} does not match partition {datum.partition.blocks}"
         )
     img = tuple(dim_image(A, V) for A in datum.maps)
-    value = float(np.dot(datum.d, V.block_dims) - np.dot(datum.c, img))
-    return SlackResult(slack=value, per_map_dims=img)
+    return SlackResult(slack=_slack_value(datum, V.block_dims, img), per_map_dims=img)
+
+
+def _slack_value(datum: Datum, block_dims, img) -> float:
+    """sum_i d_i dim(V_i) - sum_j c_j dim(A_j V), the one float expression."""
+    return float(np.dot(datum.d, block_dims) - np.dot(datum.c, img))
 
 
 @dataclass(frozen=True)
@@ -251,17 +261,68 @@ def coordinate_family_size(partition: Partition) -> int:
     return 2 ** partition.n
 
 
-def _coordinate_candidates(partition: Partition, cap: int) -> Iterator[ProductSubspace]:
-    per_block = [
-        [
-            np.eye(r)[:, list(idx)]
-            for t in range(r + 1)
-            for idx in itertools.combinations(range(r), t)
-        ]
-        for r in partition.blocks
-    ]
-    for bases in itertools.islice(itertools.product(*per_block), cap):
-        yield ProductSubspace(bases)
+def _coordinate_masks(partition: Partition, cap: int) -> np.ndarray:
+    """Axes in R^n (rows of an N x n boolean array) of the first ``cap``
+    coordinate subspaces, in ``itertools.product`` order over the blocks'
+    axis subsets, each block's subsets by size, then lexicographically."""
+    # member q's subset in each block: the mixed-radix digits of q, last
+    # block fastest; no member before the cap reaches past a block's
+    # first cap subsets, so each table stops there
+    q = np.arange(min(cap, 2**partition.n))
+    parts = []
+    for r in reversed(partition.blocks):
+        subsets = (idx for t in range(r + 1) for idx in itertools.combinations(range(r), t))
+        table = np.zeros((min(2**r, cap), r), dtype=bool)
+        for row, idx in enumerate(itertools.islice(subsets, cap)):
+            table[row, list(idx)] = True
+        parts.append(table[q % len(table)])
+        q = q // len(table)
+    return np.concatenate(parts[::-1], axis=1)
+
+
+def _coordinate_ranks(datum: Datum, mask: np.ndarray) -> np.ndarray:
+    """dim(A_j V) for each coordinate subspace (row of ``mask``) and map:
+    per map and subset size, one SVD of the stacked column submatrices
+    A_j[:, S], which equal A_j E bit for bit (E's columns are unit
+    vectors), counted above rank_tol(A_j) as in ``dim_image``."""
+    sizes = mask.sum(axis=1)
+    img = np.zeros((len(mask), datum.m), dtype=int)
+    for j, A in enumerate(datum.maps):
+        if A.shape[1] != mask.shape[1]:
+            raise ValueError(f"map has {A.shape[1]} columns, subspace lives in R^{mask.shape[1]}")
+        tol = rank_tol(A)
+        for t in np.unique(sizes[sizes > 0]):
+            rows = np.flatnonzero(sizes == t)
+            cols = np.nonzero(mask[rows])[1].reshape(len(rows), t)
+            s = np.linalg.svd(np.moveaxis(A[:, cols], 1, 0), compute_uv=False)
+            img[rows, j] = np.count_nonzero(s > tol, axis=1)
+    return img
+
+
+def _coordinate_screen(datum: Datum, cap: int) -> Iterator[tuple[ProductSubspace, SlackResult]]:
+    """The critical or violating members among the first ``cap`` coordinate
+    subspaces, in order, each with its ``slack``.
+
+    All members are scored at once; a member whose bulk score lies below
+    -CRITICAL_TOL by more than the rounding bound of the two dot products
+    is neither, and the rest are rescored with ``slack``'s own expression,
+    bit for bit.
+    """
+    partition = datum.partition
+    mask = _coordinate_masks(partition, cap)
+    offsets = partition.offsets()
+    dims = np.add.reduceat(mask, [a for a, _ in offsets], axis=1, dtype=int)
+    img = _coordinate_ranks(datum, mask)
+    # the bulk and the exact score each lie within (k + m + 1) eps * bound
+    # of the true slack, whatever order their sums run in, so they differ
+    # by less than the margin
+    bound = np.dot(np.abs(datum.d), partition.blocks) + np.dot(np.abs(datum.c), datum.image_dims)
+    margin = 4 * (datum.k + datum.m) * np.finfo(float).eps * bound
+    for q in np.flatnonzero(dims @ datum.d - img @ datum.c >= -CRITICAL_TOL - margin):
+        sr = SlackResult(_slack_value(datum, dims[q], img[q]), tuple(img[q].tolist()))
+        if sr.critical or sr.violating:
+            axes = tuple(np.flatnonzero(mask[q, a:b]) for a, b in offsets)
+            yield ProductSubspace.coordinate(partition, axes), sr
 
 
 def _block_projections(partition: Partition, K: np.ndarray) -> Optional[ProductSubspace]:
@@ -287,7 +348,9 @@ def candidate_subspaces(
 ) -> Iterator[ProductSubspace]:
     """Yield candidate product subspaces in a fixed order.
 
-    (a) coordinate-axis products up to ``budget.profile_cap``;
+    (a) coordinate-axis products: the first ``budget.profile_cap`` are
+        scored in bulk and the critical or violating ones yielded, in
+        order (the others are neither, so no scan needs them);
     (b) per-block projections of each map kernel and of pairwise kernel
         intersections;
     (c) per-block kernel products ker(A_j|block_1) x ... x ker(A_j|block_k),
@@ -300,7 +363,8 @@ def candidate_subspaces(
     compatibility and not used.
     """
     partition = datum.partition
-    yield from _coordinate_candidates(partition, budget.profile_cap)
+    for V, _ in _coordinate_screen(datum, budget.profile_cap):
+        yield V
 
     kernels = [null_space(A) for A in datum.maps]
     for K in kernels:

@@ -6,6 +6,8 @@ Claims:
     - subspace witnesses re-verify by recomputing slack from scratch
     - verdicts do not depend on the rng, nor on the units of one block:
       scaling one block's columns of every map leaves the status alone
+    - Zamir-Feder 12x4 (2^12 members, the profile cap) is finite and 13x4
+      unknown: the coordinate family's truncation decides, not its screen
     - the escape-ray probe answers infinite with a slack witness (a single
       block beyond a truncated coordinate family), and a per-block kernel
       product is a witness the other candidates miss
@@ -174,6 +176,13 @@ class TestCheckFiniteness:
         d = blepi.make_epi_datum(0.5, 2)  # 16 coordinate subspaces
         v = check_finiteness(d, SearchBudget(profile_cap=2))
         assert v.status == UNKNOWN
+
+    @pytest.mark.parametrize("n, status", [(12, FINITE), (13, UNKNOWN)])
+    def test_zamir_feder_at_the_profile_cap(self, n, status):
+        # 2^12 = 4096 members fit the default cap and decide; 2^13 do not
+        Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((n, 4)))
+        v = check_finiteness(blepi.make_zamir_feder_datum(Q[:, :4].T))
+        assert v.status == status
 
     def test_invalid_datum_rejected(self):
         bad = Datum(

@@ -24,11 +24,18 @@ Claims:
       profile, so its slack is never larger (why the search draws none)
     - the candidate iterator enumerates the documented families, the
       coordinate family in the order and with the bases of a
-      column-by-column construction up to the cap, and the search returns
-      only certified (slack-positive) witnesses
+      column-by-column construction up to the cap, filtered by the
+      reference slack to its critical or violating members, and the
+      search returns only certified (slack-positive) witnesses
+    - the bulk screen's stacked ranks are dim_image on every member
+      scored and its slack is slack's bit for bit, on balanced,
+      unbalanced, zeroed-column and integer data; a critical member past
+      the cap is never yielded, and a generic Zamir-Feder datum yields
+      only the zero and the full subspace
 """
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,7 +49,9 @@ from blepi.subspace import (
     _ORTHO_TOL,
     ProductSubspace,
     SearchBudget,
-    _coordinate_candidates,
+    _coordinate_masks,
+    _coordinate_ranks,
+    _coordinate_screen,
     block_diag,
     candidate_subspaces,
     dim_image,
@@ -371,14 +380,53 @@ def test_haar_subspace_images_dominate_coordinate_images(seed, data):
     assert h.slack <= c.slack + 1e-12
 
 
+def _full_coordinate_family(blocks, cap):
+    """Bases of the first ``cap`` coordinate subspaces, built column by
+    column: products of each block's axis subsets by size, then
+    lexicographically."""
+    per_block = [
+        [idx for t in range(r + 1) for idx in itertools.combinations(range(r), t)]
+        for r in blocks
+    ]
+    family = []
+    for combo in itertools.islice(itertools.product(*per_block), cap):
+        bases = []
+        for r, idx in zip(blocks, combo):
+            B = np.zeros((r, len(idx)))
+            for col, a in enumerate(idx):
+                B[a, col] = 1.0
+            bases.append(B)
+        family.append(bases)
+    return family
+
+
+def _screened_reference(datum, cap):
+    """The full coordinate family filtered by the reference ``slack``."""
+    kept = []
+    for bases in _full_coordinate_family(datum.partition.blocks, cap):
+        sr = slack(datum, ProductSubspace(tuple(bases)))
+        if sr.critical or sr.violating:
+            kept.append((bases, sr))
+    return kept
+
+
+def _same_bases(V, bases):
+    return len(V.bases) == len(bases) and all(
+        np.array_equal(B, C) for B, C in zip(V.bases, bases)
+    )
+
+
 class TestCandidates:
     def test_coordinate_family_count(self):
         datum = coupled(1.0, 1.0, 0.5, 0.5)
+        # 2^2 subsets in block one times 2^1 in block two are scored; of
+        # those only the zero subspace, the Y axis and the full space are
+        # critical, and they lead the candidates, then the kernel shadows
+        assert len(_coordinate_masks(datum.partition, 4096)) == 2**3
         cands = list(candidate_subspaces(datum, SearchBudget()))
-        # 2^2 subsets in block one times 2^1 in block two, plus kernel shadows
-        coord = cands[: 2**3]
-        assert len({tuple(V.block_dims) for V in coord}) > 1
-        assert len(coord) == 8
+        assert [V.block_dims for V in cands[:3]] == [(0, 0), (0, 1), (2, 1)]
+        assert all(slack(datum, V).critical for V in cands[:3])
+        assert len(cands) > 3
 
     def test_kernel_projection_appears(self):
         datum = coupled(1.0, 1.0, 0.5, 0.5)
@@ -403,22 +451,10 @@ class TestCandidates:
     def test_coordinate_family_is_the_axis_subsets_in_order(self, blocks, cap):
         """The coordinate candidates are, basis for basis and in order, the
         products of each block's axis subsets by size, then
-        lexicographically, built column by column, up to the cap."""
+        lexicographically, built column by column, up to the cap, and
+        kept where the reference slack is critical or violating."""
         part = Partition(blocks)
-        per_block = [
-            [idx for t in range(r + 1) for idx in itertools.combinations(range(r), t)]
-            for r in blocks
-        ]
-        expected = []
-        for combo in itertools.islice(itertools.product(*per_block), cap):
-            bases = []
-            for r, idx in zip(blocks, combo):
-                B = np.zeros((r, len(idx)))
-                for col, a in enumerate(idx):
-                    B[a, col] = 1.0
-                bases.append(B)
-            expected.append(bases)
-        assert len(expected) == min(cap, 2**part.n)
+        assert len(_full_coordinate_family(blocks, cap)) == min(cap, 2**part.n)
         rng = np.random.default_rng(4)
         datum = Datum(
             partition=part,
@@ -426,18 +462,101 @@ class TestCandidates:
             c=np.array([0.5, 0.5]),
             d=np.full(part.k, 0.5),
         )
-        coordinate = list(_coordinate_candidates(part, cap))
+        expected = _screened_reference(datum, cap)
+        # the zero subspace and the six five-axis subsets are critical and
+        # the full space violates; cap 37 keeps one five-axis subset (member
+        # 32), cap 21 none
+        assert len(expected) == {37: 2, 21: 1}.get(cap, 8)
+        screened = [V for V, _ in _coordinate_screen(datum, cap)]
         cands = list(candidate_subspaces(datum, SearchBudget(profile_cap=cap)))
-        assert len(coordinate) == len(expected)
-        for family in (coordinate, cands[: len(expected)]):
-            for V, bases in zip(family, expected):
-                assert len(V.bases) == len(bases)
-                assert all(np.array_equal(B, C) for B, C in zip(V.bases, bases))
+        assert len(screened) == len(expected)
+        for family in (screened, cands[: len(expected)]):
+            for V, (bases, _) in zip(family, expected):
+                assert _same_bases(V, bases)
+
+    def test_critical_member_past_the_cap_is_never_yielded(self):
+        """The full space is critical on a balanced datum, but with cap 21
+        on six scalar blocks it is member 64 and is never scored."""
+        rng = np.random.default_rng(5)
+        datum = Datum(
+            partition=Partition((1,) * 6),
+            maps=(rng.standard_normal((2, 6)), rng.standard_normal((4, 6))),
+            c=np.array([0.5, 0.5]),
+            d=np.full(6, 0.5),
+        )
+        full = ProductSubspace.full(datum.partition)
+        assert slack(datum, full).critical
+        assert [V.block_dims for V, _ in _coordinate_screen(datum, 4096)] == [(0,) * 6, (1,) * 6]
+        assert [V.block_dims for V, _ in _coordinate_screen(datum, 21)] == [(0,) * 6]
+        assert len(_coordinate_masks(datum.partition, 21)) == 21
 
     def test_profile_cap_truncates(self):
         datum = blepi.make_epi_datum(0.5, 2)  # 2^4 = 16 coordinate members
         cands = list(candidate_subspaces(datum, SearchBudget(profile_cap=3)))
         assert len(cands) <= 3 + datum.m + 1
+
+
+def _screen_datum(rng, kind):
+    """A datum for the screen's property test: a balanced or unbalanced
+    random draw (blocks up to width 2), one with a zeroed map column, or
+    one with integer rows and exponents 1/2 or 1, whose slacks are often
+    exactly 0."""
+    datum = random_datum(rng, balanced=kind != "unbalanced")
+    part = datum.partition
+    if kind == "zeroed":
+        A = datum.maps[0].copy()
+        A[:, rng.integers(part.n)] = 0.0
+        return Datum(part, (A,) + datum.maps[1:], datum.c, datum.d)
+    if kind == "integer":
+        maps = tuple(rng.integers(-1, 2, A.shape).astype(float) for A in datum.maps)
+        return Datum(part, maps, rng.choice([0.5, 1.0], datum.m), rng.choice([0.5, 1.0], part.k))
+    return datum
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["balanced", "unbalanced", "zeroed", "integer"]),
+    cap=st.sampled_from([4096, 5, 19]),
+)
+def test_coordinate_screen_is_the_family_filtered_by_slack(seed, kind, cap):
+    """The bulk screen yields, basis for basis and in order, the members of
+    the full coordinate family whose reference slack is critical or
+    violating, each with that slack bit for bit; its stacked ranks are
+    dim_image on every member scored."""
+    datum = _screen_datum(np.random.default_rng(seed), kind)
+    expected = _screened_reference(datum, cap)
+    screened = list(_coordinate_screen(datum, cap))
+    assert len(screened) == len(expected)
+    for (V, sr), (bases, ref) in zip(screened, expected):
+        assert _same_bases(V, bases)
+        again = slack(datum, V)
+        assert sr.slack.hex() == again.slack.hex() == ref.slack.hex()
+        assert sr.per_map_dims == again.per_map_dims == ref.per_map_dims
+    members = _full_coordinate_family(datum.partition.blocks, cap)
+    ranks = _coordinate_ranks(datum, _coordinate_masks(datum.partition, cap))
+    assert ranks.shape == (len(members), datum.m)
+    for row, bases in zip(ranks, members):
+        V = ProductSubspace(tuple(bases))
+        assert row.tolist() == [dim_image(A, V) for A in datum.maps]
+
+
+@pytest.mark.parametrize("n, k", [(5, 2), (9, 4), (12, 4)])
+def test_generic_zamir_feder_keeps_only_the_zero_and_full_subspace(n, k):
+    """slack(S) = sum_S alpha_i^2 - rank A[:, S] is negative on every proper
+    nonempty axis subset of a generic Zamir-Feder datum, so of 2^n members
+    the screen builds two subspaces."""
+    Q, _ = np.linalg.qr(np.random.default_rng(n).standard_normal((n, k)))
+    datum = blepi.make_zamir_feder_datum(Q[:, :k].T)
+    screened = list(_coordinate_screen(datum, 4096))
+    assert [V.block_dims for V, _ in screened] == [(0,) * n, (1,) * n]
+    assert all(sr.critical for _, sr in screened)
+
+
+def test_per_member_coordinate_generator_is_gone():
+    assert not hasattr(blepi.subspace, "_coordinate_candidates")
+    for source in Path(blepi.__file__).parent.glob("*.py"):
+        assert "_coordinate_candidates" not in source.read_text()
 
 
 class TestFindViolating:
@@ -454,6 +573,16 @@ class TestFindViolating:
     def test_epi_has_no_witness(self):
         datum = blepi.make_epi_datum(0.5, 1)
         assert find_violating_subspace(datum, SearchBudget(), np.random.default_rng(2)) is None
+
+    def test_map_of_the_wrong_width_is_rejected(self):
+        datum = Datum(
+            partition=Partition((2, 1)),
+            maps=(np.ones((1, 4)),),
+            c=np.array([1.0]),
+            d=np.array([1.0, 1.0]),
+        )
+        with pytest.raises(ValueError, match="4 columns"):
+            find_violating_subspace(datum, SearchBudget())
 
     def test_kernel_aligned_block_with_small_exponent(self):
         datum = Datum(
