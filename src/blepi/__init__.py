@@ -30,7 +30,6 @@ from .subspace import (
     SlackResult,
     candidate_subspaces,
     dim_image,
-    embed,
     find_violating_subspace,
     slack,
 )
@@ -49,7 +48,6 @@ from .finiteness import (
 from .gauss import (
     BlockCovariance,
     DegenerateImageError,
-    GaussianMixture,
     GaussianPair,
     GaussianSolveResult,
     PerturbationParams,
@@ -57,7 +55,6 @@ from .gauss import (
     divergence_probe,
     gaussian_entropy,
     gradient,
-    mixture_s,
     objective,
     objective_perturbed,
     pair_s,

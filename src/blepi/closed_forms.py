@@ -7,13 +7,19 @@ explicit expression when delta1 = delta2 and is also computed here by
 brute-force maximization of the underlying determinant ratio as an
 independent oracle.
 
-The oracle works in t = atanh(rho), in which both log ratios are written
-without cancellation. At alpha = 1 (rho = 1) the supremum is a limit as
-t -> infinity that the oracle approaches from below, and its Nelder-Mead
-refinements stop on their own tolerances there as in the interior.
-The refinement is scipy.optimize's Nelder-Mead, the only use of scipy in
-this module; it is imported on the oracle's first call, so importing the
-module loads numpy only.
+The Zamir-Feder helpers read their matrix through
+:func:`blepi.datum.make_zamir_feder_datum`, so its one orthonormal-rows
+check (1e-9) is theirs too, and the coefficients are that datum's block
+exponents.
+
+The oracle maximizes the raw four-variable ratio over (K1, K2, K3, rho),
+in t = atanh(rho), in which the log ratio is written without
+cancellation: a grid scan refined by Nelder-Mead. At alpha = 1 (rho = 1)
+the supremum is a limit as t -> infinity that the oracle approaches from
+below, and its refinement stops on its own tolerances there as in the
+interior. The refinement is scipy.optimize's Nelder-Mead, the only use of
+scipy in this module; it is imported on the oracle's first call, so
+importing the module loads numpy only.
 """
 
 from __future__ import annotations
@@ -23,6 +29,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .datum import make_zamir_feder_datum
 
 __all__ = [
     "CoupledSumsParams",
@@ -35,8 +43,6 @@ __all__ = [
     "coupled_sums_constant",
     "coupled_sums_bruteforce",
 ]
-
-_ORTHO_TOL = 1e-9
 
 
 def epi_mg(lam: float, dim: int) -> float:
@@ -53,30 +59,13 @@ def epi_mg(lam: float, dim: int) -> float:
     return 0.0
 
 
-def _check_orthonormal_rows(A: np.ndarray) -> np.ndarray:
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2:
-        raise ValueError("expected a matrix")
-    if not np.allclose(A @ A.T, np.eye(A.shape[0]), atol=_ORTHO_TOL):
-        raise ValueError("rows are not orthonormal (A A^T != I)")
-    return A
-
-
 def zf_coefficients(A) -> np.ndarray:
     """Squared column norms alpha_j^2 of a matrix with orthonormal rows.
 
     These are the block exponents of the Zamir-Feder datum, and equal the
-    derivative of log det(A Lambda A^T) in log lambda_j at Lambda = I;
-    the identity is re-derived here through the matrix-inverse route as a
-    consistency check on the cheap column-sum formula.
+    derivative of log det(A Lambda A^T) in log lambda_j at Lambda = I.
     """
-    A = _check_orthonormal_rows(A)
-    alpha_sq = np.sum(A * A, axis=0)
-    gram_inv = np.linalg.inv(A @ A.T)
-    deriv = np.einsum("ij,ik,kj->j", A, gram_inv, A)
-    if not np.allclose(alpha_sq, deriv, atol=100 * _ORTHO_TOL):
-        raise RuntimeError("column-norm and derivative routes disagree")
-    return alpha_sq
+    return make_zamir_feder_datum(A).d
 
 
 def zf_F(A, lambdas) -> float:
@@ -85,13 +74,13 @@ def zf_F(A, lambdas) -> float:
     Nonnegative for orthonormal-row A and positive diagonal Lambda, with
     equality at Lambda proportional to the identity.
     """
-    A = _check_orthonormal_rows(A)
+    datum = make_zamir_feder_datum(A)
+    A, alpha_sq = datum.maps[0], datum.d
     lam = np.asarray(lambdas, dtype=float)
     if lam.ndim != 1 or len(lam) != A.shape[1]:
         raise ValueError("need one positive diagonal entry per column of A")
     if np.any(lam <= 0):
         raise ValueError("diagonal entries must be positive")
-    alpha_sq = np.sum(A * A, axis=0)
     sign, logdet = np.linalg.slogdet(A @ np.diag(lam) @ A.T)
     if sign <= 0:
         raise ValueError("A Lambda A^T is not positive definite")
@@ -183,6 +172,16 @@ def coupled_sums_feasible(p: CoupledSumsParams) -> CoupledSumsFeasibility:
     )
 
 
+def _require_feasible(alpha: float, beta: float, delta: float) -> None:
+    """Raise ValueError, naming the failed conditions, unless the tuple
+    (alpha, beta, delta, delta) is feasible."""
+    feas = coupled_sums_feasible(CoupledSumsParams(alpha, beta, delta, delta))
+    if not feas.feasible:
+        raise ValueError(
+            f"infeasible exponents; failed conditions {feas.failed_conditions()}"
+        )
+
+
 def _xlogy(x: float, y: float) -> float:
     # x * log(y) with the 0 * log(0) = 0 convention for boundary exponents
     if x == 0.0:
@@ -205,12 +204,7 @@ def coupled_sums_constant(alpha: float, beta: float, delta: float) -> tuple[floa
     beta <= 2 delta; at the boundary rho = 1 (which forces alpha = 1) the
     vanishing base carries a zero exponent and the constant stays finite.
     """
-    p = CoupledSumsParams(alpha, beta, delta, delta)
-    feas = coupled_sums_feasible(p)
-    if not feas.feasible:
-        raise ValueError(
-            f"infeasible exponents; failed conditions {feas.failed_conditions()}"
-        )
+    _require_feasible(alpha, beta, delta)
     if beta <= 0.0:
         raise ValueError("beta must be positive (the inner maximizer degenerates at beta = 0)")
     if beta >= 1.0:
@@ -267,13 +261,6 @@ def _log_ratio_4var(logk1, logk2, logk3, t, alpha, beta, delta):
     return num - math.log(den)
 
 
-def _log_ratio_2var(logx, t, alpha, beta):
-    """Log of the reduced ratio (K1 = K2 = K, x = K3 / K) at rho = tanh t."""
-    l1m, l1p = _log_1mr_1pr(t)
-    den = math.exp(l1p) + 2.0 * math.exp(logx)
-    return beta * logx + (alpha - 1.0) * l1m + alpha * l1p - math.log(den)
-
-
 def _refine(fun, x0, maxfev):
     """Nelder-Mead ascent of fun from x0: the best value and its point."""
     import scipy.optimize
@@ -287,9 +274,8 @@ def _refine(fun, x0, maxfev):
     return -res.fun, res.x
 
 
-# scan grids of the brute-force oracle, before the Nelder-Mead refinement:
-# (log x, t) and (log K1, log K2, log K3, t), with t = atanh(rho)
-_SCAN_2VAR = (np.linspace(-14.0, 14.0, 141), np.linspace(-8.0, 8.0, 161))
+# scan grid of the brute-force oracle, before the Nelder-Mead refinement:
+# (log K1, log K2, log K3, t), with t = atanh(rho)
 _SCAN_4VAR = (np.linspace(-4.0, 4.0, 9),) * 3 + (np.linspace(-6.0, 6.0, 41),)
 
 
@@ -298,16 +284,6 @@ def _first_max(values, axes):
     ties, which is the point a nested loop with a strict ``>`` keeps."""
     idx = np.unravel_index(np.argmax(values), values.shape)
     return float(values[idx]), tuple(float(ax[i]) for ax, i in zip(axes, idx))
-
-
-def _scan_2var(alpha, beta):
-    """_log_ratio_2var over the grid _SCAN_2VAR, term for term: the maximum
-    and its (log x, t)."""
-    lx, _ = np.meshgrid(*_SCAN_2VAR, indexing="ij", sparse=True)
-    l1m, l1p = np.array([_log_1mr_1pr(t) for t in _SCAN_2VAR[1]]).T
-    den = np.exp(l1p) + 2.0 * np.exp(lx)
-    v = beta * lx + (alpha - 1.0) * l1m + alpha * l1p - np.log(den)
-    return _first_max(v, _SCAN_2VAR)
 
 
 def _scan_4var(alpha, beta, delta):
@@ -329,24 +305,10 @@ def _scan_4var(alpha, beta, delta):
     return _first_max(v, _SCAN_4VAR)
 
 
-def _sup_2var(alpha, beta):
-    """Supremum of the reduced log ratio over (log x, t), t = atanh(rho):
-    the grid maximum refined by Nelder-Mead, whichever is larger.
-
-    At alpha = 1 the supremum is a limit as t -> infinity, approached from
-    below. There the (alpha - 1) log(1 - rho) term vanishes and the others
-    carry no cancellation, so the refinement stops on its xatol/fatol
-    tolerances rather than on maxfev.
-    """
-    best, z0 = _scan_2var(alpha, beta)
-    val, _ = _refine(lambda *z: _log_ratio_2var(*z, alpha, beta), np.array(z0), 20000)
-    return max(best, val)
-
-
-def _sup_4var(alpha, beta, delta, return_argmax=False):
+def _sup_4var(alpha, beta, delta):
     """Supremum of the raw log ratio over (log K1, log K2, log K3, t),
     t = atanh(rho): the grid maximum refined by Nelder-Mead, whichever is
-    larger; with return_argmax also its point as (K1, K2, K3, rho).
+    larger, and its point as (K1, K2, K3, rho).
 
     At alpha = 1 the supremum is a limit as t -> infinity, approached from
     below. The ratio's terms carry no cancellation as t grows and do not
@@ -357,31 +319,16 @@ def _sup_4var(alpha, beta, delta, return_argmax=False):
     val, z = _refine(lambda *z: _log_ratio_4var(*z, alpha, beta, delta), np.array(z0), 40000)
     if val < best:
         val, z = best, z0
-    if return_argmax:
-        return val, (math.exp(z[0]), math.exp(z[1]), math.exp(z[2]), math.tanh(z[3]))
-    return val
+    return val, (math.exp(z[0]), math.exp(z[1]), math.exp(z[2]), math.tanh(z[3]))
 
 
 def coupled_sums_bruteforce(alpha: float, beta: float, delta: float) -> float:
     """Optimal constant via direct maximization of the determinant ratio.
 
-    Maximizes both the raw four-variable ratio over (K1, K2, K3, rho) and
-    the reduced two-variable form obtained by setting K1 = K2 and
-    x = K3 / K, both in t = atanh(rho); the two constants must agree to
-    1e-4, and the larger (both approach the supremum from below, also
-    at the alpha = 1 boundary where it is a limit) is returned as a
-    constant in nats.
+    Maximizes the raw four-variable ratio over (K1, K2, K3, rho), in
+    t = atanh(rho), and returns half its supremum as a constant in nats.
+    The maximization approaches the supremum from below, also at the
+    alpha = 1 boundary where it is a limit.
     """
-    p = CoupledSumsParams(alpha, beta, delta, delta)
-    feas = coupled_sums_feasible(p)
-    if not feas.feasible:
-        raise ValueError(
-            f"infeasible exponents; failed conditions {feas.failed_conditions()}"
-        )
-    s2 = _sup_2var(alpha, beta)
-    s4 = _sup_4var(alpha, beta, delta)
-    if abs(s2 - s4) > 2e-4:
-        raise RuntimeError(
-            f"four-variable and reduced maximizations disagree: {s4} vs {s2}"
-        )
-    return float(0.5 * max(s2, s4))
+    _require_feasible(alpha, beta, delta)
+    return float(0.5 * _sup_4var(alpha, beta, delta)[0])

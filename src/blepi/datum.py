@@ -46,6 +46,15 @@ __all__ = [
 FORMAT_TAG = "blepi-datum/1"
 
 
+def _orthonormal(M: np.ndarray, atol: float) -> bool:
+    """Whether M has orthonormal columns: |M^T M - I| <= atol + 1e-5 I
+    entrywise, which is ``np.allclose(M.T @ M, I, atol=atol)`` with its
+    default rtol written out.  NaN and inf fail it without a warning."""
+    eye = np.eye(M.shape[1])
+    with np.errstate(invalid="ignore", over="ignore"):
+        return bool(np.all(np.abs(M.T @ M - eye) <= atol + 1e-5 * eye))
+
+
 def _frozen_array(a, dtype=float, ndim=None) -> np.ndarray:
     arr = np.array(a, dtype=dtype)
     if ndim is not None and arr.ndim != ndim:
@@ -258,21 +267,21 @@ def make_epi_datum(lam: float, dim: int) -> Datum:
     )
 
 
-_ORTHO_TOL = 1e-9
+_ZF_ORTHO_TOL = 1e-9
 
 
 def make_zamir_feder_datum(A) -> Datum:
     """Datum for the Zamir-Feder inequality: h(AX) >= sum_j alpha_j^2 h(X_j).
 
-    Requires ``A A^T = I`` entrywise within 1e-9.  Each coordinate is its own
-    block and the block exponent is the squared norm of the matching
-    column of A.
+    Requires orthonormal rows, by the package's one orthonormality test at
+    atol = 1e-9: ``A A^T = I`` within 1e-9 off the diagonal and
+    1e-9 + 1e-5 on it.  Each coordinate is its own block and the block
+    exponent is the squared norm of the matching column of A.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise ValueError("A must be a 2-d matrix")
-    gram = A @ A.T
-    if not np.allclose(gram, np.eye(A.shape[0]), atol=_ORTHO_TOL):
+    if not _orthonormal(A.T, _ZF_ORTHO_TOL):
         raise ValueError("rows of A are not orthonormal (A A^T != I)")
     alpha_sq = np.sum(A * A, axis=0)
     return Datum(

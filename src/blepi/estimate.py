@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .datum import Datum, Partition
-from .gauss import gaussian_entropy
+from .gauss import _check_spd, gaussian_entropy
 
 __all__ = [
     "GaussianBlock",
@@ -71,7 +71,7 @@ class GaussianBlock:
 
     def __post_init__(self):
         cov = np.atleast_2d(np.array(self.cov, dtype=float))
-        np.linalg.cholesky(cov)  # SPD check
+        _check_spd(cov, "covariance")
         cov.setflags(write=False)
         object.__setattr__(self, "cov", cov)
 
@@ -149,8 +149,8 @@ class TwoGaussianMixBlock:
             raise ValueError("mixture weight must lie in (0, 1)")
         ca = np.atleast_2d(np.array(self.cov_a, dtype=float))
         cb = np.atleast_2d(np.array(self.cov_b, dtype=float))
-        np.linalg.cholesky(ca)
-        np.linalg.cholesky(cb)
+        _check_spd(ca, "first component covariance")
+        _check_spd(cb, "second component covariance")
         if ca.shape != cb.shape:
             raise ValueError("mixture components must share a dimension")
         ca.setflags(write=False)

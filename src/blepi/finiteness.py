@@ -35,7 +35,6 @@ from .subspace import (
     SearchBudget,
     candidate_subspaces,
     coordinate_family_size,
-    embed,
     find_violating_subspace,
     null_space,
     rank_tol,
@@ -204,9 +203,9 @@ def split_datum(datum: Datum, U: ProductSubspace) -> SplitResult:
     if t == 0 or t == datum.n:
         raise SplitError("need a proper nontrivial critical subspace")
 
-    E = embed(U)
+    E = U.embedding
     Uperp = U.orthocomplement()
-    Eperp = embed(Uperp)
+    Eperp = Uperp.embedding
 
     image_bases, coimage_bases = [], []
     restricted, quotient, cross = [], [], []

@@ -21,9 +21,8 @@ divergence probe scores the full space and each single block with
 ``slack``: along ``ray_covariance(partition, V, lam)`` the objective is
 0.5 * slack(V) * log(lam) + O(1), so a ray escapes exactly when its
 slack is positive.  Perturbed variants add isotropic noise
-delta to the blocks and epsilon to the images; paired and mixture
-evaluations cover the two-copy rotation identity and auxiliary-variable
-averages.
+delta to the blocks and epsilon to the images; paired evaluations cover
+the two-copy rotation identity.
 
 Everything is in nats.  All value types are immutable, and the solver
 draws no random numbers, so every solve is deterministic.
@@ -38,7 +37,7 @@ from typing import ClassVar, Optional
 import numpy as np
 
 from .datum import RESIDUAL_TOL, Datum, Partition, scaling_residual
-from .subspace import ProductSubspace, SearchBudget, block_diag, embed, slack
+from .subspace import ProductSubspace, SearchBudget, block_diag, slack
 
 __all__ = [
     "LOG_2PIE",
@@ -46,7 +45,6 @@ __all__ = [
     "PerturbationParams",
     "GaussianSolveResult",
     "GaussianPair",
-    "GaussianMixture",
     "SolverOptions",
     "DegenerateImageError",
     "gaussian_entropy",
@@ -58,7 +56,6 @@ __all__ = [
     "ray_covariance",
     "pair_s",
     "rotate_pair",
-    "mixture_s",
 ]
 
 LOG_2PIE = math.log(2.0 * math.pi) + 1.0
@@ -361,7 +358,7 @@ def _solve_tree(node, opts: SolverOptions):
     if node.is_leaf:
         return node.constant, [np.eye(r) for r in node.datum.partition.blocks], []
     (v_u, s_u, g_u), (v_p, s_p, g_p) = (_solve_tree(c, opts) for c in node.children)
-    E, Eperp = embed(node.subspace), embed(node.subspace.orthocomplement())
+    E, Eperp = node.subspace.embedding, node.subspace.orthocomplement().embedding
     full = E @ block_diag(s_u) @ E.T
     full += _SPLIT_LAM * (Eperp @ block_diag(s_p) @ Eperp.T)
     full = 0.5 * (full + full.T)
@@ -532,52 +529,3 @@ def rotate_pair(pair: GaussianPair) -> GaussianPair:
         blocks.append(R @ J @ R.T)
     return GaussianPair(tuple(blocks))
 
-
-@dataclass(frozen=True)
-class GaussianMixture:
-    """Finite mixture of block covariances (the conditional laws given an
-    auxiliary variable).  The component count is capped at
-    sum_i r_i (r_i + 1) / 2 + 1, which suffices for any conditional
-    covariance profile."""
-
-    weights: np.ndarray
-    components: tuple[BlockCovariance, ...]
-
-    def __post_init__(self):
-        w = np.array(self.weights, dtype=float)
-        if w.ndim != 1 or len(w) != len(self.components):
-            raise ValueError("weights and components must align")
-        if len(self.components) == 0:
-            raise ValueError("mixture needs at least one component")
-        if np.any(w <= 0):
-            raise ValueError("mixture weights must be positive")
-        if abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError(f"mixture weights sum to {w.sum()!r}, not 1")
-        parts = {comp.partition for comp in self.components}
-        if len(parts) != 1:
-            raise ValueError("mixture components have inconsistent partitions")
-        partition = next(iter(parts))
-        cap = sum(r * (r + 1) // 2 for r in partition.blocks) + 1
-        if len(self.components) > cap:
-            raise ValueError(
-                f"{len(self.components)} components exceed the cap {cap} for this partition"
-            )
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def partition(self) -> Partition:
-        return self.components[0].partition
-
-
-def mixture_s(datum: Datum, mix: GaussianMixture, p: PerturbationParams) -> float:
-    """Auxiliary-averaged perturbed objective: the weighted sum of the
-    perturbed objective over mixture components."""
-    if mix.partition != datum.partition:
-        raise ValueError("mixture blocks do not match the datum partition")
-    return float(
-        sum(
-            w * objective_perturbed(datum, comp, p)
-            for w, comp in zip(mix.weights, mix.components)
-        )
-    )

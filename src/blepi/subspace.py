@@ -17,10 +17,11 @@ off ``numpy.linalg.svd`` with the rank cut eps * max(shape) relative to
 the largest singular value, and ``block_diag`` stacks blocks by slice
 assignment: the package's linear algebra needs numpy only.
 
-A ``ProductSubspace`` is validated once, when it is built, by one
-orthonormality check on its block-diagonal embedding; it carries that
-embedding, read-only, so ``slack``, the split and the solver read it
-instead of rebuilding it.
+A ``ProductSubspace`` is validated once, when it is built, by the
+package's one orthonormality test (``blepi.datum._orthonormal``, at
+``_ORTHO_TOL = 1e-10``) on its block-diagonal embedding; it carries that
+embedding, read-only, as ``V.embedding``, so ``slack``, the split and the
+solver read it instead of rebuilding it.
 
 The coordinate family (every product of per-block axis subsets, 2^n in
 full) is scored in bulk: per map and subset size one stacked SVD of the
@@ -49,7 +50,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .datum import Datum, Partition
+from .datum import Datum, Partition, _orthonormal
 
 __all__ = [
     "ProductSubspace",
@@ -59,7 +60,6 @@ __all__ = [
     "orthonormal_columns",
     "null_space",
     "block_diag",
-    "embed",
     "rank_tol",
     "dim_image",
     "slack",
@@ -113,14 +113,6 @@ def block_diag(blocks) -> np.ndarray:
     return out
 
 
-def _orthonormal(M: np.ndarray) -> bool:
-    """``np.allclose(M.T @ M, I, atol=_ORTHO_TOL)`` with its default rtol
-    1e-5 written out; NaN and inf fail it without a warning."""
-    eye = np.eye(M.shape[1])
-    with np.errstate(invalid="ignore", over="ignore"):
-        return bool(np.all(np.abs(M.T @ M - eye) <= _ORTHO_TOL + 1e-5 * eye))
-
-
 @dataclass(frozen=True, eq=False)
 class ProductSubspace:
     """Per-block orthonormal bases B_i of shape (r_i, t_i); t_i = 0 allowed.
@@ -146,8 +138,8 @@ class ProductSubspace:
             B.setflags(write=False)
             frozen.append(B)
         E = block_diag(frozen)
-        if not _orthonormal(E):
-            bad = next(i for i, B in enumerate(frozen) if not _orthonormal(B))
+        if not _orthonormal(E, _ORTHO_TOL):
+            bad = next(i for i, B in enumerate(frozen) if not _orthonormal(B, _ORTHO_TOL))
             raise ValueError(f"block {bad}: columns are not orthonormal")
         E.setflags(write=False)
         object.__setattr__(self, "bases", tuple(frozen))
@@ -206,12 +198,6 @@ class SlackResult:
     @property
     def violating(self) -> bool:
         return self.slack > CRITICAL_TOL
-
-
-def embed(V: ProductSubspace) -> np.ndarray:
-    """Orthonormal n x dim(V) basis of V inside R^n (block-diagonal stacking),
-    the read-only ``V.embedding``."""
-    return V.embedding
 
 
 def rank_tol(A: np.ndarray) -> float:

@@ -2,6 +2,9 @@
 
 Claims:
     - samples have the documented moments and exact block independence
+    - Gaussian and two-component mixture blocks reject a covariance that
+      is not symmetric positive definite when they are built, the upper
+      triangle included
     - closed-form entropies match textbook values; the two-component
       mixture quadrature is consistent with a large-sample k-NN estimate,
       and a mixture model integrates it once per block width
@@ -64,6 +67,26 @@ class TestSampling:
         x = sample(model, 100_000, rng)
         corr = np.corrcoef(x.T)[0, 1]
         assert abs(corr) < 0.01
+
+
+# np.linalg.cholesky reads only the lower triangle, so it accepts this
+_UPPER_ONLY = [[1.0, 5.0], [0.0, 1.0]]
+
+
+class TestBlockCovariances:
+    @pytest.mark.parametrize(
+        "cov, match",
+        [(_UPPER_ONLY, "not symmetric"), ([[1.0, 2.0], [2.0, 1.0]], "not positive definite")],
+    )
+    def test_gaussian_block_rejects_a_non_spd_covariance(self, cov, match):
+        with pytest.raises(ValueError, match=match):
+            GaussianBlock(cov)
+
+    @pytest.mark.parametrize("which", ["first", "second"])
+    def test_mixture_block_rejects_a_non_symmetric_component(self, which):
+        covs = (_UPPER_ONLY, np.eye(2)) if which == "first" else (np.eye(2), _UPPER_ONLY)
+        with pytest.raises(ValueError, match=f"^{which} component covariance is not symmetric$"):
+            TwoGaussianMixBlock(0.5, *covs)
 
 
 class TestExactEntropy:

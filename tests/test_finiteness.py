@@ -10,7 +10,8 @@ Claims:
       unknown: the coordinate family's truncation decides, not its screen
     - the escape-ray probe answers infinite with a slack witness (a single
       block beyond a truncated coordinate family), and a per-block kernel
-      product is a witness the other candidates miss
+      product and a pairwise kernel intersection are witnesses the other
+      candidates miss
     - splitting along a critical subspace yields children that satisfy
       both finiteness conditions, reconstruct the parent maps exactly,
       keep an image basis exactly as wide as the image dimension, and
@@ -171,6 +172,36 @@ class TestCheckFiniteness:
         sr = slack(d, v.witness.subspace)
         assert sr.violating and sr.slack == v.witness.slack == pytest.approx(0.0235, abs=1e-4)
         assert solve_mg(d).unbounded
+
+    def test_pairwise_kernel_intersection_witness(self, monkeypatch):
+        # ker A0 ∩ ker A2 = span(2, -1, -4) has slack
+        # 1 - (0.5 * 0 + 0.25 * 1 + 0.5 * 0 + 0.625 * 1) = 0.125; no
+        # coordinate, whole-kernel or per-block kernel candidate and no
+        # probe ray has positive slack
+        d = Datum(
+            partition=Partition((3,)),
+            maps=(
+                np.array([[2.0, 0.0, 1.0]]),
+                np.array([[1.0, -1.0, -2.0], [-1.0, -1.0, 2.0], [-1.0, 0.0, 1.0]]),
+                np.array([[1.0, -2.0, 1.0]]),
+                np.array([[-2.0, 2.0, 0.0], [-1.0, -1.0, -2.0]]),
+            ),
+            c=np.array([0.5, 0.25, 0.5, 0.625]),
+            d=np.array([1.0]),
+        )
+        assert scaling_residual(d) == 0.0
+        v = check_finiteness(d)
+        assert v.status == INFINITE
+        assert isinstance(v.witness, ViolatingSubspace)
+        assert v.witness.slack == pytest.approx(0.125, abs=1e-12)
+        (B,) = v.witness.subspace.bases
+        u = np.array([2.0, -1.0, -4.0]) / math.sqrt(21.0)
+        assert B.shape == (3, 1) and abs(float(B[:, 0] @ u)) == pytest.approx(1.0, abs=1e-12)
+        # without the pairwise tier the search finds nothing
+        monkeypatch.setattr(
+            "blepi.subspace._kernel_pair_intersection", lambda Ka, Kb: np.zeros((3, 0))
+        )
+        assert check_finiteness(d).status == FINITE
 
     def test_budget_exhaustion_is_unknown(self):
         d = blepi.make_epi_datum(0.5, 2)  # 16 coordinate subspaces

@@ -1,4 +1,4 @@
-"""Gaussian entropy algebra, the solver, and the pair/mixture identities.
+"""Gaussian entropy algebra, the solver, and the pair identities.
 
 Claims:
     - gaussian_entropy matches the closed form, handles dimension zero,
@@ -30,8 +30,6 @@ Claims:
       near the boundary of the cone solves to a valid covariance
     - pair evaluations are additive for independent pairs and invariant
       under the orthogonal two-copy rotation, which is an involution
-    - mixture evaluations are component averages and never exceed the
-      solved optimum for finite data
 """
 
 import math
@@ -56,13 +54,11 @@ from blepi.gauss import (
     LOG_2PIE,
     BlockCovariance,
     DegenerateImageError,
-    GaussianMixture,
     GaussianPair,
     PerturbationParams,
     SolverOptions,
     gaussian_entropy,
     gradient,
-    mixture_s,
     objective,
     objective_perturbed,
     pair_s,
@@ -751,57 +747,3 @@ class TestPairs:
         with pytest.raises(ValueError):
             GaussianPair((J,))
 
-
-class TestMixtures:
-    def test_single_component_reduces(self, rng):
-        datum = random_datum(rng)
-        sig = random_block_covariance(rng, datum.partition)
-        mix = GaussianMixture(np.array([1.0]), (sig,))
-        p = PerturbationParams(0.02, 0.01)
-        assert mixture_s(datum, mix, p) == objective_perturbed(datum, sig, p)
-
-    def test_two_equal_components(self, rng):
-        datum = random_datum(rng)
-        sig = random_block_covariance(rng, datum.partition)
-        mix = GaussianMixture(np.array([0.5, 0.5]), (sig, sig))
-        p = PerturbationParams(0.0, 0.0)
-        assert mixture_s(datum, mix, p) == pytest.approx(objective(datum, sig), abs=1e-12)
-
-    def test_epi_scale_mixture_stays_at_zero(self):
-        d = blepi.make_epi_datum(0.5, 1)
-        comp1 = BlockCovariance.identity(d.partition)
-        comp2 = comp1.scaled(2.0)
-        mix = GaussianMixture(np.array([0.5, 0.5]), (comp1, comp2))
-        assert mixture_s(d, mix, PerturbationParams(0, 0)) == pytest.approx(0.0, abs=1e-12)
-
-    def test_mixture_never_beats_the_optimum(self, rng):
-        datum = blepi.make_coupled_sums_datum(1.25, 0.5, 0.5, 0.5)
-        res = solve_mg(datum)
-        assert res.converged
-        cap = sum(r * (r + 1) // 2 for r in datum.partition.blocks) + 1
-        for n_comp in (1, 2, cap):
-            w = rng.uniform(0.5, 1.0, n_comp)
-            w /= w.sum()
-            # renormalize exactly to satisfy the constructor's 1e-12 gate
-            w[-1] = 1.0 - w[:-1].sum()
-            comps = tuple(random_block_covariance(rng, datum.partition) for _ in range(n_comp))
-            val = mixture_s(datum, GaussianMixture(w, comps), PerturbationParams(0, 0))
-            assert val <= res.mg_value + 1e-6
-
-    def test_component_cap_enforced(self, rng):
-        datum = blepi.make_epi_datum(0.5, 1)
-        cap = sum(r * (r + 1) // 2 for r in datum.partition.blocks) + 1  # = 3
-        comps = tuple(
-            random_block_covariance(rng, datum.partition) for _ in range(cap + 1)
-        )
-        w = np.full(cap + 1, 1.0 / (cap + 1))
-        with pytest.raises(ValueError):
-            GaussianMixture(w, comps)
-
-    def test_weight_validation(self, rng):
-        datum = blepi.make_epi_datum(0.5, 1)
-        sig = random_block_covariance(rng, datum.partition)
-        with pytest.raises(ValueError):
-            GaussianMixture(np.array([0.6, 0.6]), (sig, sig))
-        with pytest.raises(ValueError):
-            GaussianMixture(np.array([1.2, -0.2]), (sig, sig))

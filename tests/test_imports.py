@@ -1,17 +1,23 @@
-"""scipy stays out of the import path.
+"""Import paths: scipy stays out, and every exported name exists.
 
 Claims:
     - a fresh ``import blepi, blepi.cli`` loads no scipy module, and
       neither do ``check`` and ``solve`` on the entropy power datum
     - the coupled-sums oracle loads scipy.optimize on its first call, so
       the lazy import is the path that runs
+    - every name in a blepi module's ``__all__`` exists, once, and
+      ``from blepi.<module> import *`` binds exactly those names
 """
 
+import importlib
 import json
 import os
 import pathlib
+import pkgutil
 import subprocess
 import sys
+
+import pytest
 
 import blepi
 
@@ -48,3 +54,24 @@ def test_import_check_and_solve_load_no_scipy(tmp_path):
     assert seen["codes"] == [0, 0]
     assert seen["cli"] == []
     assert seen["oracle"] is True
+
+
+_EXPORTING = sorted(
+    info.name
+    for info in pkgutil.iter_modules(blepi.__path__)
+    if hasattr(importlib.import_module(f"blepi.{info.name}"), "__all__")
+)
+
+
+def test_the_library_modules_declare_their_exports():
+    assert {"closed_forms", "datum", "estimate", "finiteness", "gauss", "subspace"} <= set(_EXPORTING)
+
+
+@pytest.mark.parametrize("name", _EXPORTING)
+def test_every_exported_name_exists(name):
+    exported = importlib.import_module(f"blepi.{name}").__all__
+    assert len(set(exported)) == len(exported)
+    namespace: dict = {}
+    exec(f"from blepi.{name} import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(exported)

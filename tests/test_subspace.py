@@ -1,8 +1,8 @@
 """Product subspaces: embedding, image dimensions, slack, and the search.
 
 Claims:
-    - embed stacks per-block bases block-diagonally and orthonormally;
-      the embedding is stored on the subspace, read-only, and equals
+    - the embedding stacks per-block bases block-diagonally and
+      orthonormally; it is stored on the subspace, read-only, and equals
       block_diag of the bases
     - the one orthonormality check of the embedding accepts and rejects
       exactly as np.allclose(B^T B, I, atol=_ORTHO_TOL) on every block
@@ -55,7 +55,6 @@ from blepi.subspace import (
     block_diag,
     candidate_subspaces,
     dim_image,
-    embed,
     find_violating_subspace,
     null_space,
     orthonormal_columns,
@@ -74,16 +73,16 @@ def coupled(alpha, beta, d1, d2):
 class TestEmbed:
     def test_single_axis(self):
         V = ProductSubspace.coordinate(Partition((2, 1)), ((0,), ()))
-        E = embed(V)
+        E = V.embedding
         np.testing.assert_allclose(E, [[1.0], [0.0], [0.0]])
 
     def test_full_space_is_identity(self):
         V = ProductSubspace.full(Partition((2, 1)))
-        np.testing.assert_allclose(embed(V), np.eye(3))
+        np.testing.assert_allclose(V.embedding, np.eye(3))
 
     def test_zero_subspace(self):
         V = ProductSubspace.zero(Partition((2, 1)))
-        assert embed(V).shape == (3, 0)
+        assert V.embedding.shape == (3, 0)
 
     def test_rejects_nonorthonormal_basis(self):
         with pytest.raises(ValueError):
@@ -189,7 +188,6 @@ def test_embedding_is_the_read_only_block_diagonal_of_the_bases(seed):
     V = ProductSubspace(
         tuple(np.linalg.qr(rng.standard_normal((r, int(rng.integers(0, r + 1)))))[0] for r in part.blocks)
     )
-    assert embed(V) is V.embedding
     assert np.array_equal(V.embedding, block_diag(V.bases))
     assert not V.embedding.flags.writeable
     with pytest.raises(ValueError):
@@ -430,16 +428,14 @@ class TestCandidates:
 
     def test_kernel_projection_appears(self):
         datum = coupled(1.0, 1.0, 0.5, 0.5)
-        target = embed(
-            ProductSubspace.from_spans(
-                datum.partition, [np.array([[1.0], [1.0]]), np.array([[1.0]])]
-            )
-        )
+        target = ProductSubspace.from_spans(
+            datum.partition, [np.array([[1.0], [1.0]]), np.array([[1.0]])]
+        ).embedding
         found = False
         for V in candidate_subspaces(datum, SearchBudget()):
             if V.block_dims != (1, 1):
                 continue
-            E = embed(V)
+            E = V.embedding
             # same span iff the projectors agree
             if np.allclose(E @ E.T, target @ target.T, atol=1e-9):
                 found = True
