@@ -7,8 +7,10 @@ on ``--seed``, and output contains no timing information.  Exit codes:
 0 success / finite / all pass, 1 I/O or parse error, 2 validation or
 domain failure, 3 infinite, 4 unknown, 5 unbounded solve, 6 verification
 failure, 7 internal error (an uncaught exception; its traceback goes to
-stderr).  Each subcommand takes only the options it reads (``--out``
-everywhere); any other is an argparse error, exit 2.
+stderr).  JSON reports are strict JSON: an infinite or NaN value, such
+as the objective of an unbounded solve, is written as ``null``.  Each
+subcommand takes only the options it reads (``--out`` everywhere); any
+other is an argparse error, exit 2.
 """
 
 from __future__ import annotations
@@ -89,7 +91,9 @@ def _emit(text: str, cfg: RunConfig) -> None:
 
 
 def _json_report(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Strict (RFC 8259) JSON: a non-finite value is written as null."""
+    strict = json.loads(json.dumps(doc), parse_constant=lambda _: None)
+    return json.dumps(strict, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _load_valid(path, cfg: RunConfig) -> tuple[Optional[Datum], int]:

@@ -312,13 +312,15 @@ def _coordinate_screen(datum: Datum, cap: int) -> Iterator[tuple[ProductSubspace
 
 
 def _block_projections(partition: Partition, K: np.ndarray) -> Optional[ProductSubspace]:
-    """Product subspace spanned by the per-block shadows of kernel basis K."""
+    """Product subspace spanned by the per-block shadows of kernel basis K,
+    or None when K is empty or the shadows span the whole space, which is
+    never a proper split, has the scaling residual as its slack, and is
+    scored by the coordinate screen and the probe."""
     if K.shape[1] == 0:
         return None
-    spans = []
-    for start, stop in partition.offsets():
-        spans.append(K[start:stop, :])
-    return ProductSubspace.from_spans(partition, spans)
+    shadows = [K[start:stop, :] for start, stop in partition.offsets()]
+    V = ProductSubspace.from_spans(partition, shadows)
+    return None if V.dim == partition.n else V
 
 
 def _kernel_pair_intersection(Ka: np.ndarray, Kb: np.ndarray) -> np.ndarray:
@@ -338,7 +340,7 @@ def candidate_subspaces(
         scored in bulk and the critical or violating ones yielded, in
         order (the others are neither, so no scan needs them);
     (b) per-block projections of each map kernel and of pairwise kernel
-        intersections;
+        intersections, unless they span the whole space;
     (c) per-block kernel products ker(A_j|block_1) x ... x ker(A_j|block_k),
         the largest product subspace inside ker A_j.
 

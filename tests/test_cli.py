@@ -15,6 +15,8 @@ Claims:
     - the parsed defaults of every subcommand are RunConfig's defaults
     - the bits flag rescales reported values by 1/log(2)
     - closed forms print 12-significant-digit decimals and sweeps emit CSV
+    - JSON reports are strict JSON: an unbounded solve's infinite value
+      and gradient norm print as null, never as Infinity or NaN
 """
 
 import dataclasses
@@ -116,6 +118,24 @@ class TestSolveCommand:
 
     def test_unbounded_exit(self, unbalanced_file):
         assert main(["solve", unbalanced_file]) == 5
+
+    def test_unbounded_solve_prints_strict_json(self, tmp_path, capsys):
+        d = Datum(
+            partition=Partition((1, 1)),
+            maps=(np.array([[1.0, 1.0]]),),
+            c=np.array([1.0]),
+            d=np.array([1.0, 1.0]),
+        )
+        path = tmp_path / "unbounded.json"
+        blepi.save(d, path)
+        assert main(["solve", str(path)]) == 5
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert doc["unbounded"] is True
+        assert doc["mg_value"] is None and doc["gradient_norm"] is None
 
     def test_bits_flag(self, epi_file, capsys):
         assert main(["solve", epi_file, "--bits"]) == 0
@@ -308,3 +328,8 @@ class TestDeterminism:
 )
 def test_parsed_defaults_are_run_config_defaults(argv):
     assert _config(build_parser().parse_args(argv)) == RunConfig()
+
+
+def test_json_report_writes_nonfinite_values_as_null():
+    text = blepi.cli._json_report({"z": math.inf, "v": [-math.inf, (math.nan, 1.5)], "n": 2})
+    assert json.loads(text) == {"n": 2, "v": [None, [None, 1.5]], "z": None}

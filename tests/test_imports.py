@@ -5,6 +5,8 @@ Claims:
       neither do ``check`` and ``solve`` on the entropy power datum
     - the coupled-sums oracle loads scipy.optimize on its first call, so
       the lazy import is the path that runs
+    - ``verify`` with the mixture model loads no scipy.integrate: every
+      mixture entropy is a numpy quadrature
     - every name in a blepi module's ``__all__`` exists, once, and
       ``from blepi.<module> import *`` binds exactly those names
 """
@@ -35,6 +37,11 @@ with contextlib.redirect_stdout(io.StringIO()):
     for cmd in ("check", "solve"):
         seen["codes"].append(blepi.cli.main([cmd, sys.argv[1]]))
 seen["cli"] = scipy_modules()
+with contextlib.redirect_stdout(io.StringIO()):
+    seen["codes"].append(
+        blepi.cli.main(["verify", sys.argv[1], "--models", "mixture", "--samples", "2000"])
+    )
+seen["integrate"] = "scipy.integrate" in sys.modules
 blepi.coupled_sums_bruteforce(1.25, 0.5, 0.5)
 seen["oracle"] = "scipy.optimize" in sys.modules
 print(json.dumps(seen))
@@ -51,8 +58,9 @@ def test_import_check_and_solve_load_no_scipy(tmp_path):
     )
     seen = json.loads(proc.stdout)
     assert seen["import"] == []
-    assert seen["codes"] == [0, 0]
+    assert seen["codes"] == [0, 0, 0]
     assert seen["cli"] == []
+    assert seen["integrate"] is False
     assert seen["oracle"] is True
 
 

@@ -26,7 +26,8 @@ Claims:
       coordinate family in the order and with the bases of a
       column-by-column construction up to the cap, filtered by the
       reference slack to its critical or violating members, and the
-      search returns only certified (slack-positive) witnesses
+      search returns only certified (slack-positive) witnesses; the
+      whole space is yielded once, by the coordinate screen
     - the bulk screen's stacked ranks are dim_image on every member
       scored and its slack is slack's bit for bit, on balanced,
       unbalanced, zeroed-column and integer data; a critical member past
@@ -485,6 +486,18 @@ class TestCandidates:
         assert [V.block_dims for V, _ in _coordinate_screen(datum, 4096)] == [(0,) * 6, (1,) * 6]
         assert [V.block_dims for V, _ in _coordinate_screen(datum, 21)] == [(0,) * 6]
         assert len(_coordinate_masks(datum.partition, 21)) == 21
+
+    @pytest.mark.parametrize("name", ["zamir_feder_9x4", "epi_0.5_dim2"])
+    def test_the_whole_space_is_yielded_once(self, name):
+        """The coordinate screen yields the whole space (critical on a
+        balanced datum); a kernel hull that spans it is not yielded again."""
+        if name == "epi_0.5_dim2":
+            datum = blepi.make_epi_datum(0.5, 2)
+        else:
+            Q, _ = np.linalg.qr(np.random.default_rng(9).standard_normal((9, 4)))
+            datum = blepi.make_zamir_feder_datum(Q.T)
+        dims = [V.dim for V in candidate_subspaces(datum, SearchBudget())]
+        assert dims.count(datum.n) == 1
 
     def test_profile_cap_truncates(self):
         datum = blepi.make_epi_datum(0.5, 2)  # 2^4 = 16 coordinate members
