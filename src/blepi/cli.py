@@ -5,7 +5,8 @@ deterministic for a fixed (command, config): check and solve use no
 randomness, verify draws its samples from counter-based generators keyed
 on ``--seed``, and output contains no timing information.  Exit codes:
 0 success / finite / all pass, 1 I/O or parse error, 2 validation or
-domain failure, 3 infinite, 4 unknown, 5 unbounded solve, 6 verification
+domain failure, 3 infinite, 4 unknown (a check verdict, or a verify
+whose reference solve did not converge), 5 unbounded solve, 6 verification
 failure, 7 internal error (an uncaught exception; its traceback goes to
 stderr).  JSON reports are strict JSON: an infinite or NaN value, such
 as the objective of an unbounded solve, is written as ``null``.  Each
@@ -74,8 +75,6 @@ def _unit(cfg: RunConfig) -> str:
 def _conv(x: float, cfg: RunConfig) -> float:
     if not cfg.bits or x is None:
         return x
-    if isinstance(x, float) and not math.isfinite(x):
-        return x
     return x / _LN2
 
 
@@ -96,7 +95,7 @@ def _json_report(doc: dict) -> str:
     return json.dumps(strict, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _load_valid(path, cfg: RunConfig) -> tuple[Optional[Datum], int]:
+def _load_valid(path, cfg: RunConfig, report_ok: bool = False) -> tuple[Optional[Datum], int]:
     try:
         datum = load(path)
     except OSError as exc:
@@ -106,8 +105,9 @@ def _load_valid(path, cfg: RunConfig) -> tuple[Optional[Datum], int]:
         sys.stderr.write(f"parse error: {exc}\n")
         return None, EXIT_IO
     report = validate(datum)
-    if not report.ok:
+    if report_ok or not report.ok:
         _emit(_json_report({"command": "validate", **report.to_dict()}), cfg)
+    if not report.ok:
         return None, EXIT_INVALID
     return datum, EXIT_OK
 
@@ -118,10 +118,7 @@ def _load_valid(path, cfg: RunConfig) -> tuple[Optional[Datum], int]:
 
 
 def cmd_validate(path, cfg: RunConfig) -> int:
-    datum, code = _load_valid(path, cfg)
-    if datum is not None:
-        _emit(_json_report({"command": "validate", **validate(datum).to_dict()}), cfg)
-    return code
+    return _load_valid(path, cfg, report_ok=True)[1]
 
 
 def cmd_check(path, cfg: RunConfig) -> int:
@@ -177,6 +174,10 @@ def cmd_verify(path, cfg: RunConfig, model_names: list[str]) -> int:
     if result.unbounded:
         _emit(_json_report({"command": "verify", "error": "solve is unbounded"}), cfg)
         return EXIT_UNBOUNDED
+    if not result.converged:
+        # verify_inequality needs the value of a converged solve
+        _emit(_json_report({"command": "verify", "error": "solve did not converge"}), cfg)
+        return EXIT_UNKNOWN
     mg = result.mg_value
     reports = estimate.verify_inequality(
         datum,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -227,6 +227,16 @@ def validate(datum: Datum) -> ValidationReport:
             elif e < 0:
                 issues.append(Issue("NEGATIVE_EXPONENT", f"{loc} = {e} < 0", loc))
     return ValidationReport(tuple(issues))
+
+
+def _unit_rows(datum: Datum) -> tuple[Datum, float]:
+    """The datum with each map row divided by its norm, and the shift
+    -sum_j c_j sum_k log ||row_jk|| of M, as h(S A X) = h(A X) + log|det S|;
+    a dimension-one datum's constant is its shift."""
+    norms = [np.hypot.reduce(A, axis=1) for A in datum.maps]  # no over- or underflow
+    shift = -sum(cj * sum(map(math.log, s)) for cj, s in zip(datum.c, norms))
+    maps = tuple(A / s[:, None] for A, s in zip(datum.maps, norms))
+    return replace(datum, maps=maps), float(shift)
 
 
 RESIDUAL_TOL = 1e-9

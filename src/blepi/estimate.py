@@ -146,11 +146,12 @@ class TwoGaussianMixBlock:
         h = -S_{dim-1} int_0^inf rho^(dim-1) f(rho) log f(rho) d rho,
 
     with S_{dim-1} = 2 pi^(dim/2) / Gamma(dim/2) the area of the unit
-    sphere.  It is summed on 240 Gauss-Legendre nodes over
-    [0, 12 sqrt(max(var_a, var_b))], with log f from ``np.logaddexp``.
-    On the ``mixture_model`` block it is within 3e-14 of an mpmath
-    reference in dimensions 1 to 9; the error grows with the variance
-    ratio and the dimension (8.5e-13 at (0.3, 0.1, 5) in dimension 5).
+    sphere.  It is summed, with log f from ``np.logaddexp``, on the
+    240-node Gauss-Legendre rule over [0, 12 sqrt(min var)] and again over
+    [12 sqrt(min var), 12 sqrt(max var)] (one panel for equal variances).
+    Against a 30-digit mpmath reference it is within 3e-14 on the
+    ``mixture_model`` block in dimensions 1 to 9, and within 2e-13 with
+    weights 0.1 to 0.9 and variances up to 400 apart in dimension <= 9.
     """
 
     weight: float
@@ -181,19 +182,20 @@ class TwoGaussianMixBlock:
     def entropy(self) -> float:
         d = self.dim
         nodes, weights = _radial_rule()
-        # half the length of [0, 12 sqrt(max(var_a, var_b))]
-        half = 6.0 * math.sqrt(max(self.var_a, self.var_b))
-        rho = half * (nodes + 1.0)
-
-        def log_component(w, v):
-            return math.log(w) - 0.5 * d * math.log(2.0 * math.pi * v) - rho * rho / (2.0 * v)
-
-        log_f = np.logaddexp(
-            log_component(self.weight, self.var_a), log_component(1.0 - self.weight, self.var_b)
-        )
         log_sphere = math.log(2.0) + 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d)
-        shell = np.exp(log_sphere + (d - 1) * np.log(rho) + log_f)
-        return -half * float(weights @ (shell * log_f))
+        # one panel out to 12 standard deviations of each component
+        ends = sorted({0.0, 12.0 * math.sqrt(self.var_a), 12.0 * math.sqrt(self.var_b)})
+        total = 0.0
+        for a, b in zip(ends, ends[1:]):
+            half = 0.5 * (b - a)
+            rho = a + half * (nodes + 1.0)
+            log_f = np.logaddexp(*(
+                math.log(w) - 0.5 * d * math.log(2.0 * math.pi * v) - rho * rho / (2.0 * v)
+                for w, v in ((self.weight, self.var_a), (1.0 - self.weight, self.var_b))
+            ))
+            shell = np.exp(log_sphere + (d - 1) * np.log(rho) + log_f)
+            total += half * float(weights @ (shell * log_f))
+        return -total
 
 
 @dataclass(frozen=True)
@@ -235,13 +237,7 @@ class EntropyEstimate:
     k_neighbors: int
 
     def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "std_error": self.std_error,
-            "method": self.method,
-            "n_samples": self.n_samples,
-            "k_neighbors": self.k_neighbors,
-        }
+        return dict(vars(self))
 
 
 _N_BATCHES = 10

@@ -28,7 +28,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .datum import RESIDUAL_TOL, Datum, Partition, scaling_residual, validate
+from .datum import RESIDUAL_TOL, Datum, Partition, _unit_rows, scaling_residual, validate
 from .gauss import divergence_probe
 from .subspace import (
     ProductSubspace,
@@ -296,13 +296,6 @@ class SplitTree:
         return doc
 
 
-def _dim1_constant(datum: Datum) -> float:
-    # every map is a nonzero 1x1 scalar here
-    return -float(
-        sum(cj * math.log(abs(A[0, 0])) for cj, A in zip(datum.c, datum.maps))
-    )
-
-
 def _scan(datum: Datum, budget):
     """One pass over the candidates: the first violating subspace (or
     None), and the proper critical candidates in candidate order."""
@@ -340,7 +333,7 @@ def certify(
 
 def _certify(datum: Datum, budget, root: bool = False) -> SplitTree:
     if datum.n == 1:
-        return SplitTree(datum=datum, leaf_kind="dim-1", constant=_dim1_constant(datum))
+        return SplitTree(datum=datum, leaf_kind="dim-1", constant=_unit_rows(datum)[1])
     violating, critical = _scan(datum, budget)
     if root:
         violating = violating or divergence_probe(datum)

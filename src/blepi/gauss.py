@@ -16,7 +16,9 @@ scaling balance fails or ``certify`` finds a violating subspace (its
 root's candidate pass, then the divergence probe); otherwise it sums the
 leaf constants of ``certify``'s split tree, maximizing the objective on
 each irreducible leaf by one damped Newton ascent from Sigma = I in those
-coordinates; concavity makes a converged ascent the global maximum.  The
+coordinates; concavity makes a converged ascent the global maximum.  It
+ascends on unit-norm map rows plus their shift, so the kernel's one
+conditioning rule (sqrt(eps)) does not depend on a row's units.  The
 divergence probe scores the full space and each single block with
 ``slack``: along ``ray_covariance(partition, V, lam)`` the objective is
 0.5 * slack(V) * log(lam) + O(1), so a ray escapes exactly when its
@@ -36,7 +38,7 @@ from typing import ClassVar, Optional
 
 import numpy as np
 
-from .datum import RESIDUAL_TOL, Datum, Partition, scaling_residual
+from .datum import RESIDUAL_TOL, Datum, Partition, _unit_rows, scaling_residual
 from .subspace import ProductSubspace, SearchBudget, block_diag, slack
 
 __all__ = [
@@ -148,16 +150,15 @@ def gaussian_entropy(cov) -> float:
     return 0.5 * (d * LOG_2PIE + 2.0 * float(np.sum(np.log(np.diag(L)))))
 
 
-def _logdet_kernel(datum, factors, epsilon=0.0, cond_limit=None, basis=None):
+def _logdet_kernel(datum, factors, epsilon=0.0, basis=None):
     """Objective value at Sigma = Diag(L_i L_i^T) from the lower block factors L_i.
 
     Each image log-det comes from the QR factorization (A_j L)^T = Q_j R_j,
     with the rows sqrt(epsilon) I stacked under (A_j L)^T when epsilon > 0,
     so A_j Sigma A_j^T + epsilon I = R_j^T R_j is never formed and |diag R_j|
     is its Cholesky diagonal.  Raises DegenerateImageError when some
-    min |diag R_j| / max |diag R_j| is below cond_limit**-0.5 or, without
-    ``cond_limit``, below sqrt(eps), where the Cholesky factorization of
-    A_j Sigma A_j^T fails; a NaN also fails the comparison.
+    min |diag R_j| / max |diag R_j| is below sqrt(eps), where the Cholesky
+    factorization of A_j Sigma A_j^T fails; a NaN also fails the comparison.
 
     Returns (value, g, H).  Without ``basis``, g and H are None.  With
     ``basis``, an orthonormal basis (p, n, n) of the block-diagonal
@@ -170,7 +171,7 @@ def _logdet_kernel(datum, factors, epsilon=0.0, cond_limit=None, basis=None):
     """
     L = block_diag(factors)
     # the diagonal ratio is about 1 / sqrt(condition number)
-    diag_floor = np.finfo(float).eps ** 0.5 if cond_limit is None else cond_limit**-0.5
+    diag_floor = np.finfo(float).eps ** 0.5
     val = 0.0
     for di, F in zip(datum.d, factors):
         val += di * 0.5 * (F.shape[0] * LOG_2PIE + 2.0 * np.log(np.diag(F)).sum())
@@ -259,7 +260,6 @@ _NEWTON_STEPS = 60    # Newton steps per ascent
 _HALVINGS = 10        # step halvings before the ascent stops
 _MAX_STEP = 2.0       # Frobenius norm cap on one step X
 _ROUNDING = 1e-14     # predicted rises below this, relative to max(1, |value|), are rounding
-_COND_LIMIT = 1e12    # image covariances beyond this count as degenerate
 
 
 @dataclass(frozen=True)
@@ -272,14 +272,7 @@ class GaussianSolveResult:
     gradient_norm: float
 
     def to_dict(self) -> dict:
-        return {
-            "mg_value": self.mg_value,
-            "sigma_star": self.sigma_star.to_dict(),
-            "converged": self.converged,
-            "unbounded": self.unbounded,
-            "starts_used": self.starts_used,
-            "gradient_norm": self.gradient_norm,
-        }
+        return {**vars(self), "sigma_star": self.sigma_star.to_dict()}
 
 
 def _moved(datum: Datum, factors, X: np.ndarray):
@@ -302,6 +295,8 @@ def _newton(datum: Datum, opts: SolverOptions):
     """(value, covariance blocks, gradient norm) after damped Newton ascent
     from Sigma = I, or (nan, I, inf) when Sigma = I is degenerate.
 
+    It ascends on the map rows at unit norm and adds their shift back: a
+    row scaling moves neither the maximizer nor the scale-free gradient.
     Each step solves H x = -g in the least-squares sense (H is singular
     along the scaling direction), caps ||x|| at _MAX_STEP and is halved
     until the value rises or, once the predicted rise g.x is at rounding
@@ -312,10 +307,11 @@ def _newton(datum: Datum, opts: SolverOptions):
     in X, so an ascent that ends within ``opts.tol`` is at the global
     maximum.
     """
+    datum, shift = _unit_rows(datum)
     blocks = factors = [np.eye(r) for r in datum.partition.blocks]
     basis = _sym_basis(datum.partition)
     try:
-        val, g, H = _logdet_kernel(datum, factors, cond_limit=_COND_LIMIT, basis=basis)
+        val, g, H = _logdet_kernel(datum, factors, basis=basis)
     except DegenerateImageError:
         return math.nan, blocks, math.inf
     gnorm = float(np.linalg.norm(g))
@@ -329,7 +325,7 @@ def _newton(datum: Datum, opts: SolverOptions):
         for t in 0.5 ** np.arange(_HALVINGS):
             try:
                 tblocks, tfactors = _moved(datum, factors, t * X)
-                tval, tg, tH = _logdet_kernel(datum, tfactors, cond_limit=_COND_LIMIT, basis=basis)
+                tval, tg, tH = _logdet_kernel(datum, tfactors, basis=basis)
             except DegenerateImageError:
                 continue
             tnorm = float(np.linalg.norm(tg))
@@ -338,7 +334,7 @@ def _newton(datum: Datum, opts: SolverOptions):
         else:
             break
         blocks, factors, val, g, H, gnorm = tblocks, tfactors, tval, tg, tH, tnorm
-    return val, blocks, gnorm
+    return val + shift, blocks, gnorm
 
 
 # lam of the split covariances Sigma_U + lam Sigma_perp; at 2**-30 the

@@ -17,6 +17,8 @@ Claims:
     - closed forms print 12-significant-digit decimals and sweeps emit CSV
     - JSON reports are strict JSON: an unbounded solve's infinite value
       and gradient norm print as null, never as Infinity or NaN
+    - validate validates once; verify refuses a reference solve that did
+      not converge (exit 4) unless --tol accepts it
 """
 
 import dataclasses
@@ -30,6 +32,7 @@ import blepi
 import blepi.cli
 from blepi.cli import RunConfig, _config, build_parser, main
 from blepi.datum import Datum, Partition, datum_to_dict
+from conftest import random_datum
 
 
 @pytest.fixture
@@ -57,6 +60,18 @@ class TestValidateCommand:
         assert main(["validate", epi_file]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["ok"] is True
+
+    def test_validates_once(self, epi_file, capsys, monkeypatch):
+        calls = []
+        validate = blepi.cli.validate
+        monkeypatch.setattr(blepi.cli, "validate", lambda d: calls.append(d) or validate(d))
+        assert main(["validate", epi_file]) == 0
+        assert len(calls) == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "command": "validate",
+            "ok": True,
+            "issues": [],
+        }
 
     def test_missing_file(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.json")]) == 1
@@ -179,6 +194,29 @@ class TestVerifyCommand:
         lines = out.strip().splitlines()
         assert lines[0].startswith("model,record,term")
         assert any(",summary," in line for line in lines)
+
+    def test_unconverged_reference_is_refused(self, tmp_path, capsys, monkeypatch):
+        # draw 17 of the 150-draw random suite is infinite through a
+        # subspace the search misses, so its solve stops at gradient norm
+        # 0.025; verify used to compare the models against that value and
+        # exit 0 with every model passing
+        rng = np.random.default_rng(7)
+        d = [random_datum(rng, balanced=True) for _ in range(18)][17]
+        path = tmp_path / "draw17.json"
+        blepi.save(d, path)
+
+        def no_verify(*args, **kwargs):
+            raise AssertionError("verified against an unconverged solve")
+
+        monkeypatch.setattr(blepi.estimate, "verify_inequality", no_verify)
+        assert main(["verify", str(path), "--samples", "20000"]) == 4
+        doc = json.loads(capsys.readouterr().out)
+        assert doc == {"command": "verify", "error": "solve did not converge"}
+        # --tol accepts the looser solve
+        monkeypatch.undo()
+        code = main(["verify", str(path), "--samples", "2000", "--tol", "0.1"])
+        assert code in (0, 6)
+        assert json.loads(capsys.readouterr().out)["solver_converged"] is True
 
     def test_unknown_model_rejected(self, epi_file):
         assert main(["verify", epi_file, "--models", "cauchy"]) == 2

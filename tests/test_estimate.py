@@ -7,7 +7,7 @@ Claims:
       mixture blocks reject a variance that is not finite and positive
     - closed-form entropies match textbook values; the two-component
       mixture's radial quadrature is within 1e-12 of an mpmath reference
-      in dimensions 1, 2, 3 and 5, consistent with a large-sample k-NN
+      in dimensions 1 to 9, with variances up to 400 apart, consistent with a large-sample k-NN
       estimate, and exact in the empirical objective in any dimension;
       its nodes are built once per process, on first use
     - the k-NN estimator is calibrated on known densities, translation
@@ -53,8 +53,8 @@ from blepi.gauss import BlockCovariance, objective
 N_FAST = 20_000
 
 # the default mixture's entropy in one and two dimensions, bit for bit
-PIN_1D = 1.5116719148710789
-PIN_2D = 3.011192417315953
+PIN_1D = 1.5116719148710827
+PIN_2D = 3.011192417315955
 
 
 def _mpmath_mixture_entropy(weight, var_a, var_b, dim):
@@ -137,12 +137,17 @@ class TestExactEntropy:
         est = knn_entropy(sample(model, 50_000, rng), k=3)
         assert est.value == pytest.approx(exact, abs=0.02)
 
-    @pytest.mark.parametrize("dim, value", [(1, PIN_1D), (2, PIN_2D)])
+    @pytest.mark.parametrize("dim, value", [(1, PIN_1D), (2, PIN_2D)], ids=["1d", "2d"])
     def test_mixture_quadrature_is_pinned(self, dim, value):
         assert TwoGaussianMixBlock(0.5, 0.5, 2.0, dim).entropy() == value
 
-    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
-    @pytest.mark.parametrize("weight, var_a, var_b", [(0.5, 0.5, 2.0), (0.3, 0.1, 5.0)])
+    @pytest.mark.parametrize(
+        "weight, var_a, var_b, dim",
+        [(*mix, dim) for mix in [(0.5, 0.5, 2.0), (0.3, 0.1, 5.0)] for dim in (1, 2, 3, 5)]
+        # variances far apart in high dimension, where one panel over
+        # [0, 12 sqrt(max var)] was off by 8.4e-11, 5.4e-10 and 3.3e-9
+        + [(0.3, 0.1, 5.0, 9), (0.5, 0.01, 1.0, 8), (0.1, 0.01, 4.0, 5)],
+    )
     def test_mixture_quadrature_matches_mpmath(self, weight, var_a, var_b, dim):
         value = TwoGaussianMixBlock(weight, var_a, var_b, dim).entropy()
         assert abs(value - _mpmath_mixture_entropy(weight, var_a, var_b, dim)) <= 1e-12

@@ -15,6 +15,11 @@ Claims:
       Sigma = I without a RuntimeWarning, reports values accurate to
       rounding on seeded random draws, and reports equal-block
       covariances for the entropy power datum
+    - scaling a map's rows shifts the solve by the log-determinant of the
+      scaling, with the same flags and never NaN; scaling two scalar
+      blocks 1e9 apart shifts it by -sum_i d_i log s_i to 1e-12; the
+      kernel is degenerate below a Cholesky diagonal ratio of sqrt(eps)
+      and not above it
     - the solver takes no start count: each irreducible leaf gets one
       ascent from Sigma = I, so starts_used counts those leaves, and on a
       converged one-leaf datum no random covariance beats the value
@@ -46,7 +51,6 @@ import blepi
 from blepi.datum import Datum, Partition
 from blepi.finiteness import INFINITE, ViolatingSubspace, ViolationError, certify
 from blepi.gauss import (
-    _COND_LIMIT,
     _logdet_kernel,
     _moved,
     _newton,
@@ -359,9 +363,10 @@ class TestSolver:
 
     def test_ill_conditioned_identity_image_does_not_raise(self):
         # A Sigma A^T at Sigma = I has condition number 1e14, above the
-        # solver's 1e12, and the objective is the constant -log(1e-7); the
-        # reference value at Sigma = I used to raise out of solve_mg, and
-        # every ascent used to fail; it is a single-map leaf of its tree
+        # 1e12 an earlier solver cut at, and the objective is the constant
+        # -log(1e-7); the reference value at Sigma = I used to raise out of
+        # solve_mg, and every ascent used to fail; it is a single-map leaf
+        # of its tree
         d = Datum(
             partition=Partition((2,)),
             maps=(np.array([[1.0, 0.0], [0.0, 1e-7]]),),
@@ -371,6 +376,36 @@ class TestSolver:
         res = solve_mg(d)
         assert res.converged and not res.unbounded
         assert res.mg_value == pytest.approx(-math.log(1e-7), abs=1e-9)
+
+    def test_column_scales_apart_by_1e9_shift_the_value_exactly(self):
+        # scaling block i by s_i moves M by -d_i log s_i.  The ascent divides
+        # each row by its norm, which keeps the relative accuracy of the
+        # small entry; a Householder QR of the row would not (it was off
+        # by 2.6e-8 here)
+        maps = (np.array([[0.8, 1.1]]), np.array([[1.3, -0.6]]))
+        part, c, dexp = Partition((1, 1)), np.array([0.6, 0.8]), np.array([0.9, 0.5])
+        s = np.array([3e-5, 4e4])
+        base = solve_mg(Datum(partition=part, maps=maps, c=c, d=dexp))
+        scaled = solve_mg(Datum(partition=part, maps=tuple(A * s for A in maps), c=c, d=dexp))
+        assert base.converged and scaled.converged
+        assert abs(scaled.mg_value - (base.mg_value - float(dexp @ np.log(s)))) <= 1e-12
+
+    @pytest.mark.parametrize("t, degenerate", [(1e-8, True), (2e-8, False)])
+    def test_kernel_is_degenerate_below_sqrt_eps(self, t, degenerate):
+        # at Sigma = I the image Cholesky diagonal of diag(1, t) is (1, t);
+        # sqrt(eps) = 1.49e-8 is the kernel's one conditioning rule
+        d = Datum(
+            partition=Partition((2,)),
+            maps=(np.diag([1.0, t]),),
+            c=np.array([1.0]),
+            d=np.array([1.0]),
+        )
+        factors = [np.eye(2)]
+        if degenerate:
+            with pytest.raises(DegenerateImageError):
+                _logdet_kernel(d, factors)
+        else:
+            assert _logdet_kernel(d, factors)[0] == pytest.approx(-math.log(t), abs=1e-12)
 
     def test_boundary_random_draw_solves_to_a_valid_covariance(self):
         # seeded random draw 18 of np.random.default_rng([1, 3]): the datum
@@ -454,6 +489,39 @@ class TestSolver:
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
+@example(seed=6)
+@example(seed=32)
+def test_row_scaling_shifts_the_solve_by_its_log_determinant(seed):
+    """Scaling the rows of A_j by s_jk moves M by -sum_j c_j sum_k log s_jk
+    and nothing else.  With every row scaled by 10^U(-6, 6) the solve has
+    the unscaled flags and is never NaN, and on an unsplit datum that
+    converges its value is the unscaled one plus that shift.  Seeds 6 and
+    32 solved to NaN when the solver cut image condition numbers at 1e12;
+    a split datum is left out of the value check, because the split
+    itself loses digits on badly scaled rows."""
+    rng = np.random.default_rng(seed)
+    d = random_datum(rng, balanced=True)
+    s = [10.0 ** rng.uniform(-6, 6, A.shape[0]) for A in d.maps]
+    scaled = Datum(
+        partition=d.partition,
+        maps=tuple(A * sj[:, None] for A, sj in zip(d.maps, s)),
+        c=d.c,
+        d=d.d,
+    )
+    base, res = solve_mg(d), solve_mg(scaled)
+    assert not math.isnan(res.mg_value)
+    assert (res.converged, res.unbounded, res.starts_used) == (
+        base.converged,
+        base.unbounded,
+        base.starts_used,
+    )
+    if base.converged and certify(d).is_leaf:
+        M = base.mg_value - sum(cj * sum(map(math.log, sj)) for cj, sj in zip(d.c, s))
+        assert abs(res.mg_value - M) <= 1e-9 * (1.0 + abs(M))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
 def test_no_random_covariance_beats_a_converged_one_leaf_solve(seed):
     """On a one-leaf datum the single ascent from Sigma = I is the whole
     solve; wherever it converges, concavity makes its value the maximum,
@@ -499,6 +567,12 @@ def test_split_tree_value_matches_the_whole_datum_ascent(seed, draw):
         assert res.converged
         assert res.mg_value == pytest.approx(whole, abs=1e-9)
         assert objective(d, res.sigma_star) <= res.mg_value + 1e-9
+
+
+# the accuracy checks below cover image covariances of condition number
+# up to this, the range their tolerances were measured on; the kernel
+# itself accepts any whose Cholesky diagonal ratio is above sqrt(eps)
+_KAPPA_LIMIT = 1e12
 
 
 def _reference_gradient(datum, factors):
@@ -605,13 +679,15 @@ def test_logdet_kernel_matches_cholesky_formulas(seed, balanced, scale):
     basis = _sym_basis(datum.partition)
     factors = _random_factors(rng, datum.partition, scale)
     ref_val, ref_grads, ratio = _reference_gradient(datum, factors)
-    floor = _COND_LIMIT**-0.5
+    floor = np.finfo(float).eps ** 0.5
     try:
-        val, g, H = _logdet_kernel(datum, factors, cond_limit=_COND_LIMIT, basis=basis)
+        val, g, H = _logdet_kernel(datum, factors, basis=basis)
     except DegenerateImageError:
         assert ratio < 1.01 * floor
         return
     assert ratio > floor / 1.01
+    if ratio < _KAPPA_LIMIT**-0.5:
+        return
     # at most 5 eps kappa in the value and 2.2 eps kappa in the gradient
     # over 4000 seeded draws
     rtol = 64 * np.finfo(float).eps * _reference_kappa(datum, factors)
@@ -639,7 +715,7 @@ def test_gradient_matches_cholesky_formulas(seed, balanced, scale):
     datum = random_datum(rng, balanced=balanced)
     factors = _random_factors(rng, datum.partition, scale)
     _, ref_grads, ratio = _reference_gradient(datum, factors)
-    if ratio < _COND_LIMIT**-0.5:
+    if ratio < _KAPPA_LIMIT**-0.5:
         return
     grads = gradient(datum, BlockCovariance(tuple(F @ F.T for F in factors)))
     rtol = 64 * np.finfo(float).eps * _reference_kappa(datum, factors)
@@ -685,7 +761,7 @@ def test_gradient_matches_exact_formulas_at_every_scale(seed, balanced, scale):
     datum = random_datum(rng, balanced=balanced)
     factors = _random_factors(rng, datum.partition, scale)
     _, _, ratio = _reference_gradient(datum, factors)
-    if ratio < _COND_LIMIT**-0.5:
+    if ratio < _KAPPA_LIMIT**-0.5:
         return
     grads = gradient(datum, BlockCovariance(tuple(F @ F.T for F in factors)))
     rtol = 64 * np.finfo(float).eps * _reference_kappa(datum, factors)
