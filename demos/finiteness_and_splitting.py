@@ -5,8 +5,10 @@ product-form subspace has positive slack.  Violations come with concrete
 witnesses: the exact residual, or a subspace whose slack certifies
 divergence.  Finite data can be decomposed along critical (zero-slack)
 subspaces into smaller data, down to one-dimensional or single-map
-leaves with explicit constants.  A change of units inside one block
-changes no verdict: every verdict is read off the slack.
+leaves with explicit constants: ``split_datum`` returns the two child
+data of one split, and their constants add to the parent's.  A change
+of units inside one block changes no verdict: every verdict is read off
+the slack.
 """
 
 import numpy as np
@@ -59,10 +61,10 @@ def main():
     show_tree(tree)
 
     print("\nthe constant splits exactly across the root split:")
-    parts = blepi.split_datum(datum, tree.subspace)
+    child_u, child_perp = blepi.split_datum(datum, tree.subspace)
     parent = blepi.solve_mg(datum).mg_value
-    left = blepi.solve_mg(parts.child_u.datum).mg_value
-    right = blepi.solve_mg(parts.child_perp.datum).mg_value
+    left = blepi.solve_mg(child_u).mg_value
+    right = blepi.solve_mg(child_perp).mg_value
     print(f"  M(parent) = {parent:+.2e} = {left:+.2e} + {right:+.2e} = M(U) + M(U_perp)")
 
 

@@ -36,7 +36,6 @@ from .subspace import (
 from .finiteness import (
     FinitenessVerdict,
     ScalingResidual,
-    SplitResult,
     SplitTree,
     ViolatingSubspace,
     certify,

@@ -4,7 +4,8 @@ Subcommands: validate, check, solve, verify, closed-form.  Reports are
 deterministic for a fixed (command, config): check and solve use no
 randomness, verify draws its samples from counter-based generators keyed
 on ``--seed``, and output contains no timing information.  Exit codes:
-0 success / finite / all pass, 1 I/O or parse error, 2 validation or
+0 success / finite / all pass, 1 I/O error (reading an input or
+writing ``--out``; no traceback) or parse error, 2 validation or
 domain failure, 3 infinite, 4 unknown (a check verdict, or a verify
 whose reference solve did not converge), 5 unbounded solve, 6 verification
 failure, 7 internal error (an uncaught exception; its traceback goes to
@@ -98,9 +99,6 @@ def _json_report(doc: dict) -> str:
 def _load_valid(path, cfg: RunConfig, report_ok: bool = False) -> tuple[Optional[Datum], int]:
     try:
         datum = load(path)
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return None, EXIT_IO
     except DatumParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return None, EXIT_IO
@@ -320,9 +318,6 @@ def cmd_closed_form(args, cfg: RunConfig) -> int:
         else:  # pragma: no cover - argparse restricts choices
             sys.stderr.write(f"unknown closed form {sub}\n")
             return EXIT_INVALID
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_IO
     except (ValueError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"domain error: {exc}\n")
         return EXIT_INVALID
@@ -426,6 +421,9 @@ def main(argv=None) -> int:
     cfg = _config(args)
     try:
         return _run(args, cfg)
+    except OSError as exc:  # reading an input or writing --out
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_IO
     except Exception:
         traceback.print_exc()
         return EXIT_INTERNAL

@@ -10,14 +10,14 @@ candidate search and the escape-ray probe (the full space and each
 single block, scored with ``slack``) both return a subspace witness, and
 the only unknown left is a truncated coordinate family.
 
-A finite datum can be decomposed along critical subspaces: restricting
-the maps to U and projecting the rest onto the orthocomplements yields
-two smaller data whose constants sum to the parent's.  Recursing until
-dimension-one or single-square-map base cases (whose constants are
-explicit log-determinants) produces a :class:`SplitTree` certificate,
-along which ``gauss.solve_mg`` computes the constant.  Each node makes
-one pass over its candidates, which rejects a violating subspace and
-collects the critical ones.
+A finite datum can be decomposed along critical subspaces:
+``split_datum`` restricts the maps to U, projects the rest onto the
+orthocomplements, and returns the two child data, whose constants sum
+to the parent's.  Recursing until dimension-one or single-square-map
+base cases (whose constants are explicit log-determinants) produces a
+:class:`SplitTree` certificate, along which ``gauss.solve_mg`` computes
+the constant.  Each node makes one pass over its candidates, which
+rejects a violating subspace and collects the critical ones.
 """
 
 from __future__ import annotations
@@ -49,8 +49,6 @@ __all__ = [
     "ScalingResidual",
     "ViolatingSubspace",
     "FinitenessVerdict",
-    "SplitChild",
-    "SplitResult",
     "SplitError",
     "ViolationError",
     "SplitTree",
@@ -160,96 +158,47 @@ class ViolationError(ValueError):
         self.subspace = subspace
 
 
-@dataclass(frozen=True)
-class SplitChild:
-    """Child datum plus the bookkeeping of which original blocks and maps
-    survived (zero-dimensional ones are dropped; their entropy
-    contribution is zero by convention)."""
-
-    datum: Optional[Datum]
-    block_index: tuple[int, ...]
-    map_index: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class SplitResult:
-    child_u: SplitChild
-    child_perp: SplitChild
-    u_basis: np.ndarray        # n x t, orthonormal, block-aligned
-    perp_basis: np.ndarray     # n x (n - t)
-    image_bases: tuple[np.ndarray, ...]     # F_j: basis of A_j U in R^{n_j}
-    coimage_bases: tuple[np.ndarray, ...]   # G_j: basis of (A_j U)^perp
-    restricted_maps: tuple[np.ndarray, ...]   # A_j on U, in bases (E, F_j)
-    quotient_maps: tuple[np.ndarray, ...]     # projected A_j on U^perp, bases (E_perp, G_j)
-    cross_maps: tuple[np.ndarray, ...]        # component of A_j U^perp inside A_j U
-
-
-def split_datum(datum: Datum, U: ProductSubspace) -> SplitResult:
-    """Split a datum along a critical product subspace U.
+def split_datum(datum: Datum, U: ProductSubspace) -> tuple[Datum, Datum]:
+    """Split a datum along a critical product subspace U into the pair
+    (child on U, child on U^perp), whose constants add to the parent's.
 
     The child on U restricts each map to U, expressed in orthonormal
     bases of U and A_j U (the singular vectors of A_j E above the cut
     rank_tol(A_j) that dim_image counts).  The child on the
-    orthocomplement projects each map onto (A_j U)^perp.  The leftover
-    component of A_j on U^perp that lands inside A_j U is returned as a
-    cross map; together the three pieces reconstruct A_j exactly.
-    Exponents carry over; blocks or images that collapse to dimension
-    zero are dropped with the index maps recording the survivors.
+    orthocomplement projects each map onto (A_j U)^perp.  Exponents
+    carry over; blocks and maps that collapse to dimension zero are
+    dropped (their entropy contribution is zero by convention).
     """
     sr = slack(datum, U)
     if not sr.critical:
         raise SplitError(f"subspace is not critical: slack = {sr.slack:.3g}")
-    t = U.dim
-    if t == 0 or t == datum.n:
+    if U.dim == 0 or U.dim == datum.n:
         raise SplitError("need a proper nontrivial critical subspace")
 
     E = U.embedding
-    Uperp = U.orthocomplement()
-    Eperp = Uperp.embedding
-
-    image_bases, coimage_bases = [], []
-    restricted, quotient, cross = [], [], []
+    Eperp = U.orthocomplement().embedding
+    restricted, quotient = [], []
     for A in datum.maps:
         AE = A @ E
         W, sv, _ = np.linalg.svd(AE, full_matrices=False)
         F = W[:, : int(np.sum(sv > rank_tol(A)))]
-        G = null_space(F.T)
-        image_bases.append(F)
-        coimage_bases.append(G)
         restricted.append(F.T @ AE)
-        quotient.append(G.T @ (A @ Eperp))
-        cross.append(F.T @ (A @ Eperp))
+        quotient.append(null_space(F.T).T @ (A @ Eperp))
 
-    def build_child(part_dims, maps_list, side):
-        keep_blocks = tuple(i for i, ti in enumerate(part_dims) if ti > 0)
-        keep_maps = tuple(j for j, M in enumerate(maps_list) if M.shape[0] > 0)
+    def child(part_dims, maps_list, side):
+        keep_blocks = [i for i, ti in enumerate(part_dims) if ti > 0]
+        keep_maps = [j for j, M in enumerate(maps_list) if M.shape[0] > 0]
         if not keep_maps:
             raise SplitError(f"split along U leaves the {side} child with no maps")
-        child = Datum(
+        return Datum(
             partition=Partition(tuple(part_dims[i] for i in keep_blocks)),
             maps=tuple(maps_list[j] for j in keep_maps),
-            c=datum.c[list(keep_maps)],
-            d=datum.d[list(keep_blocks)],
-            metadata={"split_side": side},
+            c=datum.c[keep_maps],
+            d=datum.d[keep_blocks],
         )
-        return SplitChild(datum=child, block_index=keep_blocks, map_index=keep_maps)
 
-    t_dims = U.block_dims
-    p_dims = tuple(r - ti for r, ti in zip(datum.partition.blocks, t_dims))
-    child_u = build_child(t_dims, restricted, "U")
-    child_perp = build_child(p_dims, quotient, "U_perp")
-
-    return SplitResult(
-        child_u=child_u,
-        child_perp=child_perp,
-        u_basis=E,
-        perp_basis=Eperp,
-        image_bases=tuple(image_bases),
-        coimage_bases=tuple(coimage_bases),
-        restricted_maps=tuple(restricted),
-        quotient_maps=tuple(quotient),
-        cross_maps=tuple(cross),
-    )
+    p_dims = tuple(r - ti for r, ti in zip(datum.partition.blocks, U.block_dims))
+    return child(U.block_dims, restricted, "U"), child(p_dims, quotient, "U_perp")
 
 
 # ---------------------------------------------------------------------------
@@ -346,11 +295,11 @@ def _certify(datum: Datum, budget, root: bool = False) -> SplitTree:
         return SplitTree(datum=datum, leaf_kind="single-map", constant=const)
     for U in critical:
         try:
-            parts = split_datum(datum, U)
+            child_u, child_perp = split_datum(datum, U)
         except SplitError:
             continue
-        left = _certify(parts.child_u.datum, budget)
-        right = _certify(parts.child_perp.datum, budget)
+        left = _certify(child_u, budget)
+        right = _certify(child_perp, budget)
         return SplitTree(datum=datum, subspace=U, children=(left, right))
     return SplitTree(datum=datum, leaf_kind="irreducible", constant=None)
 

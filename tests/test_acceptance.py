@@ -219,8 +219,8 @@ def test_criterion_5_split_certificate():
             datum.partition, [np.array([[1.0], [1.0]]), np.array([[1.0]])]
         )
         assert abs(slack(datum, U).slack) <= 1e-12
-        parts = split_datum(datum, U)
-        for child in (parts.child_u.datum, parts.child_perp.datum):
+        child_u, child_perp = split_datum(datum, U)
+        for child in (child_u, child_perp):
             assert abs(scaling_residual(child)) <= 1e-9
             assert (
                 find_violating_subspace(child, SearchBudget(), np.random.default_rng(50))
@@ -228,8 +228,8 @@ def test_criterion_5_split_certificate():
             )
         # the constant splits exactly along a critical subspace
         parent = solve_mg(datum)
-        left = solve_mg(parts.child_u.datum)
-        right = solve_mg(parts.child_perp.datum)
+        left = solve_mg(child_u)
+        right = solve_mg(child_perp)
         for res in (parent, left, right):
             assert res.converged and not res.unbounded
         assert abs(parent.mg_value - (left.mg_value + right.mg_value)) <= 1e-9

@@ -11,6 +11,8 @@ Claims:
       --seed (only verify reads --seed), and solve and verify reject
       --starts: the solver runs one ascent per irreducible leaf
     - an uncaught exception prints its traceback and exits 7, not 1
+    - an --out path that cannot be written exits 1 with one error line
+      and no traceback, on every subcommand and as a process
     - reports are byte-identical across repeated runs with one seed
     - the parsed defaults of every subcommand are RunConfig's defaults
     - the bits flag rescales reported values by 1/log(2)
@@ -24,6 +26,10 @@ Claims:
 import dataclasses
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -271,6 +277,36 @@ def test_options_a_subcommand_does_not_read_are_rejected(epi_file, argv, capsys)
         main([a.format(datum=epi_file) for a in argv])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+_WRITING = [
+    ["validate", "{datum}"],
+    ["check", "{datum}"],
+    ["solve", "{datum}"],
+    ["verify", "{datum}", "--models", "gaussian", "--samples", "500"],
+    ["closed-form", "epi", "--lambda", "0.5"],
+]
+
+
+@pytest.mark.parametrize("argv", _WRITING, ids=[a[0] for a in _WRITING])
+def test_unwritable_out_is_an_io_error(epi_file, tmp_path, argv, capsys):
+    out = tmp_path / "no" / "such" / "dir" / "x.json"
+    assert main([a.format(datum=epi_file) for a in argv] + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_unwritable_out_exits_1_as_a_process(epi_file, tmp_path):
+    out = tmp_path / "no" / "such" / "dir" / "x.json"
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "blepi.cli", "solve", epi_file, "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
 class TestClosedFormCommand:

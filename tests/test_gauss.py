@@ -19,7 +19,8 @@ Claims:
       scaling, with the same flags and never NaN; scaling two scalar
       blocks 1e9 apart shifts it by -sum_i d_i log s_i to 1e-12; the
       kernel is degenerate below a Cholesky diagonal ratio of sqrt(eps)
-      and not above it
+      and not above it; a near-singular square map the ascent cannot start
+      on (NaN) solves through the single-map leaf's explicit constant
     - the solver takes no start count: each irreducible leaf gets one
       ascent from Sigma = I, so starts_used counts those leaves, and on a
       converged one-leaf datum no random covariance beats the value
@@ -376,6 +377,20 @@ class TestSolver:
         res = solve_mg(d)
         assert res.converged and not res.unbounded
         assert res.mg_value == pytest.approx(-math.log(1e-7), abs=1e-9)
+
+    def test_near_singular_square_map_needs_the_single_map_leaf(self):
+        # [[1, 1], [1, 1 + 1e-9]] has rows 5e-10 apart in angle, so the
+        # image's Cholesky diagonal ratio at Sigma = I is below
+        # sqrt(eps) and the ascent returns NaN; the single-map leaf's
+        # explicit -log|det A| is what makes the solve converge
+        A = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-9]])
+        d = Datum(partition=Partition((2,)), maps=(A,), c=np.array([1.0]), d=np.array([1.0]))
+        assert certify(d).leaf_kind == "single-map"
+        res = solve_mg(d)
+        assert res.converged and not res.unbounded
+        assert res.mg_value == -math.log(abs(np.linalg.det(A)))
+        assert res.mg_value == pytest.approx(20.7233, abs=1e-4)
+        assert math.isnan(_newton(d, SolverOptions())[0])
 
     def test_column_scales_apart_by_1e9_shift_the_value_exactly(self):
         # scaling block i by s_i moves M by -d_i log s_i.  The ascent divides
