@@ -12,29 +12,37 @@ Claims:
     - the coupled-sums formula agrees with its own brute-force supremum,
       including at the rho = 1 boundary
     - the brute force is within 1e-12 of the formula and never above it,
-      and its one Nelder-Mead refinement stops on its tolerances, not on
-      its evaluation cap, at alpha = 1 and on feasible interior tuples
-    - the oracle's vectorized grid scan finds the same maximum, at the
-      same grid point, as a scalar loop over the grid
+      and its one stencil ascent stops on its step tolerance, before its
+      round cap, at alpha = 1, on a corner grid of (delta, beta) and on
+      feasible interior tuples
+    - the oracle's numpy kernel is the raw determinant ratio: it matches an
+      mpmath evaluation at 50 digits, at scaled points K3 != 1, to 1e-12
+      relative, with |t| up to 15 and K over 1e-6..1e6
+    - the kernel is -inf, without a floating-point warning, where its
+      denominator underflows, overflows or is NaN
+    - the oracle's grid scan finds the same maximum, at the same grid
+      point, as a scalar loop of the same kernel over the grid
 """
 
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
-import scipy.optimize
 
 import blepi
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blepi import closed_forms
 from blepi.closed_forms import (
-    _SCAN_4VAR,
+    _GRID,
+    _ROUNDS,
     CoupledSumsParams,
-    _log_ratio_4var,
-    _scan_4var,
-    _sup_4var,
+    _log_ratio,
+    _scan,
+    _sup_ratio,
     cauchy_binet_check,
     coupled_sums_bruteforce,
     coupled_sums_constant,
@@ -211,37 +219,45 @@ class TestCoupledSumsConstant:
             coupled_sums_constant(0.9, 1.0, 0.35)
 
     def test_symmetric_stationarity_of_the_raw_supremum(self):
-        _, (k1, k2, _, rho) = _sup_4var(1.25, 0.5, 0.5)
+        _, (k1, k2, k3, rho) = _sup_ratio(1.25, 0.5)
+        assert k3 == 1.0
         assert k1 == pytest.approx(k2, rel=1e-3)
         assert rho == pytest.approx(0.5, abs=1e-3)
 
 
 def _oracle_runs(alpha, beta, delta):
-    """coupled_sums_bruteforce and the results of its refinements."""
-    runs = []
-    minimize = scipy.optimize.minimize
+    """coupled_sums_bruteforce and the round counts of its stencil ascents."""
+    rounds = []
+    ascend = closed_forms._ascend
 
-    def recording(*args, **kwargs):
-        runs.append(minimize(*args, **kwargs))
-        return runs[-1]
+    def recording(*args):
+        result = ascend(*args)
+        rounds.append(result[2])
+        return result
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scipy.optimize, "minimize", recording)
+        mp.setattr(closed_forms, "_ascend", recording)
         bf = coupled_sums_bruteforce(alpha, beta, delta)
-    return bf, runs
+    return bf, rounds
 
 
 def _assert_oracle_exact(alpha, beta, delta):
     C, _ = coupled_sums_constant(alpha, beta, delta)
-    bf, (run,) = _oracle_runs(alpha, beta, delta)
+    bf, (rounds,) = _oracle_runs(alpha, beta, delta)
     assert bf <= C + 1e-12
     assert abs(bf - C) <= 1e-12
-    # the cap is 40000 evaluations
-    assert run.nfev < 40000
+    # fewer rounds than the cap: the ascent stopped on its step tolerance
+    assert rounds < _ROUNDS
 
 
-# 0.96858... is a seeded draw on which the refinement still ran to its cap
-# while the raw ratio was evaluated at K rather than at K / K3
+def _interior(delta, share):
+    """The feasible tuple (alpha, beta, delta) with beta = share * min(1, 2 delta)."""
+    beta = share * min(1.0, 2.0 * delta)
+    return 1.0 + delta - beta / 2.0, beta, delta
+
+
+# 0.96858... is a seeded draw on which the former Nelder-Mead refinement ran
+# to its cap while the raw ratio was evaluated at K rather than at K / K3
 @pytest.mark.parametrize("beta", [0.8, 0.5, 0.05, 0.2, 0.95, 0.9685870541253776, 0.999])
 def test_boundary_oracle_is_exact_and_stops_on_its_tolerances(beta):
     # alpha = 1 forces beta = 2 delta (rho = 1): the supremum is a limit,
@@ -249,18 +265,63 @@ def test_boundary_oracle_is_exact_and_stops_on_its_tolerances(beta):
     _assert_oracle_exact(1.0, beta, beta / 2.0)
 
 
+@pytest.mark.parametrize("share", [0.001, 0.01, 0.5, 0.99, 0.999])
+@pytest.mark.parametrize("delta", [0.01, 0.05, 0.3, 1.0, 3.0])
+def test_corner_oracle_is_exact_and_stops_on_its_tolerances(delta, share):
+    _assert_oracle_exact(*_interior(delta, share))
+
+
 @settings(max_examples=40, deadline=None)
 @given(delta=st.floats(0.01, 3.0), share=st.floats(0.001, 0.999))
 def test_interior_oracle_is_exact_and_stops_on_its_tolerances(delta, share):
-    beta = share * min(1.0, 2.0 * delta)
-    _assert_oracle_exact(1.0 + delta - beta / 2.0, beta, delta)
+    _assert_oracle_exact(*_interior(delta, share))
+
+
+def _mp_log_ratio(u1, u2, u3, rho, alpha, delta):
+    """log det(Cov X)^alpha K3^beta / ((K1 K2)^delta det Cov(X1 + Y, X2 + Y))
+    at K = exp(u), from the two 2 x 2 covariance matrices, with beta from
+    the balance 2 alpha + beta = 2 + 2 delta."""
+    k1, k2, k3 = (mpmath.exp(u) for u in (u1, u2, u3))
+    c = rho * mpmath.sqrt(k1 * k2)
+    det_x = mpmath.det(mpmath.matrix([[k1, c], [c, k2]]))
+    det_sum = mpmath.det(mpmath.matrix([[k1 + k3, c + k3], [c + k3, k2 + k3]]))
+    beta = 2 + 2 * delta - 2 * alpha
+    return (
+        alpha * mpmath.log(det_x) + beta * mpmath.log(k3)
+        - delta * mpmath.log(k1 * k2) - mpmath.log(det_sum)
+    )
+
+
+def test_ratio_kernel_matches_an_mpmath_determinant_ratio(rng):
+    with mpmath.workdps(50):
+        for _ in range(200):
+            alpha, _, delta = _interior(rng.uniform(0.01, 3.0), rng.uniform(0.001, 0.999))
+            u3, t = rng.uniform(-6.0, 6.0) * math.log(10.0), rng.uniform(-15.0, 15.0)
+            # K3 = exp(u3) != 1: the kernel's K3 = 1 relies on scale invariance
+            u1, u2 = (u - u3 for u in rng.uniform(-6.0, 6.0, 2) * math.log(10.0))
+            ref = _mp_log_ratio(
+                mpmath.mpf(u1) + u3, mpmath.mpf(u2) + u3, mpmath.mpf(u3),
+                mpmath.tanh(mpmath.mpf(t)), mpmath.mpf(alpha), mpmath.mpf(delta),
+            )
+            value = float(_log_ratio(u1, u2, t, alpha, delta))
+            assert abs(value - float(ref)) <= 1e-12 * abs(float(ref))
+
+
+@pytest.mark.parametrize(
+    "u1, u2, t",
+    [(0.0, 0.0, 400.0), (800.0, 0.0, 0.0), (800.0, -800.0, 0.0), (0.0, 0.0, math.inf)],
+)
+def test_ratio_kernel_is_minus_inf_off_its_finite_range(u1, u2, t):
+    # the denominator underflows to 0, overflows, or is NaN (inf * 0) there;
+    # the value is -inf, never +inf or NaN, and no RuntimeWarning escapes
+    assert _log_ratio(u1, u2, t, 1.25, 0.5) == -math.inf
 
 
 def _loop_scan(fun, axes):
     """Reference scan: the first strict maximum of a nested loop."""
     best, arg = -math.inf, None
     for point in itertools.product(*axes):
-        v = fun(*point)
+        v = float(fun(*point))
         if v > best:
             best, arg = v, point
     return best, tuple(float(x) for x in arg)
@@ -268,7 +329,8 @@ def _loop_scan(fun, axes):
 
 @pytest.mark.parametrize("alpha, beta, delta", [(1.25, 0.5, 0.5), (1.0, 0.8, 0.4)])
 def test_grid_scans_match_the_scalar_loop(alpha, beta, delta):
-    assert _scan_4var(alpha, beta, delta) == _loop_scan(
-        lambda lk1, lk2, lk3, t: _log_ratio_4var(lk1, lk2, lk3, t, alpha, beta, delta),
-        _SCAN_4VAR,
+    # beta enters the kernel only through the balance it must satisfy
+    assert coupled_sums_feasible(CoupledSumsParams(alpha, beta, delta, delta)).feasible
+    assert _scan(alpha, delta) == _loop_scan(
+        lambda u1, u2, t: _log_ratio(u1, u2, t, alpha, delta), _GRID
     )
