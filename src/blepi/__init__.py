@@ -39,7 +39,6 @@ from .finiteness import (
     SplitTree,
     ViolatingSubspace,
     certify,
-    check_and_certify,
     check_finiteness,
     scaling_residual,
     split_datum,

@@ -146,15 +146,6 @@ class CoupledSumsFeasibility:
         flags = (self.balance, self.shared_bound, self.marginal_bounds, self.joint_lower)
         return tuple(i + 1 for i, ok in enumerate(flags) if not ok)
 
-    def to_dict(self) -> dict:
-        return {
-            "feasible": self.feasible,
-            "condition_1_balance": self.balance,
-            "condition_2_shared_bound": self.shared_bound,
-            "condition_3_marginal_bounds": self.marginal_bounds,
-            "condition_4_joint_lower": self.joint_lower,
-        }
-
 
 _EQ_TOL = 1e-9
 _INEQ_SLOP = 1e-12

@@ -22,8 +22,7 @@ rejects a violating subspace and collects the critical ones.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -56,7 +55,6 @@ __all__ = [
     "check_finiteness",
     "split_datum",
     "certify",
-    "check_and_certify",
 ]
 
 FINITE = "finite"
@@ -82,7 +80,6 @@ def _subspace_to_dict(V: ProductSubspace) -> dict:
 class FinitenessVerdict:
     status: str
     witness: Optional[Union[ScalingResidual, ViolatingSubspace]] = None
-    certificate: Optional["SplitTree"] = None
     notes: str = ""
 
     def to_dict(self) -> dict:
@@ -97,7 +94,6 @@ class FinitenessVerdict:
             }
         else:
             doc["witness"] = None
-        doc["certificate"] = self.certificate.to_dict() if self.certificate else None
         return doc
 
 
@@ -231,19 +227,6 @@ class SplitTree:
             return [self]
         return [leaf for child in self.children for leaf in child.leaves()]
 
-    def to_dict(self) -> dict:
-        doc: dict = {
-            "n": self.datum.n,
-            "m": self.datum.m,
-            "leaf_kind": self.leaf_kind,
-            "constant": self.constant,
-        }
-        if self.subspace is not None:
-            doc["subspace"] = _subspace_to_dict(self.subspace)
-        if self.children is not None:
-            doc["children"] = [c.to_dict() for c in self.children]
-        return doc
-
 
 def _scan(datum: Datum, budget):
     """One pass over the candidates: the first violating subspace (or
@@ -291,7 +274,8 @@ def _certify(datum: Datum, budget, root: bool = False) -> SplitTree:
             raise ViolationError(violating)
         return SplitTree(datum=datum, leaf_kind="irreducible", constant=None)
     if datum.m == 1 and datum.maps[0].shape[0] == datum.maps[0].shape[1]:
-        const = -float(datum.c[0]) * math.log(abs(np.linalg.det(datum.maps[0])))
+        # slogdet, as det underflows to 0 on a map like 1e-200 * I
+        const = -float(datum.c[0]) * float(np.linalg.slogdet(datum.maps[0])[1])
         return SplitTree(datum=datum, leaf_kind="single-map", constant=const)
     for U in critical:
         try:
@@ -303,14 +287,3 @@ def _certify(datum: Datum, budget, root: bool = False) -> SplitTree:
         return SplitTree(datum=datum, subspace=U, children=(left, right))
     return SplitTree(datum=datum, leaf_kind="irreducible", constant=None)
 
-
-def check_and_certify(
-    datum: Datum,
-    budget: SearchBudget = SearchBudget(),
-    rng: Optional[np.random.Generator] = None,
-) -> FinitenessVerdict:
-    """Finiteness check followed, on a finite verdict, by certification."""
-    verdict = check_finiteness(datum, budget, rng)
-    if verdict.status != FINITE:
-        return verdict
-    return replace(verdict, certificate=certify(datum, budget))

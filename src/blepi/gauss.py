@@ -16,7 +16,9 @@ scaling balance fails or ``certify`` finds a violating subspace (its
 root's candidate pass, then the divergence probe); otherwise it sums the
 leaf constants of ``certify``'s split tree, maximizing the objective on
 each irreducible leaf by one damped Newton ascent from Sigma = I in those
-coordinates; concavity makes a converged ascent the global maximum.  It
+coordinates; concavity makes a converged ascent the global maximum.  A
+split datum's maximizer is reported leaf by leaf, as the covariances the
+leaves computed, each in its leaf's coordinates.  It
 ascends on unit-norm map rows plus their shift, so the kernel's one
 conditioning rule (sqrt(eps)) does not depend on a row's units.  The
 divergence probe scores the full space and each single block with
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Optional
+from typing import ClassVar, Optional, Union
 
 import numpy as np
 
@@ -265,13 +267,16 @@ _ROUNDING = 1e-14     # predicted rises below this, relative to max(1, |value|),
 @dataclass(frozen=True)
 class GaussianSolveResult:
     mg_value: float
-    sigma_star: BlockCovariance
+    # one covariance, or on a split datum one per leaf of its split tree
+    sigma_star: Union[BlockCovariance, tuple[BlockCovariance, ...]]
     converged: bool
     unbounded: bool
     starts_used: int
     gradient_norm: float
 
     def to_dict(self) -> dict:
+        if isinstance(self.sigma_star, tuple):
+            return {**vars(self), "sigma_star": [S.to_dict() for S in self.sigma_star]}
         return {**vars(self), "sigma_star": self.sigma_star.to_dict()}
 
 
@@ -337,31 +342,6 @@ def _newton(datum: Datum, opts: SolverOptions):
     return val + shift, blocks, gnorm
 
 
-# lam of the split covariances Sigma_U + lam Sigma_perp; at 2**-30 the
-# one of coupled sums (1, 1, 0.5) is no longer numerically positive definite
-_SPLIT_LAM = 2.0**-20
-
-
-def _solve_tree(node, opts: SolverOptions):
-    """Value, covariance blocks and irreducible-leaf gradient norms of a
-    split tree node.  Each irreducible leaf gets one ascent; explicit
-    leaves are constant in Sigma and take the identity; a split node sums
-    its children's values and places their covariances on U and
-    _SPLIT_LAM U_perp."""
-    if node.leaf_kind == "irreducible":
-        val, blocks, gnorm = _newton(node.datum, opts)
-        return val, blocks, [gnorm]
-    if node.is_leaf:
-        return node.constant, [np.eye(r) for r in node.datum.partition.blocks], []
-    (v_u, s_u, g_u), (v_p, s_p, g_p) = (_solve_tree(c, opts) for c in node.children)
-    E, Eperp = node.subspace.embedding, node.subspace.orthocomplement().embedding
-    full = E @ block_diag(s_u) @ E.T
-    full += _SPLIT_LAM * (Eperp @ block_diag(s_p) @ Eperp.T)
-    full = 0.5 * (full + full.T)
-    blocks = [full[start:stop, start:stop] for start, stop in node.datum.partition.offsets()]
-    return v_u + v_p, blocks, g_u + g_p
-
-
 def _unbounded(partition: Partition, V: ProductSubspace, lam: float) -> GaussianSolveResult:
     return GaussianSolveResult(
         mg_value=math.inf,
@@ -390,11 +370,15 @@ def solve_mg(datum: Datum, opts: SolverOptions = SolverOptions()) -> GaussianSol
     Newton ascent from Sigma = I on each irreducible leaf, whose
     scale-free gradient norms give ``converged`` (all at most ``opts.tol``)
     and ``gradient_norm`` (their maximum, 0 without such a leaf);
-    ``starts_used`` counts those leaves.  On an
-    unsplit datum the objective at ``sigma_star`` is ``mg_value``: the
-    ascent evaluates the blocks it returns.  A split datum's
-    ``sigma_star`` is Sigma_U + lam Sigma_perp at every split with
-    lam = 2**-20; its objective is below ``mg_value`` by about 1e-6.
+    ``starts_used`` counts those leaves.  ``sigma_star`` is what the
+    leaves computed: the ascent's final covariance on an irreducible
+    leaf, the identity on an explicit one.  An unsplit datum gets its one
+    leaf's covariance; a split datum, whose supremum is in general reached
+    only in a limit Sigma_U + lam Sigma_perp, lam -> 0, gets a tuple with
+    one covariance per leaf of ``certify(datum).leaves()``, each in that
+    leaf's coordinates.  The ascent evaluates the blocks it returns, so
+    on a converged solve the leaf objectives (the constant on explicit
+    leaves) sum to ``mg_value``.
     """
     res = scaling_residual(datum)
     if abs(res) > RESIDUAL_TOL:
@@ -407,11 +391,19 @@ def solve_mg(datum: Datum, opts: SolverOptions = SolverOptions()) -> GaussianSol
     except finiteness.ViolationError as exc:
         # along V the objective grows like 0.5 * slack(V) * log(lam)
         return _unbounded(datum.partition, exc.subspace, 2.0**10)
-    val, blocks, gnorms = _solve_tree(tree, opts)
+    values, sigmas, gnorms = [], [], []
+    for leaf in tree.leaves():
+        if leaf.leaf_kind == "irreducible":
+            val, blocks, gnorm = _newton(leaf.datum, opts)
+            gnorms.append(gnorm)
+        else:  # explicit leaves are constant in Sigma
+            val, blocks = leaf.constant, [np.eye(r) for r in leaf.datum.partition.blocks]
+        values.append(val)
+        sigmas.append(BlockCovariance(tuple(blocks)))
     gnorm = max(gnorms, default=0.0)
     return GaussianSolveResult(
-        mg_value=val,
-        sigma_star=BlockCovariance(tuple(blocks)),
+        mg_value=sum(values[1:], values[0]),  # a lone -0.0 keeps its sign
+        sigma_star=sigmas[0] if tree.is_leaf else tuple(sigmas),
         converged=gnorm <= opts.tol,
         unbounded=False,
         starts_used=len(gnorms),  # one ascent per irreducible leaf

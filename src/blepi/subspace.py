@@ -203,7 +203,8 @@ class SlackResult:
 def rank_tol(A: np.ndarray) -> float:
     """Rank cut for A E, relative to the map and not to A E, which is
     rounding noise when E spans a subspace of ker A."""
-    return _RANK_TOL * max(A.shape) * np.finfo(float).eps * float(np.linalg.norm(A))
+    # the Frobenius norm without squaring the entries, which overflows
+    return _RANK_TOL * max(A.shape) * np.finfo(float).eps * float(np.hypot.reduce(A.ravel()))
 
 
 def dim_image(A: np.ndarray, V: ProductSubspace) -> int:

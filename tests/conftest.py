@@ -2,14 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from blepi.datum import Datum, Partition
+from blepi.datum import Datum, Partition, validate
 from blepi.gauss import BlockCovariance, GaussianPair
 
 
 def random_partition(rng, max_blocks=3, max_block_dim=2):
     k = int(rng.integers(1, max_blocks + 1))
     return Partition(tuple(int(rng.integers(1, max_block_dim + 1)) for _ in range(k)))
+
+
+def _balanced(part, maps, c, d):
+    """The datum with c rescaled so the total scaling balance holds."""
+    image_total = sum(cj * A.shape[0] for cj, A in zip(c, maps))
+    return Datum(partition=part, maps=maps, c=c * (float(np.dot(d, part.blocks)) / image_total), d=d)
 
 
 def random_datum(rng, max_n=6, balanced=False):
@@ -35,9 +42,62 @@ def random_datum(rng, max_n=6, balanced=False):
     c = rng.uniform(0.2, 1.5, m)
     d = rng.uniform(0.2, 1.5, part.k)
     if balanced:
-        image_total = sum(cj * A.shape[0] for cj, A in zip(c, maps))
-        c = c * (float(np.dot(d, part.blocks)) / image_total)
+        return _balanced(part, tuple(maps), c, d)
     return Datum(partition=part, maps=tuple(maps), c=c, d=d)
+
+
+MAP_KINDS = ("gaussian", "integer", "zeroed-columns", "row-scaled", "axis")
+
+
+def _wider_map(rng, kind, nj, n):
+    """One nj x n map of the given kind (it need not have full row rank)."""
+    if kind == "integer":
+        return rng.integers(-2, 3, (nj, n)).astype(float)
+    if kind == "axis":
+        return np.eye(n)[rng.choice(n, nj, replace=False)]
+    A = rng.standard_normal((nj, n))
+    if kind == "zeroed-columns":
+        A[:, rng.random(n) < 0.4] = 0.0
+    elif kind == "row-scaled":
+        A *= 10.0 ** rng.uniform(-6, 6, (nj, 1))
+    return A
+
+
+def wider_datum(rng, kind):
+    """Random valid balanced datum of the wider recipe: up to 4 blocks of
+    size 1-3 with n <= 9, 1-4 maps of the given kind (one of MAP_KINDS)
+    with n_j uniform in 1..n, and exponents uniform in [0.2, 1.5], c
+    rescaled to balance.  Redrawn until the datum validates."""
+    while True:
+        part = random_partition(rng, max_blocks=4, max_block_dim=3)
+        if part.n > 9:
+            continue
+        m = int(rng.integers(1, 5))
+        maps = tuple(_wider_map(rng, kind, int(rng.integers(1, part.n + 1)), part.n) for _ in range(m))
+        datum = _balanced(part, maps, rng.uniform(0.2, 1.5, m), rng.uniform(0.2, 1.5, part.k))
+        if validate(datum).ok:
+            return datum
+
+
+def mixed_datum(rng):
+    """Random valid balanced datum of the mixed recipe: a wider_datum of a
+    uniformly drawn map kind whose exponents are each zeroed w.p. 0.25,
+    then all rounded to multiples of 1/4 w.p. 0.5, with c rescaled to
+    balance.  Redrawn until some c_j and some d_i are nonzero."""
+    while True:
+        datum = wider_datum(rng, MAP_KINDS[int(rng.integers(len(MAP_KINDS)))])
+        c, d = datum.c.copy(), datum.d.copy()
+        c[rng.random(len(c)) < 0.25] = 0.0
+        d[rng.random(len(d)) < 0.25] = 0.0
+        if rng.random() < 0.5:
+            c, d = np.round(4 * c) / 4, np.round(4 * d) / 4
+        if c.any() and d.any():
+            return _balanced(datum.partition, datum.maps, c, d)
+
+
+def mixed_data():
+    """Hypothesis strategy: mixed_datum of a seeded generator."""
+    return st.integers(0, 2**32 - 1).map(lambda seed: mixed_datum(np.random.default_rng(seed)))
 
 
 def random_block_covariance(rng, partition):

@@ -19,6 +19,10 @@ Claims:
     - closed forms print 12-significant-digit decimals and sweeps emit CSV
     - JSON reports are strict JSON: an unbounded solve's infinite value
       and gradient norm print as null, never as Infinity or NaN
+    - a split datum's solve exits 0 and reports sigma_star as one SPD
+      covariance per leaf, on the two data whose one assembled covariance
+      was not positive definite (exit 7) too; on data of the mixed recipe,
+      check, certify and solve raise nothing and the report is strict JSON
     - validate validates once; verify refuses a reference solve that did
       not converge (exit 4) unless --tol accepts it
 """
@@ -33,12 +37,59 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import blepi
 import blepi.cli
 from blepi.cli import RunConfig, _config, build_parser, main
 from blepi.datum import Datum, Partition, datum_to_dict
-from conftest import random_datum
+from blepi.finiteness import ViolationError
+from blepi.gauss import BlockCovariance
+from conftest import mixed_data, random_datum
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def _integer_datum(partition, maps, c, d):
+    return Datum(
+        partition=Partition(partition),
+        maps=tuple(np.array(A, dtype=float) for A in maps),
+        c=np.array(c, dtype=float),
+        d=np.array(d, dtype=float),
+    )
+
+
+# valid split data on which solve exited 7 while it assembled one
+# covariance from its leaves: the d = 0 block of the first ends at
+# variance 1.7e-11 and vanished below rounding at lam = 2**-20; the
+# second (draw 7527 of the mixed recipe) is infinite, but check calls it
+# finite, and its quotient leaf's ascent diverges
+_ONE_SPLIT = _integer_datum(
+    (2, 2, 2, 2),
+    [
+        [[-2, -1, 2, 2, -2, 1, -1, 2], [-1, -1, -1, 0, -2, -2, 1, -1],
+         [0, 1, 1, -2, -1, 1, -1, 0], [1, 1, 1, 2, -2, 0, -1, 0]],
+        [[0, -2, -2, -2, -1, -2, 1, 2], [-1, -1, -2, 2, -2, -1, -2, -1],
+         [-1, -2, 1, 1, 1, 0, 2, -2]],
+        [[-1, -1, 2, 0, -2, -1, 1, -2], [1, -2, 0, 1, 2, 1, -1, 0]],
+    ],
+    c=(0, 0, 1.25),
+    d=(0.25, 0.5, 0, 0.5),
+)
+_DRAW_7527 = _integer_datum(
+    (1, 3, 3, 2),
+    [
+        [[2, -2, 0, -1, -2, 1, -2, 0, 2], [0, -2, -1, -2, 0, 1, 1, 0, 0]],
+        [[2, -1, 2, -2, 0, -2, 0, -2, 1]],
+    ],
+    c=(2, 2),
+    d=(0.75, 0.75, 0.5, 0.75),
+)
 
 
 @pytest.fixture
@@ -150,13 +201,35 @@ class TestSolveCommand:
         path = tmp_path / "unbounded.json"
         blepi.save(d, path)
         assert main(["solve", str(path)]) == 5
-
-        def reject(name):
-            raise ValueError(f"{name} is not JSON")
-
-        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        doc = _strict_json(capsys.readouterr().out)
         assert doc["unbounded"] is True
         assert doc["mg_value"] is None and doc["gradient_norm"] is None
+
+    @pytest.mark.parametrize(
+        "d, value",
+        [
+            (blepi.make_epi_datum(0.5, 2), 0.0),
+            (_ONE_SPLIT, -2.2864504627096527),
+            (_DRAW_7527, None),
+        ],
+        ids=["epi(0.5,2)", "one-split", "draw-7527"],
+    )
+    def test_split_datum_reports_one_covariance_per_leaf(self, d, value, tmp_path, capsys):
+        leaves = blepi.certify(d).leaves()
+        assert len(leaves) > 1
+        res = blepi.solve_mg(d)
+        assert not res.unbounded and res.converged == (value is not None)
+        if value is not None:
+            assert res.mg_value == pytest.approx(value, abs=1e-12)
+        path = tmp_path / "split.json"
+        blepi.save(d, path)
+        assert main(["solve", str(path)]) == 0
+        doc = _strict_json(capsys.readouterr().out)
+        assert len(doc["sigma_star"]) == len(leaves)
+        for S, leaf in zip(doc["sigma_star"], leaves):
+            assert BlockCovariance(tuple(np.array(B) for B in S["blocks"])).partition == (
+                leaf.datum.partition
+            )
 
     def test_bits_flag(self, epi_file, capsys):
         assert main(["solve", epi_file, "--bits"]) == 0
@@ -286,6 +359,30 @@ _WRITING = [
     ["verify", "{datum}", "--models", "gaussian", "--samples", "500"],
     ["closed-form", "epi", "--lambda", "0.5"],
 ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=mixed_data())
+def test_every_mixed_datum_gets_a_strict_report(d, tmp_path_factory):
+    """On data of the mixed recipe (zero and quarter-rounded exponents,
+    integer, axis, zeroed-column and row-scaled maps), check, certify
+    (bar a violating subspace) and solve raise nothing; the solve report
+    is strict JSON, and a split datum's sigma_star holds one SPD
+    covariance per leaf of its split tree."""
+    blepi.check_finiteness(d)
+    try:
+        leaves = blepi.certify(d).leaves()
+    except ViolationError:
+        leaves = None
+    path = tmp_path_factory.mktemp("mixed") / "d.json"
+    blepi.save(d, path)
+    out = path.with_name("report.json")
+    assert main(["solve", str(path), "--out", str(out)]) in (0, 5)
+    doc = _strict_json(out.read_text())
+    if isinstance(doc["sigma_star"], list):
+        assert leaves is not None and len(doc["sigma_star"]) == len(leaves) > 1
+        for S in doc["sigma_star"]:
+            BlockCovariance(tuple(np.array(B) for B in S["blocks"]))
 
 
 @pytest.mark.parametrize("argv", _WRITING, ids=[a[0] for a in _WRITING])

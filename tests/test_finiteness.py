@@ -18,12 +18,14 @@ Claims:
       split of a random certificate), drop a map exactly when its image
       dimension is zero, and split the solved optimum exactly
     - certificates terminate at the documented base cases with the
-      documented constants, and reject a datum whose candidates or probe
+      documented constants (a single square map whose determinant
+      underflows included), and reject a datum whose candidates or probe
       rays include a violating subspace
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -40,7 +42,6 @@ from blepi.finiteness import (
     ViolatingSubspace,
     ViolationError,
     certify,
-    check_and_certify,
     check_finiteness,
     scaling_residual,
     split_datum,
@@ -382,6 +383,28 @@ class TestCertify:
         assert tree.is_leaf and tree.leaf_kind == "single-map"
         assert tree.constant == pytest.approx(0.0)
 
+    @pytest.mark.parametrize(
+        "part, A",
+        [
+            ((1, 1), 1e-200 * np.array([[1.0, 0.5], [0.2, 1.0]])),
+            ((3,), 1e-120 * np.eye(3)),
+            ((1, 2), 1e-110 * np.random.default_rng(3).standard_normal((3, 3))),
+        ],
+        ids=["2x2", "3-block", "seeded"],
+    )
+    def test_single_square_map_with_a_tiny_determinant(self, part, A):
+        # det(A) underflows to 0, and math.log of it raised a ValueError
+        # out of certify, so solve_mg crashed; the leaf's constant is
+        # -c log|det A|, here against 50-digit arithmetic
+        d = Datum(partition=Partition(part), maps=(A,), c=np.array([1.0]), d=np.ones(len(part)))
+        with mpmath.workdps(50):
+            exact = -float(mpmath.log(abs(mpmath.det(mpmath.matrix(A.tolist())))))
+        tree = certify(d)
+        assert tree.leaf_kind == "single-map"
+        assert tree.constant == pytest.approx(exact, rel=1e-14)
+        res = solve_mg(d)
+        assert res.converged and res.mg_value == tree.constant
+
     def test_coupled_sums_tree_splits_at_the_diagonal(self):
         d = blepi.make_coupled_sums_datum(1.0, 1.0, 0.5, 0.5)
         rng = np.random.default_rng(5)
@@ -451,11 +474,3 @@ class TestCertify:
     def test_requires_balance(self):
         with pytest.raises(ValueError):
             certify(half_exponent_datum())
-
-    def test_check_and_certify_attaches_certificate(self):
-        d = blepi.make_epi_datum(0.5, 1)
-        v = check_and_certify(d, rng=np.random.default_rng(0))
-        assert v.status == FINITE
-        assert v.certificate is not None
-        doc = v.to_dict()
-        assert doc["certificate"]["n"] == 2

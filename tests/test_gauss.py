@@ -26,7 +26,9 @@ Claims:
       converged one-leaf datum no random covariance beats the value
     - boundary data, whose supremum is attained only in a degenerate
       limit, are solved exactly along the split tree, and the tree value
-      equals the whole-datum ascent wherever that converges
+      equals the whole-datum ascent wherever that converges; a split
+      solve reports one covariance per leaf, at which the leaf
+      objectives sum to the value
     - the log-det kernel's value and geodesic gradient match the Cholesky
       formulas, it is degenerate where their Cholesky diagonals say so,
       and its Hessian matches Richardson-extrapolated central differences
@@ -75,6 +77,20 @@ from blepi.subspace import ProductSubspace, SearchBudget, find_violating_subspac
 from conftest import random_block_covariance, random_datum, random_pair
 
 H1 = 0.5 * LOG_2PIE  # entropy of a unit-variance scalar Gaussian
+
+
+def _leaf_objective_sum(d, res):
+    """The objective at sigma_star; on a split datum, the sum over the
+    leaves of certify(d) of the objective at the leaf's covariance, or of
+    an explicit leaf's constant."""
+    if not isinstance(res.sigma_star, tuple):
+        return objective(d, res.sigma_star)
+    leaves = certify(d).leaves()
+    assert len(res.sigma_star) == len(leaves)
+    return sum(
+        objective(leaf.datum, S) if leaf.leaf_kind == "irreducible" else leaf.constant
+        for leaf, S in zip(leaves, res.sigma_star)
+    )
 
 
 def _zamir_feder(seed, n, k):
@@ -356,11 +372,12 @@ class TestSolver:
         # Draw 3 of np.random.default_rng(594) is infinite through a
         # subspace the search misses, so its solve does not converge; the
         # objective refactored a sigma_star block of condition number 1e13
-        # that the solver held as a factor, and exceeded mg_value by 4.6e-6
+        # that the solver held as a factor, and exceeded mg_value by 4.6e-6.
+        # Draw 722 splits, so its sigma_star is one covariance per leaf
         rng = np.random.default_rng(seed)
         d = [random_datum(rng, balanced=True) for _ in range(draw + 1)][draw]
         res = solve_mg(d)
-        assert objective(d, res.sigma_star) <= res.mg_value + 1e-12
+        assert _leaf_objective_sum(d, res) <= res.mg_value + 1e-12
 
     def test_ill_conditioned_identity_image_does_not_raise(self):
         # A Sigma A^T at Sigma = I has condition number 1e14, above the
@@ -451,7 +468,7 @@ class TestSolver:
         C, _ = blepi.coupled_sums_constant(1.0, 0.8, 0.4)
         assert res.converged and not res.unbounded
         assert res.mg_value == pytest.approx(C, abs=1e-12)
-        assert res.mg_value - 1e-6 <= objective(d, res.sigma_star) <= res.mg_value + 1e-12
+        assert abs(_leaf_objective_sum(d, res) - res.mg_value) <= 1e-12 * (1 + abs(res.mg_value))
 
     def test_violating_subspace_is_unbounded(self):
         # seeded random draw 16 of np.random.default_rng([1, 3]) (every
@@ -562,8 +579,8 @@ def test_no_random_covariance_beats_a_converged_one_leaf_solve(seed):
 @example(seed=7, draw=42)
 def test_split_tree_value_matches_the_whole_datum_ascent(seed, draw):
     """Where the ascent on the whole datum converges, the sum over the
-    split tree equals its value, and the objective at sigma_star does not
-    exceed it.  A datum whose tree is one irreducible leaf is
+    split tree equals its value, and so does the sum of the leaf
+    objectives at sigma_star's per-leaf covariances.  A datum whose tree is one irreducible leaf is
     solved by that same ascent, so only split data are compared.  Draws 5
     and 42 of default_rng(7) are the two data of the 150-draw random
     suite whose trees split."""
@@ -581,7 +598,7 @@ def test_split_tree_value_matches_the_whole_datum_ascent(seed, draw):
         res = solve_mg(d, opts)
         assert res.converged
         assert res.mg_value == pytest.approx(whole, abs=1e-9)
-        assert objective(d, res.sigma_star) <= res.mg_value + 1e-9
+        assert abs(_leaf_objective_sum(d, res) - res.mg_value) <= 1e-12 * (1 + abs(res.mg_value))
 
 
 # the accuracy checks below cover image covariances of condition number

@@ -15,7 +15,7 @@ Claims:
       by min(dim V, n_j) and monotone under inclusion; its tolerance is
       relative to the map, so a kernel has image dimension zero and the
       full space image dimension n_j even when the rows are scaled over
-      six decades
+      six decades, and it stays finite where the squared entries overflow
     - slack matches the hand-computed values on the named data, is zero
       on the zero subspace, equals the scaling residual on the full
       space, and is invariant under per-block re-bases
@@ -309,6 +309,21 @@ def test_dim_image_is_matrix_rank_at_rank_tol(seed, inside_kernel):
         assert dim_image(A, V) == expected
         if inside_kernel:
             assert expected == 0
+
+
+def test_rank_tol_is_finite_where_the_squared_entries_overflow():
+    """np.linalg.norm squares the entries, so on 1e200 * A the cut was inf
+    (with a RuntimeWarning), every image dimension 0, and check called
+    this finite datum infinite with a full-space witness of slack 1."""
+    A = np.array([[1.0, 0.5], [0.2, 1.0]])
+    assert rank_tol(1e200 * A) == pytest.approx(1e200 * rank_tol(A), rel=1e-14)
+    part = Partition((1, 1))
+    assert dim_image(1e200 * A, ProductSubspace.full(part)) == 2
+    d = Datum(partition=part, maps=(1e200 * A,), c=np.array([1.0]), d=np.array([1.0, 1.0]))
+    assert blepi.check_finiteness(d).status == "finite"
+    res = blepi.solve_mg(d)
+    assert res.converged and not res.unbounded
+    assert res.mg_value == pytest.approx(-400 * np.log(10) - np.log(0.9), rel=1e-14)
 
 
 class TestSlack:
