@@ -7,8 +7,9 @@ subspace has positive slack (Bennett-Carbery-Christ-Tao).  Violations of
 residual * log(scale) along the isotropic ray); violations of (ii) by a
 concrete subspace.  The balance and ``slack`` decide every verdict: the
 candidate search and the escape-ray probe (the full space and each
-single block, scored with ``slack``) both return a subspace witness, and
-the only unknown left is a truncated coordinate family.
+single block, scored in one bulk call with ``slack``'s expression) both
+return a subspace witness, and the only unknown left is a truncated
+coordinate family.
 
 A finite datum can be decomposed along critical subspaces:
 ``split_datum`` restricts the maps to U, projects the rest onto the
@@ -32,7 +33,8 @@ from .gauss import divergence_probe
 from .subspace import (
     ProductSubspace,
     SearchBudget,
-    candidate_subspaces,
+    _scored_candidates,
+    candidate_subspaces,  # noqa: F401  bound here for perfbench's trace-wiring self-test
     coordinate_family_size,
     find_violating_subspace,
     null_space,
@@ -230,10 +232,11 @@ class SplitTree:
 
 def _scan(datum: Datum, budget):
     """One pass over the candidates: the first violating subspace (or
-    None), and the proper critical candidates in candidate order."""
+    None), and the proper critical candidates in candidate order.  Each
+    candidate's score is the one ``_scored_candidates`` yields with it:
+    the bulk score of a coordinate member, one ``slack`` call otherwise."""
     critical = []
-    for V in candidate_subspaces(datum, budget):
-        sr = slack(datum, V)
+    for V, sr in _scored_candidates(datum, budget):
         if sr.violating:
             return V, critical
         if sr.critical and 0 < V.dim < datum.n:

@@ -21,8 +21,9 @@ split datum's maximizer is reported leaf by leaf, as the covariances the
 leaves computed, each in its leaf's coordinates.  It
 ascends on unit-norm map rows plus their shift, so the kernel's one
 conditioning rule (sqrt(eps)) does not depend on a row's units.  The
-divergence probe scores the full space and each single block with
-``slack``: along ``ray_covariance(partition, V, lam)`` the objective is
+divergence probe scores the full space and each single block, all
+coordinate subspaces, in one bulk call with ``slack``'s expression:
+along ``ray_covariance(partition, V, lam)`` the objective is
 0.5 * slack(V) * log(lam) + O(1), so a ray escapes exactly when its
 slack is positive.  Perturbed variants add isotropic noise
 delta to the blocks and epsilon to the images; paired evaluations cover
@@ -41,7 +42,14 @@ from typing import ClassVar, Optional, Union
 import numpy as np
 
 from .datum import RESIDUAL_TOL, Datum, Partition, _unit_rows, scaling_residual
-from .subspace import ProductSubspace, SearchBudget, block_diag, slack
+from .subspace import (
+    ProductSubspace,
+    SearchBudget,
+    SlackResult,
+    _coordinate_ranks,
+    _slack_value,
+    block_diag,
+)
 
 __all__ = [
     "LOG_2PIE",
@@ -429,22 +437,22 @@ def divergence_probe(datum: Datum) -> Optional[ProductSubspace]:
 
     The rays are the full space and each single full block.  Along
     ray_covariance(partition, V, lam) the objective is
-    0.5 * slack(V) * log(lam) + O(1), so a ray escapes exactly when
-    ``slack(datum, V).violating``, with the search's own rank cut; the
-    returned ray is a re-checkable witness, as from
+    0.5 * slack(V) * log(lam) + O(1), so a ray escapes exactly when its
+    slack is positive.  The rays are coordinate subspaces, so their image
+    dimensions come from one bulk ``_coordinate_ranks`` call, with the
+    search's own rank cut, and their slacks from ``slack``'s expression,
+    equal to ``slack(datum, V)`` bit for bit.  Only the returned ray is
+    built as a subspace; it is a re-checkable witness, as from
     ``find_violating_subspace``.
     """
-    partition = datum.partition
-    rays = [ProductSubspace.full(partition)]
-    for i in range(partition.k):
-        bases = [
-            np.eye(r) if j == i else np.zeros((r, 0))
-            for j, r in enumerate(partition.blocks)
-        ]
-        rays.append(ProductSubspace(tuple(bases)))
-    for V in rays:
-        if slack(datum, V).violating:
-            return V
+    blocks = datum.partition.blocks
+    # the full space, then each block alone, as per-block dimensions and axes
+    rays = [blocks]
+    rays += [tuple(r if j == i else 0 for j, r in enumerate(blocks)) for i in range(len(blocks))]
+    mask = np.array([np.repeat(np.array(dims) > 0, blocks) for dims in rays])
+    for dims, img in zip(rays, _coordinate_ranks(datum, mask)):
+        if SlackResult(_slack_value(datum, dims, img), tuple(img.tolist())).violating:
+            return ProductSubspace(tuple(np.eye(r)[:, :t] for r, t in zip(blocks, dims)))
     return None
 
 

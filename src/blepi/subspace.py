@@ -28,13 +28,20 @@ full) is scored in bulk: per map and subset size one stacked SVD of the
 column submatrices A_j[:, S], cut at ``rank_tol(A_j)`` computed once per
 map, and the slack rule of ``SlackResult`` on each member.  Only critical
 or violating members, the ones a scan uses, become ``ProductSubspace``s;
-their slack is ``slack``'s own expression, bit for bit.
+their slack is ``slack``'s own expression, bit for bit.  The kernel
+tiers follow, each candidate scored by ``slack``; on data whose blocks
+are all scalar with the whole family within the cap they are skipped,
+as every product subspace is then a coordinate one the screen scored.
+A scan (``finiteness.certify``) reads one score per candidate from
+``_scored_candidates``; ``candidate_subspaces`` yields the same
+subspaces unscored.
 
 Together with the scaling balance, slack is the package's one
 unboundedness decision (Bennett-Carbery-Christ-Tao: the constant is
 finite iff the balance holds and no product subspace has positive
-slack); the divergence probe in :mod:`blepi.gauss` scores its rays with
-it too, so ``rank_tol`` is the only rank cut behind a verdict.  The
+slack); the divergence probe in :mod:`blepi.gauss` scores its rays,
+which are coordinate subspaces, with the bulk kernel and the same slack
+expression, so ``rank_tol`` is the only rank cut behind a verdict.  The
 search over candidate subspaces is incomplete: it is sound for
 "infinite" (any returned witness re-verifies by recomputing its slack)
 but finding nothing proves nothing.  Candidate iteration is
@@ -238,10 +245,16 @@ def _slack_value(datum: Datum, block_dims, img) -> float:
 class SearchBudget:
     """Limits for the candidate iterator.
 
-    profile_cap bounds the coordinate-axis family (2^n subspaces in full).
+    profile_cap bounds the coordinate-axis family (2^n subspaces in full);
+    it is an int >= 0.
     """
 
     profile_cap: int = 4096
+
+    def __post_init__(self):
+        cap = self.profile_cap
+        if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)) or cap < 0:
+            raise ValueError(f"profile_cap must be an int >= 0, got {cap!r}")
 
 
 def coordinate_family_size(partition: Partition) -> int:
@@ -273,16 +286,20 @@ def _coordinate_ranks(datum: Datum, mask: np.ndarray) -> np.ndarray:
     A_j[:, S], which equal A_j E bit for bit (E's columns are unit
     vectors), counted above rank_tol(A_j) as in ``dim_image``."""
     sizes = mask.sum(axis=1)
+    # per subset size, the members of that size and their axes, for every map
+    groups = []
+    for t in np.unique(sizes[sizes > 0]):
+        rows = np.flatnonzero(sizes == t)
+        groups.append((rows, np.nonzero(mask[rows])[1].reshape(len(rows), t)))
     img = np.zeros((len(mask), datum.m), dtype=int)
     for j, A in enumerate(datum.maps):
         if A.shape[1] != mask.shape[1]:
             raise ValueError(f"map has {A.shape[1]} columns, subspace lives in R^{mask.shape[1]}")
         tol = rank_tol(A)
-        for t in np.unique(sizes[sizes > 0]):
-            rows = np.flatnonzero(sizes == t)
-            cols = np.nonzero(mask[rows])[1].reshape(len(rows), t)
-            s = np.linalg.svd(np.moveaxis(A[:, cols], 1, 0), compute_uv=False)
-            img[rows, j] = np.count_nonzero(s > tol, axis=1)
+        for rows, cols in groups:
+            # the stack of A[:, S], read off A^T's rows with no axis move
+            s = np.linalg.svd(A.T[cols].swapaxes(1, 2), compute_uv=False)
+            img[rows, j] = (s > tol).sum(axis=1)
     return img
 
 
@@ -330,31 +347,18 @@ def _kernel_pair_intersection(Ka: np.ndarray, Kb: np.ndarray) -> np.ndarray:
     return null_space(stacked.T)
 
 
-def candidate_subspaces(
-    datum: Datum,
-    budget: SearchBudget,
-    rng: Optional[np.random.Generator] = None,
-) -> Iterator[ProductSubspace]:
-    """Yield candidate product subspaces in a fixed order.
+def _kernel_tiers_run(partition: Partition, cap: int) -> bool:
+    """Whether the kernel tiers can yield a subspace the coordinate screen
+    has not scored: not when every block is scalar and the whole family
+    is within the cap, as every product subspace is then a coordinate one."""
+    return any(r > 1 for r in partition.blocks) or coordinate_family_size(partition) > cap
 
-    (a) coordinate-axis products: the first ``budget.profile_cap`` are
-        scored in bulk and the critical or violating ones yielded, in
-        order (the others are neither, so no scan needs them);
-    (b) per-block projections of each map kernel and of pairwise kernel
-        intersections, unless they span the whole space;
-    (c) per-block kernel products ker(A_j|block_1) x ... x ker(A_j|block_k),
-        the largest product subspace inside ker A_j.
 
-    No random subspaces are drawn: a Haar-random product subspace almost
-    surely has the largest dim(A_j V) of its dimension profile for every
-    map, so with c_j >= 0 its slack never exceeds that of the coordinate
-    subspace with the same profile.  ``rng`` is accepted for
-    compatibility and not used.
-    """
+def _kernel_candidates(datum: Datum, cap: int) -> Iterator[ProductSubspace]:
+    """The kernel tiers, (b) and (c) of ``candidate_subspaces``, unscored."""
     partition = datum.partition
-    for V, _ in _coordinate_screen(datum, budget.profile_cap):
-        yield V
-
+    if not _kernel_tiers_run(partition, cap):
+        return
     kernels = [null_space(A) for A in datum.maps]
     for K in kernels:
         V = _block_projections(partition, K)
@@ -373,6 +377,49 @@ def candidate_subspaces(
         )
         if V.dim > 0:
             yield V
+
+
+def _scored_candidates(
+    datum: Datum, budget: SearchBudget
+) -> Iterator[tuple[ProductSubspace, SlackResult]]:
+    """The candidates of ``candidate_subspaces``, in its order, each with
+    its one score: a screen member carries its bulk score (``slack``'s bit
+    for bit), a kernel-tier candidate is scored once with ``slack``."""
+    yield from _coordinate_screen(datum, budget.profile_cap)
+    for V in _kernel_candidates(datum, budget.profile_cap):
+        yield V, slack(datum, V)
+
+
+def candidate_subspaces(
+    datum: Datum,
+    budget: SearchBudget,
+    rng: Optional[np.random.Generator] = None,
+) -> Iterator[ProductSubspace]:
+    """Yield candidate product subspaces in a fixed order.
+
+    (a) coordinate-axis products: the first ``budget.profile_cap`` are
+        scored in bulk and the critical or violating ones yielded, in
+        order (the others are neither, so no scan needs them);
+    (b) per-block projections of each map kernel and of pairwise kernel
+        intersections, unless they span the whole space;
+    (c) per-block kernel products ker(A_j|block_1) x ... x ker(A_j|block_k),
+        the largest product subspace inside ker A_j.
+
+    Tiers (b) and (c) are skipped when every block is scalar and all 2^n
+    coordinate subspaces are within the cap: each of their subspaces is
+    then a coordinate subspace that (a) has scored.  The subspaces come
+    unscored; ``_scored_candidates`` yields the same ones with their
+    slack, as a scan reads them.
+
+    No random subspaces are drawn: a Haar-random product subspace almost
+    surely has the largest dim(A_j V) of its dimension profile for every
+    map, so with c_j >= 0 its slack never exceeds that of the coordinate
+    subspace with the same profile.  ``rng`` is accepted for
+    compatibility and not used.
+    """
+    for V, _ in _coordinate_screen(datum, budget.profile_cap):
+        yield V
+    yield from _kernel_candidates(datum, budget.profile_cap)
 
 
 def find_violating_subspace(

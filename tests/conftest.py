@@ -95,6 +95,14 @@ def mixed_datum(rng):
             return _balanced(datum.partition, datum.maps, c, d)
 
 
+def scalar_mixed_datum(rng):
+    """A mixed_datum whose blocks are all scalar (redrawn until they are)."""
+    while True:
+        datum = mixed_datum(rng)
+        if set(datum.partition.blocks) == {1}:
+            return datum
+
+
 def mixed_data():
     """Hypothesis strategy: mixed_datum of a seeded generator."""
     return st.integers(0, 2**32 - 1).map(lambda seed: mixed_datum(np.random.default_rng(seed)))

@@ -21,6 +21,9 @@ Claims:
       documented constants (a single square map whose determinant
       underflows included), and reject a datum whose candidates or probe
       rays include a violating subspace
+    - on all-scalar data with a complete coordinate family, verdicts,
+      witnesses, certificates and solves are the same whether the kernel
+      tiers run or are skipped
 """
 
 import math
@@ -48,7 +51,7 @@ from blepi.finiteness import (
 )
 from blepi.gauss import solve_mg
 from blepi.subspace import ProductSubspace, SearchBudget, find_violating_subspace, slack
-from conftest import random_datum
+from conftest import random_datum, scalar_mixed_datum
 
 
 def diag_subspace():
@@ -204,6 +207,14 @@ class TestCheckFiniteness:
             "blepi.subspace._kernel_pair_intersection", lambda Ka, Kb: np.zeros((3, 0))
         )
         assert check_finiteness(d).status == FINITE
+
+    def test_negative_profile_cap_is_rejected_by_the_budget(self):
+        # it used to reach the coordinate masks and raise numpy's
+        # "negative dimensions are not allowed"
+        d = blepi.make_epi_datum(0.3, 2)
+        with pytest.raises(ValueError, match="profile_cap must be an int >= 0, got -3"):
+            check_finiteness(d, SearchBudget(profile_cap=-3))
+        assert check_finiteness(d, SearchBudget(profile_cap=0)).status == UNKNOWN
 
     def test_budget_exhaustion_is_unknown(self):
         d = blepi.make_epi_datum(0.5, 2)  # 16 coordinate subspaces
@@ -474,3 +485,31 @@ class TestCertify:
     def test_requires_balance(self):
         with pytest.raises(ValueError):
             certify(half_exponent_datum())
+
+
+def _pipeline_digest(datum):
+    """check, certify and solve_mg outputs, to the bit."""
+    v = check_finiteness(datum)
+    out = [v.status, type(v.witness).__name__]
+    if isinstance(v.witness, ViolatingSubspace):
+        out += [v.witness.slack.hex(), [B.tolist() for B in v.witness.subspace.bases]]
+    try:
+        for leaf in certify(datum).leaves():
+            out.append((leaf.leaf_kind, repr(leaf.constant), leaf.datum.partition.blocks))
+    except ViolationError as exc:
+        out.append([B.tolist() for B in exc.subspace.bases])
+    res = solve_mg(datum)
+    out.append([repr(res.mg_value), res.converged, res.unbounded, res.starts_used])
+    out.append(repr(res.gradient_norm))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_complete_scalar_family_skips_the_kernel_tiers_exactly(seed):
+    datum = scalar_mixed_datum(np.random.default_rng(seed))
+    skipped = _pipeline_digest(datum)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(blepi.subspace, "_kernel_tiers_run", lambda partition, cap: True)
+        forced = _pipeline_digest(datum)
+    assert forced == skipped

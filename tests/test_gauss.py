@@ -36,6 +36,9 @@ Claims:
       matches the Cholesky formulas, and at every scale the formulas
       evaluated in 50-digit arithmetic; a random draw whose optimum is
       near the boundary of the cone solves to a valid covariance
+    - the divergence probe, scoring its rays in bulk, returns the ray (or
+      None) that scoring the full space and then each single block with
+      slack returns, basis for basis, on random and mixed-recipe data
     - pair evaluations are additive for independent pairs and invariant
       under the orthogonal two-copy rotation, which is an involution
 """
@@ -64,6 +67,7 @@ from blepi.gauss import (
     GaussianPair,
     PerturbationParams,
     SolverOptions,
+    divergence_probe,
     gaussian_entropy,
     gradient,
     objective,
@@ -73,8 +77,8 @@ from blepi.gauss import (
     rotate_pair,
     solve_mg,
 )
-from blepi.subspace import ProductSubspace, SearchBudget, find_violating_subspace
-from conftest import random_block_covariance, random_datum, random_pair
+from blepi.subspace import ProductSubspace, SearchBudget, find_violating_subspace, slack
+from conftest import mixed_datum, random_block_covariance, random_datum, random_pair
 
 H1 = 0.5 * LOG_2PIE  # entropy of a unit-variance scalar Gaussian
 
@@ -517,6 +521,34 @@ class TestSolver:
         assert res.converged
         kinds = [leaf.leaf_kind for leaf in certify(d).leaves()]
         assert res.starts_used == kinds.count("irreducible")
+
+
+def _probe_by_slack(datum):
+    """The probe as a loop: the first of the full space and each single
+    block, built as a subspace and scored with slack, that violates."""
+    blocks = datum.partition.blocks
+    rays = [ProductSubspace.full(datum.partition)] + [
+        ProductSubspace(tuple(np.eye(r) if j == i else np.zeros((r, 0)) for j, r in enumerate(blocks)))
+        for i in range(len(blocks))
+    ]
+    return next((V for V in rays if slack(datum, V).violating), None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), recipe=st.sampled_from(["balanced", "unbalanced", "mixed"]))
+def test_bulk_probe_returns_the_ray_slack_returns(seed, recipe):
+    """The recipes reach both outcomes: on balanced data the full space is
+    critical and a single block may escape; about a third of unbalanced
+    draws escape along the full space."""
+    rng = np.random.default_rng(seed)
+    datum = mixed_datum(rng) if recipe == "mixed" else random_datum(rng, balanced=recipe == "balanced")
+    got, expected = divergence_probe(datum), _probe_by_slack(datum)
+    if expected is None:
+        assert got is None
+        return
+    assert got.block_dims == expected.block_dims
+    assert all(np.array_equal(B, C) for B, C in zip(got.bases, expected.bases))
+    assert slack(datum, got).violating
 
 
 @settings(max_examples=60, deadline=None)

@@ -33,6 +33,13 @@ Claims:
       unbalanced, zeroed-column and integer data; a critical member past
       the cap is never yielded, and a generic Zamir-Feder datum yields
       only the zero and the full subspace
+    - a scan's scored candidates are candidate_subspaces' basis for basis,
+      each with a score equal to slack's, on mixed-recipe data with a
+      complete and a truncated coordinate family
+    - on all-scalar blocks every critical or violating candidate of the
+      kernel tiers repeats a screen member with the same axes and slack,
+      which is why a complete family skips those tiers
+    - SearchBudget rejects a profile cap that is not an int >= 0
 """
 
 import itertools
@@ -53,6 +60,8 @@ from blepi.subspace import (
     _coordinate_masks,
     _coordinate_ranks,
     _coordinate_screen,
+    _kernel_candidates,
+    _scored_candidates,
     block_diag,
     candidate_subspaces,
     dim_image,
@@ -62,7 +71,7 @@ from blepi.subspace import (
     rank_tol,
     slack,
 )
-from conftest import random_datum
+from conftest import mixed_data, random_datum, scalar_mixed_datum
 
 SQ2 = np.sqrt(2.0)
 
@@ -575,6 +584,53 @@ def test_generic_zamir_feder_keeps_only_the_zero_and_full_subspace(n, k):
     screened = list(_coordinate_screen(datum, 4096))
     assert [V.block_dims for V, _ in screened] == [(0,) * n, (1,) * n]
     assert all(sr.critical for _, sr in screened)
+
+
+@settings(max_examples=100, deadline=None)
+@given(datum=mixed_data(), cap=st.sampled_from([4096, 19]))
+def test_scored_candidates_carry_the_slack_of_each_candidate(datum, cap):
+    """What a scan reads: every candidate once, in candidate_subspaces'
+    order, with the SlackResult slack computes for it."""
+    budget = SearchBudget(profile_cap=cap)
+    scored = list(_scored_candidates(datum, budget))
+    plain = list(candidate_subspaces(datum, budget))
+    assert len(scored) == len(plain)
+    for (V, sr), W in zip(scored, plain):
+        assert _same_bases(V, W.bases)
+        assert sr == slack(datum, V)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_kernel_tiers_on_scalar_blocks_repeat_screen_members(seed):
+    """With every block scalar, each kernel-tier subspace is a coordinate
+    subspace; the ones a scan uses (critical or violating) are screen
+    members with the same axes and slack, so a complete family skips the
+    tiers."""
+    datum = scalar_mixed_datum(np.random.default_rng(seed))
+    assert not blepi.subspace._kernel_tiers_run(datum.partition, 4096)
+    assert list(_kernel_candidates(datum, 4096)) == []
+    screened = {V.block_dims: sr for V, sr in _coordinate_screen(datum, 4096)}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(blepi.subspace, "_kernel_tiers_run", lambda partition, cap: True)
+        tiers = list(_kernel_candidates(datum, 4096))
+    for V in tiers:
+        sr = slack(datum, V)
+        if sr.critical or sr.violating:
+            assert screened[V.block_dims] == sr
+
+
+@pytest.mark.parametrize(
+    "blocks, cap, runs", [((1,) * 5, 32, False), ((1,) * 5, 31, True), ((1, 2), 4096, True)]
+)
+def test_kernel_tiers_run_unless_the_scalar_family_is_complete(blocks, cap, runs):
+    assert blepi.subspace._kernel_tiers_run(Partition(blocks), cap) is runs
+
+
+@pytest.mark.parametrize("cap", [2.5, True, "4096", None])
+def test_profile_cap_must_be_a_nonnegative_int(cap):
+    with pytest.raises(ValueError, match="profile_cap must be an int >= 0"):
+        SearchBudget(profile_cap=cap)
 
 
 def test_per_member_coordinate_generator_is_gone():
