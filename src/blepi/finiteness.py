@@ -34,7 +34,7 @@ from .subspace import (
     ProductSubspace,
     SearchBudget,
     _scored_candidates,
-    candidate_subspaces,  # noqa: F401  bound here for perfbench's trace-wiring self-test
+    candidate_subspaces,  # noqa: F401  uncalled; perfbench's wiring self-test pins this name
     coordinate_family_size,
     find_violating_subspace,
     null_space,

@@ -43,9 +43,9 @@ import numpy as np
 
 from .datum import RESIDUAL_TOL, Datum, Partition, _unit_rows, scaling_residual
 from .subspace import (
+    CRITICAL_TOL,
     ProductSubspace,
     SearchBudget,
-    SlackResult,
     _coordinate_ranks,
     _slack_value,
     block_diag,
@@ -451,7 +451,7 @@ def divergence_probe(datum: Datum) -> Optional[ProductSubspace]:
     rays += [tuple(r if j == i else 0 for j, r in enumerate(blocks)) for i in range(len(blocks))]
     mask = np.array([np.repeat(np.array(dims) > 0, blocks) for dims in rays])
     for dims, img in zip(rays, _coordinate_ranks(datum, mask)):
-        if SlackResult(_slack_value(datum, dims, img), tuple(img.tolist())).violating:
+        if _slack_value(datum, dims, img) > CRITICAL_TOL:  # SlackResult.violating
             return ProductSubspace(tuple(np.eye(r)[:, :t] for r, t in zip(blocks, dims)))
     return None
 
