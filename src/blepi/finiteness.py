@@ -18,7 +18,9 @@ to the parent's.  Recursing until dimension-one or single-square-map
 base cases (whose constants are explicit log-determinants) produces a
 :class:`SplitTree` certificate, along which ``gauss.solve_mg`` computes
 the constant.  Each node makes one pass over its candidates, which
-rejects a violating subspace and collects the critical ones.
+rejects a violating subspace and collects the critical ones, building
+only the ones it splits along; ``check_finiteness`` reads the pass of
+the root.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .subspace import (
     _scored_candidates,
     candidate_subspaces,  # noqa: F401  uncalled; perfbench's wiring self-test pins this name
     coordinate_family_size,
-    find_violating_subspace,
+    find_violating_subspace,  # noqa: F401  uncalled; perfbench's wiring self-test pins this name
     null_space,
     rank_tol,
     slack,
@@ -108,10 +110,13 @@ def check_finiteness(
 
     Infinite verdicts carry an independently re-checkable witness: the
     scaling residual, or a subspace with positive slack from the
-    candidate search or the divergence probe.  Finite requires a zero
-    residual, neither of those subspaces, and a complete coordinate-axis
-    enumeration; a truncated one is Unknown.  ``rng`` is accepted for
-    compatibility and not used; the verdict is deterministic.
+    candidate search or the divergence probe, its slack recomputed with
+    ``slack``.  The search is the scored pass ``certify`` makes at the
+    root, so each candidate is scored once and only the witness is built.
+    Finite requires a zero residual, neither of those subspaces, and a
+    complete coordinate-axis enumeration; a truncated one is Unknown.
+    ``rng`` is accepted for compatibility and not used; the verdict is
+    deterministic.
     """
     report = validate(datum)
     if not report.ok:
@@ -123,7 +128,7 @@ def check_finiteness(
             witness=ScalingResidual(res),
             notes="total scaling balance fails",
         )
-    V = find_violating_subspace(datum, budget) or divergence_probe(datum)
+    V = _scan(datum, budget)[0] or divergence_probe(datum)
     if V is not None:
         sr = slack(datum, V)
         return FinitenessVerdict(
@@ -232,15 +237,18 @@ class SplitTree:
 
 def _scan(datum: Datum, budget):
     """One pass over the candidates: the first violating subspace (or
-    None), and the proper critical candidates in candidate order.  Each
-    candidate's score is the one ``_scored_candidates`` yields with it:
-    the bulk score of a coordinate member, one ``slack`` call otherwise."""
+    None), and a builder for each proper critical candidate, in candidate
+    order.  Each candidate's score is the one ``_scored_candidates``
+    yields with it: the bulk score of a coordinate member, one ``slack``
+    call otherwise.  The zero and the whole space are skipped by their
+    dimensions, and a coordinate member is built only when it is
+    returned or its builder is called."""
     critical = []
-    for V, sr in _scored_candidates(datum, budget):
+    for dims, build, sr in _scored_candidates(datum, budget):
         if sr.violating:
-            return V, critical
-        if sr.critical and 0 < V.dim < datum.n:
-            critical.append(V)
+            return build(), critical
+        if sr.critical and 0 < sum(dims) < datum.n:
+            critical.append(build)
     return None, critical
 
 
@@ -251,8 +259,10 @@ def certify(
 ) -> SplitTree:
     """Recursively split along critical subspaces down to base cases.
 
-    Each node above dimension one makes one pass over its candidates and
-    splits along the first critical one that splits.  The root must
+    Each node above dimension one makes one pass over its candidates,
+    the one ``check_finiteness`` makes at the root, and splits along the
+    first critical one that splits; a critical coordinate candidate is
+    built as a subspace only when the node tries to split along it.  The root must
     balance (ValueError).  A violating subspace of the root raises
     ViolationError: a violating candidate or, when the candidate pass
     finds none, the first escaping ray of the divergence probe, as in
@@ -280,7 +290,8 @@ def _certify(datum: Datum, budget, root: bool = False) -> SplitTree:
         # slogdet, as det underflows to 0 on a map like 1e-200 * I
         const = -float(datum.c[0]) * float(np.linalg.slogdet(datum.maps[0])[1])
         return SplitTree(datum=datum, leaf_kind="single-map", constant=const)
-    for U in critical:
+    for build in critical:
+        U = build()
         try:
             child_u, child_perp = split_datum(datum, U)
         except SplitError:

@@ -35,6 +35,7 @@ draws no random numbers, so every solve is deterministic.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import ClassVar, Optional, Union
@@ -46,8 +47,11 @@ from .subspace import (
     CRITICAL_TOL,
     ProductSubspace,
     SearchBudget,
+    _TABLE_CACHE,
+    _CoordinateTable,
     _coordinate_ranks,
     _slack_value,
+    _table,
     block_diag,
 )
 
@@ -220,6 +224,15 @@ def _sym_basis(partition: Partition) -> np.ndarray:
     return np.array(basis)
 
 
+def _ascent_rows(datum: Datum) -> tuple[Datum, float]:
+    """``_unit_rows(datum)``, the rows the ascent runs on, with their shift;
+    a zero row makes its image singular (DegenerateImageError)."""
+    try:
+        return _unit_rows(datum)
+    except ValueError as exc:  # log of a zero row norm
+        raise DegenerateImageError("a map row is zero") from exc
+
+
 def objective(datum: Datum, sigma: BlockCovariance) -> float:
     """Gaussian objective sum_i d_i h(Sigma_i) - sum_j c_j h(A_j Sigma A_j^T)."""
     return objective_perturbed(datum, sigma, PerturbationParams())
@@ -228,11 +241,21 @@ def objective(datum: Datum, sigma: BlockCovariance) -> float:
 def objective_perturbed(
     datum: Datum, sigma: BlockCovariance, p: PerturbationParams
 ) -> float:
-    """Noise-smoothed objective: blocks get +delta I, images get +epsilon I."""
+    """Noise-smoothed objective: blocks get +delta I, images get +epsilon I.
+
+    Without image noise it is evaluated as the ascent evaluates it, on
+    unit-norm rows plus their shift, so the kernel's conditioning rule
+    does not depend on a row's units and the objective at a converged
+    ``sigma_star`` is ``mg_value``.  Image noise is defined on the rows as
+    given, so with epsilon > 0 they are kept.
+    """
     if sigma.partition != datum.partition:
         raise ValueError("covariance blocks do not match the datum partition")
+    shift = 0.0
+    if not p.epsilon:
+        datum, shift = _ascent_rows(datum)
     factors = [np.linalg.cholesky(S + p.delta * np.eye(S.shape[0])) for S in sigma.blocks]
-    return float(_logdet_kernel(datum, factors, p.epsilon)[0])
+    return float(_logdet_kernel(datum, factors, p.epsilon)[0]) + shift
 
 
 def gradient(datum: Datum, sigma: BlockCovariance) -> tuple[np.ndarray, ...]:
@@ -240,13 +263,14 @@ def gradient(datum: Datum, sigma: BlockCovariance) -> tuple[np.ndarray, ...]:
 
     Block i:  0.5 d_i Sigma_i^{-1} - 0.5 [sum_j c_j A_j^T (A_j Sigma A_j^T)^{-1} A_j]_ii,
     computed as L_i^{-T} g_i L_i^{-1} from the kernel's gradient g in the
-    coordinates Sigma = L exp(X) L^T.
+    coordinates Sigma = L exp(X) L^T, on unit-norm rows: a row scaling
+    does not move it.
     """
     if sigma.partition != datum.partition:
         raise ValueError("covariance blocks do not match the datum partition")
     factors = [np.linalg.cholesky(S) for S in sigma.blocks]
     basis = _sym_basis(datum.partition)
-    gmat = np.tensordot(_logdet_kernel(datum, factors, basis=basis)[1], basis, 1)
+    gmat = np.tensordot(_logdet_kernel(_ascent_rows(datum)[0], factors, basis=basis)[1], basis, 1)
     grads = []
     for (start, stop), F in zip(datum.partition.offsets(), factors):
         Finv = np.linalg.solve(F, np.eye(F.shape[0]))
@@ -432,6 +456,16 @@ def ray_covariance(partition: Partition, V: ProductSubspace, lam: float) -> Bloc
     return BlockCovariance(tuple(blocks))
 
 
+@functools.lru_cache(maxsize=_TABLE_CACHE)
+def _ray_table(partition: Partition) -> _CoordinateTable:
+    """The probe's rays as a coordinate table, built once per partition:
+    the full space, then each block alone."""
+    blocks = partition.blocks
+    full = np.ones(partition.n, dtype=bool)
+    mask = [full] + [np.repeat(np.arange(len(blocks)) == i, blocks) for i in range(len(blocks))]
+    return _table(partition, np.array(mask))
+
+
 def divergence_probe(datum: Datum) -> Optional[ProductSubspace]:
     """First escape ray with positive slack, or None.
 
@@ -439,19 +473,16 @@ def divergence_probe(datum: Datum) -> Optional[ProductSubspace]:
     ray_covariance(partition, V, lam) the objective is
     0.5 * slack(V) * log(lam) + O(1), so a ray escapes exactly when its
     slack is positive.  The rays are coordinate subspaces, so their image
-    dimensions come from one bulk ``_coordinate_ranks`` call, with the
-    search's own rank cut, and their slacks from ``slack``'s expression,
-    equal to ``slack(datum, V)`` bit for bit.  Only the returned ray is
-    built as a subspace; it is a re-checkable witness, as from
-    ``find_violating_subspace``.
+    dimensions come from one bulk ``_coordinate_ranks`` call on a table
+    cached per partition, with the search's own rank cut, and their
+    slacks from ``slack``'s expression, equal to ``slack(datum, V)`` bit
+    for bit.  Only the returned ray is built as a subspace; it is a
+    re-checkable witness, as from ``find_violating_subspace``.
     """
-    blocks = datum.partition.blocks
-    # the full space, then each block alone, as per-block dimensions and axes
-    rays = [blocks]
-    rays += [tuple(r if j == i else 0 for j, r in enumerate(blocks)) for i in range(len(blocks))]
-    mask = np.array([np.repeat(np.array(dims) > 0, blocks) for dims in rays])
-    for dims, img in zip(rays, _coordinate_ranks(datum, mask)):
+    table = _ray_table(datum.partition)
+    for dims, img in zip(table.dims, _coordinate_ranks(datum, table)):
         if _slack_value(datum, dims, img) > CRITICAL_TOL:  # SlackResult.violating
+            blocks = datum.partition.blocks
             return ProductSubspace(tuple(np.eye(r)[:, :t] for r, t in zip(blocks, dims)))
     return None
 

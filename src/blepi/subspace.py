@@ -24,17 +24,23 @@ embedding, read-only, as ``V.embedding``, so ``slack``, the split and the
 solver read it instead of rebuilding it.
 
 The coordinate family (every product of per-block axis subsets, 2^n in
-full) is scored in bulk: per map and subset size one stacked SVD of the
-column submatrices A_j[:, S], cut at ``rank_tol(A_j)`` computed once per
-map, and the slack rule of ``SlackResult`` on each member.  Only critical
-or violating members, the ones a scan uses, become ``ProductSubspace``s;
-their slack is ``slack``'s own expression, bit for bit.  The kernel
-tiers follow, each candidate scored by ``slack``; on data whose blocks
-are all scalar with the whole family within the cap they are skipped,
-as every product subspace is then a coordinate one the screen scored.
-A scan (``finiteness.certify``) reads one score per candidate from
-``_scored_candidates``; ``candidate_subspaces`` yields the same
-subspaces unscored.
+full) is scored in bulk.  What depends on the partition alone (each
+member's axes and per-block dimensions, and per subset size the index
+groups the stacked SVDs read) is a read-only table built once per
+``(partition, cap)`` and cached, so a call does only the per map and
+subset size stacked SVDs of the column submatrices A_j[:, S], cut at
+``rank_tol(A_j)`` computed once per map, and the slack rule of
+``SlackResult`` on each member.  A critical or violating member, the
+only kind a scan reads, is passed on as its per-block dimensions, its
+slack (``slack``'s own expression, bit for bit) and a builder: it
+becomes a ``ProductSubspace`` only when a scan uses it, as a witness or
+as a split to try.  The kernel tiers follow, each candidate built and
+scored by ``slack``; on data whose blocks are all scalar with the whole
+family within the cap they are skipped, as every product subspace is
+then a coordinate one the screen scored.  A scan
+(``finiteness.check_finiteness`` and ``certify``) reads one score per
+candidate from ``_scored_candidates``; ``candidate_subspaces`` yields
+the same subspaces built and unscored.
 
 Together with the scaling balance, slack is the package's one
 unboundedness decision (Bennett-Carbery-Christ-Tao: the constant is
@@ -51,9 +57,10 @@ but the search does not use it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -280,32 +287,81 @@ def _coordinate_masks(partition: Partition, cap: int) -> np.ndarray:
     return np.concatenate(parts[::-1], axis=1)
 
 
-def _coordinate_ranks(datum: Datum, mask: np.ndarray) -> np.ndarray:
-    """dim(A_j V) for each coordinate subspace (row of ``mask``) and map:
-    per map and subset size, one SVD of the stacked column submatrices
-    A_j[:, S], which equal A_j E bit for bit (E's columns are unit
-    vectors), counted above rank_tol(A_j) as in ``dim_image``."""
+@dataclass(frozen=True, eq=False)
+class _CoordinateTable:
+    """The part of scoring coordinate subspaces that depends on shape only,
+    in read-only arrays: each member's axes in R^n (``mask``, N x n) and
+    per-block dimensions (``dims``, N x k), and per subset size the
+    members of that size with their axes (``groups``, ``(rows, cols)``
+    pairs), the index sets ``_coordinate_ranks`` stacks."""
+
+    mask: np.ndarray
+    dims: np.ndarray
+    groups: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+
+def _table(partition: Partition, mask: np.ndarray) -> _CoordinateTable:
+    """The table of the coordinate subspaces whose axes are the rows of
+    ``mask``, which it takes over and makes read-only."""
     sizes = mask.sum(axis=1)
-    # per subset size, the members of that size and their axes, for every map
     groups = []
     for t in np.unique(sizes[sizes > 0]):
         rows = np.flatnonzero(sizes == t)
         groups.append((rows, np.nonzero(mask[rows])[1].reshape(len(rows), t)))
-    img = np.zeros((len(mask), datum.m), dtype=int)
+    dims = np.add.reduceat(mask, [a for a, _ in partition.offsets()], axis=1, dtype=int)
+    for arr in (mask, dims, *itertools.chain.from_iterable(groups)):
+        arr.setflags(write=False)
+    return _CoordinateTable(mask, dims, tuple(groups))
+
+
+# shape tables kept per cache; a 4096-member table takes 0.67 MB at n = 12
+# with scalar blocks, and about 4096 * (n + 8 k + 8 + 8 t) bytes in general
+# (t the mean subset size), as the cap holds the member count
+_TABLE_CACHE = 32
+
+
+@functools.lru_cache(maxsize=_TABLE_CACHE)
+def _coordinate_table(partition: Partition, cap: int) -> _CoordinateTable:
+    """The table of the first ``cap`` coordinate subspaces, built once per
+    ``(partition, cap)``: no datum value enters it, so data of one shape
+    share it."""
+    return _table(partition, _coordinate_masks(partition, cap))
+
+
+def _coordinate_ranks(datum: Datum, table: _CoordinateTable) -> np.ndarray:
+    """dim(A_j V) for each coordinate subspace (row of ``table.mask``) and
+    map: per map and subset size, one SVD of the stacked column
+    submatrices A_j[:, S], which equal A_j E bit for bit (E's columns are
+    unit vectors), counted above rank_tol(A_j) as in ``dim_image``."""
+    width = table.mask.shape[1]
+    img = np.zeros((len(table.mask), datum.m), dtype=int)
     for j, A in enumerate(datum.maps):
-        if A.shape[1] != mask.shape[1]:
-            raise ValueError(f"map has {A.shape[1]} columns, subspace lives in R^{mask.shape[1]}")
+        if A.shape[1] != width:
+            raise ValueError(f"map has {A.shape[1]} columns, subspace lives in R^{width}")
         tol = rank_tol(A)
-        for rows, cols in groups:
+        for rows, cols in table.groups:
             # the stack of A[:, S], read off A^T's rows with no axis move
             s = np.linalg.svd(A.T[cols].swapaxes(1, 2), compute_uv=False)
             img[rows, j] = (s > tol).sum(axis=1)
     return img
 
 
-def _coordinate_screen(datum: Datum, cap: int) -> Iterator[tuple[ProductSubspace, SlackResult]]:
+def _coordinate_subspace(partition: Partition, axes: np.ndarray) -> ProductSubspace:
+    """The coordinate subspace on the axes of R^n set in the boolean row ``axes``."""
+    return ProductSubspace.coordinate(
+        partition, tuple(np.flatnonzero(axes[a:b]) for a, b in partition.offsets())
+    )
+
+
+# a scored candidate: its per-block dimensions, a function that builds it
+# (validated as any ProductSubspace), and its slack
+_Scored = tuple[tuple[int, ...], Callable[[], ProductSubspace], SlackResult]
+
+
+def _coordinate_screen(datum: Datum, cap: int) -> Iterator[_Scored]:
     """The critical or violating members among the first ``cap`` coordinate
-    subspaces, in order, each with its ``slack``.
+    subspaces, in order, each with its ``slack``; a member is built only
+    when its builder is called.
 
     All members are scored at once; a member whose bulk score lies below
     -CRITICAL_TOL by more than the rounding bound of the two dot products
@@ -313,20 +369,18 @@ def _coordinate_screen(datum: Datum, cap: int) -> Iterator[tuple[ProductSubspace
     bit for bit.
     """
     partition = datum.partition
-    mask = _coordinate_masks(partition, cap)
-    offsets = partition.offsets()
-    dims = np.add.reduceat(mask, [a for a, _ in offsets], axis=1, dtype=int)
-    img = _coordinate_ranks(datum, mask)
+    table = _coordinate_table(partition, cap)
+    img = _coordinate_ranks(datum, table)
     # the bulk and the exact score each lie within (k + m + 1) eps * bound
     # of the true slack, whatever order their sums run in, so they differ
     # by less than the margin
     bound = np.dot(np.abs(datum.d), partition.blocks) + np.dot(np.abs(datum.c), datum.image_dims)
     margin = 4 * (datum.k + datum.m) * np.finfo(float).eps * bound
-    for q in np.flatnonzero(dims @ datum.d - img @ datum.c >= -CRITICAL_TOL - margin):
-        sr = SlackResult(_slack_value(datum, dims[q], img[q]), tuple(img[q].tolist()))
+    for q in np.flatnonzero(table.dims @ datum.d - img @ datum.c >= -CRITICAL_TOL - margin):
+        sr = SlackResult(_slack_value(datum, table.dims[q], img[q]), tuple(img[q].tolist()))
         if sr.critical or sr.violating:
-            axes = tuple(np.flatnonzero(mask[q, a:b]) for a, b in offsets)
-            yield ProductSubspace.coordinate(partition, axes), sr
+            build = functools.partial(_coordinate_subspace, partition, table.mask[q])
+            yield tuple(table.dims[q].tolist()), build, sr
 
 
 def _block_projections(partition: Partition, K: np.ndarray) -> Optional[ProductSubspace]:
@@ -379,15 +433,14 @@ def _kernel_candidates(datum: Datum, cap: int) -> Iterator[ProductSubspace]:
             yield V
 
 
-def _scored_candidates(
-    datum: Datum, budget: SearchBudget
-) -> Iterator[tuple[ProductSubspace, SlackResult]]:
+def _scored_candidates(datum: Datum, budget: SearchBudget) -> Iterator[_Scored]:
     """The candidates of ``candidate_subspaces``, in its order, each with
     its one score: a screen member carries its bulk score (``slack``'s bit
-    for bit), a kernel-tier candidate is scored once with ``slack``."""
+    for bit) and is built only on use, a kernel-tier candidate is built to
+    be scored once with ``slack``."""
     yield from _coordinate_screen(datum, budget.profile_cap)
     for V in _kernel_candidates(datum, budget.profile_cap):
-        yield V, slack(datum, V)
+        yield V.block_dims, lambda V=V: V, slack(datum, V)
 
 
 def candidate_subspaces(
@@ -417,8 +470,8 @@ def candidate_subspaces(
     subspace with the same profile.  ``rng`` is accepted for
     compatibility and not used.
     """
-    for V, _ in _coordinate_screen(datum, budget.profile_cap):
-        yield V
+    for _, build, _ in _coordinate_screen(datum, budget.profile_cap):
+        yield build()
     yield from _kernel_candidates(datum, budget.profile_cap)
 
 

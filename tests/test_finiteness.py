@@ -24,6 +24,10 @@ Claims:
     - on all-scalar data with a complete coordinate family, verdicts,
       witnesses, certificates and solves are the same whether the kernel
       tiers run or are skipped
+    - a coordinate candidate is built only when a scan uses it: certify
+      builds only the splits it tries, and check on a finite datum none;
+      check reads the one scored pass and gives the status, witness and
+      slack of find_violating_subspace, then the probe
 """
 
 import math
@@ -49,9 +53,9 @@ from blepi.finiteness import (
     scaling_residual,
     split_datum,
 )
-from blepi.gauss import solve_mg
+from blepi.gauss import divergence_probe, solve_mg
 from blepi.subspace import ProductSubspace, SearchBudget, find_violating_subspace, slack
-from conftest import random_datum, scalar_mixed_datum
+from conftest import mixed_data, random_datum, scalar_mixed_datum
 
 
 def diag_subspace():
@@ -513,3 +517,100 @@ def test_complete_scalar_family_skips_the_kernel_tiers_exactly(seed):
         mp.setattr(blepi.subspace, "_kernel_tiers_run", lambda partition, cap: True)
         forced = _pipeline_digest(datum)
     assert forced == skipped
+
+
+@pytest.fixture
+def coordinate_builds(monkeypatch):
+    """Every coordinate subspace built while the fixture is active."""
+    built = []
+    coordinate = ProductSubspace.coordinate
+
+    def counting(partition, axes):
+        V = coordinate(partition, axes)
+        built.append(V)
+        return V
+
+    monkeypatch.setattr(ProductSubspace, "coordinate", staticmethod(counting))
+    return built
+
+
+class TestBuildOnUse:
+    @pytest.mark.parametrize(
+        "datum, builds",
+        [
+            (blepi.make_epi_datum(0.3, 3), 2),
+            (blepi.make_coupled_sums_datum(1.25, 0.5, 0.5, 0.5), 0),
+        ],
+        ids=["epi(0.3,3)", "coupled_sums(1.25,0.5,0.5)"],
+    )
+    def test_certify_builds_only_the_splits_it_tries(
+        self, datum, builds, coordinate_builds, monkeypatch
+    ):
+        """Of the critical coordinate members (the zero and the whole space
+        among them), only the ones a node splits along are built."""
+        tried = []
+        split = blepi.finiteness.split_datum
+
+        def spy(d, U):
+            tried.append(U)
+            return split(d, U)
+
+        monkeypatch.setattr(blepi.finiteness, "split_datum", spy)
+        certify(datum)
+        assert len(coordinate_builds) == builds
+        assert all(any(U is V for U in tried) for V in coordinate_builds)
+
+    @pytest.mark.parametrize(
+        "datum",
+        [
+            blepi.make_epi_datum(0.3, 3),
+            blepi.make_coupled_sums_datum(1.25, 0.5, 0.5, 0.5),
+            blepi.make_zamir_feder_datum(np.array([[0.6, 0.8, 0.0], [0.0, 0.0, 1.0]])),
+        ],
+        ids=["epi", "coupled_sums", "zamir_feder"],
+    )
+    def test_check_on_a_finite_datum_builds_no_coordinate_subspace(
+        self, datum, coordinate_builds
+    ):
+        assert check_finiteness(datum).status == FINITE
+        assert coordinate_builds == []
+
+    def test_a_violating_member_is_built_as_the_witness(self, coordinate_builds):
+        datum = Datum(
+            partition=Partition((1, 1)),
+            maps=(np.array([[0.0, 1.0]]),),  # kernel is block one, slack 0.5
+            c=np.array([1.0]),
+            d=np.array([0.5, 0.5]),
+        )
+        verdict = check_finiteness(datum)
+        assert verdict.status == INFINITE
+        assert verdict.witness.subspace.block_dims == (1, 0)
+        assert [verdict.witness.subspace] == coordinate_builds
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    datum=st.one_of(
+        mixed_data(),
+        st.integers(0, 2**32 - 1).map(
+            lambda seed: random_datum(np.random.default_rng(seed), balanced=True)
+        ),
+    ),
+    cap=st.sampled_from([4096, 19]),
+)
+def test_check_gives_the_witness_of_find_violating_subspace_then_the_probe(datum, cap):
+    """check reads the scan certify reads; its verdict is the one the
+    public search, scoring every candidate again, and then the probe give."""
+    budget = SearchBudget(profile_cap=cap)
+    verdict = check_finiteness(datum, budget)
+    V = find_violating_subspace(datum, budget) or divergence_probe(datum)
+    if V is None:
+        truncated = 2**datum.n > cap
+        assert verdict.status == (UNKNOWN if truncated else FINITE)
+        assert verdict.witness is None
+        return
+    assert verdict.status == INFINITE
+    W = verdict.witness.subspace
+    assert len(W.bases) == len(V.bases)
+    assert all(np.array_equal(B, C) for B, C in zip(W.bases, V.bases))
+    assert verdict.witness.slack == slack(datum, V).slack

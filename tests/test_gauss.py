@@ -19,8 +19,12 @@ Claims:
       scaling, with the same flags and never NaN; scaling two scalar
       blocks 1e9 apart shifts it by -sum_i d_i log s_i to 1e-12; the
       kernel is degenerate below a Cholesky diagonal ratio of sqrt(eps)
-      and not above it; a near-singular square map the ascent cannot start
-      on (NaN) solves through the single-map leaf's explicit constant
+      and not above it; without image noise the objective and gradient
+      are evaluated on unit rows, as the ascent is, so at a converged
+      covariance whose raw rows the kernel calls degenerate the objective
+      is the solved value and the gradient the solver's; a near-singular
+      square map the ascent cannot start on (NaN) solves through the
+      single-map leaf's explicit constant
     - the solver takes no start count: each irreducible leaf gets one
       ascent from Sigma = I, so starts_used counts those leaves, and on a
       converged one-leaf datum no random covariance beats the value
@@ -425,6 +429,41 @@ class TestSolver:
         scaled = solve_mg(Datum(partition=part, maps=tuple(A * s for A in maps), c=c, d=dexp))
         assert base.converged and scaled.converged
         assert abs(scaled.mg_value - (base.mg_value - float(dexp @ np.log(s)))) <= 1e-12
+
+    def test_objective_at_a_converged_solve_with_rows_far_apart(self):
+        """Draw 137 of mixed_datum(default_rng(2026)): partition (1, 3, 2, 1),
+        row norms from 1.4e-5 to 7.7e5.  The ascent converges on unit rows;
+        on the rows as given the kernel calls an image degenerate at the
+        maximizer, so objective and gradient evaluate on unit rows too."""
+        rng = np.random.default_rng(2026)
+        for _ in range(138):
+            datum = mixed_datum(rng)
+        assert datum.partition.blocks == (1, 3, 2, 1)
+        res = solve_mg(datum)
+        assert res.converged and not isinstance(res.sigma_star, tuple)
+        factors = [np.linalg.cholesky(S) for S in res.sigma_star.blocks]
+        with pytest.raises(DegenerateImageError):
+            _logdet_kernel(datum, factors)
+        assert objective(datum, res.sigma_star) == res.mg_value
+        grads = gradient(datum, res.sigma_star)
+        # the solver's scale-free norm ||Diag(L_i^T G_i L_i)||_F
+        gnorm = math.hypot(*(np.linalg.norm(F.T @ G @ F) for F, G in zip(factors, grads)))
+        assert gnorm == pytest.approx(res.gradient_norm, rel=1e-6)
+
+    def test_objective_of_a_zero_row_is_degenerate(self):
+        d = Datum(
+            partition=Partition((2,)),
+            maps=(np.array([[1.0, 0.0], [0.0, 0.0]]),),
+            c=np.array([1.0]),
+            d=np.array([1.0]),
+        )
+        sig = BlockCovariance.identity(d.partition)
+        for f in (objective, gradient):
+            with pytest.raises(DegenerateImageError):
+                f(d, sig)
+        # image noise is defined on the rows as given, which it keeps
+        val = objective_perturbed(d, sig, PerturbationParams(epsilon=0.5))
+        assert val == pytest.approx(2 * H1 - 0.5 * (2 * LOG_2PIE + math.log(1.5 * 0.5)), abs=1e-12)
 
     @pytest.mark.parametrize("t, degenerate", [(1e-8, True), (2e-8, False)])
     def test_kernel_is_degenerate_below_sqrt_eps(self, t, degenerate):

@@ -39,6 +39,9 @@ Claims:
     - on all-scalar blocks every critical or violating candidate of the
       kernel tiers repeats a screen member with the same axes and slack,
       which is why a complete family skips those tiers
+    - the coordinate and ray tables depend on shape only: equal
+      partitions share one cached, read-only table, and the ranks read
+      through it are those of the per-call computation, bit for bit
     - SearchBudget rejects a profile cap that is not an int >= 0
 """
 
@@ -53,15 +56,19 @@ from hypothesis import strategies as st
 
 import blepi
 from blepi.datum import Datum, Partition
+from blepi.gauss import _ray_table
 from blepi.subspace import (
     _ORTHO_TOL,
+    _TABLE_CACHE,
     ProductSubspace,
     SearchBudget,
     _coordinate_masks,
     _coordinate_ranks,
     _coordinate_screen,
+    _coordinate_table,
     _kernel_candidates,
     _scored_candidates,
+    _table,
     block_diag,
     candidate_subspaces,
     dim_image,
@@ -433,6 +440,17 @@ def _screened_reference(datum, cap):
     return kept
 
 
+def _built(scored):
+    """A scan's (dims, build, slack) triples as (subspace, slack) pairs,
+    each built subspace having the dims its triple carried."""
+    out = []
+    for dims, build, sr in scored:
+        V = build()
+        assert dims == V.block_dims
+        out.append((V, sr))
+    return out
+
+
 def _same_bases(V, bases):
     return len(V.bases) == len(bases) and all(
         np.array_equal(B, C) for B, C in zip(V.bases, bases)
@@ -488,7 +506,7 @@ class TestCandidates:
         # the full space violates; cap 37 keeps one five-axis subset (member
         # 32), cap 21 none
         assert len(expected) == {37: 2, 21: 1}.get(cap, 8)
-        screened = [V for V, _ in _coordinate_screen(datum, cap)]
+        screened = [V for V, _ in _built(_coordinate_screen(datum, cap))]
         cands = list(candidate_subspaces(datum, SearchBudget(profile_cap=cap)))
         assert len(screened) == len(expected)
         for family in (screened, cands[: len(expected)]):
@@ -507,8 +525,8 @@ class TestCandidates:
         )
         full = ProductSubspace.full(datum.partition)
         assert slack(datum, full).critical
-        assert [V.block_dims for V, _ in _coordinate_screen(datum, 4096)] == [(0,) * 6, (1,) * 6]
-        assert [V.block_dims for V, _ in _coordinate_screen(datum, 21)] == [(0,) * 6]
+        for cap, kept in ((4096, [(0,) * 6, (1,) * 6]), (21, [(0,) * 6])):
+            assert [V.block_dims for V, _ in _built(_coordinate_screen(datum, cap))] == kept
         assert len(_coordinate_masks(datum.partition, 21)) == 21
 
     @pytest.mark.parametrize("name", ["zamir_feder_9x4", "epi_0.5_dim2"])
@@ -559,7 +577,7 @@ def test_coordinate_screen_is_the_family_filtered_by_slack(seed, kind, cap):
     dim_image on every member scored."""
     datum = _screen_datum(np.random.default_rng(seed), kind)
     expected = _screened_reference(datum, cap)
-    screened = list(_coordinate_screen(datum, cap))
+    screened = _built(_coordinate_screen(datum, cap))
     assert len(screened) == len(expected)
     for (V, sr), (bases, ref) in zip(screened, expected):
         assert _same_bases(V, bases)
@@ -567,7 +585,7 @@ def test_coordinate_screen_is_the_family_filtered_by_slack(seed, kind, cap):
         assert sr.slack.hex() == again.slack.hex() == ref.slack.hex()
         assert sr.per_map_dims == again.per_map_dims == ref.per_map_dims
     members = _full_coordinate_family(datum.partition.blocks, cap)
-    ranks = _coordinate_ranks(datum, _coordinate_masks(datum.partition, cap))
+    ranks = _coordinate_ranks(datum, _coordinate_table(datum.partition, cap))
     assert ranks.shape == (len(members), datum.m)
     for row, bases in zip(ranks, members):
         V = ProductSubspace(tuple(bases))
@@ -581,7 +599,7 @@ def test_generic_zamir_feder_keeps_only_the_zero_and_full_subspace(n, k):
     the screen builds two subspaces."""
     Q, _ = np.linalg.qr(np.random.default_rng(n).standard_normal((n, k)))
     datum = blepi.make_zamir_feder_datum(Q[:, :k].T)
-    screened = list(_coordinate_screen(datum, 4096))
+    screened = _built(_coordinate_screen(datum, 4096))
     assert [V.block_dims for V, _ in screened] == [(0,) * n, (1,) * n]
     assert all(sr.critical for _, sr in screened)
 
@@ -592,7 +610,7 @@ def test_scored_candidates_carry_the_slack_of_each_candidate(datum, cap):
     """What a scan reads: every candidate once, in candidate_subspaces'
     order, with the SlackResult slack computes for it."""
     budget = SearchBudget(profile_cap=cap)
-    scored = list(_scored_candidates(datum, budget))
+    scored = _built(_scored_candidates(datum, budget))
     plain = list(candidate_subspaces(datum, budget))
     assert len(scored) == len(plain)
     for (V, sr), W in zip(scored, plain):
@@ -610,7 +628,7 @@ def test_kernel_tiers_on_scalar_blocks_repeat_screen_members(seed):
     datum = scalar_mixed_datum(np.random.default_rng(seed))
     assert not blepi.subspace._kernel_tiers_run(datum.partition, 4096)
     assert list(_kernel_candidates(datum, 4096)) == []
-    screened = {V.block_dims: sr for V, sr in _coordinate_screen(datum, 4096)}
+    screened = {V.block_dims: sr for V, sr in _built(_coordinate_screen(datum, 4096))}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(blepi.subspace, "_kernel_tiers_run", lambda partition, cap: True)
         tiers = list(_kernel_candidates(datum, 4096))
@@ -625,6 +643,71 @@ def test_kernel_tiers_on_scalar_blocks_repeat_screen_members(seed):
 )
 def test_kernel_tiers_run_unless_the_scalar_family_is_complete(blocks, cap, runs):
     assert blepi.subspace._kernel_tiers_run(Partition(blocks), cap) is runs
+
+
+def _ranks_from_mask(datum, mask):
+    """The coordinate ranks computed per call from the axes alone, as
+    before the tables: per map and subset size, one SVD of the stacked
+    A_j[:, S], counted above rank_tol(A_j)."""
+    sizes = mask.sum(axis=1)
+    img = np.zeros((len(mask), datum.m), dtype=int)
+    for j, A in enumerate(datum.maps):
+        for t in np.unique(sizes[sizes > 0]):
+            rows = np.flatnonzero(sizes == t)
+            stack = np.stack([A[:, np.flatnonzero(mask[q])] for q in rows])
+            img[rows, j] = (np.linalg.svd(stack, compute_uv=False) > rank_tol(A)).sum(axis=1)
+    return img
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    datum=st.one_of(
+        mixed_data(),
+        st.integers(0, 2**32 - 1).map(lambda seed: random_datum(np.random.default_rng(seed))),
+    ),
+    cap=st.sampled_from([4096, 19, 5]),
+)
+def test_cached_table_ranks_equal_the_uncached_computation(datum, cap):
+    """The ranks read through a cached table, on its first use and on a
+    later one, equal those of a table built afresh and of the per-call
+    computation from the axes, bit for bit; its dims are the members'."""
+    part = datum.partition
+    mask = _coordinate_masks(part, cap)
+    first = _coordinate_ranks(datum, _coordinate_table(part, cap))
+    again = _coordinate_ranks(datum, _coordinate_table(Partition(part.blocks), cap))
+    fresh = _coordinate_ranks(datum, _table(part, mask.copy()))
+    reference = _ranks_from_mask(datum, mask)
+    for img in (first, again, fresh):
+        assert img.dtype == reference.dtype
+        assert img.tobytes() == reference.tobytes()
+    members = _full_coordinate_family(part.blocks, cap)
+    dims = [tuple(B.shape[1] for B in bases) for bases in members]
+    assert _coordinate_table(part, cap).dims.tolist() == [list(t) for t in dims]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda p: _coordinate_table(p, 4096), lambda p: _coordinate_table(p, 19), _ray_table],
+    ids=["coordinate", "coordinate-capped", "rays"],
+)
+def test_shape_tables_are_shared_and_read_only(make):
+    """Equal partitions get the one cached table, every array of which is
+    read-only; a different partition gets its own."""
+    table = make(Partition((2, 1, 3)))
+    assert make(Partition((2, 1, 3))) is table
+    assert make(Partition((2, 3, 1))) is not table
+    for arr in (table.mask, table.dims, *itertools.chain.from_iterable(table.groups)):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = arr[(0,) * arr.ndim]
+    assert _coordinate_table.cache_info().maxsize == _ray_table.cache_info().maxsize == _TABLE_CACHE
+
+
+def test_ray_table_holds_the_full_space_then_each_block():
+    table = _ray_table(Partition((2, 1, 3)))
+    assert table.dims.tolist() == [[2, 1, 3], [2, 0, 0], [0, 1, 0], [0, 0, 3]]
+    assert table.mask.astype(int).tolist() == [
+        [1, 1, 1, 1, 1, 1], [1, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 1, 1]
+    ]
 
 
 @pytest.mark.parametrize("cap", [2.5, True, "4096", None])
