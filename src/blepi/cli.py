@@ -163,6 +163,9 @@ def cmd_verify(path, cfg: RunConfig, model_names: list[str]) -> int:
     except KeyError as exc:
         sys.stderr.write(f"unknown model family {exc}; choose from {sorted(_MODEL_BUILDERS)}\n")
         return EXIT_INVALID
+    if not models:
+        sys.stderr.write(f"--models names no model family; choose from {sorted(_MODEL_BUILDERS)}\n")
+        return EXIT_INVALID
     try:
         estimate.check_knn_size(cfg.samples, cfg.knn_k)
     except ValueError as exc:

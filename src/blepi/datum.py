@@ -357,6 +357,17 @@ def datum_to_dict(datum: Datum) -> dict:
     }
 
 
+def _whole_numbers(value) -> tuple[int, ...]:
+    """A JSON list of whole numbers (2 or 2.0) as ints; a bool, a string
+    or a fractional entry raises ValueError instead of being truncated."""
+    if not isinstance(value, list):
+        raise ValueError(f"expected a list of sizes, got {type(value).__name__}")
+    for x in value:  # type(True) is bool, not int
+        if type(x) is not int and not (type(x) is float and x.is_integer()):
+            raise ValueError(f"size {x!r} is not a whole number")
+    return tuple(int(x) for x in value)
+
+
 def datum_from_dict(doc: dict) -> Datum:
     if not isinstance(doc, dict):
         raise DatumParseError("top-level document must be an object")
@@ -364,7 +375,7 @@ def datum_from_dict(doc: dict) -> Datum:
         if key not in doc:
             raise DatumParseError(f"missing required field '{key}'")
     try:
-        partition = Partition(tuple(int(b) for b in doc["partition"]))
+        partition = Partition(_whole_numbers(doc["partition"]))
     except (TypeError, ValueError) as exc:
         raise DatumParseError(f"bad 'partition' field: {exc}") from exc
     if not isinstance(doc["maps"], list):
@@ -372,7 +383,7 @@ def datum_from_dict(doc: dict) -> Datum:
     maps = []
     for j, entry in enumerate(doc["maps"]):
         try:
-            rows, cols = (int(s) for s in entry["shape"])
+            rows, cols = _whole_numbers(entry["shape"])
             data = np.array(entry["data"], dtype=float)
             maps.append(data.reshape(rows, cols))
         except (KeyError, TypeError, ValueError) as exc:

@@ -7,9 +7,9 @@ subspace has positive slack (Bennett-Carbery-Christ-Tao).  Violations of
 residual * log(scale) along the isotropic ray); violations of (ii) by a
 concrete subspace.  The balance and ``slack`` decide every verdict: the
 candidate search and the escape-ray probe (the full space and each
-single block, scored in one bulk call with ``slack``'s expression) both
-return a subspace witness, and the only unknown left is a truncated
-coordinate family.
+single block, run through :mod:`blepi.subspace`'s coordinate screen)
+both return a subspace witness, and the only unknown left is a
+truncated coordinate family.
 
 A finite datum can be decomposed along critical subspaces:
 ``split_datum`` restricts the maps to U, projects the rest onto the
@@ -17,10 +17,10 @@ orthocomplements, and returns the two child data, whose constants sum
 to the parent's.  Recursing until dimension-one or single-square-map
 base cases (whose constants are explicit log-determinants) produces a
 :class:`SplitTree` certificate, along which ``gauss.solve_mg`` computes
-the constant.  Each node makes one pass over its candidates, which
-rejects a violating subspace and collects the critical ones, building
-only the ones it splits along; ``check_finiteness`` reads the pass of
-the root.
+the constant; this module imports nothing from :mod:`blepi.gauss`.
+Each node makes one pass over its candidates, which rejects a violating
+subspace and collects the critical ones, building only the ones it
+splits along; ``check_finiteness`` reads the pass of the root.
 """
 
 from __future__ import annotations
@@ -31,13 +31,13 @@ from typing import Optional, Union
 import numpy as np
 
 from .datum import RESIDUAL_TOL, Datum, Partition, _unit_rows, scaling_residual, validate
-from .gauss import divergence_probe
 from .subspace import (
     ProductSubspace,
     SearchBudget,
     _scored_candidates,
     candidate_subspaces,  # noqa: F401  uncalled; perfbench's wiring self-test pins this name
     coordinate_family_size,
+    divergence_probe,
     find_violating_subspace,  # noqa: F401  uncalled; perfbench's wiring self-test pins this name
     null_space,
     rank_tol,

@@ -16,16 +16,17 @@ scaling balance fails or ``certify`` finds a violating subspace (its
 root's candidate pass, then the divergence probe); otherwise it sums the
 leaf constants of ``certify``'s split tree, maximizing the objective on
 each irreducible leaf by one damped Newton ascent from Sigma = I in those
-coordinates; concavity makes a converged ascent the global maximum.  A
-split datum's maximizer is reported leaf by leaf, as the covariances the
-leaves computed, each in its leaf's coordinates.  It
-ascends on unit-norm map rows plus their shift, so the kernel's one
-conditioning rule (sqrt(eps)) does not depend on a row's units.  The
-divergence probe scores the full space and each single block, all
-coordinate subspaces, in one bulk call with ``slack``'s expression:
-along ``ray_covariance(partition, V, lam)`` the objective is
-0.5 * slack(V) * log(lam) + O(1), so a ray escapes exactly when its
-slack is positive.  Perturbed variants add isotropic noise
+coordinates; concavity makes a converged ascent the global maximum.
+This module imports ``certify`` from :mod:`blepi.finiteness`, which
+imports nothing from it.  A split datum's maximizer is reported leaf by
+leaf, as the covariances the leaves computed, each in its leaf's
+coordinates.  The ascent runs on unit-norm map rows plus their shift,
+so the kernel's one conditioning rule (sqrt(eps)) does not depend on a
+row's units.  Along ``ray_covariance(partition, V, lam)`` the objective
+is 0.5 * slack(V) * log(lam) + O(1), so a ray escapes exactly when its
+slack is positive; ``divergence_probe``, which tries the full space and
+each single block, is :mod:`blepi.subspace`'s coordinate screen over
+those rays, re-exported here.  Perturbed variants add isotropic noise
 delta to the blocks and epsilon to the images; paired evaluations cover
 the two-copy rotation identity.
 
@@ -35,25 +36,15 @@ draws no random numbers, so every solve is deterministic.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Optional, Union
+from typing import ClassVar, Union
 
 import numpy as np
 
 from .datum import RESIDUAL_TOL, Datum, Partition, _unit_rows, scaling_residual
-from .subspace import (
-    CRITICAL_TOL,
-    ProductSubspace,
-    SearchBudget,
-    _TABLE_CACHE,
-    _CoordinateTable,
-    _coordinate_ranks,
-    _slack_value,
-    _table,
-    block_diag,
-)
+from .finiteness import ViolationError, certify
+from .subspace import ProductSubspace, block_diag, divergence_probe
 
 __all__ = [
     "LOG_2PIE",
@@ -374,6 +365,14 @@ def _newton(datum: Datum, opts: SolverOptions):
     return val + shift, blocks, gnorm
 
 
+def ray_covariance(partition: Partition, V: ProductSubspace, lam: float) -> BlockCovariance:
+    """Identity inflated by a factor lam along the product subspace V."""
+    blocks = []
+    for r, B in zip(partition.blocks, V.bases):
+        blocks.append(np.eye(r) + (lam - 1.0) * (B @ B.T))
+    return BlockCovariance(tuple(blocks))
+
+
 def _unbounded(partition: Partition, V: ProductSubspace, lam: float) -> GaussianSolveResult:
     return GaussianSolveResult(
         mg_value=math.inf,
@@ -417,10 +416,9 @@ def solve_mg(datum: Datum, opts: SolverOptions = SolverOptions()) -> GaussianSol
         # the objective moves by 0.5 * res * log(t) under Sigma -> t Sigma
         full = ProductSubspace.full(datum.partition)
         return _unbounded(datum.partition, full, 2.0 ** math.copysign(10, res))
-    from . import finiteness  # finiteness imports this module
     try:
-        tree = finiteness.certify(datum, SearchBudget())
-    except finiteness.ViolationError as exc:
+        tree = certify(datum)
+    except ViolationError as exc:
         # along V the objective grows like 0.5 * slack(V) * log(lam)
         return _unbounded(datum.partition, exc.subspace, 2.0**10)
     values, sigmas, gnorms = [], [], []
@@ -441,50 +439,6 @@ def solve_mg(datum: Datum, opts: SolverOptions = SolverOptions()) -> GaussianSol
         starts_used=len(gnorms),  # one ascent per irreducible leaf
         gradient_norm=gnorm,
     )
-
-
-# ---------------------------------------------------------------------------
-# escape-ray divergence probe
-# ---------------------------------------------------------------------------
-
-
-def ray_covariance(partition: Partition, V: ProductSubspace, lam: float) -> BlockCovariance:
-    """Identity inflated by a factor lam along the product subspace V."""
-    blocks = []
-    for r, B in zip(partition.blocks, V.bases):
-        blocks.append(np.eye(r) + (lam - 1.0) * (B @ B.T))
-    return BlockCovariance(tuple(blocks))
-
-
-@functools.lru_cache(maxsize=_TABLE_CACHE)
-def _ray_table(partition: Partition) -> _CoordinateTable:
-    """The probe's rays as a coordinate table, built once per partition:
-    the full space, then each block alone."""
-    blocks = partition.blocks
-    full = np.ones(partition.n, dtype=bool)
-    mask = [full] + [np.repeat(np.arange(len(blocks)) == i, blocks) for i in range(len(blocks))]
-    return _table(partition, np.array(mask))
-
-
-def divergence_probe(datum: Datum) -> Optional[ProductSubspace]:
-    """First escape ray with positive slack, or None.
-
-    The rays are the full space and each single full block.  Along
-    ray_covariance(partition, V, lam) the objective is
-    0.5 * slack(V) * log(lam) + O(1), so a ray escapes exactly when its
-    slack is positive.  The rays are coordinate subspaces, so their image
-    dimensions come from one bulk ``_coordinate_ranks`` call on a table
-    cached per partition, with the search's own rank cut, and their
-    slacks from ``slack``'s expression, equal to ``slack(datum, V)`` bit
-    for bit.  Only the returned ray is built as a subspace; it is a
-    re-checkable witness, as from ``find_violating_subspace``.
-    """
-    table = _ray_table(datum.partition)
-    for dims, img in zip(table.dims, _coordinate_ranks(datum, table)):
-        if _slack_value(datum, dims, img) > CRITICAL_TOL:  # SlackResult.violating
-            blocks = datum.partition.blocks
-            return ProductSubspace(tuple(np.eye(r)[:, :t] for r, t in zip(blocks, dims)))
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -45,14 +45,15 @@ the same subspaces built and unscored.
 Together with the scaling balance, slack is the package's one
 unboundedness decision (Bennett-Carbery-Christ-Tao: the constant is
 finite iff the balance holds and no product subspace has positive
-slack); the divergence probe in :mod:`blepi.gauss` scores its rays,
-which are coordinate subspaces, with the bulk kernel and the same slack
-expression, so ``rank_tol`` is the only rank cut behind a verdict.  The
-search over candidate subspaces is incomplete: it is sound for
-"infinite" (any returned witness re-verifies by recomputing its slack)
-but finding nothing proves nothing.  Candidate iteration is
-deterministic given the budget; the public functions accept an ``rng``
-but the search does not use it.
+slack).  The divergence probe's rays (the full space, then each block
+alone) are coordinate subspaces, so ``divergence_probe`` is the same
+screen run on a ray table cached per partition, and this module is the
+only one that scores coordinate subspaces: ``rank_tol`` is the only
+rank cut behind a verdict.  The search over candidate subspaces is
+incomplete: it is sound for "infinite" (any returned witness
+re-verifies by recomputing its slack) but finding nothing proves
+nothing.  Candidate iteration is deterministic given the budget; the
+public functions accept an ``rng`` but the search does not use it.
 """
 
 from __future__ import annotations
@@ -80,6 +81,7 @@ __all__ = [
     "candidate_subspaces",
     "coordinate_family_size",
     "find_violating_subspace",
+    "divergence_probe",
 ]
 
 # |slack| below this counts as critical; dims are integers and the
@@ -328,6 +330,16 @@ def _coordinate_table(partition: Partition, cap: int) -> _CoordinateTable:
     return _table(partition, _coordinate_masks(partition, cap))
 
 
+@functools.lru_cache(maxsize=_TABLE_CACHE)
+def _ray_table(partition: Partition) -> _CoordinateTable:
+    """The divergence probe's rays as a coordinate table, built once per
+    partition: the full space, then each block alone."""
+    blocks = partition.blocks
+    full = np.ones(partition.n, dtype=bool)
+    mask = [full] + [np.repeat(np.arange(len(blocks)) == i, blocks) for i in range(len(blocks))]
+    return _table(partition, np.array(mask))
+
+
 def _coordinate_ranks(datum: Datum, table: _CoordinateTable) -> np.ndarray:
     """dim(A_j V) for each coordinate subspace (row of ``table.mask``) and
     map: per map and subset size, one SVD of the stacked column
@@ -358,9 +370,9 @@ def _coordinate_subspace(partition: Partition, axes: np.ndarray) -> ProductSubsp
 _Scored = tuple[tuple[int, ...], Callable[[], ProductSubspace], SlackResult]
 
 
-def _coordinate_screen(datum: Datum, cap: int) -> Iterator[_Scored]:
-    """The critical or violating members among the first ``cap`` coordinate
-    subspaces, in order, each with its ``slack``; a member is built only
+def _coordinate_screen(datum: Datum, table: _CoordinateTable) -> Iterator[_Scored]:
+    """The critical or violating members of the coordinate subspaces in
+    ``table``, in order, each with its ``slack``; a member is built only
     when its builder is called.
 
     All members are scored at once; a member whose bulk score lies below
@@ -369,7 +381,6 @@ def _coordinate_screen(datum: Datum, cap: int) -> Iterator[_Scored]:
     bit for bit.
     """
     partition = datum.partition
-    table = _coordinate_table(partition, cap)
     img = _coordinate_ranks(datum, table)
     # the bulk and the exact score each lie within (k + m + 1) eps * bound
     # of the true slack, whatever order their sums run in, so they differ
@@ -438,7 +449,7 @@ def _scored_candidates(datum: Datum, budget: SearchBudget) -> Iterator[_Scored]:
     its one score: a screen member carries its bulk score (``slack``'s bit
     for bit) and is built only on use, a kernel-tier candidate is built to
     be scored once with ``slack``."""
-    yield from _coordinate_screen(datum, budget.profile_cap)
+    yield from _coordinate_screen(datum, _coordinate_table(datum.partition, budget.profile_cap))
     for V in _kernel_candidates(datum, budget.profile_cap):
         yield V.block_dims, lambda V=V: V, slack(datum, V)
 
@@ -470,7 +481,8 @@ def candidate_subspaces(
     subspace with the same profile.  ``rng`` is accepted for
     compatibility and not used.
     """
-    for _, build, _ in _coordinate_screen(datum, budget.profile_cap):
+    table = _coordinate_table(datum.partition, budget.profile_cap)
+    for _, build, _ in _coordinate_screen(datum, table):
         yield build()
     yield from _kernel_candidates(datum, budget.profile_cap)
 
@@ -489,4 +501,21 @@ def find_violating_subspace(
     for V in candidate_subspaces(datum, budget):
         if slack(datum, V).violating:
             return V
+    return None
+
+
+def divergence_probe(datum: Datum) -> Optional[ProductSubspace]:
+    """First escape ray with positive slack, or None.
+
+    The rays are the full space and each single full block.  Along
+    ``gauss.ray_covariance(partition, V, lam)`` the objective is
+    0.5 * slack(V) * log(lam) + O(1), so a ray escapes exactly when its
+    slack is positive.  The rays are coordinate subspaces, so the probe
+    is the coordinate screen over ``_ray_table``: the first violating
+    member, built by its builder, is a re-checkable witness, as from
+    ``find_violating_subspace``.
+    """
+    for _, build, sr in _coordinate_screen(datum, _ray_table(datum.partition)):
+        if sr.violating:
+            return build()
     return None

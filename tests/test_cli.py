@@ -24,7 +24,10 @@ Claims:
       was not positive definite (exit 7) too; on data of the mixed recipe,
       check, certify and solve raise nothing and the report is strict JSON
     - validate validates once; verify refuses a reference solve that did
-      not converge (exit 4) unless --tol accepts it
+      not converge (exit 4) unless --tol accepts it, and an empty --models
+      list (exit 2) before solving
+    - a partition or map shape that is not a list of whole numbers is a
+      parse error (exit 1), never truncated to other sizes
 """
 
 import dataclasses
@@ -179,6 +182,25 @@ class TestCheckCommand:
         path.write_text(json.dumps(doc))
         assert main(["check", str(path)]) == 1
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("partition", "11"), ("partition", [1.7, 1.2]), ("partition", [True, 1]),
+         ("shape", "12"), ("shape", [1.9, 2.2])],
+    )
+    def test_a_size_that_is_not_a_whole_number_is_a_parse_error(self, tmp_path, capsys,
+                                                                  field, value):
+        # each of these used to be truncated or split into the sizes (1, 1)
+        # or (1, 2) of the entropy power datum and checked as finite
+        doc = datum_to_dict(blepi.make_epi_datum(0.5, 1))
+        if field == "partition":
+            doc["partition"] = value
+        else:
+            doc["maps"][0]["shape"] = value
+        path = tmp_path / "sizes.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("parse error:")
+
 
 class TestSolveCommand:
     def test_epi_reports_zero(self, epi_file, capsys):
@@ -299,6 +321,18 @@ class TestVerifyCommand:
 
     def test_unknown_model_rejected(self, epi_file):
         assert main(["verify", epi_file, "--models", "cauchy"]) == 2
+
+    @pytest.mark.parametrize("models", ["", ",", " , "])
+    def test_empty_model_list_rejected_before_solving(self, epi_file, models, capsys,
+                                                      monkeypatch):
+        # an empty list used to solve, report no model and exit 0 (all pass)
+        def no_solve(datum, opts):
+            raise AssertionError("solved with no model to verify")
+
+        monkeypatch.setattr(blepi.cli, "solve_mg", no_solve)
+        assert main(["verify", epi_file, "--models", models]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--models names no model family" in captured.err
 
     @pytest.mark.parametrize(
         "options", [["--samples", "3"], ["--samples", "8"], ["--knn-k", "0"], ["--knn-k", "-2"]]

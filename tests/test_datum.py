@@ -6,7 +6,9 @@ Claims:
       exponent problems, each at its location
     - the named families have the documented shapes and exponents
     - save/load is a field-exact round trip; malformed files fail with
-      a parse error naming the field
+      a parse error naming the field, a partition or map shape that is
+      not a list of whole numbers (2 and 2.0 are; true, "2" and 2.5 are
+      not) included
 """
 
 import json
@@ -178,6 +180,48 @@ class TestSerialization:
         path.write_text(json.dumps(doc))
         with pytest.raises(DatumParseError, match="maps"):
             blepi.load(path)
+
+    @pytest.mark.parametrize(
+        "partition, match",
+        [("11", "list of sizes, got str"), ([1.7, 1.2], "size 1.7"), ([True, 1], "size True"),
+         (2, "list of sizes, got int"), ([1, "1"], "size '1'"), ([math.inf, 1], "size inf")],
+    )
+    def test_partition_that_is_not_a_list_of_whole_numbers_is_rejected(
+        self, tmp_path, partition, match
+    ):
+        # "11", [1.7, 1.2] and [true, 1] used to load as the partition (1, 1)
+        doc = json.loads(_save_to_text(blepi.make_epi_datum(0.5, 1)))
+        doc["partition"] = partition
+        path = tmp_path / "partition.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DatumParseError, match=f"bad 'partition' field: .*{match}"):
+            blepi.load(path)
+
+    @pytest.mark.parametrize(
+        "shape, match",
+        [("12", "list of sizes, got str"), ([1.9, 2.2], "size 1.9"), ([1, False], "size False")],
+    )
+    def test_map_shape_that_is_not_a_list_of_whole_numbers_is_rejected(
+        self, tmp_path, shape, match
+    ):
+        # "12" and [1.9, 2.2] used to load as the shape (1, 2)
+        doc = json.loads(_save_to_text(blepi.make_epi_datum(0.5, 1)))
+        doc["maps"][0]["shape"] = shape
+        path = tmp_path / "shape.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DatumParseError, match=rf"bad 'maps\[0\]' entry: .*{match}"):
+            blepi.load(path)
+
+    def test_whole_floats_are_sizes(self, tmp_path):
+        d = blepi.make_epi_datum(0.5, 1)
+        doc = json.loads(_save_to_text(d))
+        doc["partition"] = [1.0, 1]
+        doc["maps"][0]["shape"] = [1.0, 2.0]
+        path = tmp_path / "floats.json"
+        path.write_text(json.dumps(doc))
+        loaded = blepi.load(path)
+        assert loaded == d
+        assert loaded.maps[0].shape == (1, 2)
 
     def test_negative_exponent_loads_but_fails_validation(self, tmp_path):
         d = blepi.make_epi_datum(0.5, 1)

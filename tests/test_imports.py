@@ -8,8 +8,12 @@ Claims:
       mixture entropy is a numpy quadrature
     - every name in a blepi module's ``__all__`` exists, once, and
       ``from blepi.<module> import *`` binds exactly those names
+    - the modules' relative imports, at any depth, form no cycle, and
+      the divergence probe is one function, defined in ``subspace`` and
+      bound in ``blepi``, ``gauss`` and ``finiteness``
 """
 
+import ast
 import importlib
 import json
 import os
@@ -82,3 +86,49 @@ def test_every_exported_name_exists(name):
     exec(f"from blepi.{name} import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(exported)
+
+
+def _relative_imports(path: pathlib.Path) -> set[str]:
+    """The blepi modules a source file imports with a relative import,
+    at module level or inside a function."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:  # from . import x, y
+                found.update(alias.name for alias in node.names)
+            else:
+                found.add(node.module.split(".")[0])
+    return found
+
+
+def test_the_module_imports_form_no_cycle():
+    package = SRC / "blepi"
+    graph = {
+        path.stem: _relative_imports(path) - {"__init__"}
+        for path in package.glob("*.py")
+        if path.stem != "__init__"
+    }
+    assert {"datum", "subspace", "finiteness", "gauss"} <= set(graph)
+    # depth-first search; a module met again while on the path closes a cycle
+    done: set[str] = set()
+
+    def visit(module, path):
+        assert module not in path, f"import cycle: {' -> '.join(path + [module])}"
+        if module in done:
+            return
+        for target in sorted(graph[module]):
+            visit(target, path + [module])
+        done.add(module)
+
+    for module in sorted(graph):
+        visit(module, [])
+
+
+def test_the_divergence_probe_is_one_function():
+    from blepi import finiteness, gauss, subspace
+
+    probe = subspace.divergence_probe
+    assert probe.__module__ == "blepi.subspace"
+    assert blepi.divergence_probe is gauss.divergence_probe is probe
+    assert finiteness.divergence_probe is probe
+    assert "divergence_probe" in gauss.__all__

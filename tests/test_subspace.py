@@ -56,7 +56,6 @@ from hypothesis import strategies as st
 
 import blepi
 from blepi.datum import Datum, Partition
-from blepi.gauss import _ray_table
 from blepi.subspace import (
     _ORTHO_TOL,
     _TABLE_CACHE,
@@ -67,6 +66,7 @@ from blepi.subspace import (
     _coordinate_screen,
     _coordinate_table,
     _kernel_candidates,
+    _ray_table,
     _scored_candidates,
     _table,
     block_diag,
@@ -451,6 +451,11 @@ def _built(scored):
     return out
 
 
+def _screened(datum, cap):
+    """The coordinate screen over the first ``cap`` members, built."""
+    return _built(_coordinate_screen(datum, _coordinate_table(datum.partition, cap)))
+
+
 def _same_bases(V, bases):
     return len(V.bases) == len(bases) and all(
         np.array_equal(B, C) for B, C in zip(V.bases, bases)
@@ -506,7 +511,7 @@ class TestCandidates:
         # the full space violates; cap 37 keeps one five-axis subset (member
         # 32), cap 21 none
         assert len(expected) == {37: 2, 21: 1}.get(cap, 8)
-        screened = [V for V, _ in _built(_coordinate_screen(datum, cap))]
+        screened = [V for V, _ in _screened(datum, cap)]
         cands = list(candidate_subspaces(datum, SearchBudget(profile_cap=cap)))
         assert len(screened) == len(expected)
         for family in (screened, cands[: len(expected)]):
@@ -526,7 +531,7 @@ class TestCandidates:
         full = ProductSubspace.full(datum.partition)
         assert slack(datum, full).critical
         for cap, kept in ((4096, [(0,) * 6, (1,) * 6]), (21, [(0,) * 6])):
-            assert [V.block_dims for V, _ in _built(_coordinate_screen(datum, cap))] == kept
+            assert [V.block_dims for V, _ in _screened(datum, cap)] == kept
         assert len(_coordinate_masks(datum.partition, 21)) == 21
 
     @pytest.mark.parametrize("name", ["zamir_feder_9x4", "epi_0.5_dim2"])
@@ -577,7 +582,7 @@ def test_coordinate_screen_is_the_family_filtered_by_slack(seed, kind, cap):
     dim_image on every member scored."""
     datum = _screen_datum(np.random.default_rng(seed), kind)
     expected = _screened_reference(datum, cap)
-    screened = _built(_coordinate_screen(datum, cap))
+    screened = _screened(datum, cap)
     assert len(screened) == len(expected)
     for (V, sr), (bases, ref) in zip(screened, expected):
         assert _same_bases(V, bases)
@@ -599,7 +604,7 @@ def test_generic_zamir_feder_keeps_only_the_zero_and_full_subspace(n, k):
     the screen builds two subspaces."""
     Q, _ = np.linalg.qr(np.random.default_rng(n).standard_normal((n, k)))
     datum = blepi.make_zamir_feder_datum(Q[:, :k].T)
-    screened = _built(_coordinate_screen(datum, 4096))
+    screened = _screened(datum, 4096)
     assert [V.block_dims for V, _ in screened] == [(0,) * n, (1,) * n]
     assert all(sr.critical for _, sr in screened)
 
@@ -628,7 +633,7 @@ def test_kernel_tiers_on_scalar_blocks_repeat_screen_members(seed):
     datum = scalar_mixed_datum(np.random.default_rng(seed))
     assert not blepi.subspace._kernel_tiers_run(datum.partition, 4096)
     assert list(_kernel_candidates(datum, 4096)) == []
-    screened = {V.block_dims: sr for V, sr in _built(_coordinate_screen(datum, 4096))}
+    screened = {V.block_dims: sr for V, sr in _screened(datum, 4096)}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(blepi.subspace, "_kernel_tiers_run", lambda partition, cap: True)
         tiers = list(_kernel_candidates(datum, 4096))
