@@ -368,6 +368,21 @@ def _whole_numbers(value) -> tuple[int, ...]:
     return tuple(int(x) for x in value)
 
 
+def _numbers(value, name: str) -> np.ndarray:
+    """A JSON list of numbers (ints or floats) as a float array; a bool or
+    a string entry raises ValueError instead of being read as 1, 0 or its
+    digits, and so does an int past the float range."""
+    if not isinstance(value, list):
+        raise ValueError(f"'{name}' must be a list of numbers, got {type(value).__name__}")
+    for x in value:  # type(True) is bool, not int
+        if type(x) is not int and type(x) is not float:
+            raise ValueError(f"'{name}' entry {x!r} is not a number")
+    try:
+        return np.array(value, dtype=float)
+    except OverflowError as exc:
+        raise ValueError(f"'{name}' entry out of the float range: {exc}") from exc
+
+
 def datum_from_dict(doc: dict) -> Datum:
     if not isinstance(doc, dict):
         raise DatumParseError("top-level document must be an object")
@@ -384,14 +399,13 @@ def datum_from_dict(doc: dict) -> Datum:
     for j, entry in enumerate(doc["maps"]):
         try:
             rows, cols = _whole_numbers(entry["shape"])
-            data = np.array(entry["data"], dtype=float)
-            maps.append(data.reshape(rows, cols))
+            maps.append(_numbers(entry["data"], "data").reshape(rows, cols))
         except (KeyError, TypeError, ValueError) as exc:
             raise DatumParseError(f"bad 'maps[{j}]' entry: {exc}") from exc
     try:
-        c = np.array(doc["c"], dtype=float)
-        d = np.array(doc["d"], dtype=float)
-    except (TypeError, ValueError) as exc:
+        c = _numbers(doc["c"], "c")
+        d = _numbers(doc["d"], "d")
+    except ValueError as exc:
         raise DatumParseError(f"bad exponent list: {exc}") from exc
     try:
         return Datum(

@@ -27,7 +27,8 @@ Claims:
       not converge (exit 4) unless --tol accepts it, and an empty --models
       list (exit 2) before solving
     - a partition or map shape that is not a list of whole numbers is a
-      parse error (exit 1), never truncated to other sizes
+      parse error (exit 1), never truncated to other sizes, and so is a
+      bool or a string among the exponents or a map's entries
 """
 
 import dataclasses
@@ -200,6 +201,24 @@ class TestCheckCommand:
         path.write_text(json.dumps(doc))
         assert main(["check", str(path)]) == 1
         assert capsys.readouterr().err.startswith("parse error:")
+
+    @pytest.mark.parametrize(
+        "field, value", [("c", [True]), ("d", [True, False]), ("d", ["0.5", 0.5]),
+                         ("data", ["1", "1"])],
+    )
+    def test_an_entry_that_is_not_a_number_is_a_parse_error(self, tmp_path, capsys,
+                                                             field, value):
+        # each of these used to load as numbers and be checked
+        doc = datum_to_dict(blepi.make_epi_datum(0.5, 1))
+        if field == "data":
+            doc["maps"][0]["data"] = value
+        else:
+            doc[field] = value
+        path = tmp_path / "entries.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("parse error:") and f"'{field}' entry" in err
 
 
 class TestSolveCommand:

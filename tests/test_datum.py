@@ -8,7 +8,8 @@ Claims:
     - save/load is a field-exact round trip; malformed files fail with
       a parse error naming the field, a partition or map shape that is
       not a list of whole numbers (2 and 2.0 are; true, "2" and 2.5 are
-      not) included
+      not) included, and so are an exponent or map entry that is not a
+      number (2 and 2.5 are; true and "2" are not)
 """
 
 import json
@@ -19,6 +20,7 @@ import pytest
 
 import blepi
 from blepi.datum import Datum, DatumParseError, Partition
+from conftest import random_datum
 
 
 class TestPartition:
@@ -222,6 +224,59 @@ class TestSerialization:
         loaded = blepi.load(path)
         assert loaded == d
         assert loaded.maps[0].shape == (1, 2)
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [("c", [True], r"bad exponent list: 'c' entry True is not a number"),
+         ("d", [True, False], r"bad exponent list: 'd' entry True is not a number"),
+         ("d", ["0.5", 0.5], r"bad exponent list: 'd' entry '0.5' is not a number"),
+         ("c", "1", r"bad exponent list: 'c' must be a list of numbers, got str"),
+         ("data", ["1", "1"], r"bad 'maps\[0\]' entry: 'data' entry '1' is not a number"),
+         ("data", [1, None], r"bad 'maps\[0\]' entry: 'data' entry None is not a number"),
+         ("c", [10**400], r"bad exponent list: 'c' entry out of the float range")],
+    )
+    def test_an_exponent_or_map_entry_that_is_not_a_number_is_rejected(
+        self, tmp_path, field, value, match
+    ):
+        # [true] used to load as c = (1.0,), ["0.5", 0.5] as d = (0.5, 0.5)
+        # and ["1", "1"] as the map [[1, 1]]; 10**400 raised a raw
+        # OverflowError
+        doc = json.loads(_save_to_text(blepi.make_epi_datum(0.5, 1)))
+        if field == "data":
+            doc["maps"][0]["data"] = value
+        else:
+            doc[field] = value
+        path = tmp_path / "entries.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DatumParseError, match=match):
+            blepi.load(path)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_a_bool_or_string_anywhere_in_the_numbers_is_named(self, tmp_path, seed):
+        """One entry of c, d or a map's data of a random datum, replaced by
+        a bool or a numeric string, is a parse error naming its field; the
+        same entry as an int loads as that number."""
+        rng = np.random.default_rng(seed)
+        datum = random_datum(rng)
+        doc = json.loads(_save_to_text(datum))
+        field = ("c", "d", "data")[seed % 3]
+        j = int(rng.integers(datum.m))
+        target = doc["maps"][j]["data"] if field == "data" else doc[field]
+        i = int(rng.integers(len(target)))
+        name = f"bad exponent list: '{field}'"
+        if field == "data":
+            name = rf"bad 'maps\[{j}\]' entry: 'data'"
+        for bad in (True, False, "1", "0.5"):
+            target[i] = bad
+            path = tmp_path / "entry.json"
+            path.write_text(json.dumps(doc))
+            with pytest.raises(DatumParseError, match=f"{name} entry {bad!r} is not a number"):
+                blepi.load(path)
+        target[i] = 2
+        path.write_text(json.dumps(doc))
+        loaded = blepi.load(path)
+        numbers = loaded.maps[j].ravel() if field == "data" else getattr(loaded, field)
+        assert numbers[i] == 2.0 and numbers.dtype == float
 
     def test_negative_exponent_loads_but_fails_validation(self, tmp_path):
         d = blepi.make_epi_datum(0.5, 1)
