@@ -332,13 +332,31 @@ def cmd_closed_form(args, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _tol(text: str) -> float:
+    """``--tol``: finite and > 0.  At inf any ascent is converged, a
+    degenerate start's NaN value too; at NaN or <= 0 none is."""
+    x = float(text)
+    if not (math.isfinite(x) and x > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+    return x
+
+
+def _confidence(text: str) -> float:
+    """``--confidence``: finite and >= 0.  At inf every model passes, at
+    NaN none does, and below 0 a bound that holds can fail."""
+    x = float(text)
+    if not (math.isfinite(x) and x >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return x
+
+
 def _add_options(p: argparse.ArgumentParser, solver=False, fmt=False, bits=False) -> None:
     """``--out`` plus the options the subcommand reads: ``--tol`` (solver),
     ``--format`` and ``--bits``."""
     cfg = RunConfig()
     if solver:
         p.add_argument(
-            "--tol", type=float, default=cfg.tol, help="converged at scale-free gradient norm <= this"
+            "--tol", type=_tol, default=cfg.tol, help="converged at scale-free gradient norm <= this"
         )
     if fmt:
         p.add_argument("--format", dest="fmt", choices=["structured-text", "csv"], default=cfg.fmt)
@@ -376,7 +394,9 @@ def build_parser() -> argparse.ArgumentParser:
     cfg = RunConfig()
     p.add_argument("--samples", type=int, default=cfg.samples)
     p.add_argument("--knn-k", type=int, default=cfg.knn_k)
-    p.add_argument("--confidence", type=float, default=cfg.confidence, help="one-sided z threshold")
+    p.add_argument(
+        "--confidence", type=_confidence, default=cfg.confidence, help="one-sided z threshold"
+    )
     p.add_argument("--seed", type=int, default=cfg.seed, help="seeds the Monte Carlo samples")
     _add_options(p, solver=True, fmt=True, bits=True)
 

@@ -25,29 +25,30 @@ solver read it instead of rebuilding it.
 
 The coordinate family (every product of per-block axis subsets, 2^n in
 full) is scored in bulk.  What depends on the partition alone (each
-member's axes and per-block dimensions, per subset size the index
-groups the stacked SVDs read, and each member's prefix, the earlier
-member on its axes less the last one) is a read-only table built once
-per ``(partition, cap)`` and cached, so a call does only the per map and
+member's axes and per-block dimensions, and per subset size the index
+groups the stacked SVDs read) is a read-only table built once per
+``(partition, cap)`` and cached, so a call does only the per map and
 subset size stacked SVDs of the column submatrices A_j[:, S], cut at
 ``rank_tol(A_j)`` computed once per map, and the slack rule of
-``SlackResult`` on each member.  A subset size above A_j's row count
-k_j is not stacked when each member's prefix has its k_j-th singular
-value above 2 rank_tol(A_j): adding columns lowers no singular value
-(interlacing), and the SVD's rounding is an order of magnitude below
-rank_tol, so the margin proves the rank k_j the member's own SVD would
-count.  On a generic Zamir-Feder datum this leaves 255 of the 511 SVDs
-at 9x4 and 793 of 4,095 at 12x4.  A critical or violating member, the
-only kind a scan reads, is passed on as its per-block dimensions, its
-slack (``slack``'s own expression, bit for bit) and a builder: it
-becomes a ``ProductSubspace`` only when a scan uses it, as a witness or
-as a split to try.  The kernel tiers follow, each candidate built and
-scored by ``slack``; on data whose blocks are all scalar with the whole
-family within the cap they are skipped, as every product subspace is
-then a coordinate one the screen scored.  A scan
-(``finiteness.check_finiteness`` and ``certify``) reads one score per
-candidate from ``_scored_candidates``; ``candidate_subspaces`` yields
-the same subspaces built and unscored.
+``SlackResult`` on each member.  Once a size of at least A_j's row
+count k_j has its k_j-th singular value above 2 rank_tol(A_j) on every
+member, the larger sizes are not stacked: each of their members
+contains one of that size (a member less its last axis is an earlier
+member), adding columns lowers no singular value (interlacing), and
+the SVD's rounding is an order of magnitude below rank_tol, so the
+margin proves the rank k_j their own SVDs would count.  On a generic
+Zamir-Feder datum this leaves 255 of the 511 SVDs at 9x4 and 793 of
+4,095 at 12x4.  A critical or violating member, the only kind a scan
+reads, is passed on as its per-block dimensions, its slack (``slack``'s
+own expression, bit for bit) and a builder: it becomes a
+``ProductSubspace`` only when a scan uses it, as a witness or as a
+split to try.  The kernel tiers follow, each candidate built and scored
+by ``slack``; on data whose blocks are all scalar with the whole family
+within the cap they are skipped, as every product subspace is then a
+coordinate one the screen scored.  A scan (``finiteness.check_finiteness``
+and ``certify``) reads one score per candidate from
+``_scored_candidates``; ``candidate_subspaces`` yields the same
+subspaces built and unscored.
 
 Together with the scaling balance, slack is the package's one
 unboundedness decision (Bennett-Carbery-Christ-Tao: the constant is
@@ -277,30 +278,20 @@ def coordinate_family_size(partition: Partition) -> int:
     return 2 ** partition.n
 
 
-# shape tables kept per cache; a 4096-member table takes 0.70 MB at n = 12
-# with scalar blocks, and about 4096 * (n + 8 k + 16 + 8 t) bytes in general
+# shape tables kept per cache; a 4096-member table takes 0.67 MB at n = 12
+# with scalar blocks, and about 4096 * (n + 8 k + 8 + 8 t) bytes in general
 # (t the mean subset size), as the cap holds the member count
 _TABLE_CACHE = 32
 
 
-@functools.lru_cache(maxsize=_TABLE_CACHE)
-def _axis_subsets(r: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
+def _axis_subsets(r: int, cap: int) -> np.ndarray:
     """The first ``cap`` axis subsets of a block of r axes, by size, then
-    lexicographically, as the rows of a read-only boolean table; and how
-    far each row sits past its prefix, the subset less its last axis,
-    which comes earlier (0 for the empty subset)."""
+    lexicographically, as the rows of a boolean table."""
     subsets = (idx for t in range(r + 1) for idx in itertools.combinations(range(r), t))
     table = np.zeros((min(2**r, cap), r), dtype=bool)
-    back = np.zeros(len(table), dtype=int)
-    row_of = {}
     for row, idx in enumerate(itertools.islice(subsets, cap)):
         table[row, list(idx)] = True
-        row_of[idx] = row
-        if idx:
-            back[row] = row - row_of[idx[:-1]]
-    table.setflags(write=False)
-    back.setflags(write=False)
-    return table, back
+    return table
 
 
 def _coordinate_masks(partition: Partition, cap: int) -> np.ndarray:
@@ -313,83 +304,58 @@ def _coordinate_masks(partition: Partition, cap: int) -> np.ndarray:
     q = np.arange(min(cap, 2**partition.n))
     parts = []
     for r in reversed(partition.blocks):
-        table, _ = _axis_subsets(r, cap)
+        table = _axis_subsets(r, cap)
         parts.append(table[q % len(table)])
         q = q // len(table)
     return np.concatenate(parts[::-1], axis=1)
 
 
-def _coordinate_prefixes(partition: Partition, cap: int) -> np.ndarray:
-    """Each of the first ``cap`` coordinate subspaces' prefix: the index
-    of the member on the same axes less the last one, -1 for the zero
-    member.  The last axis lies in the last block the member meets, so
-    the prefix differs from it in that block's digit alone, and precedes
-    it."""
-    size = min(cap, 2**partition.n)
-    prefix = np.full(size, -1)
-    stride = 1
-    for r in reversed(partition.blocks):
-        if stride >= size:
-            break
-        _, back = _axis_subsets(r, cap)
-        # the members stride * i meet no later block; this block's digit
-        # is i's last one
-        i = np.arange(-(-size // stride))
-        i = i[i % len(back) > 0]
-        prefix[stride * i] = stride * (i - back[i % len(back)])
-        stride *= len(back)
-    return prefix
-
-
 @dataclass(frozen=True, eq=False)
 class _CoordinateTable:
-    """The part of scoring coordinate subspaces that depends on shape only,
-    in read-only arrays: each member's axes in R^n (``mask``, N x n) and
-    per-block dimensions (``dims``, N x k), per subset size the members
-    of that size with their axes (``groups``, ``(rows, cols)`` pairs),
-    the index sets ``_coordinate_ranks`` stacks, and, on the coordinate
-    family, each member's prefix (``prefix``, N; None on the ray table):
-    the index of the earlier member on its axes less the last one, -1
-    for the zero member, whose SVD can settle the member's rank."""
+    """The part of scoring coordinate subspaces that depends on shape only:
+    each member's axes in R^n (``mask``, N x n) and per-block dimensions
+    (``dims``, N x k), per subset size the members of that size with
+    their axes (``groups``, ``(rows, cols)`` pairs), the index sets
+    ``_coordinate_ranks`` stacks, all in read-only arrays; and whether
+    each member less its last axis is an earlier member (``nested``,
+    True on the coordinate family alone), which lets a full-rank size
+    settle the sizes above it."""
 
     mask: np.ndarray
     dims: np.ndarray
     groups: tuple[tuple[np.ndarray, np.ndarray], ...]
-    prefix: Optional[np.ndarray] = None
+    nested: bool = False
 
 
-def _table(
-    partition: Partition, mask: np.ndarray, prefix: Optional[np.ndarray] = None
-) -> _CoordinateTable:
+def _table(partition: Partition, mask: np.ndarray, nested: bool = False) -> _CoordinateTable:
     """The table of the coordinate subspaces whose axes are the rows of
-    ``mask``, with their ``prefix`` if given, both of which it takes over
-    and makes read-only."""
+    ``mask``, which it takes over and makes read-only; ``nested`` is
+    passed on as the table's."""
     sizes = mask.sum(axis=1)
     groups = []
     for t in np.unique(sizes[sizes > 0]):
         rows = np.flatnonzero(sizes == t)
         groups.append((rows, np.nonzero(mask[rows])[1].reshape(len(rows), t)))
     dims = np.add.reduceat(mask, [a for a, _ in partition.offsets()], axis=1, dtype=int)
-    for arr in (mask, dims, prefix, *itertools.chain.from_iterable(groups)):
-        if arr is not None:
-            arr.setflags(write=False)
-    return _CoordinateTable(mask, dims, tuple(groups), prefix)
+    for arr in (mask, dims, *itertools.chain.from_iterable(groups)):
+        arr.setflags(write=False)
+    return _CoordinateTable(mask, dims, tuple(groups), nested)
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE)
 def _coordinate_table(partition: Partition, cap: int) -> _CoordinateTable:
     """The table of the first ``cap`` coordinate subspaces, built once per
     ``(partition, cap)``: no datum value enters it, so data of one shape
-    share it."""
-    return _table(
-        partition, _coordinate_masks(partition, cap), _coordinate_prefixes(partition, cap)
-    )
+    share it.  It is nested: a member's subsets come by size in each
+    block, so the member less its last axis comes earlier, within the cap."""
+    return _table(partition, _coordinate_masks(partition, cap), nested=True)
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE)
 def _ray_table(partition: Partition) -> _CoordinateTable:
     """The divergence probe's rays as a coordinate table, built once per
-    partition: the full space, then each block alone."""
+    partition: the full space, then each block alone.  The rays do not
+    contain one another, so it is not nested."""
     blocks = partition.blocks
     full = np.ones(partition.n, dtype=bool)
     mask = [full] + [np.repeat(np.arange(len(blocks)) == i, blocks) for i in range(len(blocks))]
@@ -402,45 +368,36 @@ def _coordinate_ranks(datum: Datum, table: _CoordinateTable) -> np.ndarray:
     submatrices A_j[:, S], which equal A_j E bit for bit (E's columns are
     unit vectors), counted above rank_tol(A_j) as in ``dim_image``.
 
-    A subset size above the row count k_j of A_j is not stacked when the
-    prefix P of each member S is settled: its own SVD gave
-    sigma_{k_j}(A_j[:, P]) > 2 rank_tol(A_j), or P was settled in turn.
-    S then contains a member Q whose SVD gave that, and S's rank is k_j,
-    the count its own SVD would give.  S's columns include Q's, so
-    A_S A_S^T >= A_Q A_Q^T and no singular value falls (interlacing):
+    On a nested table, once a stacked size t >= k_j, the row count of
+    A_j, gives every member sigma_{k_j}(A_j[:, Q]) > 2 rank_tol(A_j),
+    each larger size gets rank k_j with no SVD, the count its own SVD
+    would give.  Taking a larger member's last axis off, again and
+    again, reaches a member Q of size t, so S's columns include Q's:
+    A_S A_S^T >= A_Q A_Q^T and no singular value falls (interlacing),
     sigma_{k_j}(A_S) >= sigma_{k_j}(A_Q).  A computed singular value is
     within a few eps ||A_j|| of the exact one, an order of magnitude
     below rank_tol (see ``_RANK_TOL``), so with the 2x margin S's own
     computed sigma_{k_j} would clear 2 rank_tol less both SVDs' rounding,
-    which is above rank_tol.  A size with a member its prefix does not
-    settle is stacked whole: on the named families' tables of 4 to 64
-    members, stacking only the unsettled members cost more than the SVDs
-    it saved.
+    which is above rank_tol.  The ray table is stacked size by size: a
+    ray of one size need not contain one of a smaller size.
     """
     width = table.mask.shape[1]
     img = np.zeros((len(table.mask), datum.m), dtype=int)
-    sizes = len(table.groups)  # 1, 2, ..., as each member's prefix is in the table
     for j, A in enumerate(datum.maps):
         if A.shape[1] != width:
             raise ValueError(f"map has {A.shape[1]} columns, subspace lives in R^{width}")
         tol = rank_tol(A)
         k = len(A)
-        # full[q]: sigma_k(A[:, S_q]) > 2 tol, for the members of size k
-        # and up that a larger size reads
-        prune = table.prefix is not None and 0 < k < sizes
-        if prune:
-            full = np.zeros(len(table.mask), dtype=bool)
+        settled = False
         for rows, cols in table.groups:
-            t = cols.shape[1]
-            if prune and t > k and full[table.prefix[rows]].all():
+            if settled:
                 img[rows, j] = k
-                full[rows] = True
                 continue
             # the stack of A[:, S], read off A^T's rows with no axis move
             s = np.linalg.svd(A.T[cols].swapaxes(1, 2), compute_uv=False)
             img[rows, j] = (s > tol).sum(axis=1)
-            if prune and k <= t < sizes:
-                full[rows] = s[:, k - 1] > 2 * tol
+            if table.nested and 0 < k <= cols.shape[1]:
+                settled = bool(np.all(s[:, k - 1] > 2 * tol))
     return img
 
 

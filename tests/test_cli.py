@@ -26,6 +26,8 @@ Claims:
     - validate validates once; verify refuses a reference solve that did
       not converge (exit 4) unless --tol accepts it, and an empty --models
       list (exit 2) before solving
+    - --tol must be finite and > 0 and --confidence finite and >= 0: any
+      other value, inf included, is an argparse error (exit 2)
     - a partition or map shape that is not a list of whole numbers is a
       parse error (exit 1), never truncated to other sizes, and so is a
       bool or a string among the exponents or a map's entries
@@ -375,6 +377,46 @@ class TestVerifyCommand:
             main([command, epi_file, *options])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--tol", "inf"],
+            ["solve", "--tol", "nan"],
+            ["solve", "--tol", "0"],
+            ["solve", "--tol", "-1"],
+            ["verify", "--tol", "inf"],
+            ["verify", "--tol", "nan"],
+            ["verify", "--confidence", "nan"],
+            ["verify", "--confidence", "-5"],
+            ["verify", "--confidence", "inf"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_a_tolerance_or_threshold_that_decides_nothing_is_rejected(
+        self, epi_file, argv, capsys, monkeypatch
+    ):
+        """--tol inf calls any ascent converged (a degenerate start's NaN
+        value too) and NaN, 0 or -1 none; --confidence inf passes every
+        model, NaN none, and -5 fails a bound that holds.  Each is an
+        argparse error (exit 2) before any solve."""
+
+        def no_solve(datum, opts):
+            raise AssertionError("solved with an option that decides nothing")
+
+        monkeypatch.setattr(blepi.cli, "solve_mg", no_solve)
+        command, option, value = argv
+        with pytest.raises(SystemExit) as exc:
+            main([command, epi_file, option, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {option}: must be finite and" in err
+
+    def test_the_edges_of_tol_and_confidence_are_accepted(self, epi_file, monkeypatch):
+        seen = []
+        monkeypatch.setattr(blepi.cli, "cmd_verify", lambda path, cfg, names: seen.append(cfg))
+        main(["verify", epi_file, "--tol", "1e-300", "--confidence", "0"])
+        assert [(c.tol, c.confidence) for c in seen] == [(1e-300, 0.0)]
 
     def test_verify_reads_its_own_options(self, epi_file, monkeypatch):
         seen = []

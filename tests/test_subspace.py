@@ -42,12 +42,15 @@ Claims:
     - the coordinate and ray tables depend on shape only: equal
       partitions share one cached, read-only table, and the ranks read
       through it are those of the per-call computation, bit for bit
-    - each coordinate member's prefix is the earlier member on its axes
-      less the last one; a subset size above a map's row count is not
-      stacked once every member's prefix has proven full rank, leaving 92,
-      255 and 793 of the 2^n - 1 SVDs on generic Zamir-Feder 8x3, 9x4
-      and 12x4, and the ranks stay the per-member SVD counts bit for bit
-      on data whose singular values fall around the rank cut
+    - each coordinate member less its last axis is an earlier member, so
+      once a subset size of at least a map's row count has full rank with
+      a margin on every member the larger sizes are not stacked, leaving
+      92, 255 and 793 of the 2^n - 1 SVDs on generic Zamir-Feder 8x3, 9x4
+      and 12x4 and 20 of 21 on coupled sums; the ranks stay the
+      per-member SVD counts bit for bit on data whose singular values
+      fall around the rank cut, and on a map with no rows; the ray table
+      is not nested and never settles a size, so the probe still finds
+      a violating ray one size above a full-rank ray it does not contain
     - SearchBudget rejects a profile cap that is not an int >= 0
 """
 
@@ -78,6 +81,7 @@ from blepi.subspace import (
     block_diag,
     candidate_subspaces,
     dim_image,
+    divergence_probe,
     find_violating_subspace,
     null_space,
     orthonormal_columns,
@@ -726,31 +730,41 @@ def test_ray_table_holds_the_full_space_then_each_block():
 )
 @pytest.mark.parametrize("cap", [1, 2, 5, 19, 37, 100, 4096])
 def test_each_prefix_is_the_member_less_its_last_axis(blocks, cap):
-    """A coordinate member's prefix is the index of the earlier member on
-    its axes less the last one; the zero member has none (-1), the ray
-    table no prefixes at all, and the array is read-only."""
+    """What lets a full-rank size settle the sizes above it: on the
+    coordinate table, capped or not, each nonzero member less its last
+    axis is an earlier member, so a member of any size contains one of
+    each smaller size.  The table says so (nested); the ray table, whose
+    rays do not contain one another, does not."""
     part = Partition(blocks)
     table = _coordinate_table(part, cap)
-    mask, prefix = table.mask, table.prefix
-    assert prefix.shape == (len(mask),) and prefix[0] == -1 and not mask[0].any()
+    mask = table.mask
+    assert table.nested and not mask[0].any()
+    rows = {row.tobytes(): q for q, row in enumerate(mask)}
     for q in range(1, len(mask)):
         less = mask[q].copy()
         less[np.flatnonzero(less)[-1]] = False
-        assert 0 <= prefix[q] < q
-        assert np.array_equal(mask[prefix[q]], less)
-    with pytest.raises(ValueError, match="read-only"):
-        prefix[0] = 0
-    assert _ray_table(part).prefix is None
+        assert rows.get(less.tobytes(), q) < q
+    assert not _ray_table(part).nested
 
 
-@pytest.mark.parametrize("n, k, stacked", [(8, 3, 92), (9, 4, 255), (12, 4, 793)])
-def test_a_prefix_of_full_rank_settles_its_supersets_without_an_svd(n, k, stacked, monkeypatch):
-    """On a generic Zamir-Feder datum every k-axis member has rank k, so
-    each size above k is settled by its prefixes and only the members of
-    sizes 1 to k are stacked for an SVD; the same table without prefixes
-    stacks all 2^n - 1 nonzero members."""
-    Q, _ = np.linalg.qr(np.random.default_rng(n).standard_normal((n, k)))
-    datum = blepi.make_zamir_feder_datum(Q[:, :k].T)
+@pytest.mark.parametrize(
+    "name, stacked",
+    [("zf-8x3", 92), ("zf-9x4", 255), ("zf-12x4", 793), ("coupled-sums", 20)],
+)
+def test_a_full_rank_size_settles_the_sizes_above_without_an_svd(name, stacked, monkeypatch):
+    """Once every member of one size at least a map's row count k has rank
+    k with the margin, the larger sizes are not stacked for an SVD.  On a
+    generic Zamir-Feder datum that is size k, so only sizes 1 to k are
+    stacked.  On coupled sums only the two-row map's size-3 member is
+    settled: each single-row map has rank 0 on a pair of axes, so none
+    of its sizes settles the next.  The same table not nested stacks all
+    2^n - 1 nonzero members of each map, with the same ranks."""
+    if name == "coupled-sums":
+        datum = coupled(1.25, 0.5, 0.5, 0.5)
+    else:
+        n, k = (int(x) for x in name[3:].split("x"))
+        Q, _ = np.linalg.qr(np.random.default_rng(n).standard_normal((n, k)))
+        datum = blepi.make_zamir_feder_datum(Q[:, :k].T)
     table = _coordinate_table(datum.partition, 4096)
     svd, counted = np.linalg.svd, []
 
@@ -763,8 +777,46 @@ def test_a_prefix_of_full_rank_settles_its_supersets_without_an_svd(n, k, stacke
     assert sum(counted) == stacked
     counted.clear()
     full = _coordinate_ranks(datum, _table(datum.partition, table.mask.copy()))
-    assert sum(counted) == 2**n - 1
+    assert sum(counted) == datum.m * (2**datum.n - 1)
     assert img.tobytes() == full.tobytes()
+
+
+def test_the_ray_table_never_settles_a_size():
+    """On partition (1, 2) with A = [[1, 0, 0]] the block-0 ray has rank 1
+    with the margin, but the block-1 ray, one size up, does not contain
+    it and has rank 0: the probe returns that ray with slack 0.5, and the
+    ray ranks are the unnested stack's."""
+    datum = Datum(
+        partition=Partition((1, 2)),
+        maps=(np.array([[1.0, 0.0, 0.0]]),),
+        c=np.array([1.0]),
+        d=np.array([0.5, 0.25]),
+    )
+    V = divergence_probe(datum)
+    assert V is not None and V.block_dims == (0, 2)
+    assert slack(datum, V).slack == 0.5
+    table = _ray_table(datum.partition)
+    img = _coordinate_ranks(datum, table)
+    assert img[:, 0].tolist() == [1, 1, 0]
+    assert img.tobytes() == _ranks_from_mask(datum, table.mask).tobytes()
+
+
+@pytest.mark.parametrize("cap", [4096, 5])
+def test_a_map_with_no_rows_has_rank_zero_on_every_member(cap):
+    """``certify`` does not validate, so a map with no rows can reach the
+    rank loop; it is never settled (no k-th singular value to read) and
+    its ranks, as the other map's, are the unnested stack's."""
+    part = Partition((2, 1, 3))
+    datum = Datum(
+        partition=part,
+        maps=(np.random.default_rng(3).standard_normal((2, part.n)), np.zeros((0, part.n))),
+        c=np.array([0.5, 0.5]),
+        d=np.full(part.k, 0.5),
+    )
+    table = _coordinate_table(part, cap)
+    img = _coordinate_ranks(datum, table)
+    assert not img[:, 1].any()
+    assert img.tobytes() == _ranks_from_mask(datum, table.mask).tobytes()
 
 
 def _near_dependent_datum(rng):
@@ -796,8 +848,9 @@ def _near_dependent_datum(rng):
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), cap=st.sampled_from([4096, 19, 5]))
 def test_ranks_settled_by_prefixes_equal_the_per_member_svds_near_the_cut(seed, cap):
-    """Where singular values sit around rank_tol, the ranks read through
-    the prefixes are the per-member SVD counts, bit for bit."""
+    """Where singular values sit around rank_tol, the ranks of the sizes a
+    full-rank size below settles are the per-member SVD counts, bit for
+    bit."""
     datum = _near_dependent_datum(np.random.default_rng(seed))
     part = datum.partition
     img = _coordinate_ranks(datum, _coordinate_table(part, cap))
