@@ -3,7 +3,8 @@
 Subcommands: validate, check, solve, verify, closed-form.  Reports are
 deterministic for a fixed (command, config): check and solve use no
 randomness, verify draws its samples from counter-based generators keyed
-on ``--seed``, and output contains no timing information.  Exit codes:
+on ``--seed`` (a model whose every term is a quadrature draws none), and
+output contains no timing information.  Exit codes:
 0 success / finite / all pass, 1 I/O error (reading an input or
 writing ``--out``; no traceback) or parse error, 2 validation or
 domain failure, 3 infinite, 4 unknown (a check verdict, or a verify
@@ -384,7 +385,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("datum")
     _add_options(p, solver=True, bits=True)
 
-    p = sub.add_parser("verify", help="Monte Carlo verification for non-Gaussian inputs")
+    p = sub.add_parser(
+        "verify",
+        help="check the bound for non-Gaussian inputs: k-NN estimates from samples, "
+        "quadrature for the mixture model's images of dimension <= 2",
+    )
     p.add_argument("datum")
     p.add_argument(
         "--models",
@@ -439,8 +444,31 @@ def _config(args) -> RunConfig:
     return RunConfig(**given)
 
 
+_FLOAT_OPTIONS = ("--tol", "--confidence", "--lambda", "--alpha", "--beta", "--delta")
+
+
+def _join_float_values(argv: list[str]) -> list[str]:
+    """argv with each float option and a following ``-``-token that
+    ``float()`` accepts (``-1e-3``, ``-inf``) joined as ``--opt=value``.
+    argparse takes such a token for an option and exits with "expected one
+    argument" instead of the option's own range message."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in _FLOAT_OPTIONS and token.startswith("-"):
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + token
+                continue
+        out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_join_float_values(argv))
     cfg = _config(args)
     try:
         return _run(args, cfg)

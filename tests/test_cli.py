@@ -27,7 +27,10 @@ Claims:
       not converge (exit 4) unless --tol accepts it, and an empty --models
       list (exit 2) before solving
     - --tol must be finite and > 0 and --confidence finite and >= 0: any
-      other value, inf included, is an argparse error (exit 2)
+      other value, inf included, is an argparse error (exit 2) naming the
+      range, a negative one such as -1e-3 or -inf given as its own token too
+    - verify's mixture reports are quadratures that draw no samples, so
+      the uniform and laplace reports do not depend on whether it is run
     - a partition or map shape that is not a list of whole numbers is a
       parse error (exit 1), never truncated to other sizes, and so is a
       bool or a string among the exponents or a map's entries
@@ -296,6 +299,23 @@ class TestVerifyCommand:
         doc = json.loads(capsys.readouterr().out)
         assert {r["model"] for r in doc["reports"]} == {"uniform", "laplace", "mixture"}
 
+    def test_mixture_leaves_the_sampled_reports_alone(self, tmp_path, capsys):
+        # the mixture draws no samples, so uniform and laplace read the
+        # same stream with and without it
+        path = tmp_path / "cs.json"
+        blepi.save(blepi.make_coupled_sums_datum(1.25, 0.5, 0.5, 0.5), path)
+        reports = []
+        for models in ("uniform,laplace,mixture", "uniform,laplace"):
+            assert main(["verify", str(path), "--samples", "3000", "--models", models]) == 0
+            reports.append(json.loads(capsys.readouterr().out)["reports"])
+        with_mixture, without = reports
+        assert [json.dumps(r, sort_keys=True) for r in with_mixture[:2]] == [
+            json.dumps(r, sort_keys=True) for r in without
+        ]
+        mixture = with_mixture[2]
+        assert mixture["empirical_f"]["method"] == "quadrature"
+        assert {t["method"] for t in mixture["terms"][2:]} == {"quadrature"}
+
     def test_corrupted_reference_fails(self, epi_file, monkeypatch):
         solve = blepi.cli.solve_mg
 
@@ -390,6 +410,12 @@ class TestVerifyCommand:
             ["verify", "--confidence", "nan"],
             ["verify", "--confidence", "-5"],
             ["verify", "--confidence", "inf"],
+            # argparse reads these values as options unless they are joined
+            ["solve", "--tol", "-1e-3"],
+            ["verify", "--tol", "-1e-3"],
+            ["verify", "--tol", "-inf"],
+            ["verify", "--confidence", "-inf"],
+            ["verify", "--confidence", "-2.5e-1"],
         ],
         ids=lambda argv: " ".join(argv),
     )
@@ -411,6 +437,24 @@ class TestVerifyCommand:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"argument {option}: must be finite and" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["closed-form", "epi", "--lambda", "-1e-3"], "lambda must lie in (0, 1)"),
+            (["closed-form", "coupled-sums", "--alpha", "-inf", "--beta", "0.5", "--delta", "0.5"],
+             "alpha must be nonnegative"),
+        ],
+    )
+    def test_a_negative_closed_form_parameter_reaches_its_domain_check(self, argv, message, capsys):
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
+    def test_a_joined_negative_value_leaves_other_tokens_alone(self):
+        argv = ["verify", "d.json", "--tol", "-1e-3", "--models", "-x", "--confidence=-1", "--out", "-"]
+        assert blepi.cli._join_float_values(argv) == [
+            "verify", "d.json", "--tol=-1e-3", "--models", "-x", "--confidence=-1", "--out", "-"
+        ]
 
     def test_the_edges_of_tol_and_confidence_are_accepted(self, epi_file, monkeypatch):
         seen = []

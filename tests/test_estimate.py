@@ -10,6 +10,12 @@ Claims:
       in dimensions 1 to 9, with variances up to 400 apart, consistent with a large-sample k-NN
       estimate, and exact in the empirical objective in any dimension;
       its nodes are built once per process, on first use
+    - under the mixture model an image of dimension <= 2 is a Gaussian
+      mixture whose entropy is a quadrature: within 1e-12 of mpmath in
+      1-D and of the Gaussian entropy for one component, unmoved beyond
+      1e-10 by other rules, within 3 k-NN standard errors of the k-NN
+      estimate on the benchmark data, inside its rounding floor where
+      F = M for every law, and drawn without samples
     - the k-NN estimator is calibrated on known densities, translation
       invariant, scale equivariant, and survives duplicate samples
     - the empirical objective reproduces hand values for the entropy
@@ -47,8 +53,15 @@ from blepi.estimate import (
     uniform_model,
     verify_inequality,
 )
-from blepi.estimate import _kth_neighbor_distances, _radial_rule
-from blepi.gauss import BlockCovariance, objective
+from blepi.estimate import (
+    _angle_rule,
+    _image_components,
+    _kth_neighbor_distances,
+    _mixture_image_entropy,
+    _quadrature_entropy,
+    _radial_rule,
+)
+from blepi.gauss import BlockCovariance, gaussian_entropy, objective
 
 N_FAST = 20_000
 
@@ -74,6 +87,28 @@ def _mpmath_mixture_entropy(weight, var_a, var_b, dim):
             lambda r: r ** (dim - 1) * f(r) * mpmath.log(f(r)), [0, 1, 2, 4, 8, 16, 32, mpmath.inf]
         )
         return float(-sphere * integral)
+
+
+def _verify_data(seed):
+    """The benchmark's ``verify_items(seed)``: coupled sums, a 2-D entropy
+    power datum and Zamir-Feder 5x2, each with its closed-form optimum."""
+    rng = np.random.default_rng([seed, 4])
+    lam = float(rng.uniform(0.2, 0.8))
+    delta = rng.uniform(0.3, 1.0)
+    beta = rng.uniform(0.1, min(0.9, 1.9 * delta))
+    alpha = 1.0 + delta - beta / 2.0
+    Q, _ = np.linalg.qr(rng.standard_normal((5, 2)))
+    return [
+        (blepi.make_coupled_sums_datum(alpha, beta, delta, delta),
+         blepi.coupled_sums_constant(alpha, beta, delta)[0]),
+        (blepi.make_epi_datum(lam, 2), blepi.epi_mg(lam, 2)),
+        (blepi.make_zamir_feder_datum(Q.T), 0.0),
+    ]
+
+
+def _cli_rng():
+    """The generator ``blepi verify`` samples from at its default seed."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(0, spawn_key=(1,))))
 
 
 class TestSampling:
@@ -169,7 +204,10 @@ class TestExactEntropy:
         assert terms[0].term == "h(block[0])"
         assert terms[0].estimate.method == "closed_form"
         assert terms[0].estimate.value == block.entropy()
-        assert [t.estimate.method for t in terms[1:]] == ["knn", "knn"]
+        assert [t.estimate.method for t in terms[1:]] == ["quadrature", "quadrature"]
+        # a coordinate projection of the block is the same mixture in 2-D and 1-D
+        for t, dim in zip(terms[1:], (2, 1)):
+            assert abs(t.estimate.value - TwoGaussianMixBlock(0.5, 0.5, 2.0, dim).entropy()) <= 1e-12
 
     def test_radial_nodes_are_built_once_on_first_use(self):
         _radial_rule.cache_clear()
@@ -177,6 +215,130 @@ class TestExactEntropy:
             TwoGaussianMixBlock(0.5, 0.5, 2.0, dim).entropy()
         info = _radial_rule.cache_info()
         assert (info.misses, info.hits) == (1, 2)
+
+
+def _mpmath_scalar_image_entropy(row, blocks):
+    """h(row . X) for scalar two-Gaussian mixture blocks, at 30 digits."""
+    with mpmath.workdps(30):
+        comps = [(mpmath.mpf(1), mpmath.mpf(0))]
+        for a, b in zip(row, blocks):
+            a2 = mpmath.mpf(a) ** 2
+            w = mpmath.mpf(b.weight)
+            comps = [
+                (cw * pw, cv + a2 * v)
+                for cw, cv in comps
+                for pw, v in ((w, b.var_a), (1 - w, b.var_b))
+            ]
+
+        def f(x):
+            return sum(w * mpmath.exp(-x * x / (2 * v)) / mpmath.sqrt(2 * mpmath.pi * v) for w, v in comps)
+
+        cuts = [0, 0.5, 1, 2, 4, 8, 16, 32, 64, mpmath.inf]
+        return float(-2 * mpmath.quad(lambda x: f(x) * mpmath.log(f(x)), cuts))
+
+
+class TestImageQuadrature:
+    @pytest.mark.parametrize(
+        "row, mixes",
+        [
+            ((0.8, -1.3), [(0.5, 0.5, 2.0)] * 2),
+            ((0.3, 2.0), [(0.1, 0.01, 4.0), (0.7, 0.05, 20.0)]),
+        ],
+    )
+    def test_scalar_image_matches_mpmath(self, row, mixes):
+        blocks = tuple(TwoGaussianMixBlock(*mix, 1) for mix in mixes)
+        est = _quadrature_entropy(SampleModel("m", blocks), np.array([row]))
+        assert est.method == "quadrature" and (est.n_samples, est.k_neighbors) == (0, 0)
+        assert abs(est.value - _mpmath_scalar_image_entropy(row, blocks)) <= 1e-12
+
+    @pytest.mark.parametrize("cov", [[[2.0]], [[2.0, 0.3], [0.3, 0.7]], [[1.0, 0.999], [0.999, 1.0]]])
+    def test_one_component_is_the_gaussian_entropy(self, cov):
+        cov = np.array(cov)
+        assert abs(_mixture_image_entropy(np.ones(1), cov[None]) - gaussian_entropy(cov)) <= 1e-12
+
+    def test_equal_covariances_are_merged(self):
+        # lam = 0.5: the two mixed picks give one covariance, 1.25 I
+        weights, covs = _image_components(mixture_model(Partition((2, 2))).blocks,
+                                          blepi.make_epi_datum(0.5, 2).maps[0])
+        assert len(covs) == 3 and sorted(weights) == [0.25, 0.25, 0.5]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_other_rules_agree_on_the_benchmark_images(self, seed):
+        for datum, _ in _verify_data(seed):
+            blocks = mixture_model(datum.partition).blocks
+            for A in datum.maps:
+                parts = _image_components(blocks, A)
+                value = _mixture_image_entropy(*parts)
+                for rule in [(32, 40), (64, 80), (256, 320)]:
+                    assert abs(_mixture_image_entropy(*parts, rule=rule) - value) <= 1e-10
+                assert _quadrature_entropy(SampleModel("m", blocks), A).std_error <= 1e-10
+
+    def test_benchmark_margins(self):
+        margins = [
+            empirical_f(datum, mixture_model(datum.partition)).value - mg
+            for datum, mg in _verify_data(1)
+        ]
+        assert [round(m, 4) for m in margins] == [-0.1685, -0.0359, -0.0276]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_exact_margins_lie_within_3_se_of_knn(self, seed):
+        for datum, mg in _verify_data(seed):
+            model = mixture_model(datum.partition)
+            exact = empirical_f(datum, model)
+            X = sample(model, 50_000, _cli_rng())
+            knn = [knn_entropy(X @ A.T, k=3) for A in datum.maps]
+            blocks = sum(di * exact_entropy(model, i) for i, di in enumerate(datum.d))
+            value = blocks - sum(cj * e.value for cj, e in zip(datum.c, knn))
+            se = math.sqrt(sum((cj * e.std_error) ** 2 for cj, e in zip(datum.c, knn)))
+            assert abs(exact.value - value) <= 3 * se
+
+    @pytest.mark.parametrize(
+        "maps, blocks",
+        [
+            ((np.diag([2.0, 3.0]),), (1, 1)),
+            ((np.eye(2),), (1, 1)),
+            ((np.array([[2.0, 1.0], [0.5, 3.0]]),), (2,)),
+        ],
+        ids=["diag", "identity", "one-block"],
+    )
+    def test_identity_in_law_passes_within_the_rounding_floor(self, maps, blocks):
+        """F = M for every law on these data (h(A X) = h(X) + log |det A|),
+        so the margin is rounding; it stays inside one error bar."""
+        d = Datum(partition=Partition(blocks), maps=maps, c=np.array([1.0]), d=np.ones(len(blocks)))
+        mg = blepi.solve_mg(d).mg_value
+        [report] = verify_inequality(d, [mixture_model(d.partition)], mg)
+        assert report.empirical_f.method == "quadrature"
+        assert report.passed and report.z_score <= 1.0
+
+    def test_an_exact_model_draws_no_samples(self):
+        d = blepi.make_coupled_sums_datum(1.25, 0.5, 0.5, 0.5)
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        est, terms = empirical_f_detailed(d, mixture_model(d.partition), rng=rng)
+        assert rng.bit_generator.state == before
+        assert (est.method, est.n_samples, est.k_neighbors) == ("quadrature", 0, 0)
+        assert {t.estimate.method for t in terms[2:]} == {"quadrature"}
+
+    def test_a_wide_image_or_many_components_go_to_knn(self, rng):
+        # a 3-D image, and a generic row over ten scalar blocks (2^10 components)
+        d = Datum(
+            partition=Partition((1,) * 10),
+            maps=(np.eye(10)[:3], np.random.default_rng(0).standard_normal((1, 10)), np.eye(10)[3:5]),
+            c=np.array([1.0, 1.0, 1.0]),
+            d=np.ones(10),
+        )
+        est, terms = empirical_f_detailed(d, mixture_model(d.partition), 2_000, 3, rng)
+        assert [t.estimate.method for t in terms[10:]] == ["knn", "knn", "quadrature"]
+        assert (est.method, est.n_samples) == ("knn", 2_000)
+
+    def test_rules_are_built_once_on_first_use(self):
+        _angle_rule.cache_clear()
+        _radial_rule.cache_clear()
+        d = blepi.make_epi_datum(0.4, 2)
+        for _ in range(3):
+            empirical_f(d, mixture_model(d.partition))
+        # 128 and 64 angles; 240 (blocks), 160 and 80 radial nodes
+        assert (_angle_rule.cache_info().misses, _radial_rule.cache_info().misses) == (2, 3)
 
 
 class TestKnnEntropy:
