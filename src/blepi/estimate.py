@@ -5,17 +5,18 @@ Verifies the inequality
     sum_i d_i h(X_i) - sum_j c_j h(A_j X)  <=  M_g
 
 for non-Gaussian product-form inputs: take every block entropy h(X_i)
-exactly (closed forms, and a radial Gauss-Legendre rule for the isotropic
-two-Gaussian mixture in any dimension), and compare the combination with
-the image entropies h(A_j X) to a reference optimum.  Under a model whose
-blocks are all two-Gaussian mixtures an image of dimension <= 2 is a
-Gaussian mixture with a known law, and its entropy is a polar quadrature
-whose error bar is the difference against a coarser rule.  Every other
-image entropy is estimated from samples of the model with the
-Kozachenko-Leonenko k-nearest-neighbor estimator and batch-means error
-bars; the samples are drawn only when some image needs them.  Only the
-image terms carry error.  A failing report flags a counterexample
-candidate (statistical, where a term is k-NN); it is never a proof.
+exactly, and compare the combination with the image entropies h(A_j X)
+to a reference optimum.  One kernel, ``_mixture_entropy``, integrates
+the entropy of a centered Gaussian mixture: a two-Gaussian mixture block
+in any dimension (the other blocks have closed forms), and, under a model
+whose blocks are all such mixtures, an image of dimension <= 2, which is
+a Gaussian mixture with a known law; an image's error bar is the
+difference against a coarser rule.  Every other image entropy is
+estimated from samples of the model with the Kozachenko-Leonenko
+k-nearest-neighbor estimator and batch-means error bars; the samples are
+drawn only when some image needs them.  Only the image terms carry error.
+A failing report flags a counterexample candidate (statistical, where a
+term is k-NN); it is never a proof.
 
 scipy is imported inside the two calls that use it: the k-d tree behind
 k-NN distances in dimension d > 1 and the digamma/log-gamma constants of
@@ -136,7 +137,7 @@ class LaplaceBlock:
 
 
 @functools.lru_cache(maxsize=None)
-def _radial_rule(n: int = 240) -> tuple[np.ndarray, np.ndarray]:
+def _radial_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The n-node Gauss-Legendre rule on [-1, 1], built on first use."""
     return np.polynomial.legendre.leggauss(n)
 
@@ -154,18 +155,11 @@ def _angle_rule(n: int) -> np.ndarray:
 class TwoGaussianMixBlock:
     """Mixture ``weight N(0, var_a I) + (1 - weight) N(0, var_b I)`` on R^dim.
 
-    The density f is radial, so its entropy is one radial integral in any
-    dimension:
-
-        h = -S_{dim-1} int_0^inf rho^(dim-1) f(rho) log f(rho) d rho,
-
-    with S_{dim-1} = 2 pi^(dim/2) / Gamma(dim/2) the area of the unit
-    sphere.  It is summed, with log f from ``np.logaddexp``, on the
-    240-node Gauss-Legendre rule over [0, 12 sqrt(min var)] and again over
-    [12 sqrt(min var), 12 sqrt(max var)] (one panel for equal variances).
-    Against a 30-digit mpmath reference it is within 3e-14 on the
-    ``mixture_model`` block in dimensions 1 to 9, and within 2e-13 with
-    weights 0.1 to 0.9 and variances up to 400 apart in dimension <= 9.
+    Its entropy is ``_mixture_entropy`` of its two components: both are
+    multiples of I, so one radial integral carries the whole sphere in
+    any dimension.  Against a 30-digit mpmath reference it is within
+    5e-14 on the ``mixture_model`` block in dimensions 1 to 9, and with
+    weights 0.1 to 0.5 and variances up to 400 apart in dimension <= 9.
     """
 
     weight: float
@@ -194,22 +188,9 @@ class TwoGaussianMixBlock:
         return z * scale[:, None]
 
     def entropy(self) -> float:
-        d = self.dim
-        nodes, weights = _radial_rule()
-        log_sphere = math.log(2.0) + 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d)
-        # one panel out to 12 standard deviations of each component
-        ends = sorted({0.0, 12.0 * math.sqrt(self.var_a), 12.0 * math.sqrt(self.var_b)})
-        total = 0.0
-        for a, b in zip(ends, ends[1:]):
-            half = 0.5 * (b - a)
-            rho = a + half * (nodes + 1.0)
-            log_f = np.logaddexp(*(
-                math.log(w) - 0.5 * d * math.log(2.0 * math.pi * v) - rho * rho / (2.0 * v)
-                for w, v in ((self.weight, self.var_a), (1.0 - self.weight, self.var_b))
-            ))
-            shell = np.exp(log_sphere + (d - 1) * np.log(rho) + log_f)
-            total += half * float(weights @ (shell * log_f))
-        return -total
+        weights = np.array([self.weight, 1.0 - self.weight])
+        covs = np.multiply.outer([self.var_a, self.var_b], np.eye(self.dim))
+        return _mixture_entropy(weights, covs)
 
 
 @dataclass(frozen=True)
@@ -233,7 +214,7 @@ def sample(model: SampleModel, n: int, rng: np.random.Generator) -> np.ndarray:
 
 def exact_entropy(model: SampleModel, block_index: int) -> float:
     """Exact entropy of one block, in nats: a closed form, or for a mixture
-    block its radial quadrature (see ``TwoGaussianMixBlock``)."""
+    block its radial quadrature (``_mixture_entropy``)."""
     return model.blocks[block_index].entropy()
 
 
@@ -276,27 +257,32 @@ def _image_components(blocks, A: np.ndarray) -> Optional[tuple[np.ndarray, np.nd
     return weights, covs
 
 
-def _mixture_image_entropy(weights: np.ndarray, covs: np.ndarray, rule=_IMAGE_RULE) -> float:
-    """Entropy, in nats, of sum_m weights[m] N(0, covs[m]) on R^1 or R^2.
+def _mixture_entropy(weights: np.ndarray, covs: np.ndarray, rule=_IMAGE_RULE) -> float:
+    """Entropy, in nats, of sum_m weights[m] N(0, covs[m]) on R^dim.
 
     The density is first whitened by the mixture's covariance S (h grows
     by log det S / 2), so every component is within its variance spread of
     the identity whatever the map.  Then, with f(-x) = f(x),
 
-        h = -2 int_{[0, pi)} int_0^inf rho f(rho u) log f(rho u) d rho d theta
+        h = -int_{S^(dim-1)} int_0^inf rho^(dim-1) f(rho u) log f(rho u) d rho du.
 
-    in two dimensions (the angle on ``rule[0]`` trapezoid points) and
-    h = -2 int_0^inf f log f in one.  The radial integral is summed on
-    ``rule[1]`` Gauss-Legendre nodes over [0, 12 s_min] and over
+    When every component is a multiple of S (after whitening, of I) f is
+    radial, and one ray carries the whole sphere, of area
+    2 pi^(dim/2) / Gamma(dim/2): every mixture block, every 1-D image and
+    an isotropic 2-D one.  Otherwise dim must be 2, and the angle runs
+    over [0, pi) on ``rule[0]`` trapezoid points.  The radial integral is
+    summed on ``rule[1]`` Gauss-Legendre nodes over [0, 12 s_min] and over
     [12 s_min, 12 s_max], s the scales at which the components decay along
-    the rule's rays.  log f is a running max / log-sum-exp over the
-    components, accumulated on one angles x radii array.
+    the rays.  log f is a running max / log-sum-exp over the components,
+    accumulated on one rays x radii array.
     """
     n_angles, n_radial = rule
     dim = covs.shape[1]
     mean = np.einsum("m,mij->ij", weights, covs)
     L = np.linalg.cholesky(mean)
-    rays = (_angle_rule(n_angles) if dim == 2 else np.ones((1, 1))) @ L.T
+    # each component a multiple of the mean, compared exactly
+    radial = np.array_equal(covs * mean[0, 0], mean * covs[:, :1, :1])
+    rays = (np.eye(dim)[:1] if radial else _angle_rule(n_angles)) @ L.T
     # precision of each component along each whitened ray
     prec = np.einsum("ki,mij,kj->mk", rays, np.linalg.inv(covs), rays)
     log_det_mean = np.linalg.slogdet(mean)[1]
@@ -327,17 +313,18 @@ def _mixture_image_entropy(weights: np.ndarray, covs: np.ndarray, rule=_IMAGE_RU
     log_f += peak
     f_log_f = np.exp(log_f, out=exponent)
     f_log_f *= log_f
-    angle_w = 2.0 * math.pi / n_angles if dim == 2 else 2.0
-    h_white = -angle_w * float(np.sum(f_log_f @ rho_w))
-    return h_white + 0.5 * log_det_mean
+    sphere = 2.0 * math.pi ** (0.5 * dim) / math.gamma(0.5 * dim)
+    ray_w = sphere if radial else 2.0 * math.pi / n_angles
+    h_white = -ray_w * float(np.sum(f_log_f @ rho_w))
+    return float(h_white + 0.5 * log_det_mean)
 
 
 def _quadrature_entropy(model: SampleModel, A: np.ndarray) -> Optional[EntropyEstimate]:
     """h(A X) by quadrature when every block is a ``TwoGaussianMixBlock``
     and A has at most 2 rows, else None.
 
-    The value is ``_mixture_image_entropy`` on its default rule (128
-    angles, 160 radial nodes per panel).  The error is its difference
+    The value is ``_mixture_entropy`` on its default rule (128 angles,
+    160 radial nodes per panel).  The error is its difference
     against the 64 / 80 rule, floored at 1e-12 (1 + |h|) for rounding: on
     data where F = M for every law (A = diag(2, 3) or I on two scalar
     blocks, or [[2, 1], [0.5, 3]] on one 2-D block) the rounding leaves
@@ -349,8 +336,8 @@ def _quadrature_entropy(model: SampleModel, A: np.ndarray) -> Optional[EntropyEs
     parts = _image_components(model.blocks, A)
     if parts is None:
         return None
-    value = _mixture_image_entropy(*parts)
-    check = _mixture_image_entropy(*parts, rule=_CHECK_RULE)
+    value = _mixture_entropy(*parts)
+    check = _mixture_entropy(*parts, rule=_CHECK_RULE)
     se = max(abs(value - check), _IMAGE_ROUNDING * (1.0 + abs(value)))
     return EntropyEstimate(value, se, "quadrature", 0, 0)
 

@@ -101,6 +101,15 @@ class FinitenessVerdict:
         return doc
 
 
+def _require_valid(datum: Datum) -> None:
+    """Raise ValueError unless ``validate`` passes the datum: the check every
+    public entry point (``check_finiteness``, ``certify``, ``solve_mg``)
+    makes once."""
+    report = validate(datum)
+    if not report.ok:
+        raise ValueError(f"invalid datum: {report.issues}")
+
+
 def check_finiteness(
     datum: Datum,
     budget: SearchBudget = SearchBudget(),
@@ -116,11 +125,9 @@ def check_finiteness(
     Finite requires a zero residual, neither of those subspaces, and a
     complete coordinate-axis enumeration; a truncated one is Unknown.
     ``rng`` is accepted for compatibility and not used; the verdict is
-    deterministic.
+    deterministic.  An invalid datum raises ValueError.
     """
-    report = validate(datum)
-    if not report.ok:
-        raise ValueError(f"invalid datum: {report.issues}")
+    _require_valid(datum)
     res = scaling_residual(datum)
     if abs(res) > RESIDUAL_TOL:
         return FinitenessVerdict(
@@ -269,8 +276,10 @@ def certify(
     ``check_finiteness``.  Below the root, a violating candidate leaves
     its node irreducible (an infinite constant that no solve converges
     on).  ``rng`` is accepted for compatibility; the candidate search
-    does not use it.
+    does not use it.  An invalid datum raises ValueError, as in
+    ``check_finiteness``.
     """
+    _require_valid(datum)
     if abs(scaling_residual(datum)) > RESIDUAL_TOL:
         raise ValueError("certify requires a finite verdict (scaling balance fails)")
     return _certify(datum, budget, root=True)

@@ -43,7 +43,7 @@ from typing import ClassVar, Union
 import numpy as np
 
 from .datum import RESIDUAL_TOL, Datum, Partition, _unit_rows, scaling_residual
-from .finiteness import ViolationError, certify
+from .finiteness import ViolationError, _require_valid, certify
 from .subspace import ProductSubspace, block_diag, divergence_probe
 
 __all__ = [
@@ -409,10 +409,12 @@ def solve_mg(datum: Datum, opts: SolverOptions = SolverOptions()) -> GaussianSol
     one covariance per leaf of ``certify(datum).leaves()``, each in that
     leaf's coordinates.  The ascent evaluates the blocks it returns, so
     on a converged solve the leaf objectives (the constant on explicit
-    leaves) sum to ``mg_value``.
+    leaves) sum to ``mg_value``.  An invalid datum raises ValueError, as
+    in ``check_finiteness``.
     """
     res = scaling_residual(datum)
     if abs(res) > RESIDUAL_TOL:
+        _require_valid(datum)  # certify validates a balanced datum
         # the objective moves by 0.5 * res * log(t) under Sigma -> t Sigma
         full = ProductSubspace.full(datum.partition)
         return _unbounded(datum.partition, full, 2.0 ** math.copysign(10, res))

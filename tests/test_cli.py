@@ -14,7 +14,8 @@ Claims:
     - an --out path that cannot be written exits 1 with one error line
       and no traceback, on every subcommand and as a process
     - reports are byte-identical across repeated runs with one seed
-    - the parsed defaults of every subcommand are RunConfig's defaults
+    - the parsed namespace of every subcommand holds its documented
+      defaults and no other option
     - the bits flag rescales reported values by 1/log(2)
     - closed forms print 12-significant-digit decimals and sweeps emit CSV
     - JSON reports are strict JSON: an unbounded solve's infinite value
@@ -28,7 +29,8 @@ Claims:
       list (exit 2) before solving
     - --tol must be finite and > 0 and --confidence finite and >= 0: any
       other value, inf included, is an argparse error (exit 2) naming the
-      range, a negative one such as -1e-3 or -inf given as its own token too
+      range, a negative one such as -1e-3 or -inf given as its own token
+      too, after the option's name or an abbreviation of it (--conf)
     - verify's mixture reports are quadratures that draw no samples, so
       the uniform and laplace reports do not depend on whether it is run
     - a partition or map shape that is not a list of whole numbers is a
@@ -50,10 +52,10 @@ from hypothesis import given, settings
 
 import blepi
 import blepi.cli
-from blepi.cli import RunConfig, _config, build_parser, main
+from blepi.cli import build_parser, main
 from blepi.datum import Datum, Partition, datum_to_dict
 from blepi.finiteness import ViolationError
-from blepi.gauss import BlockCovariance
+from blepi.gauss import BlockCovariance, SolverOptions
 from conftest import mixed_data, random_datum
 
 
@@ -442,6 +444,7 @@ class TestVerifyCommand:
         "argv, message",
         [
             (["closed-form", "epi", "--lambda", "-1e-3"], "lambda must lie in (0, 1)"),
+            (["closed-form", "epi", "--lam", "-1e-3"], "lambda must lie in (0, 1)"),
             (["closed-form", "coupled-sums", "--alpha", "-inf", "--beta", "0.5", "--delta", "0.5"],
              "alpha must be nonnegative"),
         ],
@@ -450,24 +453,45 @@ class TestVerifyCommand:
         assert main(argv) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "--conf", "-inf"], "argument --confidence: must be finite and >= 0"),
+            (["solve", "--to", "-1e-3"], "argument --tol: must be finite and > 0"),
+        ],
+    )
+    def test_an_abbreviated_option_gets_its_range_message(self, epi_file, argv, message, capsys):
+        # --conf -inf used to exit 2 with "expected one argument"
+        command, option, value = argv
+        with pytest.raises(SystemExit) as exc:
+            main([command, epi_file, option, value])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_a_joined_negative_value_leaves_other_tokens_alone(self):
         argv = ["verify", "d.json", "--tol", "-1e-3", "--models", "-x", "--confidence=-1", "--out", "-"]
         assert blepi.cli._join_float_values(argv) == [
             "verify", "d.json", "--tol=-1e-3", "--models", "-x", "--confidence=-1", "--out", "-"
         ]
 
+    def test_an_abbreviation_is_joined_and_a_bare_double_dash_is_not(self):
+        argv = ["--conf", "-inf", "--", "-1", "--d", "-2", "--dim", "-3", "--lam=-1", "-4"]
+        assert blepi.cli._join_float_values(argv) == [
+            "--conf=-inf", "--", "-1", "--d=-2", "--dim", "-3", "--lam=-1", "-4"
+        ]
+
     def test_the_edges_of_tol_and_confidence_are_accepted(self, epi_file, monkeypatch):
         seen = []
-        monkeypatch.setattr(blepi.cli, "cmd_verify", lambda path, cfg, names: seen.append(cfg))
+        monkeypatch.setattr(blepi.cli, "cmd_verify", lambda args: seen.append(args))
         main(["verify", epi_file, "--tol", "1e-300", "--confidence", "0"])
-        assert [(c.tol, c.confidence) for c in seen] == [(1e-300, 0.0)]
+        assert [(a.tol, a.confidence) for a in seen] == [(1e-300, 0.0)]
 
     def test_verify_reads_its_own_options(self, epi_file, monkeypatch):
         seen = []
-        monkeypatch.setattr(blepi.cli, "cmd_verify", lambda path, cfg, names: seen.append(cfg))
+        monkeypatch.setattr(blepi.cli, "cmd_verify", lambda args: seen.append(args))
         argv = ["verify", epi_file, "--samples", "123", "--knn-k", "4", "--confidence", "2.5"]
         main(argv)
-        assert [(c.samples, c.knn_k, c.confidence) for c in seen] == [(123, 4, 2.5)]
+        assert [(a.samples, a.knn_k, a.confidence) for a in seen] == [(123, 4, 2.5)]
 
 
 @pytest.mark.parametrize(
@@ -585,6 +609,35 @@ class TestClosedFormCommand:
         assert sum(",true," in line for line in lines) == 1
         assert "1.25,0.5,0.5,true,-0.454454367449" in out
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--alpha", "1.25", "--sweep-alpha", "1:2:3", "--beta", "0.5", "--delta", "0.5"],
+             "argument --sweep-alpha: not allowed with argument --alpha"),
+            (["--alpha", "1.25", "--beta", "0.5"],
+             "one of the arguments --delta --sweep-delta is required"),
+            (["--sweep-beta", "0.1:0.9:5", "--delta", "0.5"],
+             "one of the arguments --alpha --sweep-alpha is required"),
+        ],
+        ids=["both", "missing", "missing-with-sweep"],
+    )
+    def test_coupled_sums_takes_one_of_each_pair(self, argv, message, capsys):
+        # both used to let the sweep silently win
+        with pytest.raises(SystemExit) as exc:
+            main(["closed-form", "coupled-sums", *argv])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_coupled_sums_sweeps_the_product_of_the_grids(self, capsys):
+        argv = ["closed-form", "coupled-sums", "--sweep-alpha", "1:1.5:3", "--sweep-beta",
+                "0.1:0.9:3", "--sweep-delta", "0.4:0.6:2"]
+        assert main(argv) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        points = [(float(a), float(b), float(d)) for a, b, d, *_ in rows]
+        # alpha slowest, delta fastest
+        assert points == [(a, b, d) for a in (1, 1.25, 1.5) for b in (0.1, 0.5, 0.9)
+                          for d in (0.4, 0.6)]
+
     def test_cauchy_binet(self, tmp_path, capsys):
         path = tmp_path / "b.json"
         path.write_text(json.dumps([[1.0, 1.0]]))
@@ -631,13 +684,60 @@ class TestDeterminism:
         assert out1.read_bytes() != out2.read_bytes()
 
 
+_TOL = SolverOptions.tol
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [["validate", "d.json"], ["check", "d.json"], ["solve", "d.json"], ["verify", "d.json"],
-     ["closed-form", "epi", "--lambda", "0.5"]],
+    "argv, parsed",
+    [
+        (["validate", "d.json"], {"out": None}),
+        (["check", "d.json"], {"out": None}),
+        (["solve", "d.json"], {"tol": _TOL, "out": None, "bits": False}),
+        (
+            ["verify", "d.json"],
+            {"models": "uniform,laplace,mixture", "samples": 50_000, "knn_k": 3,
+             "confidence": 3.0, "seed": 0, "tol": _TOL, "fmt": "structured-text",
+             "out": None, "bits": False},
+        ),
+        (["closed-form", "epi", "--lambda", "0.5"],
+         {"form": "epi", "lam": 0.5, "dim": 1, "out": None, "bits": False}),
+    ],
+    ids=["validate", "check", "solve", "verify", "closed-form-epi"],
 )
-def test_parsed_defaults_are_run_config_defaults(argv):
-    assert _config(build_parser().parse_args(argv)) == RunConfig()
+def test_parsed_defaults_are_the_documented_defaults(argv, parsed):
+    """Each subcommand's namespace holds its documented defaults, its
+    positional argument and its handler, and no other option."""
+    args = vars(build_parser().parse_args(argv))
+    command = argv[0]
+    handler = getattr(blepi.cli, "cmd_" + command.replace("-", "_"))
+    assert args.pop("run") is handler and args.pop("command") == command
+    args.pop("datum", None)
+    args.pop("evaluate", None)
+    assert args == parsed
+
+
+# the bytes this run printed while the CSV converted each value to bits
+# itself; reading the JSON report's converted dicts keeps them
+_BITS_CSV = """\
+model,record,term,weight,value,std_error,method,margin,z_score,passed
+uniform,term,h(block[0]),0.5,0,0,closed_form,,,
+uniform,term,h(block[1]),0.5,0,0,closed_form,,,
+uniform,term,h(map[0] X),-1,0.218012975435,0.0400352948249,knn,,,
+uniform,summary,f,,-0.218012975435,0.0400352948249,knn,-0.218012975435,-5.44551941951,True
+laplace,term,h(block[0]),0.5,2.44269504089,0,closed_form,,,
+laplace,term,h(block[1]),0.5,2.44269504089,0,closed_form,,,
+laplace,term,h(map[0] X),-1,2.50714146274,0.0407969250175,knn,,,
+laplace,summary,f,,-0.0644464218544,0.0407969250175,knn,-0.0644464218544,-1.57968821981,True
+"""
+
+
+def test_verify_csv_in_bits_is_pinned(epi_file, tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    argv = ["verify", epi_file, "--samples", "2000", "--models", "uniform,laplace", "--bits",
+            "--format", "csv", "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == _BITS_CSV
+    assert out.read_text() == _BITS_CSV
 
 
 def test_json_report_writes_nonfinite_values_as_null():

@@ -57,7 +57,7 @@ from blepi.estimate import (
     _angle_rule,
     _image_components,
     _kth_neighbor_distances,
-    _mixture_image_entropy,
+    _mixture_entropy,
     _quadrature_entropy,
     _radial_rule,
 )
@@ -66,8 +66,8 @@ from blepi.gauss import BlockCovariance, gaussian_entropy, objective
 N_FAST = 20_000
 
 # the default mixture's entropy in one and two dimensions, bit for bit
-PIN_1D = 1.5116719148710827
-PIN_2D = 3.011192417315955
+PIN_1D = 1.5116719148710895
+PIN_2D = 3.0111924173159355
 
 
 def _mpmath_mixture_entropy(weight, var_a, var_b, dim):
@@ -254,7 +254,7 @@ class TestImageQuadrature:
     @pytest.mark.parametrize("cov", [[[2.0]], [[2.0, 0.3], [0.3, 0.7]], [[1.0, 0.999], [0.999, 1.0]]])
     def test_one_component_is_the_gaussian_entropy(self, cov):
         cov = np.array(cov)
-        assert abs(_mixture_image_entropy(np.ones(1), cov[None]) - gaussian_entropy(cov)) <= 1e-12
+        assert abs(_mixture_entropy(np.ones(1), cov[None]) - gaussian_entropy(cov)) <= 1e-12
 
     def test_equal_covariances_are_merged(self):
         # lam = 0.5: the two mixed picks give one covariance, 1.25 I
@@ -268,9 +268,9 @@ class TestImageQuadrature:
             blocks = mixture_model(datum.partition).blocks
             for A in datum.maps:
                 parts = _image_components(blocks, A)
-                value = _mixture_image_entropy(*parts)
+                value = _mixture_entropy(*parts)
                 for rule in [(32, 40), (64, 80), (256, 320)]:
-                    assert abs(_mixture_image_entropy(*parts, rule=rule) - value) <= 1e-10
+                    assert abs(_mixture_entropy(*parts, rule=rule) - value) <= 1e-10
                 assert _quadrature_entropy(SampleModel("m", blocks), A).std_error <= 1e-10
 
     def test_benchmark_margins(self):
@@ -334,11 +334,27 @@ class TestImageQuadrature:
     def test_rules_are_built_once_on_first_use(self):
         _angle_rule.cache_clear()
         _radial_rule.cache_clear()
-        d = blepi.make_epi_datum(0.4, 2)
+        # the 2-D image of coupled sums is not isotropic, so it takes the angle rule
+        d = blepi.make_coupled_sums_datum(1.25, 0.5, 0.5, 0.5)
         for _ in range(3):
             empirical_f(d, mixture_model(d.partition))
-        # 128 and 64 angles; 240 (blocks), 160 and 80 radial nodes
-        assert (_angle_rule.cache_info().misses, _radial_rule.cache_info().misses) == (2, 3)
+        # 128 and 64 angles; 160 (blocks and images) and 80 radial nodes
+        assert (_angle_rule.cache_info().misses, _radial_rule.cache_info().misses) == (2, 2)
+
+    @pytest.mark.parametrize("lam", [0.3, 0.5])
+    def test_an_isotropic_image_takes_one_ray(self, lam):
+        # every component of the entropy power image is a multiple of I
+        _angle_rule.cache_clear()
+        d = blepi.make_epi_datum(lam, 2)
+        parts = _image_components(mixture_model(d.partition).blocks, d.maps[0])
+        value = _mixture_entropy(*parts)
+        assert _angle_rule.cache_info().misses == 0
+        # the 2-D angle rule on the same components agrees
+        weights, covs = parts
+        tilted = covs.copy()
+        tilted[:, 0, 1] = tilted[:, 1, 0] = 1e-300
+        assert abs(_mixture_entropy(weights, tilted) - value) <= 1e-13
+        assert _angle_rule.cache_info().misses == 1
 
 
 class TestKnnEntropy:

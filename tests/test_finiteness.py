@@ -21,6 +21,8 @@ Claims:
       documented constants (a single square map whose determinant
       underflows included), and reject a datum whose candidates or probe
       rays include a violating subspace
+    - check_finiteness, certify and solve_mg each validate the datum once
+      and raise the same ValueError on an invalid one
     - on all-scalar data with a complete coordinate family, verdicts,
       witnesses, certificates and solves are the same whether the kernel
       tiers run or are skipped
@@ -241,6 +243,55 @@ class TestCheckFiniteness:
         )
         with pytest.raises(ValueError):
             check_finiteness(bad)
+
+
+def _empty_image_datum():
+    """Balanced, but its second map has no rows (EMPTY_IMAGE)."""
+    return Datum(
+        partition=Partition((2, 1, 3)),
+        maps=(np.random.default_rng(3).standard_normal((2, 6)), np.zeros((0, 6))),
+        c=np.array([1.5, 0.5]),
+        d=np.full(3, 0.5),
+    )
+
+
+def _unbalanced_zero_map_datum():
+    """Residual 1, and its one map is zero (not surjective)."""
+    return Datum(
+        partition=Partition((2,)), maps=(np.zeros((1, 2)),), c=np.array([1.0]), d=np.array([1.0])
+    )
+
+
+@pytest.mark.parametrize("entry", [check_finiteness, certify, solve_mg],
+                         ids=["check", "certify", "solve"])
+@pytest.mark.parametrize("make", [_empty_image_datum, _unbalanced_zero_map_datum],
+                         ids=["empty-image", "unbalanced"])
+def test_every_entry_point_rejects_an_invalid_datum(entry, make):
+    # certify raised ViolationError on the empty image and solve_mg
+    # reported it unbounded with mg_value inf
+    with pytest.raises(ValueError, match="invalid datum") as exc:
+        entry(make())
+    assert not isinstance(exc.value, ViolationError)
+
+
+@pytest.mark.parametrize("entry", [check_finiteness, certify, solve_mg],
+                         ids=["check", "certify", "solve"])
+@pytest.mark.parametrize(
+    "d",
+    [blepi.make_epi_datum(0.5, 2),
+     Datum(partition=Partition((1,)), maps=(np.eye(1),), c=np.array([0.5]), d=np.ones(1))],
+    ids=["balanced", "unbalanced"],
+)
+def test_every_entry_point_validates_once(entry, d, monkeypatch):
+    calls = []
+    validate = blepi.finiteness.validate
+    monkeypatch.setattr(blepi.finiteness, "validate", lambda x: calls.append(x) or validate(x))
+    if entry is certify and scaling_residual(d):
+        with pytest.raises(ValueError, match="scaling balance fails"):
+            entry(d)
+    else:
+        entry(d)
+    assert len(calls) == 1
 
 
 @settings(max_examples=60, deadline=None)
