@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from . import closed_forms, estimate, finiteness
-from .datum import Datum, DatumParseError, load, validate
+from .datum import Datum, DatumParseError, _numbers, load, validate
 from .gauss import SolverOptions, solve_mg
 from .subspace import SearchBudget
 
@@ -228,9 +228,19 @@ def _verify_csv(docs: list[dict]) -> str:
 
 
 def _read_matrix(path) -> np.ndarray:
+    """The rows of a JSON matrix file by the datum files' number rule: a
+    list of equal-length lists of finite numbers, else ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    return np.array(doc, dtype=float)
+    if not isinstance(doc, list):
+        raise ValueError(f"a matrix file holds a list of rows, got {type(doc).__name__}")
+    rows = [_numbers(row, f"row {i}") for i, row in enumerate(doc)]
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError("matrix rows differ in length")
+    M = np.array(rows, dtype=float)
+    if not np.isfinite(M).all():
+        raise ValueError("matrix has a non-finite entry")
+    return M
 
 
 def _parse_sweep(text: str) -> np.ndarray:
@@ -311,6 +321,14 @@ def _tol(text: str) -> float:
     return x
 
 
+def _seed(text: str) -> int:
+    """``--seed``: an int >= 0, as ``SeedSequence`` takes."""
+    x = int(text)
+    if x < 0:
+        raise argparse.ArgumentTypeError(f"must be an int >= 0, got {text!r}")
+    return x
+
+
 def _confidence(text: str) -> float:
     """``--confidence``: finite and >= 0.  At inf every model passes, at
     NaN none does, and below 0 a bound that holds can fail."""
@@ -373,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=50_000)
     p.add_argument("--knn-k", type=int, default=3)
     p.add_argument("--confidence", type=_confidence, default=3.0, help="one-sided z threshold")
-    p.add_argument("--seed", type=int, default=0, help="seeds the Monte Carlo samples")
+    p.add_argument("--seed", type=_seed, default=0, help="seeds the Monte Carlo samples")
     _add_options(p, solver=True, fmt=True, bits=True)
     p.set_defaults(run=cmd_verify)
 

@@ -20,7 +20,7 @@ base cases (whose constants are explicit log-determinants) produces a
 the constant; this module imports nothing from :mod:`blepi.gauss`.
 Each node makes one pass over its candidates, which rejects a violating
 subspace and collects the critical ones, building only the ones it
-splits along; ``check_finiteness`` reads the pass of the root.
+splits along; ``_root`` decides the root once for every entry point.
 """
 
 from __future__ import annotations
@@ -101,13 +101,27 @@ class FinitenessVerdict:
         return doc
 
 
-def _require_valid(datum: Datum) -> None:
-    """Raise ValueError unless ``validate`` passes the datum: the check every
-    public entry point (``check_finiteness``, ``certify``, ``solve_mg``)
-    makes once."""
+def _root(datum: Datum, budget) -> tuple[FinitenessVerdict, list]:
+    """The root's verdict and its critical candidates' builders; of the
+    witnesses, a probe ray's alone is scored again with ``slack``."""
     report = validate(datum)
     if not report.ok:
         raise ValueError(f"invalid datum: {report.issues}")
+    res = scaling_residual(datum)
+    if abs(res) > RESIDUAL_TOL:
+        return FinitenessVerdict(INFINITE, ScalingResidual(res), "total scaling balance fails"), []
+    witness, critical = _scan(datum, budget)
+    if witness is None:
+        V = divergence_probe(datum)
+        if V is not None:
+            witness = ViolatingSubspace(subspace=V, slack=slack(datum, V).slack)
+    if witness is not None:
+        verdict = FinitenessVerdict(INFINITE, witness, "product subspace with positive slack")
+    elif coordinate_family_size(datum.partition) > budget.profile_cap:
+        verdict = FinitenessVerdict(UNKNOWN, notes="coordinate family truncated by the profile budget")
+    else:
+        verdict = FinitenessVerdict(FINITE, notes="search and probe both clean")
+    return verdict, critical
 
 
 def check_finiteness(
@@ -118,37 +132,14 @@ def check_finiteness(
     """Decide finiteness of the optimal constant, with witnesses.
 
     Infinite verdicts carry an independently re-checkable witness: the
-    scaling residual, or a subspace with positive slack from the
-    candidate search or the divergence probe, its slack recomputed with
-    ``slack``.  The search is the scored pass ``certify`` makes at the
-    root, so each candidate is scored once and only the witness is built.
-    Finite requires a zero residual, neither of those subspaces, and a
-    complete coordinate-axis enumeration; a truncated one is Unknown.
-    ``rng`` is accepted for compatibility and not used; the verdict is
-    deterministic.  An invalid datum raises ValueError.
+    scaling residual, or a subspace with positive slack, and its slack,
+    from the root's candidate pass (the one ``certify`` reads, each
+    candidate scored once) or the divergence probe.  Finite requires a
+    zero residual, neither of those subspaces, and a complete
+    coordinate-axis enumeration; a truncated one is Unknown.  ``rng`` is
+    not used.  An invalid datum raises ValueError.
     """
-    _require_valid(datum)
-    res = scaling_residual(datum)
-    if abs(res) > RESIDUAL_TOL:
-        return FinitenessVerdict(
-            status=INFINITE,
-            witness=ScalingResidual(res),
-            notes="total scaling balance fails",
-        )
-    V = _scan(datum, budget)[0] or divergence_probe(datum)
-    if V is not None:
-        sr = slack(datum, V)
-        return FinitenessVerdict(
-            status=INFINITE,
-            witness=ViolatingSubspace(subspace=V, slack=sr.slack),
-            notes="product subspace with positive slack",
-        )
-    if coordinate_family_size(datum.partition) > budget.profile_cap:
-        return FinitenessVerdict(
-            status=UNKNOWN,
-            notes="coordinate family truncated by the profile budget",
-        )
-    return FinitenessVerdict(status=FINITE, notes="search and probe both clean")
+    return _root(datum, budget)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -161,11 +152,13 @@ class SplitError(ValueError):
 
 
 class ViolationError(ValueError):
-    """certify found a subspace with positive slack at the root."""
+    """certify's datum is infinite; ``witness`` is its verdict's witness."""
 
-    def __init__(self, subspace: ProductSubspace):
-        super().__init__("certify requires a finite verdict (a subspace has positive slack)")
-        self.subspace = subspace
+    def __init__(self, witness: Union[ScalingResidual, ViolatingSubspace]):
+        balance = isinstance(witness, ScalingResidual)
+        why = "scaling balance fails" if balance else "a subspace has positive slack"
+        super().__init__(f"certify requires a finite verdict ({why})")
+        self.witness = witness
 
 
 def split_datum(datum: Datum, U: ProductSubspace) -> tuple[Datum, Datum]:
@@ -243,17 +236,17 @@ class SplitTree:
 
 
 def _scan(datum: Datum, budget):
-    """One pass over the candidates: the first violating subspace (or
-    None), and a builder for each proper critical candidate, in candidate
-    order.  Each candidate's score is the one ``_scored_candidates``
-    yields with it: the bulk score of a coordinate member, one ``slack``
-    call otherwise.  The zero and the whole space are skipped by their
-    dimensions, and a coordinate member is built only when it is
-    returned or its builder is called."""
+    """One pass over the candidates: the first violating one as a
+    ``ViolatingSubspace`` with its score (or None), and a builder for each
+    proper critical candidate, in candidate order.  Each score is the one
+    ``_scored_candidates`` yields, ``slack``'s own expression: the bulk
+    score of a coordinate member, one ``slack`` call otherwise.  The zero
+    and the whole space are skipped by their dimensions, and a coordinate
+    member is built only when it is returned or its builder is called."""
     critical = []
     for dims, build, sr in _scored_candidates(datum, budget):
         if sr.violating:
-            return build(), critical
+            return ViolatingSubspace(subspace=build(), slack=sr.slack), critical
         if sr.critical and 0 < sum(dims) < datum.n:
             critical.append(build)
     return None, critical
@@ -266,35 +259,28 @@ def certify(
 ) -> SplitTree:
     """Recursively split along critical subspaces down to base cases.
 
-    Each node above dimension one makes one pass over its candidates,
-    the one ``check_finiteness`` makes at the root, and splits along the
-    first critical one that splits; a critical coordinate candidate is
-    built as a subspace only when the node tries to split along it.  The root must
-    balance (ValueError).  A violating subspace of the root raises
-    ViolationError: a violating candidate or, when the candidate pass
-    finds none, the first escaping ray of the divergence probe, as in
-    ``check_finiteness``.  Below the root, a violating candidate leaves
-    its node irreducible (an infinite constant that no solve converges
-    on).  ``rng`` is accepted for compatibility; the candidate search
-    does not use it.  An invalid datum raises ValueError, as in
-    ``check_finiteness``.
+    The root's verdict is ``check_finiteness``'s; an infinite one raises
+    ViolationError with its witness.  Every node splits along its first
+    critical candidate that splits (the root's from that same pass, each
+    node below from one of its own), building a coordinate candidate only
+    when it tries it; a violating candidate below the root leaves its
+    node irreducible (an infinite constant no solve converges on).
+    ``rng`` is not used.  An invalid datum raises ValueError.
     """
-    _require_valid(datum)
-    if abs(scaling_residual(datum)) > RESIDUAL_TOL:
-        raise ValueError("certify requires a finite verdict (scaling balance fails)")
-    return _certify(datum, budget, root=True)
+    verdict, critical = _root(datum, budget)
+    if verdict.status == INFINITE:
+        raise ViolationError(verdict.witness)
+    return _certify(datum, budget, critical)
 
 
-def _certify(datum: Datum, budget, root: bool = False) -> SplitTree:
+def _certify(datum: Datum, budget, critical: Optional[list] = None) -> SplitTree:
+    """The split tree of a node; ``critical`` is the root's, from ``_root``."""
     if datum.n == 1:
         return SplitTree(datum=datum, leaf_kind="dim-1", constant=_unit_rows(datum)[1])
-    violating, critical = _scan(datum, budget)
-    if root:
-        violating = violating or divergence_probe(datum)
-    if violating is not None:
-        if root:
-            raise ViolationError(violating)
-        return SplitTree(datum=datum, leaf_kind="irreducible", constant=None)
+    if critical is None:
+        violating, critical = _scan(datum, budget)
+        if violating is not None:
+            return SplitTree(datum=datum, leaf_kind="irreducible", constant=None)
     if datum.m == 1 and datum.maps[0].shape[0] == datum.maps[0].shape[1]:
         # slogdet, as det underflows to 0 on a map like 1e-200 * I
         const = -float(datum.c[0]) * float(np.linalg.slogdet(datum.maps[0])[1])
@@ -309,4 +295,3 @@ def _certify(datum: Datum, budget, root: bool = False) -> SplitTree:
         right = _certify(child_perp, budget)
         return SplitTree(datum=datum, subspace=U, children=(left, right))
     return SplitTree(datum=datum, leaf_kind="irreducible", constant=None)
-

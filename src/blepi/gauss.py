@@ -12,11 +12,11 @@ never formed.  In the coordinates Sigma = L exp(X) L^T the
 objective is geodesically concave: the block terms are linear in X and
 the Hessian is negative semidefinite, and the kernel returns both the
 gradient and the Hessian there.  ``solve_mg`` answers unbounded when the
-scaling balance fails or ``certify`` finds a violating subspace (its
-root's candidate pass, then the divergence probe); otherwise it sums the
-leaf constants of ``certify``'s split tree, maximizing the objective on
-each irreducible leaf by one damped Newton ascent from Sigma = I in those
-coordinates; concavity makes a converged ascent the global maximum.
+root decision ``certify`` shares with ``check_finiteness`` is infinite;
+otherwise it sums the leaf constants of ``certify``'s split tree,
+maximizing the objective on each irreducible leaf by one damped Newton
+ascent from Sigma = I in those coordinates; concavity makes a converged
+ascent the global maximum.
 This module imports ``certify`` from :mod:`blepi.finiteness`, which
 imports nothing from it.  A split datum's maximizer is reported leaf by
 leaf, as the covariances the leaves computed, each in its leaf's
@@ -42,8 +42,8 @@ from typing import ClassVar, Union
 
 import numpy as np
 
-from .datum import RESIDUAL_TOL, Datum, Partition, _unit_rows, scaling_residual
-from .finiteness import ViolationError, _require_valid, certify
+from .datum import Datum, Partition, _unit_rows
+from .finiteness import ScalingResidual, ViolationError, certify
 from .subspace import ProductSubspace, block_diag, divergence_probe
 
 __all__ = [
@@ -388,13 +388,12 @@ def solve_mg(datum: Datum, opts: SolverOptions = SolverOptions()) -> GaussianSol
     """The optimal constant M of the datum, computed along a split tree.
 
     The constant is finite iff the scaling balance holds and no product
-    subspace has positive slack, so those two checks come first.  A datum
-    that fails the balance is unbounded along the full space V, on the
-    side of the scale where the objective grows; one in which ``certify``
-    finds a violating subspace V (its root's candidate pass, then the
-    divergence probe) is unbounded along V.  Both answers
-    carry ``sigma_star = ray_covariance(partition, V, lam)`` with lam
-    2**10, or 2**-10 when the objective grows as Sigma shrinks.
+    subspace has positive slack.  ``certify`` decides both at its root and
+    raises ``ViolationError`` with the witness when one fails; the answer
+    is then unbounded along V, the full space for the balance and the
+    violating subspace otherwise: ``sigma_star`` is
+    ``ray_covariance(partition, V, lam)`` with lam 2**10, or 2**-10 when
+    the objective grows as Sigma shrinks (a negative residual).
 
     Otherwise ``mg_value`` sums the leaves of ``certify``'s split tree
     (M = M_U + M_perp along a critical U): explicit constants, and one
@@ -412,17 +411,15 @@ def solve_mg(datum: Datum, opts: SolverOptions = SolverOptions()) -> GaussianSol
     leaves) sum to ``mg_value``.  An invalid datum raises ValueError, as
     in ``check_finiteness``.
     """
-    res = scaling_residual(datum)
-    if abs(res) > RESIDUAL_TOL:
-        _require_valid(datum)  # certify validates a balanced datum
-        # the objective moves by 0.5 * res * log(t) under Sigma -> t Sigma
-        full = ProductSubspace.full(datum.partition)
-        return _unbounded(datum.partition, full, 2.0 ** math.copysign(10, res))
     try:
         tree = certify(datum)
     except ViolationError as exc:
+        if isinstance(exc.witness, ScalingResidual):
+            # the objective moves by 0.5 * res * log(t) under Sigma -> t Sigma
+            full = ProductSubspace.full(datum.partition)
+            return _unbounded(datum.partition, full, 2.0 ** math.copysign(10, exc.witness.value))
         # along V the objective grows like 0.5 * slack(V) * log(lam)
-        return _unbounded(datum.partition, exc.subspace, 2.0**10)
+        return _unbounded(datum.partition, exc.witness.subspace, 2.0**10)
     values, sigmas, gnorms = [], [], []
     for leaf in tree.leaves():
         if leaf.leaf_kind == "irreducible":

@@ -17,7 +17,9 @@ Claims:
     - the parsed namespace of every subcommand holds its documented
       defaults and no other option
     - the bits flag rescales reported values by 1/log(2)
-    - closed forms print 12-significant-digit decimals and sweeps emit CSV
+    - closed forms print 12-significant-digit decimals and sweeps emit CSV;
+      a matrix file is a list of equal-length lists of finite numbers (no
+      bool, no object) or a domain error (exit 2)
     - JSON reports are strict JSON: an unbounded solve's infinite value
       and gradient norm print as null, never as Infinity or NaN
     - a split datum's solve exits 0 and reports sigma_star as one SPD
@@ -30,7 +32,9 @@ Claims:
     - --tol must be finite and > 0 and --confidence finite and >= 0: any
       other value, inf included, is an argparse error (exit 2) naming the
       range, a negative one such as -1e-3 or -inf given as its own token
-      too, after the option's name or an abbreviation of it (--conf)
+      too, after the option's name or an abbreviation of it (--conf);
+      --seed must be an int >= 0, or it is an argparse error (exit 2)
+      before any solve
     - verify's mixture reports are quadratures that draw no samples, so
       the uniform and laplace reports do not depend on whether it is run
     - a partition or map shape that is not a list of whole numbers is a
@@ -480,6 +484,21 @@ class TestVerifyCommand:
             "--conf=-inf", "--", "-1", "--d=-2", "--dim", "-3", "--lam=-1", "-4"
         ]
 
+    @pytest.mark.parametrize("value", ["-1", "-7", "1.5"])
+    def test_a_seed_that_is_not_a_nonnegative_int_is_rejected(
+        self, epi_file, value, capsys, monkeypatch
+    ):
+        # -1 used to reach SeedSequence after the solve and exit 7 with a traceback
+        def no_solve(datum, opts):
+            raise AssertionError("solved with a seed SeedSequence rejects")
+
+        monkeypatch.setattr(blepi.cli, "solve_mg", no_solve)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", epi_file, "--seed", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --seed:" in err and "Traceback" not in err
+
     def test_the_edges_of_tol_and_confidence_are_accepted(self, epi_file, monkeypatch):
         seen = []
         monkeypatch.setattr(blepi.cli, "cmd_verify", lambda args: seen.append(args))
@@ -637,6 +656,28 @@ class TestClosedFormCommand:
         # alpha slowest, delta fastest
         assert points == [(a, b, d) for a in (1, 1.25, 1.5) for b in (0.1, 0.5, 0.9)
                           for d in (0.4, 0.6)]
+
+    @pytest.mark.parametrize("form", ["zf-coeffs", "cauchy-binet"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"a": 1}', "a matrix file holds a list of rows, got dict"),
+            ('[[1, {"x": 1}]]', "'row 0' entry {'x': 1} is not a number"),
+            ("[[1, 0], [true, 0]]", "'row 1' entry True is not a number"),
+            ("[[1e400, 0]]", "matrix has a non-finite entry"),
+            ("[[1, 0], [0]]", "matrix rows differ in length"),
+        ],
+        ids=["object", "object-entry", "bool", "overflow", "ragged"],
+    )
+    def test_a_malformed_matrix_file_is_a_domain_error(self, tmp_path, capsys, form, text, message):
+        """Matrix files take the datum files' number rule.  An object used to
+        exit 7 with a TypeError, a bool was read as 1.0 and 1e400 reached
+        det as inf."""
+        path = tmp_path / "mat.json"
+        path.write_text(text)
+        assert main(["closed-form", form, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"domain error: {message}" in err and "Traceback" not in err
 
     def test_cauchy_binet(self, tmp_path, capsys):
         path = tmp_path / "b.json"

@@ -3,7 +3,8 @@
 Claims:
     - the scaling residual matches hand values and drives Infinite
       verdicts with an exact, re-checkable witness
-    - subspace witnesses re-verify by recomputing slack from scratch
+    - subspace witnesses re-verify by recomputing slack from scratch, to
+      the bit
     - verdicts do not depend on the rng, nor on the units of one block:
       scaling one block's columns of every map leaves the status alone
     - Zamir-Feder 12x4 (2^12 members, the profile cap) is finite and 13x4
@@ -22,7 +23,10 @@ Claims:
       underflows included), and reject a datum whose candidates or probe
       rays include a violating subspace
     - check_finiteness, certify and solve_mg each validate the datum once
-      and raise the same ValueError on an invalid one
+      and raise the same ValueError on an invalid one, and each makes one
+      candidate pass over the root and at most one probe: certify raises
+      ViolationError with check's witness (the scaling residual too),
+      and solve_mg answers unbounded along it
     - on all-scalar data with a complete coordinate family, verdicts,
       witnesses, certificates and solves are the same whether the kernel
       tiers run or are skipped
@@ -294,6 +298,50 @@ def test_every_entry_point_validates_once(entry, d, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize(
+    "d",
+    [
+        Datum(partition=Partition((2, 1)), maps=(np.eye(3)[:2],), c=np.array([1.0]), d=np.ones(2)),
+        Datum(partition=Partition((2, 1)), maps=(np.eye(3),), c=np.array([0.5]), d=np.full(2, 0.25)),
+    ],
+    ids=["residual+", "residual-"],
+)
+def test_certify_and_solve_read_the_residual_witness_of_check(d):
+    """certify raises ViolationError with check's ScalingResidual, and
+    solve_mg's sigma_star is 2**10 I on the side of the scale where the
+    objective grows (2**-10 I for a negative residual)."""
+    verdict = check_finiteness(d)
+    assert isinstance(verdict.witness, ScalingResidual)
+    with pytest.raises(ViolationError, match=r"\(scaling balance fails\)") as exc:
+        certify(d)
+    assert exc.value.witness == verdict.witness
+    res = solve_mg(d)
+    lam = 2.0 ** math.copysign(10, verdict.witness.value)
+    assert res.unbounded and res.mg_value == math.inf
+    assert all(np.array_equal(S, lam * np.eye(len(S))) for S in res.sigma_star.blocks)
+
+
+@pytest.mark.parametrize("entry", [check_finiteness, certify, solve_mg],
+                         ids=["check", "certify", "solve"])
+@pytest.mark.parametrize(
+    "d",
+    [blepi.make_epi_datum(0.5, 2), blepi.make_coupled_sums_datum(1.25, 0.5, 0.5, 0.5)],
+    ids=["epi", "coupled_sums"],
+)
+def test_every_entry_point_makes_one_root_pass(entry, d, monkeypatch):
+    """The root decision is made once: one candidate pass over the root
+    datum (the children of a split make their own) and at most one probe."""
+    passes, probes = [], []
+    scan, probe = blepi.finiteness._scan, blepi.finiteness.divergence_probe
+    monkeypatch.setattr(blepi.finiteness, "_scan", lambda x, b: passes.append(x) or scan(x, b))
+    monkeypatch.setattr(
+        blepi.finiteness, "divergence_probe", lambda x: probes.append(x) or probe(x)
+    )
+    entry(d)
+    assert sum(x is d for x in passes) == 1
+    assert len(probes) <= 1 and all(x is d for x in probes)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -504,8 +552,8 @@ class TestCertify:
     def test_violating_subspace_raises_with_the_witness(self, d):
         with pytest.raises(ViolationError) as exc:
             certify(d)
-        assert exc.value.subspace.dim > 0
-        assert slack(d, exc.value.subspace).violating
+        assert exc.value.witness.subspace.dim > 0
+        assert slack(d, exc.value.witness.subspace).violating
         assert isinstance(exc.value, ValueError)
 
     def test_probe_ray_beyond_the_coordinate_budget_raises(self):
@@ -522,8 +570,8 @@ class TestCertify:
         assert check_finiteness(d, budget).status == INFINITE
         with pytest.raises(ViolationError) as exc:
             certify(d, budget)
-        assert exc.value.subspace.block_dims == (1, 0, 0)
-        assert slack(d, exc.value.subspace).slack == pytest.approx(0.5)
+        assert exc.value.witness.subspace.block_dims == (1, 0, 0)
+        assert slack(d, exc.value.witness.subspace).slack == pytest.approx(0.5)
 
     def test_children_inherit_balance(self):
         d = blepi.make_coupled_sums_datum(1.0, 1.0, 0.5, 0.5)
@@ -552,7 +600,7 @@ def _pipeline_digest(datum):
         for leaf in certify(datum).leaves():
             out.append((leaf.leaf_kind, repr(leaf.constant), leaf.datum.partition.blocks))
     except ViolationError as exc:
-        out.append([B.tolist() for B in exc.subspace.bases])
+        out.append([B.tolist() for B in exc.witness.subspace.bases])
     res = solve_mg(datum)
     out.append([repr(res.mg_value), res.converged, res.unbounded, res.starts_used])
     out.append(repr(res.gradient_norm))
