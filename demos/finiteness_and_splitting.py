@@ -4,8 +4,8 @@ An optimal constant is finite iff the total scaling balance holds and no
 product-form subspace has positive slack.  Violations come with concrete
 witnesses: the exact residual, or a subspace whose slack certifies
 divergence.  Finite data can be decomposed along critical (zero-slack)
-subspaces into smaller data, down to one-dimensional or single-map
-leaves with explicit constants: ``split_datum`` returns the two child
+subspaces into smaller data, down to leaves whose maps are all square
+and whose constants are explicit: ``split_datum`` returns the two child
 data of one split, and their constants add to the parent's.  A change
 of units inside one block changes no verdict: every verdict is read off
 the slack.

@@ -229,11 +229,13 @@ def _verify_csv(docs: list[dict]) -> str:
 
 def _read_matrix(path) -> np.ndarray:
     """The rows of a JSON matrix file by the datum files' number rule: a
-    list of equal-length lists of finite numbers, else ValueError."""
+    nonempty list of equal-length lists of finite numbers, else ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, list):
         raise ValueError(f"a matrix file holds a list of rows, got {type(doc).__name__}")
+    if not doc:
+        raise ValueError("a matrix file holds at least one row")
     rows = [_numbers(row, f"row {i}") for i, row in enumerate(doc)]
     if len({len(row) for row in rows}) > 1:
         raise ValueError("matrix rows differ in length")
@@ -412,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = forms.add_parser("zf-f")
     q.add_argument("matrix")
-    q.add_argument("--lambdas", required=True, help="comma-separated positive diagonal")
+    q.add_argument("--lambdas", required=True, help="comma-separated finite positive diagonal")
     _add_options(q, bits=True)
     q.set_defaults(evaluate=_zf_f)
 

@@ -78,8 +78,8 @@ def zf_F(A, lambdas) -> float:
     lam = np.asarray(lambdas, dtype=float)
     if lam.ndim != 1 or len(lam) != A.shape[1]:
         raise ValueError("need one positive diagonal entry per column of A")
-    if np.any(lam <= 0):
-        raise ValueError("diagonal entries must be positive")
+    if not (np.isfinite(lam).all() and (lam > 0).all()):  # NaN fails lam > 0, inf passes
+        raise ValueError("diagonal entries must be finite and positive")
     sign, logdet = np.linalg.slogdet(A @ np.diag(lam) @ A.T)
     if sign <= 0:
         raise ValueError("A Lambda A^T is not positive definite")
@@ -94,6 +94,8 @@ def cauchy_binet_check(B) -> tuple[float, float]:
     calculation.
     """
     B = np.asarray(B, dtype=float)
+    if B.ndim != 2:
+        raise ValueError("B must be a 2-d matrix")
     k, n = B.shape
     if k > n:
         raise ValueError("need at least as many columns as rows")

@@ -231,8 +231,7 @@ def validate(datum: Datum) -> ValidationReport:
 
 def _unit_rows(datum: Datum) -> tuple[Datum, float]:
     """The datum with each map row divided by its norm, and the shift
-    -sum_j c_j sum_k log ||row_jk|| of M, as h(S A X) = h(A X) + log|det S|;
-    a dimension-one datum's constant is its shift."""
+    -sum_j c_j sum_k log ||row_jk|| of M, as h(S A X) = h(A X) + log|det S|."""
     norms = [np.hypot.reduce(A, axis=1) for A in datum.maps]  # no over- or underflow
     shift = -sum(cj * sum(map(math.log, s)) for cj, s in zip(datum.c, norms))
     maps = tuple(A / s[:, None] for A, s in zip(datum.maps, norms))

@@ -11,16 +11,13 @@ single block, run through :mod:`blepi.subspace`'s coordinate screen)
 both return a subspace witness, and the only unknown left is a
 truncated coordinate family.
 
-A finite datum can be decomposed along critical subspaces:
-``split_datum`` restricts the maps to U, projects the rest onto the
-orthocomplements, and returns the two child data, whose constants sum
-to the parent's.  Recursing until dimension-one or single-square-map
-base cases (whose constants are explicit log-determinants) produces a
-:class:`SplitTree` certificate, along which ``gauss.solve_mg`` computes
-the constant; this module imports nothing from :mod:`blepi.gauss`.
-Each node makes one pass over its candidates, which rejects a violating
-subspace and collects the critical ones, building only the ones it
-splits along; ``_root`` decides the root once for every entry point.
+A finite datum splits along a critical subspace U (``split_datum``) into
+a child on U and one on its orthocomplement, whose constants sum to the
+parent's.  ``certify`` recurses down to nodes whose maps are all square
+(explicit log-det constants), giving the :class:`SplitTree` along which
+``gauss.solve_mg`` computes the constant; this module imports nothing
+from :mod:`blepi.gauss`.  ``_root`` decides the root once for every
+entry point.
 """
 
 from __future__ import annotations
@@ -30,11 +27,13 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .datum import RESIDUAL_TOL, Datum, Partition, _unit_rows, scaling_residual, validate
+from .datum import RESIDUAL_TOL, Datum, Partition, scaling_residual, validate
 from .subspace import (
     ProductSubspace,
     SearchBudget,
+    SlackResult,
     _scored_candidates,
+    _slack_value,
     candidate_subspaces,  # noqa: F401  uncalled; perfbench's wiring self-test pins this name
     coordinate_family_size,
     divergence_probe,
@@ -211,18 +210,18 @@ def split_datum(datum: Datum, U: ProductSubspace) -> tuple[Datum, Datum]:
 
 @dataclass(frozen=True)
 class SplitTree:
-    """Recursive decomposition of a finite datum.
-
-    Leaves are the explicit base cases (dimension one, or a single square
-    map) with their constants in nats, or irreducible nodes where no
-    proper critical subspace splits the datum within budget, or where a
-    violating subspace turned up below the root.
-    """
+    """Recursive decomposition of a finite datum.  A node whose maps are
+    all square has, with C = sum_j c_j, the objective
+    1/2 sum_i (d_i - C) log det Sigma_i - sum_j c_j log|det A_j|: an
+    ``explicit`` leaf with that constant in nats, unless the blocks with
+    d_i > C have positive slack.  ``irreducible`` leaves are those, nodes
+    no critical subspace splits within budget, and nodes below the root
+    with a violating subspace."""
 
     datum: Datum
     subspace: Optional[ProductSubspace] = None
     children: Optional[tuple["SplitTree", "SplitTree"]] = None
-    leaf_kind: Optional[str] = None  # "dim-1" | "single-map" | "irreducible"
+    leaf_kind: Optional[str] = None  # "explicit" | "irreducible"
     constant: Optional[float] = None
 
     @property
@@ -257,15 +256,15 @@ def certify(
     budget: SearchBudget = SearchBudget(),
     rng: Optional[np.random.Generator] = None,
 ) -> SplitTree:
-    """Recursively split along critical subspaces down to base cases.
+    """Recursively split along critical subspaces down to leaves.
 
     The root's verdict is ``check_finiteness``'s; an infinite one raises
-    ViolationError with its witness.  Every node splits along its first
+    ViolationError with its witness.  A node with only square maps, the
+    root included, is a leaf; every other node splits along its first
     critical candidate that splits (the root's from that same pass, each
     node below from one of its own), building a coordinate candidate only
-    when it tries it; a violating candidate below the root leaves its
-    node irreducible (an infinite constant no solve converges on).
-    ``rng`` is not used.  An invalid datum raises ValueError.
+    when it tries it, or is irreducible.  ``rng`` is not used.  An invalid
+    datum raises ValueError.
     """
     verdict, critical = _root(datum, budget)
     if verdict.status == INFINITE:
@@ -275,16 +274,17 @@ def certify(
 
 def _certify(datum: Datum, budget, critical: Optional[list] = None) -> SplitTree:
     """The split tree of a node; ``critical`` is the root's, from ``_root``."""
-    if datum.n == 1:
-        return SplitTree(datum=datum, leaf_kind="dim-1", constant=_unit_rows(datum)[1])
+    if all(A.shape[0] == A.shape[1] for A in datum.maps):
+        dims = np.where(datum.d > datum.c.sum(), datum.partition.blocks, 0)  # slack's maximizer
+        if SlackResult(_slack_value(datum, dims, [dims.sum()] * datum.m), ()).violating:
+            return SplitTree(datum=datum, leaf_kind="irreducible")
+        # slogdet, as det underflows to 0 on a map like 1e-200 * I
+        const = -sum(cj * np.linalg.slogdet(A)[1] for cj, A in zip(datum.c, datum.maps))
+        return SplitTree(datum=datum, leaf_kind="explicit", constant=float(const))
     if critical is None:
         violating, critical = _scan(datum, budget)
         if violating is not None:
             return SplitTree(datum=datum, leaf_kind="irreducible", constant=None)
-    if datum.m == 1 and datum.maps[0].shape[0] == datum.maps[0].shape[1]:
-        # slogdet, as det underflows to 0 on a map like 1e-200 * I
-        const = -float(datum.c[0]) * float(np.linalg.slogdet(datum.maps[0])[1])
-        return SplitTree(datum=datum, leaf_kind="single-map", constant=const)
     for build in critical:
         U = build()
         try:

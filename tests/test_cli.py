@@ -49,6 +49,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -666,18 +667,32 @@ class TestClosedFormCommand:
             ("[[1, 0], [true, 0]]", "'row 1' entry True is not a number"),
             ("[[1e400, 0]]", "matrix has a non-finite entry"),
             ("[[1, 0], [0]]", "matrix rows differ in length"),
+            ("[]", "a matrix file holds at least one row"),
         ],
-        ids=["object", "object-entry", "bool", "overflow", "ragged"],
+        ids=["object", "object-entry", "bool", "overflow", "ragged", "empty"],
     )
     def test_a_malformed_matrix_file_is_a_domain_error(self, tmp_path, capsys, form, text, message):
         """Matrix files take the datum files' number rule.  An object used to
-        exit 7 with a TypeError, a bool was read as 1.0 and 1e400 reached
-        det as inf."""
+        exit 7 with a TypeError, a bool was read as 1.0, 1e400 reached
+        det as inf, and [] failed cauchy-binet's shape unpacking."""
         path = tmp_path / "mat.json"
         path.write_text(text)
         assert main(["closed-form", form, str(path)]) == 2
         err = capsys.readouterr().err
         assert f"domain error: {message}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
+    def test_zf_f_takes_finite_positive_lambdas(self, tmp_path, capsys, value):
+        """A NaN entry passed the old positivity test, and the run printed
+        F = nan nats with a RuntimeWarning and exited 0."""
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps([[0.6, 0.8]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["closed-form", "zf-f", str(path), "--lambdas", f"1,{value}"]) == 2
+        captured = capsys.readouterr()
+        assert "domain error: diagonal entries must be finite and positive" in captured.err
+        assert captured.out == ""
 
     def test_cauchy_binet(self, tmp_path, capsys):
         path = tmp_path / "b.json"

@@ -6,8 +6,9 @@ Claims:
       and match the finite-difference derivative of log det(A Lambda A^T)
     - the zf helpers accept exactly the matrices make_zamir_feder_datum
       accepts: A A^T = I within 1e-9 off the diagonal, 1e-9 + 1e-5 on it
-    - zf_F is nonnegative with equality at Lambda = I
-    - the Cauchy-Binet identity holds to rounding
+    - zf_F is nonnegative with equality at Lambda = I, and takes only
+      finite positive diagonal entries
+    - the Cauchy-Binet identity holds to rounding, on 2-d matrices only
     - the four feasibility conditions fire exactly as documented
     - the coupled-sums formula agrees with its own brute-force supremum,
       including at the rho = 1 boundary
@@ -151,6 +152,14 @@ class TestZamirFeder:
         with pytest.raises(ValueError):
             zf_F(A, [1.0, -1.0, 2.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0])
+    def test_lambda_entries_must_be_finite_and_positive(self, rng, bad):
+        # NaN passed the old lam <= 0 test and returned nan with a
+        # RuntimeWarning out of log and slogdet
+        A = random_orthonormal_rows(rng, 2, 3)
+        with pytest.raises(ValueError, match="diagonal entries must be finite and positive"):
+            zf_F(A, [1.0, bad, 2.0])
+
 
 class TestCauchyBinet:
     def test_row_vector(self):
@@ -170,6 +179,12 @@ class TestCauchyBinet:
     def test_wide_requirement(self):
         with pytest.raises(ValueError):
             cauchy_binet_check(np.eye(3)[:, :2])
+
+    @pytest.mark.parametrize("B", [[], [1.0, 2.0], np.ones((1, 2, 2))], ids=["empty", "vector", "3-d"])
+    def test_matrix_requirement(self, B):
+        # [] used to fail unpacking its shape with "not enough values"
+        with pytest.raises(ValueError, match="B must be a 2-d matrix"):
+            cauchy_binet_check(B)
 
 
 class TestFeasibility:

@@ -18,10 +18,11 @@ Claims:
       projection onto each (A_j U)^perp (same singular values at every
       split of a random certificate), drop a map exactly when its image
       dimension is zero, and split the solved optimum exactly
-    - certificates terminate at the documented base cases with the
-      documented constants (a single square map whose determinant
-      underflows included), and reject a datum whose candidates or probe
-      rays include a violating subspace
+    - certificates stop at every node whose maps are all square: an
+      explicit leaf with constant -sum_j c_j log|det A_j| (a determinant
+      that underflows included), or an irreducible one where a block's
+      d_i exceeds sum_j c_j below the root; they reject a datum whose
+      candidates or probe rays include a violating subspace
     - check_finiteness, certify and solve_mg each validate the datum once
       and raise the same ValueError on an invalid one, and each makes one
       candidate pass over the root and at most one probe: certify raises
@@ -483,7 +484,7 @@ class TestCertify:
             d=np.array([1.0]),
         )
         tree = certify(d)
-        assert tree.is_leaf and tree.leaf_kind == "dim-1"
+        assert tree.is_leaf and tree.leaf_kind == "explicit"
         assert tree.constant == pytest.approx(-math.log(2.0))
 
     def test_single_square_map_leaf(self):
@@ -494,7 +495,7 @@ class TestCertify:
             d=np.array([1.0, 1.0]),
         )
         tree = certify(d)
-        assert tree.is_leaf and tree.leaf_kind == "single-map"
+        assert tree.is_leaf and tree.leaf_kind == "explicit"
         assert tree.constant == pytest.approx(0.0)
 
     @pytest.mark.parametrize(
@@ -514,7 +515,7 @@ class TestCertify:
         with mpmath.workdps(50):
             exact = -float(mpmath.log(abs(mpmath.det(mpmath.matrix(A.tolist())))))
         tree = certify(d)
-        assert tree.leaf_kind == "single-map"
+        assert tree.leaf_kind == "explicit"
         assert tree.constant == pytest.approx(exact, rel=1e-14)
         res = solve_mg(d)
         assert res.converged and res.mg_value == tree.constant
@@ -527,20 +528,46 @@ class TestCertify:
         dims = sorted(child.datum.n for child in tree.children)
         assert dims == [1, 2]
         for leaf in tree.leaves():
-            assert leaf.leaf_kind in ("dim-1", "single-map", "irreducible")
+            assert leaf.leaf_kind in ("explicit", "irreducible")
             if leaf.leaf_kind != "irreducible":
                 assert math.isfinite(leaf.constant)
 
     def test_beta_one_coupled_sums_splits_into_dim_one_leaves(self):
         tree = certify(blepi.make_coupled_sums_datum(1.0, 1.0, 0.5, 0.5))
-        assert [leaf.leaf_kind for leaf in tree.leaves()] == ["dim-1"] * 3
+        assert [leaf.leaf_kind for leaf in tree.leaves()] == ["explicit"] * 3
         assert sum(leaf.constant for leaf in tree.leaves()) == pytest.approx(0.0, abs=1e-12)
+
+    def test_square_node_with_a_block_past_the_exponent_sum_is_irreducible(self):
+        # draw 7188 of mixed_datum(default_rng(2026)): the root is finite
+        # by the search and not all square; its first leaf has two 2x2
+        # maps with sum_j c_j = 1.125 and d = (1, 1.25), so its objective
+        # grows like 0.125 log det Sigma_2 and no constant stands for it
+        d = Datum(
+            partition=Partition((2, 2)),
+            maps=(
+                np.array([[-2.0, 1, 0, 1], [1, 2, -2, -2]]),
+                np.array([[2.0, -2, -1, -2], [-1, -2, 0, -2], [0, -2, -1, 0], [1, 2, 2, 2]]),
+                np.array([[2.0, 0, 2, 1]]),
+            ),
+            c=np.array([0.45, 0.675, 0.9]),
+            d=np.array([1.0, 1.25]),
+        )
+        assert check_finiteness(d).status == FINITE
+        tree = certify(d)
+        assert not tree.is_leaf
+        square = [
+            leaf for leaf in tree.leaves()
+            if all(A.shape[0] == A.shape[1] for A in leaf.datum.maps)
+        ]
+        assert square and all(leaf.leaf_kind == "irreducible" for leaf in square)
+        assert any(max(leaf.datum.d) > sum(leaf.datum.c) for leaf in square)
+        assert all(leaf.constant is None for leaf in square)
 
     @pytest.mark.parametrize(
         "d",
         [
             blepi.make_coupled_sums_datum(1.0, 1.2, 0.6, 0.6),
-            # one square map but d_1 != c: once a finite single-map leaf
+            # one square map but d_1 != c: once a finite explicit leaf
             Datum(
                 partition=Partition((1, 1)),
                 maps=(np.eye(2),),

@@ -24,7 +24,8 @@ Claims:
       covariance whose raw rows the kernel calls degenerate the objective
       is the solved value and the gradient the solver's; a near-singular
       square map the ascent cannot start on (NaN) solves through the
-      single-map leaf's explicit constant
+      explicit leaf's constant; all-square data, row-scaled ones
+      included, solve to -sum_j c_j log|det A_j| at 50 digits to 1e-12
     - the solver takes no start count: each irreducible leaf gets one
       ascent from Sigma = I, so starts_used counts those leaves, and on a
       converged one-leaf datum no random covariance beats the value
@@ -391,7 +392,7 @@ class TestSolver:
         # A Sigma A^T at Sigma = I has condition number 1e14, above the
         # 1e12 an earlier solver cut at, and the objective is the constant
         # -log(1e-7); the reference value at Sigma = I used to raise out of
-        # solve_mg, and every ascent used to fail; it is a single-map leaf
+        # solve_mg, and every ascent used to fail; it is an explicit leaf
         # of its tree
         d = Datum(
             partition=Partition((2,)),
@@ -406,11 +407,11 @@ class TestSolver:
     def test_near_singular_square_map_needs_the_single_map_leaf(self):
         # [[1, 1], [1, 1 + 1e-9]] has rows 5e-10 apart in angle, so the
         # image's Cholesky diagonal ratio at Sigma = I is below
-        # sqrt(eps) and the ascent returns NaN; the single-map leaf's
-        # explicit -log|det A| is what makes the solve converge
+        # sqrt(eps) and the ascent returns NaN; the explicit leaf's
+        # -log|det A| is what makes the solve converge
         A = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-9]])
         d = Datum(partition=Partition((2,)), maps=(A,), c=np.array([1.0]), d=np.array([1.0]))
-        assert certify(d).leaf_kind == "single-map"
+        assert certify(d).leaf_kind == "explicit"
         res = solve_mg(d)
         assert res.converged and not res.unbounded
         assert res.mg_value == -math.log(abs(np.linalg.det(A)))
@@ -590,18 +591,9 @@ def test_bulk_probe_returns_the_ray_slack_returns(seed, recipe):
     assert slack(datum, got).violating
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1))
-@example(seed=6)
-@example(seed=32)
-def test_row_scaling_shifts_the_solve_by_its_log_determinant(seed):
-    """Scaling the rows of A_j by s_jk moves M by -sum_j c_j sum_k log s_jk
-    and nothing else.  With every row scaled by 10^U(-6, 6) the solve has
-    the unscaled flags and is never NaN, and on an unsplit datum that
-    converges its value is the unscaled one plus that shift.  Seeds 6 and
-    32 solved to NaN when the solver cut image condition numbers at 1e12;
-    a split datum is left out of the value check, because the split
-    itself loses digits on badly scaled rows."""
+def _row_scaled(seed):
+    """random_datum(default_rng(seed), balanced=True), the datum with each
+    map row scaled by 10^U(-6, 6) from the same generator, and the scales."""
     rng = np.random.default_rng(seed)
     d = random_datum(rng, balanced=True)
     s = [10.0 ** rng.uniform(-6, 6, A.shape[0]) for A in d.maps]
@@ -611,6 +603,84 @@ def test_row_scaling_shifts_the_solve_by_its_log_determinant(seed):
         c=d.c,
         d=d.d,
     )
+    return d, scaled, s
+
+
+def _log_det_constant(d):
+    """-sum_j c_j log|det A_j| of an all-square datum, at 50 digits."""
+    with mpmath.workdps(50):
+        terms = [
+            mpmath.mpf(float(cj)) * mpmath.log(abs(mpmath.det(mpmath.matrix(A.tolist()))))
+            for cj, A in zip(d.c, d.maps)
+        ]
+        return float(-mpmath.fsum(terms))
+
+
+_SQUARE_DRAWS = {
+    # draws 1468 and 1956 of mixed_datum(default_rng(2026)): 3x3 maps with
+    # rows 1e7 to 1e13 apart, and four 2x2 maps with c = (0, 1, 0, 0)
+    "mixed-1468": Datum(
+        partition=Partition((3,)),
+        maps=(
+            np.array([
+                [9.847738033349698, 15.798978040565775, -19.24215630962428],
+                [-9.45414054920224e-06, -1.677007015337709e-05, -1.325301620678361e-05],
+                [2.485818061610215e-06, 1.0717110126488653e-06, 2.2828733763241372e-06],
+            ]),
+            np.array([
+                [2.8257165541719337e-06, 1.70545931555542e-06, -1.3957394964185957e-07],
+                [-160329.56036587, -204384.35840894893, 1024736.4147999734],
+                [8.774665243121778e-06, -2.851915864794865e-05, 4.727895815122213e-05],
+            ]),
+        ),
+        c=np.array([0.2583194419997887, 0.20934914267705862]),
+        d=np.array([0.46766858467684724]),
+    ),
+    "mixed-1956": Datum(
+        partition=Partition((2,)),
+        maps=(
+            np.array([[-0.05133294873595966, 0.027138849219155887], [-401880.51279208844, 399477.0030479006]]),
+            np.array([[-5.414495406985092e-07, 1.2359716409264532e-06], [6104.813165110481, 249051.74570230252]]),
+            np.array([[2.079928343688396e-06, 4.033477637453206e-06], [323.1225990464421, 1816.0744139613264]]),
+            np.array([[0.042132766665131154, -0.03033309977738126], [106637.75017859356, -40126.17443275888]]),
+        ),
+        c=np.array([0.0, 1.0, 0.0, 0.0]),
+        d=np.array([1.0]),
+    ),
+}
+# seeds of _row_scaled whose data have only 2x2 maps on one 2-d block
+_SQUARE_DRAWS.update({f"row-scaled-{seed}": _row_scaled(seed)[1] for seed in (574, 972, 1745)})
+
+
+@pytest.mark.parametrize("d", _SQUARE_DRAWS.values(), ids=_SQUARE_DRAWS.keys())
+def test_all_square_datum_solves_to_its_log_determinant(d):
+    """A datum whose maps are all square has the objective
+    1/2 sum_i (d_i - C) log det Sigma_i - sum_j c_j log|det A_j|, C = sum c_j,
+    so with the balance it is one explicit leaf.  These five were split
+    along critical subspaces into dimension-one leaves, which lost digits
+    on the badly scaled rows: they solved converged but off by 1.8e-7,
+    1.4e-7, 2.6e-8, 1.3e-9 and 1.5e-7."""
+    tree = certify(d)
+    assert tree.is_leaf and tree.leaf_kind == "explicit"
+    res = solve_mg(d)
+    M = _log_det_constant(d)
+    assert res.converged and res.starts_used == 0
+    assert abs(res.mg_value - M) <= 1e-12 * (1.0 + abs(M))
+    for S in res.sigma_star.blocks:
+        np.testing.assert_array_equal(S, np.eye(S.shape[0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+@example(seed=6)
+@example(seed=32)
+def test_row_scaling_shifts_the_solve_by_its_log_determinant(seed):
+    """Scaling the rows of A_j by s_jk moves M by -sum_j c_j sum_k log s_jk
+    and nothing else.  With every row scaled by 10^U(-6, 6) the solve has
+    the unscaled flags and is never NaN, and where it converges its value
+    is the unscaled one plus that shift.  Seeds 6 and 32 solved to NaN
+    when the solver cut image condition numbers at 1e12."""
+    d, scaled, s = _row_scaled(seed)
     base, res = solve_mg(d), solve_mg(scaled)
     assert not math.isnan(res.mg_value)
     assert (res.converged, res.unbounded, res.starts_used) == (
@@ -618,7 +688,7 @@ def test_row_scaling_shifts_the_solve_by_its_log_determinant(seed):
         base.unbounded,
         base.starts_used,
     )
-    if base.converged and certify(d).is_leaf:
+    if base.converged:
         M = base.mg_value - sum(cj * sum(map(math.log, sj)) for cj, sj in zip(d.c, s))
         assert abs(res.mg_value - M) <= 1e-9 * (1.0 + abs(M))
 
