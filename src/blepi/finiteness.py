@@ -29,9 +29,9 @@ import numpy as np
 
 from .datum import RESIDUAL_TOL, Datum, Partition, scaling_residual, validate
 from .subspace import (
+    CRITICAL_TOL,
     ProductSubspace,
     SearchBudget,
-    SlackResult,
     _scored_candidates,
     _slack_value,
     candidate_subspaces,  # noqa: F401  uncalled; perfbench's wiring self-test pins this name
@@ -276,7 +276,7 @@ def _certify(datum: Datum, budget, critical: Optional[list] = None) -> SplitTree
     """The split tree of a node; ``critical`` is the root's, from ``_root``."""
     if all(A.shape[0] == A.shape[1] for A in datum.maps):
         dims = np.where(datum.d > datum.c.sum(), datum.partition.blocks, 0)  # slack's maximizer
-        if SlackResult(_slack_value(datum, dims, [dims.sum()] * datum.m), ()).violating:
+        if _slack_value(datum, dims, [dims.sum()] * datum.m) > CRITICAL_TOL:
             return SplitTree(datum=datum, leaf_kind="irreducible")
         # slogdet, as det underflows to 0 on a map like 1e-200 * I
         const = -sum(cj * np.linalg.slogdet(A)[1] for cj, A in zip(datum.c, datum.maps))

@@ -6,7 +6,7 @@ Claims:
       and the raised draws to the draw count, the converged and
       unconverged solves to the finite verdicts
     - the digests are SHA-256 hex strings, and each draw's three output
-      digests are kept with --draws
+      digests are kept
     - a file compares equal to itself, and a moved count or draw digest
       is named
 """
@@ -38,7 +38,7 @@ def _strict(text):
 @pytest.fixture(scope="module")
 def slice_doc(audit, tmp_path_factory):
     out = tmp_path_factory.mktemp("audit")
-    assert audit.main(["slice", "--limit", "3", "--draws", "--out", str(out)]) == 0
+    assert audit.main(["slice", "--limit", "3", "--out", str(out)]) == 0
     return _strict((out / "AUDIT_slice.json").read_text())
 
 

@@ -24,8 +24,9 @@ Claims:
       covariance whose raw rows the kernel calls degenerate the objective
       is the solved value and the gradient the solver's; a near-singular
       square map the ascent cannot start on (NaN) solves through the
-      explicit leaf's constant; all-square data, row-scaled ones
-      included, solve to -sum_j c_j log|det A_j| at 50 digits to 1e-12
+      explicit leaf's constant; all-square data, row-scaled ones and
+      determinants that underflow included, solve to
+      -sum_j c_j log|det A_j| at 50 digits to 1e-14
     - the solver takes no start count: each irreducible leaf gets one
       ascent from Sigma = I, so starts_used counts those leaves, and on a
       converged one-leaf datum no random covariance beats the value
@@ -650,22 +651,34 @@ _SQUARE_DRAWS = {
 }
 # seeds of _row_scaled whose data have only 2x2 maps on one 2-d block
 _SQUARE_DRAWS.update({f"row-scaled-{seed}": _row_scaled(seed)[1] for seed in (574, 972, 1745)})
+# one square map whose determinant underflows to 0
+_SQUARE_DRAWS.update(
+    {
+        name: Datum(partition=Partition(part), maps=(A,), c=np.array([1.0]), d=np.ones(len(part)))
+        for name, part, A in [
+            ("tiny-det-2x2", (1, 1), 1e-200 * np.array([[1.0, 0.5], [0.2, 1.0]])),
+            ("tiny-det-3-block", (3,), 1e-120 * np.eye(3)),
+            ("tiny-det-seeded", (1, 2), 1e-110 * np.random.default_rng(3).standard_normal((3, 3))),
+        ]
+    }
+)
 
 
 @pytest.mark.parametrize("d", _SQUARE_DRAWS.values(), ids=_SQUARE_DRAWS.keys())
 def test_all_square_datum_solves_to_its_log_determinant(d):
     """A datum whose maps are all square has the objective
     1/2 sum_i (d_i - C) log det Sigma_i - sum_j c_j log|det A_j|, C = sum c_j,
-    so with the balance it is one explicit leaf.  These five were split
+    so with the balance it is one explicit leaf.  The five draws were split
     along critical subspaces into dimension-one leaves, which lost digits
     on the badly scaled rows: they solved converged but off by 1.8e-7,
-    1.4e-7, 2.6e-8, 1.3e-9 and 1.5e-7."""
+    1.4e-7, 2.6e-8, 1.3e-9 and 1.5e-7.  On the tiny determinants det(A)
+    underflowed to 0, and math.log of it raised out of certify."""
     tree = certify(d)
     assert tree.is_leaf and tree.leaf_kind == "explicit"
     res = solve_mg(d)
     M = _log_det_constant(d)
-    assert res.converged and res.starts_used == 0
-    assert abs(res.mg_value - M) <= 1e-12 * (1.0 + abs(M))
+    assert res.converged and res.starts_used == 0 and res.mg_value == tree.constant
+    assert abs(res.mg_value - M) <= 1e-14 * (1.0 + abs(M))
     for S in res.sigma_star.blocks:
         np.testing.assert_array_equal(S, np.eye(S.shape[0]))
 

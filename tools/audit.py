@@ -2,7 +2,7 @@
 
 Usage (from the repository root):
 
-    PYTHONPATH=src python tools/audit.py LABEL [--limit N] [--draws] [--out DIR]
+    PYTHONPATH=src python tools/audit.py LABEL [--limit N] [--out DIR]
 
 Runs ``check_finiteness``, ``certify`` and ``solve_mg`` on every draw of
 the audit sets, all built by the recipes in ``tests/conftest.py``:
@@ -28,13 +28,12 @@ the current directory).  Per set it holds the draw count and:
   irreducible leaf below the root on which ``check_finiteness`` reads
   ``infinite``;
 - ``digests``: SHA-256 of the ``check``, ``certify`` and ``solve_mg``
-  outputs of the set, to the bit (floats by ``repr``).
+  outputs of the set, to the bit (floats by ``repr``), and
+  ``draws_digests``: each draw's three output digests.
 
-``--draws`` adds each draw's three output digests, so two files can be
-compared draw by draw; ``--limit N`` keeps the first N draws of each set.
-Two labels are compared with ``python tools/audit.py --compare A B``,
-which prints each count and digest that differs, and the draws whose
-outputs differ when both files have ``--draws``.
+``--limit N`` keeps the first N draws of each set.  Two files are
+compared with ``python tools/audit.py --compare A B``, which prints each
+count and digest that differs, and the draws whose outputs differ.
 """
 
 from __future__ import annotations
@@ -163,7 +162,7 @@ def audit_draw(datum: Datum) -> dict:
     return out
 
 
-def audit_set(draws, keep_draws=False) -> dict:
+def audit_set(draws) -> dict:
     counts = dict.fromkeys(COUNTS, 0)
     hashes = {name: hashlib.sha256() for name in OUTPUTS}
     per_draw, raises = [], []
@@ -191,15 +190,14 @@ def audit_set(draws, keep_draws=False) -> dict:
     doc = dict(counts)
     doc["digests"] = {name: h.hexdigest() for name, h in hashes.items()}
     doc["raises"] = raises
-    if keep_draws:
-        doc["draws_digests"] = per_draw
+    doc["draws_digests"] = per_draw
     return doc
 
 
-def run(label: str, limit=None, keep_draws=False, out=".") -> Path:
+def run(label: str, limit=None, out=".") -> Path:
     doc = {"label": label, "limit": limit, "sets": {}}
     for name, draws in audit_sets(limit):
-        doc["sets"][name] = audit_set(draws, keep_draws)
+        doc["sets"][name] = audit_set(draws)
     path = Path(out) / f"AUDIT_{label}.json"
     path.write_text(json.dumps(doc, indent=1, allow_nan=False) + "\n")
     return path
@@ -219,11 +217,10 @@ def compare(a: dict, b: dict) -> list[str]:
         for key in OUTPUTS:
             if sa["digests"][key] != sb["digests"][key]:
                 lines.append(f"{name}: {key} digest differs")
-        if "draws_digests" in sa and "draws_digests" in sb:
-            for i, (da, db) in enumerate(zip(sa["draws_digests"], sb["draws_digests"])):
-                moved = [key for key, x, y in zip(OUTPUTS, da, db) if x != y]
-                if moved:
-                    lines.append(f"{name}: draw {i}: {', '.join(moved)}")
+        for i, (da, db) in enumerate(zip(sa["draws_digests"], sb["draws_digests"])):
+            moved = [key for key, x, y in zip(OUTPUTS, da, db) if x != y]
+            if moved:
+                lines.append(f"{name}: draw {i}: {', '.join(moved)}")
     return lines
 
 
@@ -231,7 +228,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("label", nargs="?", help="writes AUDIT_<label>.json")
     parser.add_argument("--limit", type=int, default=None, help="first N draws of each set")
-    parser.add_argument("--draws", action="store_true", help="keep each draw's digests")
     parser.add_argument("--out", default=".", help="directory for the audit file")
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"), help="diff two audit files")
     args = parser.parse_args(argv)
@@ -242,7 +238,7 @@ def main(argv=None) -> int:
         return 0
     if args.label is None:
         parser.error("a label is required unless --compare is given")
-    print(run(args.label, args.limit, args.draws, args.out))
+    print(run(args.label, args.limit, args.out))
     return 0
 
 
