@@ -36,8 +36,12 @@ member, the larger sizes are not stacked: each of their members
 contains one of that size (a member less its last axis is an earlier
 member), adding columns lowers no singular value (interlacing), and
 the SVD's rounding is an order of magnitude below rank_tol, so the
-margin proves the rank k_j their own SVDs would count.  On a generic
-Zamir-Feder datum this leaves 255 of the 511 SVDs at 9x4 and 793 of
+margin proves the rank k_j their own SVDs would count.  On the complete
+family size k_j is stacked first, and with that margin it settles the
+smaller sizes too: each smaller member lies inside one of size k_j,
+whose k_j-th singular value bounds the smaller one's least from below
+(Cauchy interlacing), so its rank is its size.  On a generic
+Zamir-Feder datum this leaves 126 of the 511 SVDs at 9x4 and 495 of
 4,095 at 12x4.  A critical or violating member, the only kind a scan
 reads, is passed on as its per-block dimensions, its slack (``slack``'s
 own expression, bit for bit) and a builder: it becomes a
@@ -278,8 +282,8 @@ def coordinate_family_size(partition: Partition) -> int:
     return 2 ** partition.n
 
 
-# shape tables kept per cache; a 4096-member table takes 0.67 MB at n = 12
-# with scalar blocks, and about 4096 * (n + 8 k + 8 + 8 t) bytes in general
+# shape tables kept per cache; a 4096-member table takes 0.70 MB at n = 12
+# with scalar blocks, and about 4096 * (n + 8 k + 16 + 8 t) bytes in general
 # (t the mean subset size), as the cap holds the member count
 _TABLE_CACHE = 32
 
@@ -313,18 +317,26 @@ def _coordinate_masks(partition: Partition, cap: int) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class _CoordinateTable:
     """The part of scoring coordinate subspaces that depends on shape only:
-    each member's axes in R^n (``mask``, N x n) and per-block dimensions
-    (``dims``, N x k), per subset size the members of that size with
-    their axes (``groups``, ``(rows, cols)`` pairs), the index sets
-    ``_coordinate_ranks`` stacks, all in read-only arrays; and whether
-    each member less its last axis is an earlier member (``nested``,
-    True on the coordinate family alone), which lets a full-rank size
-    settle the sizes above it."""
+    each member's axes in R^n (``mask``, N x n), subset size (``sizes``)
+    and per-block dimensions (``dims``, N x k), per subset size the
+    members of that size with their axes (``groups``, ``(rows, cols)``
+    pairs, by size), the index sets ``_coordinate_ranks`` stacks, all in
+    read-only arrays; and whether each member less its last axis is an
+    earlier member (``nested``, True on the coordinate family alone),
+    which lets a full-rank size settle the sizes above it, and on the
+    complete family the sizes below it too."""
 
     mask: np.ndarray
+    sizes: np.ndarray
     dims: np.ndarray
     groups: tuple[tuple[np.ndarray, np.ndarray], ...]
     nested: bool = False
+
+    @property
+    def complete(self) -> bool:
+        """Whether the table holds the whole coordinate family, all 2^n
+        members, so that each member lies inside one of every larger size."""
+        return self.nested and len(self.mask) == 2 ** self.mask.shape[1]
 
 
 def _table(partition: Partition, mask: np.ndarray, nested: bool = False) -> _CoordinateTable:
@@ -337,9 +349,9 @@ def _table(partition: Partition, mask: np.ndarray, nested: bool = False) -> _Coo
         rows = np.flatnonzero(sizes == t)
         groups.append((rows, np.nonzero(mask[rows])[1].reshape(len(rows), t)))
     dims = np.add.reduceat(mask, [a for a, _ in partition.offsets()], axis=1, dtype=int)
-    for arr in (mask, dims, *itertools.chain.from_iterable(groups)):
+    for arr in (mask, sizes, dims, *itertools.chain.from_iterable(groups)):
         arr.setflags(write=False)
-    return _CoordinateTable(mask, dims, tuple(groups), nested)
+    return _CoordinateTable(mask, sizes, dims, tuple(groups), nested)
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE)
@@ -378,8 +390,20 @@ def _coordinate_ranks(datum: Datum, table: _CoordinateTable) -> np.ndarray:
     within a few eps ||A_j|| of the exact one, an order of magnitude
     below rank_tol (see ``_RANK_TOL``), so with the 2x margin S's own
     computed sigma_{k_j} would clear 2 rank_tol less both SVDs' rounding,
-    which is above rank_tol.  The ray table is stacked size by size: a
-    ray of one size need not contain one of a smaller size.
+    which is above rank_tol.
+
+    On the complete family (all 2^n members) size k_j is stacked first,
+    and if it has the margin on every member no other size is stacked:
+    each member S has rank min(|S|, k_j).  A larger S contains a member
+    of size k_j, as above.  A smaller S lies inside some member T of
+    size k_j, and A_S^T A_S is a principal submatrix of A_T^T A_T, so by
+    Cauchy interlacing sigma_{|S|}(A_S) >= sigma_{k_j}(A_T); by the same
+    rounding argument all |S| of S's own computed singular values clear
+    rank_tol.  Otherwise the sizes are stacked in order from 1 as on a
+    truncated table, reusing size k_j's singular values, so no map
+    stacks more SVDs than without the first stack.  The ray table is
+    stacked size by size: a ray of one size need not contain one of
+    another size.
     """
     width = table.mask.shape[1]
     img = np.zeros((len(table.mask), datum.m), dtype=int)
@@ -388,17 +412,30 @@ def _coordinate_ranks(datum: Datum, table: _CoordinateTable) -> np.ndarray:
             raise ValueError(f"map has {A.shape[1]} columns, subspace lives in R^{width}")
         tol = rank_tol(A)
         k = len(A)
+        first = None
+        if table.complete and 0 < k <= width:
+            # the complete family has one group per size 1..n, in order
+            first = _stacked_singular_values(A, table.groups[k - 1][1])
+            if np.all(first[:, k - 1] > 2 * tol):
+                img[:, j] = np.minimum(table.sizes, k)
+                continue
         settled = False
         for rows, cols in table.groups:
             if settled:
                 img[rows, j] = k
                 continue
-            # the stack of A[:, S], read off A^T's rows with no axis move
-            s = np.linalg.svd(A.T[cols].swapaxes(1, 2), compute_uv=False)
+            t = cols.shape[1]
+            s = first if t == k and first is not None else _stacked_singular_values(A, cols)
             img[rows, j] = (s > tol).sum(axis=1)
-            if table.nested and 0 < k <= cols.shape[1]:
+            if table.nested and 0 < k <= t:
                 settled = bool(np.all(s[:, k - 1] > 2 * tol))
     return img
+
+
+def _stacked_singular_values(A: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The singular values of A[:, S] for each row S of ``cols``, read off
+    A^T's rows with no axis move."""
+    return np.linalg.svd(A.T[cols].swapaxes(1, 2), compute_uv=False)
 
 
 def _coordinate_subspace(partition: Partition, axes: np.ndarray) -> ProductSubspace:

@@ -9,6 +9,8 @@ Claims:
       digests are kept
     - a file compares equal to itself, and a moved count or draw digest
       is named
+    - each set's wall time goes to stderr and not into the file, so two
+      runs write byte-identical files
 """
 
 import importlib.util
@@ -35,11 +37,19 @@ def _strict(text):
     return json.loads(text, parse_constant=reject)
 
 
-@pytest.fixture(scope="module")
-def slice_doc(audit, tmp_path_factory):
-    out = tmp_path_factory.mktemp("audit")
+def _run_slice(audit, out):
     assert audit.main(["slice", "--limit", "3", "--out", str(out)]) == 0
-    return _strict((out / "AUDIT_slice.json").read_text())
+    return (out / "AUDIT_slice.json").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def slice_bytes(audit, tmp_path_factory):
+    return _run_slice(audit, tmp_path_factory.mktemp("audit"))
+
+
+@pytest.fixture(scope="module")
+def slice_doc(slice_bytes):
+    return _strict(slice_bytes.decode())
 
 
 def test_every_set_is_audited(audit, slice_doc):
@@ -79,3 +89,12 @@ def test_a_slice_compares_equal_to_itself(audit, slice_doc, tmp_path, capsys):
         f"suite: finite {finite} -> {finite + 1}",
         "suite: draw 1: solve",
     ]
+
+
+def test_two_runs_write_the_same_bytes_and_time_each_set_on_stderr(
+    audit, slice_doc, slice_bytes, tmp_path, capsys
+):
+    assert _run_slice(audit, tmp_path) == slice_bytes
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[0] for line in err] == list(slice_doc["sets"])
+    assert all(line.endswith(" s") and float(line.split()[1]) >= 0 for line in err)

@@ -44,17 +44,22 @@ Claims:
       through it are those of the per-call computation, bit for bit
     - each coordinate member less its last axis is an earlier member, so
       once a subset size of at least a map's row count has full rank with
-      a margin on every member the larger sizes are not stacked, leaving
-      92, 255 and 793 of the 2^n - 1 SVDs on generic Zamir-Feder 8x3, 9x4
-      and 12x4 and 20 of 21 on coupled sums; the ranks stay the
-      per-member SVD counts bit for bit on data whose singular values
-      fall around the rank cut, and on a map with no rows; the ray table
-      is not nested and never settles a size, so the probe still finds
-      a violating ray one size above a full-rank ray it does not contain
+      a margin on every member the larger sizes are not stacked; on a
+      complete table each member lies inside one of every larger size, so
+      the size equal to the row count, stacked first, settles the smaller
+      sizes too, leaving 56, 126 and 495 of the 2^n - 1 SVDs on generic
+      Zamir-Feder 8x3, 9x4 and 12x4, 793 on the truncated 13x4 table and
+      17 of 21 on coupled sums; the ranks stay the per-member SVD counts
+      bit for bit on data whose singular values fall around the rank
+      cut, on data with exactly singular members of that size, and on a
+      map with no rows; the ray table is neither nested nor complete and
+      never settles a size, so the probe still finds a violating ray one
+      size above a full-rank ray it does not contain
     - SearchBudget rejects a profile cap that is not an int >= 0
 """
 
 import itertools
+import math
 from pathlib import Path
 
 import numpy as np
@@ -748,17 +753,54 @@ def test_each_prefix_is_the_member_less_its_last_axis(blocks, cap):
 
 
 @pytest.mark.parametrize(
-    "name, stacked",
-    [("zf-8x3", 92), ("zf-9x4", 255), ("zf-12x4", 793), ("coupled-sums", 20)],
+    "blocks", [(1,) * 12, (2,) * 6, (2, 1, 3), (3, 3, 2), (1, 2, 3, 2), (12,), (40, 1)]
 )
-def test_a_full_rank_size_settles_the_sizes_above_without_an_svd(name, stacked, monkeypatch):
-    """Once every member of one size at least a map's row count k has rank
-    k with the margin, the larger sizes are not stacked for an SVD.  On a
-    generic Zamir-Feder datum that is size k, so only sizes 1 to k are
-    stacked.  On coupled sums only the two-row map's size-3 member is
-    settled: each single-row map has rank 0 on a pair of axes, so none
-    of its sizes settles the next.  The same table not nested stacks all
-    2^n - 1 nonzero members of each map, with the same ranks."""
+@pytest.mark.parametrize("cap", [1, 2, 5, 19, 37, 100, 4096])
+def test_each_member_lies_inside_one_of_every_larger_size_on_a_complete_table(blocks, cap):
+    """What lets a full-rank size settle the sizes below it: a coordinate
+    table is complete exactly when the cap holds all 2^n members, and on
+    a complete table each member of size t lies inside some member of
+    every larger size.  Neither a truncated table nor the ray table is
+    complete."""
+    part = Partition(blocks)
+    table = _coordinate_table(part, cap)
+    assert table.complete == (2**part.n <= cap)
+    assert not _ray_table(part).complete
+    if not table.complete:
+        return
+    mask = table.mask.astype(int)
+    assert len(np.unique(mask, axis=0)) == len(mask)
+    by_size = [mask[table.sizes == t] for t in range(part.n + 1)]
+    assert [len(members) for members in by_size] == [math.comb(part.n, t) for t in range(part.n + 1)]
+    for t, smaller in enumerate(by_size):
+        for larger in by_size[t + 1 :]:
+            # S lies inside T when no axis of S is off in T
+            outside = smaller @ (1 - larger).T
+            assert (outside == 0).any(axis=1).all()
+
+
+@pytest.mark.parametrize(
+    "name, stacked",
+    [
+        ("zf-8x3", 56),
+        ("zf-9x4", 126),
+        ("zf-12x4", 495),
+        ("zf-13x4", 793),
+        ("coupled-sums", 17),
+    ],
+)
+def test_a_full_rank_size_settles_the_other_sizes_without_an_svd(name, stacked, monkeypatch):
+    """On the complete family a map's size k, its row count, is stacked
+    first; if every member has rank k with the margin, no other size is
+    stacked: the smaller members lie in one of size k (interlacing) and
+    the larger ones contain one.  On a generic Zamir-Feder datum that
+    leaves the C(n, k) SVDs of size k.  At 13x4 the family is truncated
+    at the cap, so the sizes are stacked from 1 up to k, which settles
+    the sizes above (793 SVDs).  On coupled sums the two-row map's size 2
+    settles its sizes 1 and 3, while each single-row map has rank 0 on
+    the axes it does not read, so its size 1 settles nothing and is
+    reused, and sizes 2 and 3 are stacked.  The same table not nested
+    stacks every nonzero member of each map, with the same ranks."""
     if name == "coupled-sums":
         datum = coupled(1.25, 0.5, 0.5, 0.5)
     else:
@@ -777,7 +819,7 @@ def test_a_full_rank_size_settles_the_sizes_above_without_an_svd(name, stacked, 
     assert sum(counted) == stacked
     counted.clear()
     full = _coordinate_ranks(datum, _table(datum.partition, table.mask.copy()))
-    assert sum(counted) == datum.m * (2**datum.n - 1)
+    assert sum(counted) == datum.m * (len(table.mask) - 1)
     assert img.tobytes() == full.tobytes()
 
 
@@ -857,6 +899,71 @@ def test_ranks_settled_by_prefixes_equal_the_per_member_svds_near_the_cut(seed, 
     reference = _ranks_from_mask(datum, _coordinate_masks(part, cap))
     assert img.dtype == reference.dtype
     assert img.tobytes() == reference.tobytes()
+
+
+def _singular_datum(rng):
+    """A datum of 1-3 maps on 1-4 blocks of size 1-3 (n <= 9), each map
+    with entries in {-1, 0, 1} or Gaussian, possibly with one column
+    repeated, and possibly with its rows or its columns scaled by
+    10^U(-6, 6), so that some members of size k, its row count, are
+    exactly singular and others are not."""
+    while True:
+        part = random_partition(rng, max_blocks=4, max_block_dim=3)
+        if part.n <= 9:
+            break
+    n, maps = part.n, []
+    for _ in range(int(rng.integers(1, 4))):
+        k = int(rng.integers(1, n + 1))
+        if rng.random() < 0.5:
+            A = rng.integers(-1, 2, (k, n)).astype(float)
+        else:
+            A = rng.standard_normal((k, n))
+        if n > 1 and rng.random() < 0.5:
+            a, b = rng.choice(n, 2, replace=False)
+            A[:, a] = A[:, b]
+        scale = rng.random()
+        if scale < 1 / 3:
+            A *= 10.0 ** rng.uniform(-6, 6, (k, 1))
+        elif scale < 2 / 3:
+            A *= 10.0 ** rng.uniform(-6, 6, n)
+        maps.append(A)
+    return Datum(part, tuple(maps), rng.uniform(0.2, 1.5, len(maps)), rng.uniform(0.2, 1.5, part.k))
+
+
+def _size_k_settles(A, table):
+    """Whether map A's size k, its row count, settles every other size of
+    the complete table ``table``: sigma_k above 2 rank_tol(A) on each member."""
+    k = len(A)
+    if not 0 < k <= table.mask.shape[1]:
+        return False
+    stack = np.stack([A[:, np.flatnonzero(row)] for row in table.mask[table.sizes == k]])
+    return bool(np.all(np.linalg.svd(stack, compute_uv=False)[:, k - 1] > 2 * rank_tol(A)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), cap=st.sampled_from([4096, 19, 5]))
+def test_ranks_with_exactly_singular_size_k_members_equal_the_per_member_svds(seed, cap):
+    """Where some members of a map's size k are exactly singular (integer
+    entries, a repeated column) and the scales span twelve decades, the
+    ranks are the per-member SVD counts, bit for bit, whether size k
+    settles the other sizes or the sizes are stacked in order."""
+    datum = _singular_datum(np.random.default_rng(seed))
+    part = datum.partition
+    img = _coordinate_ranks(datum, _coordinate_table(part, cap))
+    reference = _ranks_from_mask(datum, _coordinate_masks(part, cap))
+    assert img.dtype == reference.dtype
+    assert img.tobytes() == reference.tobytes()
+
+
+def test_singular_data_take_both_the_settled_and_the_stacked_branch():
+    """The data of the test above reach both branches on complete tables:
+    maps whose size k settles the other sizes, and maps on which it does not."""
+    settles = []
+    for seed in range(100):
+        datum = _singular_datum(np.random.default_rng(seed))
+        table = _coordinate_table(datum.partition, 4096)
+        settles += [_size_k_settles(A, table) for A in datum.maps]
+    assert 10 <= sum(settles) <= len(settles) - 10
 
 
 @pytest.mark.parametrize("cap", [2.5, True, "4096", None])

@@ -31,6 +31,9 @@ the current directory).  Per set it holds the draw count and:
   outputs of the set, to the bit (floats by ``repr``), and
   ``draws_digests``: each draw's three output digests.
 
+Each set's wall time (``time.perf_counter``) goes to stderr and not into
+the file, so two runs on the same code write the same bytes.
+
 ``--limit N`` keeps the first N draws of each set.  Two files are
 compared with ``python tools/audit.py --compare A B``, which prints each
 count and digest that differs, and the draws whose outputs differ.
@@ -43,6 +46,7 @@ import hashlib
 import json
 import math
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -197,7 +201,9 @@ def audit_set(draws) -> dict:
 def run(label: str, limit=None, out=".") -> Path:
     doc = {"label": label, "limit": limit, "sets": {}}
     for name, draws in audit_sets(limit):
+        start = time.perf_counter()
         doc["sets"][name] = audit_set(draws)
+        print(f"{name}: {time.perf_counter() - start:.2f} s", file=sys.stderr)
     path = Path(out) / f"AUDIT_{label}.json"
     path.write_text(json.dumps(doc, indent=1, allow_nan=False) + "\n")
     return path
