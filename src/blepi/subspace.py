@@ -30,19 +30,20 @@ groups the stacked SVDs read) is a read-only table built once per
 ``(partition, cap)`` and cached, so a call does only the per map and
 subset size stacked SVDs of the column submatrices A_j[:, S], cut at
 ``rank_tol(A_j)`` computed once per map, and the slack rule of
-``SlackResult`` on each member.  Once a size of at least A_j's row
-count k_j has its k_j-th singular value above 2 rank_tol(A_j) on every
-member, the larger sizes are not stacked: each of their members
-contains one of that size (a member less its last axis is an earlier
-member), adding columns lowers no singular value (interlacing), and
-the SVD's rounding is an order of magnitude below rank_tol, so the
-margin proves the rank k_j their own SVDs would count.  On the complete
-family size k_j is stacked first, and with that margin it settles the
-smaller sizes too: each smaller member lies inside one of size k_j,
-whose k_j-th singular value bounds the smaller one's least from below
-(Cauchy interlacing), so its rank is its size.  On a generic
-Zamir-Feder datum this leaves 126 of the 511 SVDs at 9x4 and 495 of
-4,095 at 12x4.  A critical or violating member, the only kind a scan
+``SlackResult`` on each member.  A table that holds every subset of
+the axes its members use is closed: the complete family is, and so is
+a truncated one at 13 or more scalar blocks, whose 4,096 members are
+the subsets of the last 12 axes.  On a closed table size k_j, A_j's
+row count, is stacked first, and if its k_j-th singular value is above
+2 rank_tol(A_j) on every member, no other size is stacked: each larger
+member contains one of size k_j and adding columns lowers no singular
+value, each smaller one lies inside one of size k_j and by Cauchy
+interlacing its least singular value is at least that member's k_j-th,
+and the SVD's rounding is an order of magnitude below rank_tol, so the
+margin proves the rank min(|S|, k_j) each member's own SVD would count.
+Otherwise every size is stacked.  On a generic Zamir-Feder datum this
+leaves 126 of the 511 SVDs at 9x4 and 495 of 4,095 at 12x4 and 13x4.
+A critical or violating member, the only kind a scan
 reads, is passed on as its per-block dimensions, its slack (``slack``'s
 own expression, bit for bit) and a builder: it becomes a
 ``ProductSubspace`` only when a scan uses it, as a witness or as a
@@ -321,28 +322,22 @@ class _CoordinateTable:
     and per-block dimensions (``dims``, N x k), per subset size the
     members of that size with their axes (``groups``, ``(rows, cols)``
     pairs, by size), the index sets ``_coordinate_ranks`` stacks, all in
-    read-only arrays; and whether each member less its last axis is an
-    earlier member (``nested``, True on the coordinate family alone),
-    which lets a full-rank size settle the sizes above it, and on the
-    complete family the sizes below it too."""
+    read-only arrays; and whether the members are every subset of the
+    axes they use (``closed``), which lets one full-rank size settle
+    every other size."""
 
     mask: np.ndarray
     sizes: np.ndarray
     dims: np.ndarray
     groups: tuple[tuple[np.ndarray, np.ndarray], ...]
-    nested: bool = False
-
-    @property
-    def complete(self) -> bool:
-        """Whether the table holds the whole coordinate family, all 2^n
-        members, so that each member lies inside one of every larger size."""
-        return self.nested and len(self.mask) == 2 ** self.mask.shape[1]
+    closed: bool = False
 
 
-def _table(partition: Partition, mask: np.ndarray, nested: bool = False) -> _CoordinateTable:
+def _table(partition: Partition, mask: np.ndarray, closed: bool = False) -> _CoordinateTable:
     """The table of the coordinate subspaces whose axes are the rows of
-    ``mask``, which it takes over and makes read-only; ``nested`` is
-    passed on as the table's."""
+    ``mask``, which it takes over and makes read-only; ``closed`` is
+    passed on as the table's, and must hold only if the rows are every
+    subset of the axes they use."""
     sizes = mask.sum(axis=1)
     groups = []
     for t in np.unique(sizes[sizes > 0]):
@@ -351,23 +346,26 @@ def _table(partition: Partition, mask: np.ndarray, nested: bool = False) -> _Coo
     dims = np.add.reduceat(mask, [a for a, _ in partition.offsets()], axis=1, dtype=int)
     for arr in (mask, sizes, dims, *itertools.chain.from_iterable(groups)):
         arr.setflags(write=False)
-    return _CoordinateTable(mask, sizes, dims, tuple(groups), nested)
+    return _CoordinateTable(mask, sizes, dims, tuple(groups), closed)
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE)
 def _coordinate_table(partition: Partition, cap: int) -> _CoordinateTable:
     """The table of the first ``cap`` coordinate subspaces, built once per
     ``(partition, cap)``: no datum value enters it, so data of one shape
-    share it.  It is nested: a member's subsets come by size in each
-    block, so the member less its last axis comes earlier, within the cap."""
-    return _table(partition, _coordinate_masks(partition, cap), nested=True)
+    share it.  A prefix of the product order holds every subset of each
+    member (a subset comes no later in any block, whose subsets come by
+    size), so it is closed exactly when it has 2^u members, u the number
+    of axes they use."""
+    mask = _coordinate_masks(partition, cap)
+    return _table(partition, mask, closed=len(mask) == 2 ** int(mask.any(axis=0).sum()))
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE)
 def _ray_table(partition: Partition) -> _CoordinateTable:
     """The divergence probe's rays as a coordinate table, built once per
-    partition: the full space, then each block alone.  The rays do not
-    contain one another, so it is not nested."""
+    partition: the full space, then each block alone.  The zero subspace
+    is not a ray, so it is not closed."""
     blocks = partition.blocks
     full = np.ones(partition.n, dtype=bool)
     mask = [full] + [np.repeat(np.arange(len(blocks)) == i, blocks) for i in range(len(blocks))]
@@ -380,30 +378,25 @@ def _coordinate_ranks(datum: Datum, table: _CoordinateTable) -> np.ndarray:
     submatrices A_j[:, S], which equal A_j E bit for bit (E's columns are
     unit vectors), counted above rank_tol(A_j) as in ``dim_image``.
 
-    On a nested table, once a stacked size t >= k_j, the row count of
-    A_j, gives every member sigma_{k_j}(A_j[:, Q]) > 2 rank_tol(A_j),
-    each larger size gets rank k_j with no SVD, the count its own SVD
-    would give.  Taking a larger member's last axis off, again and
-    again, reaches a member Q of size t, so S's columns include Q's:
-    A_S A_S^T >= A_Q A_Q^T and no singular value falls (interlacing),
-    sigma_{k_j}(A_S) >= sigma_{k_j}(A_Q).  A computed singular value is
+    On a closed table, whose members are every subset of the u axes they
+    use, size k_j, the row count of A_j, is stacked first when
+    0 < k_j <= u, and if it gives every member sigma_{k_j}(A_j[:, T]) >
+    2 rank_tol(A_j), no other size is stacked: each member S has rank
+    min(|S|, k_j), the count its own SVD would give.  A larger S contains
+    a member T of size k_j, so A_S A_S^T >= A_T A_T^T and no singular
+    value falls (interlacing), sigma_{k_j}(A_S) >= sigma_{k_j}(A_T).  A
+    smaller S lies inside a member T of size k_j, and A_S^T A_S is a
+    principal submatrix of A_T^T A_T, so by Cauchy interlacing
+    sigma_{|S|}(A_S) >= sigma_{k_j}(A_T).  A computed singular value is
     within a few eps ||A_j|| of the exact one, an order of magnitude
-    below rank_tol (see ``_RANK_TOL``), so with the 2x margin S's own
-    computed sigma_{k_j} would clear 2 rank_tol less both SVDs' rounding,
-    which is above rank_tol.
+    below rank_tol (see ``_RANK_TOL``), so with the 2x margin each of
+    S's own computed singular values up to min(|S|, k_j) would clear
+    2 rank_tol less both SVDs' rounding, which is above rank_tol.
 
-    On the complete family (all 2^n members) size k_j is stacked first,
-    and if it has the margin on every member no other size is stacked:
-    each member S has rank min(|S|, k_j).  A larger S contains a member
-    of size k_j, as above.  A smaller S lies inside some member T of
-    size k_j, and A_S^T A_S is a principal submatrix of A_T^T A_T, so by
-    Cauchy interlacing sigma_{|S|}(A_S) >= sigma_{k_j}(A_T); by the same
-    rounding argument all |S| of S's own computed singular values clear
-    rank_tol.  Otherwise the sizes are stacked in order from 1 as on a
-    truncated table, reusing size k_j's singular values, so no map
-    stacks more SVDs than without the first stack.  The ray table is
-    stacked size by size: a ray of one size need not contain one of
-    another size.
+    Otherwise (a member of size k_j without the margin, or a table that
+    is not closed, such as the probe's ray table or a truncated one whose
+    cap cuts into the subsets of a block of three or more axes) every
+    size is stacked, reusing size k_j's stack.
     """
     width = table.mask.shape[1]
     img = np.zeros((len(table.mask), datum.m), dtype=int)
@@ -413,22 +406,15 @@ def _coordinate_ranks(datum: Datum, table: _CoordinateTable) -> np.ndarray:
         tol = rank_tol(A)
         k = len(A)
         first = None
-        if table.complete and 0 < k <= width:
-            # the complete family has one group per size 1..n, in order
+        if table.closed and 0 < k <= len(table.groups):
+            # a closed table has one group per size 1..u, in order
             first = _stacked_singular_values(A, table.groups[k - 1][1])
             if np.all(first[:, k - 1] > 2 * tol):
                 img[:, j] = np.minimum(table.sizes, k)
                 continue
-        settled = False
         for rows, cols in table.groups:
-            if settled:
-                img[rows, j] = k
-                continue
-            t = cols.shape[1]
-            s = first if t == k and first is not None else _stacked_singular_values(A, cols)
+            s = _stacked_singular_values(A, cols) if first is None or cols.shape[1] != k else first
             img[rows, j] = (s > tol).sum(axis=1)
-            if table.nested and 0 < k <= t:
-                settled = bool(np.all(s[:, k - 1] > 2 * tol))
     return img
 
 

@@ -95,6 +95,39 @@ def mixed_datum(rng):
             return _balanced(datum.partition, datum.maps, c, d)
 
 
+def truncated_datum(rng):
+    """Random valid balanced datum past the profile cap of 4,096: n uniform
+    in 13..16 on blocks that are all scalar, all of two axes (one scalar
+    block when n is odd) or of 1-3 axes each, uniformly; 1-3 maps of 1-4
+    rows each, either with orthonormal rows (the Zamir-Feder kind) or with
+    entries in {-2, ..., 2}, uniformly; exponents uniform in [0.2, 1.5],
+    c rescaled to balance.  Redrawn until the datum validates."""
+    while True:
+        n = int(rng.integers(13, 17))
+        shape = int(rng.integers(3))
+        if shape == 0:
+            blocks = (1,) * n
+        elif shape == 1:
+            blocks = (2,) * (n // 2) + (1,) * (n % 2)
+        else:
+            blocks = ()
+            while sum(blocks) < n:
+                blocks += (int(rng.integers(1, min(3, n - sum(blocks)) + 1)),)
+        part = Partition(blocks)
+        m = int(rng.integers(1, 4))
+        maps = []
+        for _ in range(m):
+            nj = int(rng.integers(1, 5))
+            if rng.random() < 0.5:
+                maps.append(np.linalg.qr(rng.standard_normal((n, nj)))[0].T)
+            else:
+                maps.append(rng.integers(-2, 3, (nj, n)).astype(float))
+        c, d = rng.uniform(0.2, 1.5, m), rng.uniform(0.2, 1.5, part.k)
+        datum = _balanced(part, tuple(maps), c, d)
+        if validate(datum).ok:
+            return datum
+
+
 def scalar_mixed_datum(rng):
     """A mixed_datum whose blocks are all scalar (redrawn until they are)."""
     while True:

@@ -9,12 +9,18 @@ Claims:
       digests are kept
     - a file compares equal to itself, and a moved count or draw digest
       is named
-    - each set's wall time goes to stderr and not into the file, so two
-      runs write byte-identical files
+    - each set's wall time and SVD count go to stderr and not into the
+      file, so two runs write byte-identical files; the count, matrices
+      passed to np.linalg.svd, is the same on both runs
+    - --compare runs in a fresh interpreter with no PYTHONPATH, as it
+      reads the two files only
 """
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -54,7 +60,7 @@ def slice_doc(slice_bytes):
 
 def test_every_set_is_audited(audit, slice_doc):
     kinds = [f"wider-{kind}" for kind in ("gaussian", "integer", "zeroed-columns", "row-scaled", "axis")]
-    assert list(slice_doc["sets"]) == ["suite", "large", *kinds, "mixed"]
+    assert list(slice_doc["sets"]) == ["suite", "large", *kinds, "mixed", "truncated"]
     assert slice_doc["label"] == "slice" and slice_doc["limit"] == 3
 
 
@@ -91,10 +97,42 @@ def test_a_slice_compares_equal_to_itself(audit, slice_doc, tmp_path, capsys):
     ]
 
 
-def test_two_runs_write_the_same_bytes_and_time_each_set_on_stderr(
+def _stderr_lines(capsys):
+    """(set, seconds, SVD count) of each line a run printed to stderr."""
+    lines = []
+    for line in capsys.readouterr().err.splitlines():
+        name, rest = line.split(": ")
+        seconds, svds = rest.split(", ")
+        assert seconds.endswith(" s") and svds.endswith(" SVDs")
+        lines.append((name, float(seconds[:-2]), int(svds[:-5])))
+    return lines
+
+
+def test_two_runs_write_the_same_bytes_and_report_each_set_on_stderr(
     audit, slice_doc, slice_bytes, tmp_path, capsys
 ):
-    assert _run_slice(audit, tmp_path) == slice_bytes
-    err = capsys.readouterr().err.splitlines()
-    assert [line.split(":")[0] for line in err] == list(slice_doc["sets"])
-    assert all(line.endswith(" s") and float(line.split()[1]) >= 0 for line in err)
+    capsys.readouterr()
+    runs = []
+    for out in (tmp_path / "a", tmp_path / "b"):
+        out.mkdir()
+        assert _run_slice(audit, out) == slice_bytes
+        runs.append(_stderr_lines(capsys))
+    for lines in runs:
+        assert [name for name, _, _ in lines] == list(slice_doc["sets"])
+        assert all(seconds >= 0 and svds > 0 for _, seconds, svds in lines)
+    assert [svds for _, _, svds in runs[0]] == [svds for _, _, svds in runs[1]]
+
+
+def test_compare_runs_without_pythonpath(slice_bytes, tmp_path):
+    path = tmp_path / "a.json"
+    path.write_bytes(slice_bytes)
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, str(_PATH), "--compare", str(path), str(path)],
+        env=env,
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "no difference\n", "")

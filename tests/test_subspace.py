@@ -42,24 +42,26 @@ Claims:
     - the coordinate and ray tables depend on shape only: equal
       partitions share one cached, read-only table, and the ranks read
       through it are those of the per-call computation, bit for bit
-    - each coordinate member less its last axis is an earlier member, so
-      once a subset size of at least a map's row count has full rank with
-      a margin on every member the larger sizes are not stacked; on a
-      complete table each member lies inside one of every larger size, so
-      the size equal to the row count, stacked first, settles the smaller
-      sizes too, leaving 56, 126 and 495 of the 2^n - 1 SVDs on generic
-      Zamir-Feder 8x3, 9x4 and 12x4, 793 on the truncated 13x4 table and
-      17 of 21 on coupled sums; the ranks stay the per-member SVD counts
-      bit for bit on data whose singular values fall around the rank
-      cut, on data with exactly singular members of that size, and on a
-      map with no rows; the ray table is neither nested nor complete and
-      never settles a size, so the probe still finds a violating ray one
-      size above a full-rank ray it does not contain
+    - every coordinate table, capped or not, holds each subset of each
+      member, so it is closed (every subset of the axes its members use)
+      exactly when it has 2^u members for u used axes; on a closed table
+      each member lies inside one of every larger size, so a map's size
+      equal to its row count, stacked first with twice the rank cut as
+      margin on every member, settles every other size, leaving 56, 126
+      and 495 of the 2^n - 1 SVDs on generic Zamir-Feder 8x3, 9x4 and
+      12x4, 495 on the truncated but closed 13x4 table and 17 of 21 on
+      coupled sums, while a table that is not closed (EPI at dimension 7)
+      and a member inside the margin stack every size; the ranks stay the
+      per-member SVD counts bit for bit on data whose singular values fall
+      around the rank cut, on data with exactly singular members of that
+      size, on closed and unclosed truncated tables, and on a map with no
+      rows; the ray table is not closed and never settles a size, so the
+      probe still finds a violating ray one size above a full-rank ray it
+      does not contain
     - SearchBudget rejects a profile cap that is not an int >= 0
 """
 
 import itertools
-import math
 from pathlib import Path
 
 import numpy as np
@@ -730,53 +732,63 @@ def test_ray_table_holds_the_full_space_then_each_block():
     ]
 
 
-@pytest.mark.parametrize(
-    "blocks", [(1,) * 12, (2,) * 6, (2, 1, 3), (3, 3, 2), (1, 2, 3, 2), (12,), (40, 1)]
-)
-@pytest.mark.parametrize("cap", [1, 2, 5, 19, 37, 100, 4096])
-def test_each_prefix_is_the_member_less_its_last_axis(blocks, cap):
-    """What lets a full-rank size settle the sizes above it: on the
-    coordinate table, capped or not, each nonzero member less its last
-    axis is an earlier member, so a member of any size contains one of
-    each smaller size.  The table says so (nested); the ray table, whose
-    rays do not contain one another, does not."""
-    part = Partition(blocks)
-    table = _coordinate_table(part, cap)
-    mask = table.mask
-    assert table.nested and not mask[0].any()
+_TABLE_BLOCKS = [
+    (1,) * 12, (1,) * 13, (2,) * 6, (2, 1, 3), (3, 3, 2), (1, 2, 3, 2), (12,), (7, 7), (40, 1)
+]
+
+
+@pytest.mark.parametrize("blocks", _TABLE_BLOCKS)
+@pytest.mark.parametrize("cap", [1, 2, 5, 16, 19, 37, 64, 100, 4096])
+def test_each_prefix_is_downward_closed(blocks, cap):
+    """What makes closedness a count: on the coordinate table, capped or
+    not, each member less any one of its axes is an earlier member, so
+    every subset of a member is a member, and 2^u members on u axes are
+    every subset of them."""
+    mask = _coordinate_table(Partition(blocks), cap).mask
     rows = {row.tobytes(): q for q, row in enumerate(mask)}
-    for q in range(1, len(mask)):
-        less = mask[q].copy()
-        less[np.flatnonzero(less)[-1]] = False
-        assert rows.get(less.tobytes(), q) < q
-    assert not _ray_table(part).nested
+    for q, row in enumerate(mask):
+        for axis in np.flatnonzero(row):
+            less = row.copy()
+            less[axis] = False
+            assert rows.get(less.tobytes(), q) < q
 
 
-@pytest.mark.parametrize(
-    "blocks", [(1,) * 12, (2,) * 6, (2, 1, 3), (3, 3, 2), (1, 2, 3, 2), (12,), (40, 1)]
-)
-@pytest.mark.parametrize("cap", [1, 2, 5, 19, 37, 100, 4096])
-def test_each_member_lies_inside_one_of_every_larger_size_on_a_complete_table(blocks, cap):
-    """What lets a full-rank size settle the sizes below it: a coordinate
-    table is complete exactly when the cap holds all 2^n members, and on
-    a complete table each member of size t lies inside some member of
-    every larger size.  Neither a truncated table nor the ray table is
-    complete."""
+@pytest.mark.parametrize("blocks", _TABLE_BLOCKS)
+@pytest.mark.parametrize("cap", [1, 2, 5, 16, 19, 37, 64, 100, 4096])
+def test_a_closed_table_is_every_subset_of_its_axes(blocks, cap):
+    """What lets a full-rank size settle every other size: a coordinate
+    table is closed exactly when its members are every subset of the
+    axes they use, so that each member lies inside one of every larger
+    size and contains one of every smaller size.  It is with all 2^n
+    members and at 13 scalar blocks (the subsets of the last 12 axes),
+    not at EPI's two blocks of 7; the ray table, with no zero member, is
+    not."""
     part = Partition(blocks)
     table = _coordinate_table(part, cap)
-    assert table.complete == (2**part.n <= cap)
-    assert not _ray_table(part).complete
-    if not table.complete:
-        return
-    mask = table.mask.astype(int)
-    assert len(np.unique(mask, axis=0)) == len(mask)
-    by_size = [mask[table.sizes == t] for t in range(part.n + 1)]
-    assert [len(members) for members in by_size] == [math.comb(part.n, t) for t in range(part.n + 1)]
-    for t, smaller in enumerate(by_size):
-        for larger in by_size[t + 1 :]:
-            # S lies inside T when no axis of S is off in T
-            outside = smaller @ (1 - larger).T
-            assert (outside == 0).any(axis=1).all()
+    used = np.flatnonzero(table.mask.any(axis=0))
+    members = {frozenset(np.flatnonzero(row)) for row in table.mask}
+    # the power set is listed only when it is no larger than the table
+    power_set = len(members) == len(table.mask) == 2 ** len(used) and members == {
+        frozenset(s) for t in range(len(used) + 1) for s in itertools.combinations(used, t)
+    }
+    assert table.closed == power_set
+    assert table.closed >= (2**part.n <= cap)
+    if cap == 4096 and blocks in ((1,) * 13, (7, 7)):
+        assert table.closed == (blocks == (1,) * 13)
+    assert not _ray_table(part).closed
+
+
+@pytest.fixture
+def stacked_svds(monkeypatch):
+    """The matrices passed to np.linalg.svd, counted by batch."""
+    svd, counted = np.linalg.svd, []
+
+    def counting(a, *args, **kwargs):
+        counted.append(int(np.prod(a.shape[:-2])))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return counted
 
 
 @pytest.mark.parametrize(
@@ -785,49 +797,69 @@ def test_each_member_lies_inside_one_of_every_larger_size_on_a_complete_table(bl
         ("zf-8x3", 56),
         ("zf-9x4", 126),
         ("zf-12x4", 495),
-        ("zf-13x4", 793),
+        ("zf-13x4", 495),
         ("coupled-sums", 17),
+        ("epi-7", 4095),
     ],
 )
-def test_a_full_rank_size_settles_the_other_sizes_without_an_svd(name, stacked, monkeypatch):
-    """On the complete family a map's size k, its row count, is stacked
-    first; if every member has rank k with the margin, no other size is
+def test_a_full_rank_size_settles_the_other_sizes_without_an_svd(name, stacked, stacked_svds):
+    """On a closed table a map's size k, its row count, is stacked first;
+    if every member has rank k with the margin, no other size is
     stacked: the smaller members lie in one of size k (interlacing) and
     the larger ones contain one.  On a generic Zamir-Feder datum that
-    leaves the C(n, k) SVDs of size k.  At 13x4 the family is truncated
-    at the cap, so the sizes are stacked from 1 up to k, which settles
-    the sizes above (793 SVDs).  On coupled sums the two-row map's size 2
-    settles its sizes 1 and 3, while each single-row map has rank 0 on
-    the axes it does not read, so its size 1 settles nothing and is
-    reused, and sizes 2 and 3 are stacked.  The same table not nested
-    stacks every nonzero member of each map, with the same ranks."""
+    leaves the C(n, k) SVDs of size k, also at 13x4, whose table is
+    truncated at the cap but closed on the last 12 axes.  On coupled
+    sums the two-row map's size 2 settles its sizes 1 and 3, while each
+    single-row map has rank 0 on the axes it does not read, so it stacks
+    every size, reusing size 1.  EPI at dimension 7 has a truncated
+    table that is not closed (the cap cuts into the first block's
+    subsets), so every nonzero member is stacked.  The same table not
+    closed stacks every nonzero member of each map, with the same ranks,
+    which are the per-member SVD counts."""
     if name == "coupled-sums":
         datum = coupled(1.25, 0.5, 0.5, 0.5)
+    elif name == "epi-7":
+        datum = blepi.make_epi_datum(0.3, 7)
     else:
         n, k = (int(x) for x in name[3:].split("x"))
         Q, _ = np.linalg.qr(np.random.default_rng(n).standard_normal((n, k)))
         datum = blepi.make_zamir_feder_datum(Q[:, :k].T)
     table = _coordinate_table(datum.partition, 4096)
-    svd, counted = np.linalg.svd, []
-
-    def counting(a, *args, **kwargs):
-        counted.append(int(np.prod(a.shape[:-2])))
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting)
+    assert table.closed == (name != "epi-7")
     img = _coordinate_ranks(datum, table)
-    assert sum(counted) == stacked
-    counted.clear()
+    assert sum(stacked_svds) == stacked
+    stacked_svds.clear()
     full = _coordinate_ranks(datum, _table(datum.partition, table.mask.copy()))
-    assert sum(counted) == datum.m * (len(table.mask) - 1)
+    assert sum(stacked_svds) == datum.m * (len(table.mask) - 1)
     assert img.tobytes() == full.tobytes()
+    assert img.tobytes() == _ranks_from_mask(datum, table.mask).tobytes()
+
+
+@pytest.mark.parametrize("factor, stacked", [(1.5, 3), (2.5, 1)])
+def test_the_settle_rule_needs_twice_the_rank_cut(factor, stacked, stacked_svds):
+    """A = [[1, 0], [0, f rank_tol]]: the one member of size 2 has
+    sigma_2 = f rank_tol(A).  Inside the margin (f = 1.5, above the cut
+    but not twice it) size 2 settles nothing and size 1 is stacked too,
+    three matrices in all; past it (f = 2.5) size 2 settles size 1.
+    Either way the ranks are the per-member SVD counts."""
+    A = np.array([[1.0, 0.0], [0.0, 0.0]])
+    tol = rank_tol(A)
+    A[1, 1] = factor * tol
+    assert rank_tol(A) == tol
+    datum = Datum(Partition((1, 1)), (A,), np.array([1.0]), np.array([1.0, 1.0]))
+    table = _coordinate_table(datum.partition, 4096)
+    img = _coordinate_ranks(datum, table)
+    assert sum(stacked_svds) == stacked
+    assert img[:, 0].tolist() == [0, 1, 1, 2]
+    assert img.tobytes() == _ranks_from_mask(datum, table.mask).tobytes()
 
 
 def test_the_ray_table_never_settles_a_size():
     """On partition (1, 2) with A = [[1, 0, 0]] the block-0 ray has rank 1
     with the margin, but the block-1 ray, one size up, does not contain
-    it and has rank 0: the probe returns that ray with slack 0.5, and the
-    ray ranks are the unnested stack's."""
+    it and has rank 0: the ray table is not closed, so every size is
+    stacked, the probe returns that ray with slack 0.5, and the ray ranks
+    are the per-member SVD counts."""
     datum = Datum(
         partition=Partition((1, 2)),
         maps=(np.array([[1.0, 0.0, 0.0]]),),
@@ -846,8 +878,9 @@ def test_the_ray_table_never_settles_a_size():
 @pytest.mark.parametrize("cap", [4096, 5])
 def test_a_map_with_no_rows_has_rank_zero_on_every_member(cap):
     """``certify`` does not validate, so a map with no rows can reach the
-    rank loop; it is never settled (no k-th singular value to read) and
-    its ranks, as the other map's, are the unnested stack's."""
+    rank loop; it never takes the settle rule (it has no k-th singular
+    value to read), and its ranks, as the other map's, are the per-member
+    SVD counts."""
     part = Partition((2, 1, 3))
     datum = Datum(
         partition=part,
@@ -888,17 +921,29 @@ def _near_dependent_datum(rng):
 
 
 @settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), cap=st.sampled_from([4096, 19, 5]))
+@given(seed=st.integers(0, 2**32 - 1), cap=st.sampled_from([4096, 64, 19, 16, 5]))
 def test_ranks_settled_by_prefixes_equal_the_per_member_svds_near_the_cut(seed, cap):
-    """Where singular values sit around rank_tol, the ranks of the sizes a
-    full-rank size below settles are the per-member SVD counts, bit for
-    bit."""
+    """Where singular values sit around rank_tol, the ranks are the
+    per-member SVD counts, bit for bit, on the complete table and on
+    truncated ones (prefixes), closed (often at caps 16 and 64) or not."""
     datum = _near_dependent_datum(np.random.default_rng(seed))
     part = datum.partition
     img = _coordinate_ranks(datum, _coordinate_table(part, cap))
     reference = _ranks_from_mask(datum, _coordinate_masks(part, cap))
     assert img.dtype == reference.dtype
     assert img.tobytes() == reference.tobytes()
+
+
+def test_caps_16_and_64_truncate_to_closed_and_unclosed_tables():
+    """The data of the test above meet truncated tables of both kinds at
+    caps 16 and 64 (82 closed and 16 not on seeds 0-99): closed ones, on
+    which the settle rule runs, and ones whose cap cuts into the subsets
+    of a block of three axes."""
+    closed = []
+    for seed in range(100):
+        part = _near_dependent_datum(np.random.default_rng(seed)).partition
+        closed += [_coordinate_table(part, cap).closed for cap in (16, 64) if 2**part.n > cap]
+    assert 10 <= sum(closed) <= len(closed) - 10
 
 
 def _singular_datum(rng):
@@ -932,7 +977,7 @@ def _singular_datum(rng):
 
 def _size_k_settles(A, table):
     """Whether map A's size k, its row count, settles every other size of
-    the complete table ``table``: sigma_k above 2 rank_tol(A) on each member."""
+    the closed table ``table``: sigma_k above 2 rank_tol(A) on each member."""
     k = len(A)
     if not 0 < k <= table.mask.shape[1]:
         return False
@@ -941,7 +986,7 @@ def _size_k_settles(A, table):
 
 
 @settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), cap=st.sampled_from([4096, 19, 5]))
+@given(seed=st.integers(0, 2**32 - 1), cap=st.sampled_from([4096, 64, 19, 16, 5]))
 def test_ranks_with_exactly_singular_size_k_members_equal_the_per_member_svds(seed, cap):
     """Where some members of a map's size k are exactly singular (integer
     entries, a repeated column) and the scales span twelve decades, the

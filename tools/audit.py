@@ -11,7 +11,9 @@ the audit sets, all built by the recipes in ``tests/conftest.py``:
 - ``large``: 1,000 draws of ``random_datum(default_rng(123), balanced=True)``;
 - ``wider-<kind>``: 600 draws of ``wider_datum(default_rng(5), kind)`` for
   each of the five map kinds, each kind from a fresh generator;
-- ``mixed``: 15,000 draws of ``mixed_datum(default_rng(2026))``.
+- ``mixed``: 15,000 draws of ``mixed_datum(default_rng(2026))``;
+- ``truncated``: 200 draws of ``truncated_datum(default_rng(13))``, with
+  n from 13 to 16, so the coordinate family is cut at the profile cap.
 
 It writes ``AUDIT_<LABEL>.json`` (strict JSON) into ``--out`` (default:
 the current directory).  Per set it holds the draw count and:
@@ -31,12 +33,15 @@ the current directory).  Per set it holds the draw count and:
   outputs of the set, to the bit (floats by ``repr``), and
   ``draws_digests``: each draw's three output digests.
 
-Each set's wall time (``time.perf_counter``) goes to stderr and not into
-the file, so two runs on the same code write the same bytes.
+Each set's wall time (``time.perf_counter``) and the number of matrices
+it passed to ``np.linalg.svd`` (a stacked call counts each matrix) go to
+stderr and not into the file, so two runs on the same code write the
+same bytes, and files from two commits compare output for output.
 
 ``--limit N`` keeps the first N draws of each set.  Two files are
 compared with ``python tools/audit.py --compare A B``, which prints each
-count and digest that differs, and the draws whose outputs differ.
+count and digest that differs, and the draws whose outputs differ; it
+reads the two files only, so it needs no ``PYTHONPATH``.
 """
 
 from __future__ import annotations
@@ -52,18 +57,6 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-
-from conftest import MAP_KINDS, mixed_datum, random_datum, wider_datum  # noqa: E402
-
-from blepi.datum import Datum, Partition, validate  # noqa: E402
-from blepi.finiteness import (  # noqa: E402
-    INFINITE,
-    ViolatingSubspace,
-    ViolationError,
-    certify,
-    check_finiteness,
-)
-from blepi.gauss import solve_mg  # noqa: E402
 
 COUNTS = (
     "draws",
@@ -82,6 +75,7 @@ OUTPUTS = ("check", "certify", "solve")
 
 def audit_sets(limit=None):
     """(name, draws) for each audit set; draws is a generator of data."""
+    from conftest import MAP_KINDS, mixed_datum, random_datum, truncated_datum, wider_datum
 
     def draws(make, count):
         for _ in range(count if limit is None else min(count, limit)):
@@ -96,6 +90,7 @@ def audit_sets(limit=None):
     for kind in MAP_KINDS:
         yield f"wider-{kind}", draws(seeded(5, lambda rng, kind=kind: wider_datum(rng, kind)), 600)
     yield "mixed", draws(seeded(2026, mixed_datum), 15000)
+    yield "truncated", draws(seeded(13, truncated_datum), 200)
 
 
 def _floats(a) -> list:
@@ -103,6 +98,8 @@ def _floats(a) -> list:
 
 
 def _witness(w) -> list:
+    from blepi.finiteness import ViolatingSubspace
+
     if w is None:
         return [None]
     if isinstance(w, ViolatingSubspace):
@@ -116,9 +113,12 @@ def _tree(node) -> list:
     return [list(node.subspace.block_dims), [_tree(child) for child in node.children]]
 
 
-def _reduction_is_infinite(datum: Datum) -> bool:
+def _reduction_is_infinite(datum) -> bool:
     """Whether the datum without its c_j = 0 maps and d_i = 0 blocks is
     infinite: a kept map loses row rank, or the reduced check says so."""
+    from blepi.datum import Datum, Partition, validate
+    from blepi.finiteness import INFINITE, check_finiteness
+
     maps = [j for j, cj in enumerate(datum.c) if cj != 0]
     blocks = [i for i, di in enumerate(datum.d) if di != 0]
     if len(maps) == datum.m and len(blocks) == datum.partition.k:
@@ -136,8 +136,11 @@ def _reduction_is_infinite(datum: Datum) -> bool:
     return check_finiteness(reduced).status == INFINITE
 
 
-def audit_draw(datum: Datum) -> dict:
+def audit_draw(datum) -> dict:
     """The three outputs of one draw, its verdict and its flags."""
+    from blepi.finiteness import INFINITE, ViolationError, certify, check_finiteness
+    from blepi.gauss import solve_mg
+
     verdict = check_finiteness(datum)
     out = {"status": verdict.status, "check": [verdict.status, _witness(verdict.witness)]}
     tree = None
@@ -200,10 +203,22 @@ def audit_set(draws) -> dict:
 
 def run(label: str, limit=None, out=".") -> Path:
     doc = {"label": label, "limit": limit, "sets": {}}
-    for name, draws in audit_sets(limit):
-        start = time.perf_counter()
-        doc["sets"][name] = audit_set(draws)
-        print(f"{name}: {time.perf_counter() - start:.2f} s", file=sys.stderr)
+    svd, stacked = np.linalg.svd, []
+
+    def counting(a, *args, **kwargs):
+        stacked.append(int(np.prod(np.shape(a)[:-2])))
+        return svd(a, *args, **kwargs)
+
+    np.linalg.svd = counting
+    try:
+        for name, draws in audit_sets(limit):
+            stacked.clear()
+            start = time.perf_counter()
+            doc["sets"][name] = audit_set(draws)
+            seconds = time.perf_counter() - start
+            print(f"{name}: {seconds:.2f} s, {sum(stacked)} SVDs", file=sys.stderr)
+    finally:
+        np.linalg.svd = svd
     path = Path(out) / f"AUDIT_{label}.json"
     path.write_text(json.dumps(doc, indent=1, allow_nan=False) + "\n")
     return path
