@@ -32,6 +32,7 @@ from .subspace import (
     CRITICAL_TOL,
     ProductSubspace,
     SearchBudget,
+    SlackResult,
     _scored_candidates,
     _slack_value,
     candidate_subspaces,  # noqa: F401  uncalled; perfbench's wiring self-test pins this name
@@ -171,21 +172,28 @@ def split_datum(datum: Datum, U: ProductSubspace) -> tuple[Datum, Datum]:
     carry over; blocks and maps that collapse to dimension zero are
     dropped (their entropy contribution is zero by convention).
     """
-    sr = slack(datum, U)
+    if U.ambient != datum.partition.blocks:
+        raise ValueError(
+            f"subspace block shape {U.ambient} does not match partition {datum.partition.blocks}"
+        )
+    # one SVD per map: its count above rank_tol(A_j) is both dim(A_j U),
+    # which the slack reads, and the width of the basis F of A_j U
+    E = U.embedding
+    images = []
+    for A in datum.maps:
+        AE = A @ E
+        W, sv, _ = np.linalg.svd(AE, full_matrices=False)
+        images.append((AE, W[:, : int(np.count_nonzero(sv > rank_tol(A)))]))
+    dims = tuple(F.shape[1] for _, F in images)
+    sr = SlackResult(slack=_slack_value(datum, U.block_dims, dims), per_map_dims=dims)
     if not sr.critical:
         raise SplitError(f"subspace is not critical: slack = {sr.slack:.3g}")
     if U.dim == 0 or U.dim == datum.n:
         raise SplitError("need a proper nontrivial critical subspace")
 
-    E = U.embedding
     Eperp = U.orthocomplement().embedding
-    restricted, quotient = [], []
-    for A in datum.maps:
-        AE = A @ E
-        W, sv, _ = np.linalg.svd(AE, full_matrices=False)
-        F = W[:, : int(np.sum(sv > rank_tol(A)))]
-        restricted.append(F.T @ AE)
-        quotient.append(null_space(F.T).T @ (A @ Eperp))
+    restricted = [F.T @ AE for AE, F in images]
+    quotient = [null_space(F.T).T @ (A @ Eperp) for A, (_, F) in zip(datum.maps, images)]
 
     def child(part_dims, maps_list, side):
         keep_blocks = [i for i, ti in enumerate(part_dims) if ti > 0]

@@ -160,3 +160,22 @@ def random_pair(rng, partition):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "scipy: the test needs scipy; skipped only where scipy cannot be imported"
+    )
+
+
+def pytest_collection_modifyitems(config, items):
+    """Skip the scipy-marked tests where scipy cannot be imported.  An
+    unmarked test that reaches scipy still runs, and fails, so a stray
+    import on a numpy-only path is caught."""
+    try:
+        import scipy  # noqa: F401
+    except ImportError:
+        skip = pytest.mark.skip(reason="needs scipy, which cannot be imported here")
+        for item in items:
+            if item.get_closest_marker("scipy"):
+                item.add_marker(skip)

@@ -304,6 +304,7 @@ def test_criterion_9_rotation_identity():
             assert max(np.abs(A - B).max() for A, B in zip(twice.blocks, pair.blocks)) <= 1e-12
 
 
+@pytest.mark.scipy
 def test_criterion_10_monte_carlo_verification():
     with criterion(10, "Monte Carlo verification at N=50000, 3-sigma gate"):
         rng = np.random.default_rng(10)
@@ -342,6 +343,7 @@ def test_criterion_10_monte_carlo_verification():
         assert corrupted[0].margin == pytest.approx(1.0, abs=0.05)
 
 
+@pytest.mark.scipy
 def test_criterion_11_estimator_calibration():
     with criterion(11, "k-NN calibration within 0.02 nats at N=50000"):
         rng = np.random.default_rng(11)
@@ -375,6 +377,7 @@ def test_criterion_11_estimator_calibration():
         assert abs(est.value - analytic) <= 0.02
 
 
+@pytest.mark.scipy
 def test_criterion_12_determinism(tmp_path, capsys):
     with criterion(12, "byte-identical reports under identical seeds"):
         path = tmp_path / "epi.json"

@@ -178,6 +178,23 @@ class TestCheckCommand:
         assert doc["witness"]["kind"] == "scaling_residual"
         assert doc["witness"]["value"] == pytest.approx(0.5)
 
+    def test_infinite_with_subspace(self, tmp_path, capsys):
+        # balanced, but the second block alone has slack 0.5; solve reads
+        # the same root decision and exits 5
+        d = Datum(
+            partition=Partition((1, 1)),
+            maps=(np.array([[1.0, 0.0]]),),
+            c=np.array([1.0]),
+            d=np.array([0.5, 0.5]),
+        )
+        path = str(tmp_path / "infinite.json")
+        blepi.save(d, path)
+        assert main(["check", path]) == 3
+        witness = json.loads(capsys.readouterr().out)["witness"]
+        assert witness["kind"] == "violating_subspace"
+        assert witness["slack"] == pytest.approx(0.5)
+        assert main(["solve", path]) == 5
+
     def test_nan_exponent_is_invalid(self, tmp_path, capsys):
         # a NaN c used to be reported finite with exit 0
         doc = datum_to_dict(blepi.make_epi_datum(0.5, 1))
@@ -300,12 +317,14 @@ class TestSolveCommand:
 
 
 class TestVerifyCommand:
+    @pytest.mark.scipy
     def test_three_families_pass(self, epi_file, capsys):
         code = main(["verify", epi_file, "--samples", "5000", "--seed", "7"])
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert {r["model"] for r in doc["reports"]} == {"uniform", "laplace", "mixture"}
 
+    @pytest.mark.scipy
     def test_mixture_leaves_the_sampled_reports_alone(self, tmp_path, capsys):
         # the mixture draws no samples, so uniform and laplace read the
         # same stream with and without it
@@ -323,6 +342,7 @@ class TestVerifyCommand:
         assert mixture["empirical_f"]["method"] == "quadrature"
         assert {t["method"] for t in mixture["terms"][2:]} == {"quadrature"}
 
+    @pytest.mark.scipy
     def test_corrupted_reference_fails(self, epi_file, monkeypatch):
         solve = blepi.cli.solve_mg
 
@@ -333,6 +353,7 @@ class TestVerifyCommand:
         code = main(["verify", epi_file, "--samples", "5000", "--models", "gaussian"])
         assert code == 6
 
+    @pytest.mark.scipy
     def test_csv_format(self, epi_file, capsys):
         code = main(
             ["verify", epi_file, "--samples", "4000", "--models", "uniform",
@@ -344,6 +365,7 @@ class TestVerifyCommand:
         assert lines[0].startswith("model,record,term")
         assert any(",summary," in line for line in lines)
 
+    @pytest.mark.scipy
     def test_unconverged_reference_is_refused(self, tmp_path, capsys, monkeypatch):
         # draw 17 of the 150-draw random suite is infinite through a
         # subspace the search misses, so its solve stops at gradient norm
@@ -539,7 +561,7 @@ _WRITING = [
     ["validate", "{datum}"],
     ["check", "{datum}"],
     ["solve", "{datum}"],
-    ["verify", "{datum}", "--models", "gaussian", "--samples", "500"],
+    ["verify", "{datum}", "--models", "mixture"],
     ["closed-form", "epi", "--lambda", "0.5"],
 ]
 
@@ -709,6 +731,7 @@ class TestDeterminism:
         second = capsys.readouterr().out
         assert first == second
 
+    @pytest.mark.scipy
     def test_verify_is_byte_identical(self, epi_file, tmp_path, capsys):
         out1 = tmp_path / "r1.json"
         out2 = tmp_path / "r2.json"
@@ -718,6 +741,7 @@ class TestDeterminism:
         capsys.readouterr()
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.scipy
     def test_verify_with_threaded_tree_is_byte_identical(self, tmp_path, capsys):
         # coupled sums has a 2-D image (k-d tree on all cores) and 1-D
         # images (sorted path)
@@ -730,6 +754,7 @@ class TestDeterminism:
             capsys.readouterr()
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
+    @pytest.mark.scipy
     def test_different_seeds_differ(self, epi_file, tmp_path, capsys):
         out1 = tmp_path / "r1.json"
         out2 = tmp_path / "r2.json"
@@ -787,6 +812,7 @@ laplace,summary,f,,-0.0644464218544,0.0407969250175,knn,-0.0644464218544,-1.5796
 """
 
 
+@pytest.mark.scipy
 def test_verify_csv_in_bits_is_pinned(epi_file, tmp_path, capsys):
     out = tmp_path / "r.csv"
     argv = ["verify", epi_file, "--samples", "2000", "--models", "uniform,laplace", "--bits",

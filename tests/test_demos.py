@@ -11,9 +11,17 @@ from pathlib import Path
 import pytest
 
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+# the Monte Carlo demo estimates entropies by k-NN, which needs scipy
+_SCIPY_DEMOS = {"monte_carlo_check"}
 
 
-@pytest.mark.parametrize("path", DEMOS, ids=[p.stem for p in DEMOS])
+@pytest.mark.parametrize(
+    "path",
+    [
+        pytest.param(p, id=p.stem, marks=pytest.mark.scipy if p.stem in _SCIPY_DEMOS else ())
+        for p in DEMOS
+    ],
+)
 def test_demo_runs(path, capsys):
     runpy.run_path(str(path), run_name="__main__")
     assert capsys.readouterr().out

@@ -33,7 +33,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial import cKDTree
 
 import blepi
 from blepi.datum import Datum, Partition
@@ -166,6 +165,7 @@ class TestExactEntropy:
         model = SampleModel("g", (GaussianBlock(np.eye(1)),))
         assert exact_entropy(model, 0) == pytest.approx(1.4189385332046727, abs=1e-12)
 
+    @pytest.mark.scipy
     def test_mixture_quadrature_against_knn(self, rng):
         block = TwoGaussianMixBlock(0.5, 0.5, 2.0, 1)
         model = SampleModel("m", (block,))
@@ -291,6 +291,7 @@ class TestImageQuadrature:
         ]
         assert [round(m, 4) for m in margins] == [-0.1685, -0.0359, -0.0276]
 
+    @pytest.mark.scipy
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_exact_margins_lie_within_3_se_of_knn(self, seed):
         for datum, mg in _verify_data(seed):
@@ -330,6 +331,7 @@ class TestImageQuadrature:
         assert (est.method, est.n_samples, est.k_neighbors) == ("quadrature", 0, 0)
         assert {t.estimate.method for t in terms[2:]} == {"quadrature"}
 
+    @pytest.mark.scipy
     def test_a_wide_image_or_many_components_go_to_knn(self, rng):
         # a 3-D image, and a generic row over ten scalar blocks (2^10 components)
         d = Datum(
@@ -369,24 +371,28 @@ class TestImageQuadrature:
 
 
 class TestKnnEntropy:
+    @pytest.mark.scipy
     def test_translation_invariance(self, rng):
         x = rng.standard_normal((5_000, 2))
         a = knn_entropy(x, k=3)
         b = knn_entropy(x + 7.0, k=3)
         assert b.value == pytest.approx(a.value, abs=1e-9)
 
+    @pytest.mark.scipy
     def test_scale_equivariance(self, rng):
         x = rng.standard_normal((5_000, 2))
         a = knn_entropy(x, k=3)
         b = knn_entropy(2.0 * x, k=3)  # power of two: distances scale exactly
         assert b.value == pytest.approx(a.value + 2 * math.log(2.0), abs=1e-10)
 
+    @pytest.mark.scipy
     def test_duplicates_jittered_with_warning(self, rng):
         x = np.repeat(rng.standard_normal((500, 1)), 4, axis=0)
         with pytest.warns(RuntimeWarning, match="jitter"):
             est = knn_entropy(x, k=3, rng=rng)
         assert math.isfinite(est.value)
 
+    @pytest.mark.scipy
     def test_jitter_survives_rounding_at_large_offset(self, rng):
         # one ulp of 1e6 is 1.2e-10: a jitter of 1e-12 times the standard
         # deviation (0.014) would vanish in rounding and leave zero distances
@@ -405,6 +411,7 @@ class TestKnnEntropy:
             with pytest.raises(ValueError, match="after jitter"):
                 knn_entropy(x, k=3, rng=NoJitter())
 
+    @pytest.mark.scipy
     def test_high_dimension_warns(self, rng):
         x = rng.standard_normal((300, 9))
         with pytest.warns(RuntimeWarning, match="dimension"):
@@ -424,11 +431,13 @@ class TestKnnEntropy:
         with pytest.raises(ValueError, match="finite"):
             knn_entropy(x, k=3)
 
+    @pytest.mark.scipy
     @pytest.mark.parametrize("n, k", [(10, 1), (10, 9)])
     def test_smallest_sample_is_estimated(self, rng, n, k):
         est = knn_entropy(rng.standard_normal((n, 1)), k=k)
         assert math.isfinite(est.value) and math.isfinite(est.std_error)
 
+    @pytest.mark.scipy
     @settings(max_examples=300, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -442,6 +451,8 @@ class TestKnnEntropy:
         offset=st.sampled_from([0.0, 1e6]),
     )
     def test_kth_distances_match_tree(self, seed, d, k, n, kind, scale, offset):
+        from scipy.spatial import cKDTree
+
         g = np.random.default_rng(seed)
         if kind == "continuous":
             x = g.standard_normal((n, d))
@@ -453,6 +464,7 @@ class TestKnnEntropy:
         reference = cKDTree(x).query(x, k=k + 1)[0][:, k]
         assert np.array_equal(_kth_neighbor_distances(x, k), reference)
 
+    @pytest.mark.scipy
     def test_batch_standard_error_scale(self, rng):
         est = knn_entropy(rng.standard_normal((N_FAST, 1)), k=3)
         assert 0.0 < est.std_error < 0.05
@@ -460,6 +472,7 @@ class TestKnnEntropy:
 
 
 class TestEmpiricalF:
+    @pytest.mark.scipy
     def test_epi_uniform_blocks(self, rng):
         d = blepi.make_epi_datum(0.5, 1)
         est = empirical_f(d, uniform_model(d.partition), N_FAST, 3, rng)
@@ -467,11 +480,13 @@ class TestEmpiricalF:
         assert est.value == pytest.approx(expected, abs=0.03)
         assert est.std_error > 0
 
+    @pytest.mark.scipy
     def test_epi_gaussian_blocks_are_extremal(self, rng):
         d = blepi.make_epi_datum(0.5, 1)
         est = empirical_f(d, gaussian_model(d.partition), N_FAST, 3, rng)
         assert est.value == pytest.approx(0.0, abs=0.03)
 
+    @pytest.mark.scipy
     def test_correlated_gaussian_block(self, rng):
         d = Datum(
             partition=Partition((2,)),
@@ -484,6 +499,7 @@ class TestEmpiricalF:
         est = empirical_f(d, model, N_FAST, 3, rng)
         assert est.value == pytest.approx(0.5 * math.log(0.36), abs=0.03)
 
+    @pytest.mark.scipy
     def test_consistent_with_gaussian_objective(self, rng):
         d = blepi.make_coupled_sums_datum(1.0, 1.0, 0.5, 0.5)
         cov = BlockCovariance((np.array([[1.0, 0.2], [0.2, 1.5]]), np.array([[0.8]])))
@@ -497,6 +513,7 @@ class TestEmpiricalF:
             empirical_f(d, uniform_model(Partition((1, 1))), 1000, 3, rng)
 
 
+@pytest.mark.scipy
 class TestVerifyInequality:
     def test_epi_families_pass(self, rng):
         d = blepi.make_epi_datum(0.5, 1)

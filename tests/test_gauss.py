@@ -55,7 +55,6 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -767,6 +766,8 @@ def _reference_gradient(datum, factors):
     M_j^{-1} A_j]_ii with M_j = A_j Sigma A_j^T formed and factored by
     Cholesky, and the smallest ratio of Cholesky diagonals over the images
     (0 if one fails)."""
+    import scipy.linalg
+
     offsets = datum.partition.offsets()
     blocks = [F @ F.T for F in factors]
     full = scipy.linalg.block_diag(*blocks)
@@ -796,6 +797,8 @@ def _reference_gradient(datum, factors):
 def _reference_kappa(datum, factors):
     """The reference forms Sigma and A_j Sigma A_j^T, so it is accurate to
     about eps times the largest of their condition numbers, returned here."""
+    import scipy.linalg
+
     full = scipy.linalg.block_diag(*(F @ F.T for F in factors))
     return max(
         [np.linalg.cond(F) ** 2 for F in factors]
@@ -809,6 +812,8 @@ def _reference_kappa(datum, factors):
 def _whitened(datum, factors, grads, basis):
     """The gradient in the coordinates Sigma = L exp(X) L^T: Diag(L_i^T G_i L_i)
     in the basis."""
+    import scipy.linalg
+
     gmat = scipy.linalg.block_diag(*(F.T @ G @ F for F, G in zip(factors, grads)))
     return basis.reshape(len(basis), -1) @ gmat.ravel()
 
@@ -827,6 +832,8 @@ def _fd_hessian(datum, factors, basis, h):
     X -> f(L exp(X) L^T) at X = +-h E_k times an operator I + O(h^2) that
     is even in h; the kernel takes the triangular T = F U^T, whose frame
     is rotated by U."""
+    import scipy.linalg
+
     offsets = datum.partition.offsets()
     fd = np.empty((len(basis), len(basis)))
     for k, E in enumerate(basis):
@@ -846,6 +853,7 @@ def _fd_hessian(datum, factors, basis, h):
     return fd
 
 
+@pytest.mark.scipy
 @settings(max_examples=150, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -891,6 +899,7 @@ def test_logdet_kernel_matches_cholesky_formulas(seed, balanced, scale):
     assert np.linalg.eigvalsh(H).max() <= 1e-12 * (1.0 + np.abs(H).max())
 
 
+@pytest.mark.scipy
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), balanced=st.booleans(), scale=st.sampled_from([0.1, 0.5]))
 def test_gradient_matches_cholesky_formulas(seed, balanced, scale):
@@ -929,6 +938,7 @@ def _exact_gradient_terms(datum, factors):
     return out
 
 
+@pytest.mark.scipy
 @settings(max_examples=100, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),

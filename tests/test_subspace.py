@@ -66,7 +66,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -244,6 +243,7 @@ def _defective_matrix(rng, m, n, defect):
     return A
 
 
+@pytest.mark.scipy
 @settings(max_examples=300, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -254,6 +254,8 @@ def _defective_matrix(rng, m, n, defect):
 def test_numpy_bases_equal_scipy_bit_for_bit(seed, m, n, defect):
     """null_space and orthonormal_columns are scipy.linalg's null_space and
     orth, and block_diag is scipy.linalg.block_diag, entry for entry."""
+    import scipy.linalg
+
     rng = np.random.default_rng(seed)
     A = _defective_matrix(rng, m, n, defect)
     assert np.array_equal(null_space(A), scipy.linalg.null_space(A))
@@ -314,7 +316,7 @@ def test_kernel_has_zero_image_and_full_space_full_rank(seed):
     part = Partition((n,))
     # A @ null_space(A) is rounding noise; a tolerance relative to that
     # noise used to count it as rank
-    assert dim_image(A, ProductSubspace((scipy.linalg.null_space(A),))) == 0
+    assert dim_image(A, ProductSubspace((null_space(A),))) == 0
     assert dim_image(A, ProductSubspace.full(part)) == nj
 
 
