@@ -17,6 +17,7 @@ from .datum import (
     Issue,
     Partition,
     ValidationReport,
+    doubled_datum,
     load,
     make_coupled_sums_datum,
     make_epi_datum,
@@ -46,7 +47,6 @@ from .finiteness import (
 from .gauss import (
     BlockCovariance,
     DegenerateImageError,
-    GaussianPair,
     GaussianSolveResult,
     PerturbationParams,
     SolverOptions,
@@ -55,7 +55,6 @@ from .gauss import (
     gradient,
     objective,
     objective_perturbed,
-    pair_s,
     rotate_pair,
     solve_mg,
 )

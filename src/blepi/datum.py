@@ -9,7 +9,9 @@ partition ``r = (r_1, ..., r_k)`` of the ambient dimension with exponents
 ``d_i``.  The classical entropy power inequality, the subadditivity form
 of the Brascamp-Lieb inequality, and the Zamir-Feder inequality all fit
 this shape; dedicated constructors build each of them, plus the
-three-variable "coupled sums" family (X1 + Y, X2 + Y).
+three-variable "coupled sums" family (X1 + Y, X2 + Y).  ``doubled_datum``
+builds the two-copy problem of the doubling trick, whose optimal
+constant is twice the one-copy one.
 
 All types are immutable after construction and safe to share across
 threads.  Construction is deliberately lenient: semantic problems
@@ -39,6 +41,7 @@ __all__ = [
     "make_epi_datum",
     "make_zamir_feder_datum",
     "make_coupled_sums_datum",
+    "doubled_datum",
     "save",
     "load",
 ]
@@ -333,6 +336,28 @@ def make_coupled_sums_datum(
     )
 
 
+def doubled_datum(datum: Datum) -> Datum:
+    """The datum of two copies (X_1, X_2) of ``datum``'s inputs.
+
+    Block i becomes the 2r_i-dimensional joint block of the two copies,
+    copy 1's r_i coordinates then copy 2's, and each map becomes
+    Diag(A_j, A_j) in those coordinates, sending (copy 1, copy 2) to
+    (A_j X_1, A_j X_2); c and d are kept.  A covariance of its partition
+    is the joint law of a two-copy pair, so the two-copy perturbed
+    objective is ``objective_perturbed(doubled_datum(datum), J, p)``.
+    """
+    eye2 = np.eye(2)
+    return Datum(
+        partition=Partition(tuple(2 * r for r in datum.partition.blocks)),
+        maps=tuple(
+            np.hstack([np.kron(eye2, A[:, a:b]) for a, b in datum.partition.offsets()])
+            for A in datum.maps
+        ),
+        c=datum.c,
+        d=datum.d,
+    )
+
+
 # ---------------------------------------------------------------------------
 # serialization: a single JSON document, matrices row-major with shape
 # ---------------------------------------------------------------------------
@@ -398,6 +423,8 @@ def datum_from_dict(doc: dict) -> Datum:
     for j, entry in enumerate(doc["maps"]):
         try:
             rows, cols = _whole_numbers(entry["shape"])
+            if rows < 0 or cols < 0:  # reshape would read -1 as "the rest"
+                raise ValueError(f"shape {[rows, cols]} has a negative size")
             maps.append(_numbers(entry["data"], "data").reshape(rows, cols))
         except (KeyError, TypeError, ValueError) as exc:
             raise DatumParseError(f"bad 'maps[{j}]' entry: {exc}") from exc

@@ -98,8 +98,8 @@ class UniformBoxBlock:
 
     def __post_init__(self):
         w = np.atleast_1d(np.array(self.widths, dtype=float))
-        if np.any(w <= 0):
-            raise ValueError("box widths must be positive")
+        if not np.all(np.isfinite(w) & (w > 0)):
+            raise ValueError(f"box widths must be finite and positive, got {w}")
         w.setflags(write=False)
         object.__setattr__(self, "widths", w)
 
@@ -120,8 +120,8 @@ class LaplaceBlock:
 
     def __post_init__(self):
         b = np.atleast_1d(np.array(self.scales, dtype=float))
-        if np.any(b <= 0):
-            raise ValueError("scales must be positive")
+        if not np.all(np.isfinite(b) & (b > 0)):
+            raise ValueError(f"scales must be finite and positive, got {b}")
         b.setflags(write=False)
         object.__setattr__(self, "scales", b)
 

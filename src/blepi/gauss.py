@@ -27,8 +27,10 @@ is 0.5 * slack(V) * log(lam) + O(1), so a ray escapes exactly when its
 slack is positive; ``divergence_probe``, which tries the full space and
 each single block, is :mod:`blepi.subspace`'s coordinate screen over
 those rays, re-exported here.  Perturbed variants add isotropic noise
-delta to the blocks and epsilon to the images; paired evaluations cover
-the two-copy rotation identity.
+delta to the blocks and epsilon to the images.  A two-copy pair is a
+``BlockCovariance`` J of ``doubled_datum(datum)``, evaluated by the same
+objective; ``rotate_pair`` takes it to the law of
+((X_1+X_2)/sqrt2, (X_1-X_2)/sqrt2), which leaves that objective unchanged.
 
 Everything is in nats.  All value types are immutable, and the solver
 draws no random numbers, so every solve is deterministic.
@@ -51,7 +53,6 @@ __all__ = [
     "BlockCovariance",
     "PerturbationParams",
     "GaussianSolveResult",
-    "GaussianPair",
     "SolverOptions",
     "DegenerateImageError",
     "gaussian_entropy",
@@ -61,7 +62,6 @@ __all__ = [
     "solve_mg",
     "divergence_probe",
     "ray_covariance",
-    "pair_s",
     "rotate_pair",
 ]
 
@@ -441,71 +441,23 @@ def solve_mg(datum: Datum, opts: SolverOptions = SolverOptions()) -> GaussianSol
 
 
 # ---------------------------------------------------------------------------
-# two-copy pairs and finite mixtures
+# the two-copy rotation
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GaussianPair:
-    """Joint covariance of two copies (X_1, X_2), one 2r_i x 2r_i SPD matrix
-    per block, blocks independent across i.  Within block i the leading
-    r_i coordinates belong to copy 1 and the trailing r_i to copy 2."""
+def rotate_pair(pair: BlockCovariance) -> BlockCovariance:
+    """Joint law of ((X_1+X_2)/sqrt2, (X_1-X_2)/sqrt2) from that of (X_1, X_2).
 
-    blocks: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        frozen = []
-        for i, J in enumerate(self.blocks):
-            J = np.array(J, dtype=float)
-            _check_spd(J, f"pair block {i}")
-            if J.shape[0] % 2 != 0:
-                raise ValueError(f"pair block {i} must have even dimension")
-            J.setflags(write=False)
-            frozen.append(J)
-        object.__setattr__(self, "blocks", tuple(frozen))
-
-    @property
-    def partition(self) -> Partition:
-        return Partition(tuple(J.shape[0] // 2 for J in self.blocks))
-
-    @staticmethod
-    def independent(first: BlockCovariance, second: BlockCovariance) -> "GaussianPair":
-        blocks = tuple(
-            block_diag((S1, S2))
-            for S1, S2 in zip(first.blocks, second.blocks)
-        )
-        return GaussianPair(blocks)
-
-
-def pair_s(datum: Datum, pair: GaussianPair, p: PerturbationParams) -> float:
-    """Two-copy perturbed objective, evaluated in closed form.
-
-    This is the perturbed objective of the doubled datum: block i becomes
-    the 2r_i-dimensional joint block of the two copies, and each map
-    becomes Diag(A_j, A_j), sending (copy 1, copy 2) to (A_j X_1, A_j X_2).
+    ``pair`` is a covariance of ``doubled_datum``'s partition: block i
+    holds copy 1's r_i coordinates then copy 2's, so an odd block raises
+    ValueError.  The rotation is an involution.
     """
-    if pair.partition != datum.partition:
-        raise ValueError("pair blocks do not match the datum partition")
-    eye2 = np.eye(2)
-    doubled = Datum(
-        partition=Partition(tuple(2 * r for r in datum.partition.blocks)),
-        maps=tuple(
-            np.hstack([np.kron(eye2, A[:, a:b]) for a, b in datum.partition.offsets()])
-            for A in datum.maps
-        ),
-        c=datum.c,
-        d=datum.d,
-    )
-    return objective_perturbed(doubled, BlockCovariance(pair.blocks), p)
-
-
-def rotate_pair(pair: GaussianPair) -> GaussianPair:
-    """Joint law of ((X_1+X_2)/sqrt2, (X_1-X_2)/sqrt2); an involution."""
     blocks = []
-    for J in pair.blocks:
+    for i, J in enumerate(pair.blocks):
+        if J.shape[0] % 2 != 0:
+            raise ValueError(f"pair block {i} must have even dimension")
         r = J.shape[0] // 2
         eye = np.eye(r)
         R = np.block([[eye, eye], [eye, -eye]]) / math.sqrt(2.0)
         blocks.append(R @ J @ R.T)
-    return GaussianPair(tuple(blocks))
-
+    return BlockCovariance(tuple(blocks))

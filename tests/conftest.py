@@ -5,7 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from blepi.datum import Datum, Partition, validate
-from blepi.gauss import BlockCovariance, GaussianPair
+from blepi.gauss import BlockCovariance
 
 
 def random_partition(rng, max_blocks=3, max_block_dim=2):
@@ -147,14 +147,6 @@ def random_block_covariance(rng, partition):
         G = rng.standard_normal((r, r))
         blocks.append(G @ G.T + (0.5 + rng.uniform()) * np.eye(r))
     return BlockCovariance(tuple(blocks))
-
-
-def random_pair(rng, partition):
-    blocks = []
-    for r in partition.blocks:
-        G = rng.standard_normal((2 * r, 2 * r))
-        blocks.append(G @ G.T + (0.5 + rng.uniform()) * np.eye(2 * r))
-    return GaussianPair(tuple(blocks))
 
 
 @pytest.fixture

@@ -14,11 +14,13 @@ Each test prints one PASS/FAIL line.  Criteria:
      6. analytic gradient vs central differences to 1e-5 relative
      7. exact log-scale homogeneity to 1e-9
      8. perturbed objective converges as the noise vanishes
-     9. two-copy rotation identity to 1e-9; involution to 1e-12
+     9. two-copy rotation identity on the doubled datum to 1e-9;
+        involution to 1e-12
     10. Monte Carlo verification at N = 50000 with a 3-sigma gate, plus
         the corrupted-reference self-test
     11. k-NN estimator calibration to 0.02 nats on known densities
-    12. byte-identical reports for identical seeds
+    12. byte-identical check and solve reports, and byte-identical
+        sampled verify reports for identical seeds
 """
 
 import math
@@ -38,7 +40,7 @@ from blepi.closed_forms import (
     zf_coefficients,
     zf_F,
 )
-from blepi.datum import Datum, Partition
+from blepi.datum import Datum, Partition, doubled_datum
 from blepi.estimate import (
     gaussian_model,
     knn_entropy,
@@ -61,12 +63,11 @@ from blepi.gauss import (
     SolverOptions,
     objective,
     objective_perturbed,
-    pair_s,
     rotate_pair,
     solve_mg,
 )
 from blepi.subspace import ProductSubspace, SearchBudget, find_violating_subspace, slack
-from conftest import random_block_covariance, random_datum, random_pair
+from conftest import random_block_covariance, random_datum
 from test_gauss import fd_gradient
 
 
@@ -296,10 +297,13 @@ def test_criterion_9_rotation_identity():
     with criterion(9, "two-copy rotation identity (1e-9) and involution (1e-12)"):
         rng = np.random.default_rng(9)
         for _ in range(100):
-            datum = random_datum(rng, max_n=5)
-            pair = random_pair(rng, datum.partition)
+            doubled = doubled_datum(random_datum(rng, max_n=5))
+            pair = random_block_covariance(rng, doubled.partition)
             p = PerturbationParams(rng.uniform(0, 0.3), rng.uniform(0, 0.3))
-            assert abs(pair_s(datum, pair, p) - pair_s(datum, rotate_pair(pair), p)) <= 1e-9
+            gap = objective_perturbed(doubled, pair, p) - objective_perturbed(
+                doubled, rotate_pair(pair), p
+            )
+            assert abs(gap) <= 1e-9
             twice = rotate_pair(rotate_pair(pair))
             assert max(np.abs(A - B).max() for A, B in zip(twice.blocks, pair.blocks)) <= 1e-12
 
@@ -377,21 +381,30 @@ def test_criterion_11_estimator_calibration():
         assert abs(est.value - analytic) <= 0.02
 
 
+def _assert_byte_identical_reports(tmp_path, capsys, command, *args):
+    """Run the CLI command twice on the EPI(0.5, 1) datum; both runs exit 0
+    and write the same --out file byte for byte."""
+    path = tmp_path / "epi.json"
+    blepi.save(blepi.make_epi_datum(0.5, 1), path)
+    outputs = []
+    for run in range(2):
+        out_file = tmp_path / f"out_{command}_{run}.json"
+        code = cli_main([command, str(path), *args, "--out", str(out_file)])
+        capsys.readouterr()
+        assert code == 0
+        outputs.append(out_file.read_bytes())
+    assert outputs[0] == outputs[1], command
+
+
+@pytest.mark.parametrize("command", ["check", "solve"])
+def test_criterion_12_determinism(tmp_path, capsys, command):
+    with criterion(12, f"byte-identical {command} reports"):
+        _assert_byte_identical_reports(tmp_path, capsys, command)
+
+
 @pytest.mark.scipy
-def test_criterion_12_determinism(tmp_path, capsys):
-    with criterion(12, "byte-identical reports under identical seeds"):
-        path = tmp_path / "epi.json"
-        blepi.save(blepi.make_epi_datum(0.5, 1), path)
-        for command in (
-            ["check", str(path)],
-            ["solve", str(path)],
-            ["verify", str(path), "--samples", "5000", "--seed", "19"],
-        ):
-            outputs = []
-            for run in range(2):
-                out_file = tmp_path / f"out_{command[0]}_{run}.json"
-                code = cli_main([*command, "--out", str(out_file)])
-                capsys.readouterr()
-                assert code == 0
-                outputs.append(out_file.read_bytes())
-            assert outputs[0] == outputs[1], command[0]
+def test_criterion_12_determinism_of_sampled_verify(tmp_path, capsys):
+    with criterion(12, "byte-identical verify reports under identical seeds"):
+        _assert_byte_identical_reports(
+            tmp_path, capsys, "verify", "--samples", "5000", "--seed", "19"
+        )

@@ -154,6 +154,18 @@ class TestValidateCommand:
         path.write_text('{"partition": [1, 1]}')
         assert main(["validate", str(path)]) == 1
 
+    def test_negative_map_shape_is_a_parse_error(self, epi_file, capsys):
+        # the shape [-1, 2] used to load as the 1 x 2 map and print "ok": true
+        with open(epi_file) as fh:
+            doc = json.load(fh)
+        doc["maps"][0]["shape"] = [-1, 2]
+        with open(epi_file, "w") as fh:
+            json.dump(doc, fh)
+        assert main(["validate", epi_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "negative size" in captured.err
+
     def test_surjectivity_violation(self, tmp_path, capsys):
         d = blepi.make_epi_datum(0.5, 1)
         bad = Datum(
@@ -365,27 +377,31 @@ class TestVerifyCommand:
         assert lines[0].startswith("model,record,term")
         assert any(",summary," in line for line in lines)
 
-    @pytest.mark.scipy
-    def test_unconverged_reference_is_refused(self, tmp_path, capsys, monkeypatch):
+    @pytest.fixture
+    def draw17_file(self, tmp_path):
         # draw 17 of the 150-draw random suite is infinite through a
         # subspace the search misses, so its solve stops at gradient norm
-        # 0.025; verify used to compare the models against that value and
-        # exit 0 with every model passing
+        # 0.025
         rng = np.random.default_rng(7)
         d = [random_datum(rng, balanced=True) for _ in range(18)][17]
         path = tmp_path / "draw17.json"
         blepi.save(d, path)
+        return str(path)
 
+    def test_unconverged_reference_is_refused(self, draw17_file, capsys, monkeypatch):
+        # verify used to compare the models against the unconverged value
+        # and exit 0 with every model passing
         def no_verify(*args, **kwargs):
             raise AssertionError("verified against an unconverged solve")
 
         monkeypatch.setattr(blepi.estimate, "verify_inequality", no_verify)
-        assert main(["verify", str(path), "--samples", "20000"]) == 4
+        assert main(["verify", draw17_file, "--samples", "20000"]) == 4
         doc = json.loads(capsys.readouterr().out)
         assert doc == {"command": "verify", "error": "solve did not converge"}
-        # --tol accepts the looser solve
-        monkeypatch.undo()
-        code = main(["verify", str(path), "--samples", "2000", "--tol", "0.1"])
+
+    @pytest.mark.scipy
+    def test_tol_accepts_the_looser_solve(self, draw17_file, capsys):
+        code = main(["verify", draw17_file, "--samples", "2000", "--tol", "0.1"])
         assert code in (0, 6)
         assert json.loads(capsys.readouterr().out)["solver_converged"] is True
 

@@ -9,7 +9,8 @@ Claims:
       a parse error naming the field, a partition or map shape that is
       not a list of whole numbers (2 and 2.0 are; true, "2" and 2.5 are
       not) included, and so are an exponent or map entry that is not a
-      number (2 and 2.5 are; true and "2" are not)
+      number (2 and 2.5 are; true and "2" are not) and a negative map
+      shape; a zero-row map loads and fails validation as EMPTY_IMAGE
 """
 
 import json
@@ -213,6 +214,25 @@ class TestSerialization:
         path.write_text(json.dumps(doc))
         with pytest.raises(DatumParseError, match=rf"bad 'maps\[0\]' entry: .*{match}"):
             blepi.load(path)
+
+    @pytest.mark.parametrize("shape", [[-1, 3], [3, -1], [-2, -1]])
+    def test_negative_map_shape_is_rejected(self, tmp_path, shape):
+        # [-1, 3] with 6 entries used to load as a 2 x 3 map, reshape
+        # reading -1 as "the rest"
+        doc = json.loads(_save_to_text(blepi.make_epi_datum(0.5, 1)))
+        doc["maps"][0] = {"shape": shape, "data": [1.0, 0.0, 0.0, 0.0, 1.0, 0.0]}
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DatumParseError, match=r"bad 'maps\[0\]' entry: .*negative size"):
+            blepi.load(path)
+
+    def test_zero_row_map_loads_and_fails_validation(self, tmp_path):
+        doc = json.loads(_save_to_text(blepi.make_epi_datum(0.5, 1)))
+        doc["maps"][0] = {"shape": [0, 2], "data": []}
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(doc))
+        report = blepi.validate(blepi.load(path))
+        assert [i.code for i in report.issues] == ["EMPTY_IMAGE"]
 
     def test_whole_floats_are_sizes(self, tmp_path):
         d = blepi.make_epi_datum(0.5, 1)

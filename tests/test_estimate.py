@@ -3,8 +3,9 @@
 Claims:
     - samples have the documented moments and exact block independence
     - Gaussian blocks reject a covariance that is not symmetric positive
-      definite when they are built, the upper triangle included, and
-      mixture blocks reject a variance that is not finite and positive
+      definite when they are built, the upper triangle included; mixture
+      blocks reject a variance, box blocks a width and Laplace blocks a
+      scale that is not finite and positive
     - closed-form entropies match textbook values; the two-component
       mixture's radial quadrature is within 1e-12 of an mpmath reference
       in dimensions 1 to 9, with variances up to 400 apart, and within
@@ -150,6 +151,17 @@ class TestBlockCovariances:
             variances = {"var_a": 0.5, "var_b": 2.0, name: bad}
             with pytest.raises(ValueError, match=f"^mixture variance {name} must be finite"):
                 TwoGaussianMixBlock(0.5, dim=2, **variances)
+
+    @pytest.mark.parametrize(
+        "block, match",
+        [(UniformBoxBlock, "^box widths must be finite and positive"),
+         (LaplaceBlock, "^scales must be finite and positive")],
+    )
+    def test_box_and_laplace_blocks_reject_a_bad_parameter(self, block, match):
+        # NaN passed the old check w <= 0, so the entropy was NaN; inf gave inf
+        for bad in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match=match):
+                block(np.array([1.0, bad]))
 
 
 class TestExactEntropy:
