@@ -17,7 +17,11 @@ parent's.  ``certify`` recurses down to nodes whose maps are all square
 (explicit log-det constants), giving the :class:`SplitTree` along which
 ``gauss.solve_mg`` computes the constant; this module imports nothing
 from :mod:`blepi.gauss`.  ``_root`` decides the root once for every
-entry point.
+entry point, and ``_tree`` builds the root's split tree once: each keeps
+its result for the last datum object it was called on (as ``validate``
+does), so ``check_finiteness``, ``certify`` and ``solve_mg`` called in
+turn on one datum validate it once, make one root pass and build one
+tree.  A raise is never kept.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .datum import RESIDUAL_TOL, Datum, Partition, scaling_residual, validate
+from .datum import RESIDUAL_TOL, Datum, Partition, _last_datum, scaling_residual, validate
 from .subspace import (
     CRITICAL_TOL,
     ProductSubspace,
@@ -101,9 +105,12 @@ class FinitenessVerdict:
         return doc
 
 
+@_last_datum
 def _root(datum: Datum, budget) -> tuple[FinitenessVerdict, list]:
     """The root's verdict and its critical candidates' builders; of the
-    witnesses, a probe ray's alone is scored again with ``slack``."""
+    witnesses, a probe ray's alone is scored again with ``slack``.  It
+    decides the root once for every entry point: the result for the last
+    datum object and budget is kept."""
     report = validate(datum)
     if not report.ok:
         raise ValueError(f"invalid datum: {report.issues}")
@@ -272,8 +279,15 @@ def certify(
     critical candidate that splits (the root's from that same pass, each
     node below from one of its own), building a coordinate candidate only
     when it tries it, or is irreducible.  ``rng`` is not used.  An invalid
-    datum raises ValueError.
+    datum raises ValueError.  The tree of the last datum object certified
+    is kept and returned again for it.
     """
+    return _tree(datum, budget)
+
+
+@_last_datum
+def _tree(datum: Datum, budget) -> SplitTree:
+    """``certify``'s split tree, kept for the last datum object and budget."""
     verdict, critical = _root(datum, budget)
     if verdict.status == INFINITE:
         raise ViolationError(verdict.witness)

@@ -409,7 +409,9 @@ def solve_mg(datum: Datum, opts: SolverOptions = SolverOptions()) -> GaussianSol
     leaf's coordinates.  The ascent evaluates the blocks it returns, so
     on a converged solve the leaf objectives (the constant on explicit
     leaves) sum to ``mg_value``.  An invalid datum raises ValueError, as
-    in ``check_finiteness``.
+    in ``check_finiteness``.  After ``check_finiteness`` or ``certify`` on
+    the same datum object it reads their root decision and tree; the
+    Newton ascents are run on every call.
     """
     try:
         tree = certify(datum)

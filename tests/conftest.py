@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+import blepi.datum
 from blepi.datum import Datum, Partition, validate
 from blepi.gauss import BlockCovariance
 
@@ -147,6 +148,20 @@ def random_block_covariance(rng, partition):
         G = rng.standard_normal((r, r))
         blocks.append(G @ G.T + (0.5 + rng.uniform()) * np.eye(r))
     return BlockCovariance(tuple(blocks))
+
+
+def clear_slots():
+    """Empty the per-datum slots: ``validate``, ``finiteness._root`` and
+    ``finiteness._tree`` keep their last datum's result."""
+    for kept in blepi.datum._SLOTS:
+        kept.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def cold_slots():
+    """Each test starts on empty slots, so a test that counts calls on a
+    shared datum sees a cold slot."""
+    clear_slots()
 
 
 @pytest.fixture

@@ -7,8 +7,8 @@ Claims:
       unconverged solves to the finite verdicts
     - the digests are SHA-256 hex strings, and each draw's three output
       digests are kept
-    - a file compares equal to itself, and a moved count or draw digest
-      is named
+    - a file compares equal to itself (exit 0), and a moved count or
+      draw digest is named; --compare exits 1 on any moved count or digest
     - each set's wall time and SVD count go to stderr and not into the
       file, so two runs write byte-identical files; the count, matrices
       passed to np.linalg.svd, is the same on both runs
@@ -95,6 +95,23 @@ def test_a_slice_compares_equal_to_itself(audit, slice_doc, tmp_path, capsys):
         f"suite: finite {finite} -> {finite + 1}",
         "suite: draw 1: solve",
     ]
+
+
+@pytest.mark.parametrize("key", ["count", "digest"])
+def test_compare_exits_1_on_any_difference(audit, slice_doc, key, tmp_path, capsys):
+    moved = json.loads(json.dumps(slice_doc))
+    if key == "count":
+        nan = slice_doc["sets"]["mixed"]["nan"]
+        moved["sets"]["mixed"]["nan"] = nan + 1
+        expected = f"mixed: nan {nan} -> {nan + 1}\n"
+    else:
+        moved["sets"]["truncated"]["digests"]["certify"] = "0" * 64
+        expected = "truncated: certify digest differs\n"
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps(slice_doc))
+    b.write_text(json.dumps(moved))
+    assert audit.main(["--compare", str(a), str(b)]) == 1
+    assert capsys.readouterr().out == expected
 
 
 def _stderr_lines(capsys):

@@ -26,7 +26,8 @@ Claims:
       covariance per leaf, on the two data whose one assembled covariance
       was not positive definite (exit 7) too; on data of the mixed recipe,
       check, certify and solve raise nothing and the report is strict JSON
-    - validate validates once; verify refuses a reference solve that did
+    - validate validates once, and so do check and solve in total (the
+      library reads the report the CLI printed); verify refuses a reference solve that did
       not converge (exit 4) unless --tol accepts it, and an empty --models
       list (exit 2) before solving
     - --tol must be finite and > 0 and --confidence finite and >= 0: any
@@ -145,6 +146,18 @@ class TestValidateCommand:
             "ok": True,
             "issues": [],
         }
+
+    @pytest.mark.parametrize("command", ["check", "solve"])
+    def test_check_and_solve_validate_once_in_total(self, command, epi_file, capsys, monkeypatch):
+        """The report _load_valid prints is the one the library reads:
+        validate keeps the last datum's report."""
+        reports = []
+        report = blepi.datum.ValidationReport
+        monkeypatch.setattr(
+            blepi.datum, "ValidationReport", lambda issues: reports.append(issues) or report(issues)
+        )
+        assert main([command, epi_file]) == 0
+        assert len(reports) == 1
 
     def test_missing_file(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.json")]) == 1

@@ -28,6 +28,10 @@ Claims:
       candidate pass over the root and at most one probe: certify raises
       ViolationError with check's witness (the scaling residual too),
       and solve_mg answers unbounded along it
+    - called in turn on one datum object the three validate once, make
+      one root pass and build one split tree; calls interleaved over two
+      data give the outputs of cold calls to the bit; the slots keep one
+      datum alive, and no raise is kept
     - on all-scalar data with a complete coordinate family, verdicts,
       witnesses, certificates and solves are the same whether the kernel
       tiers run or are skipped
@@ -37,7 +41,10 @@ Claims:
       slack of find_violating_subspace, then the probe
 """
 
+import gc
+import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -61,7 +68,7 @@ from blepi.finiteness import (
 )
 from blepi.gauss import divergence_probe, solve_mg
 from blepi.subspace import ProductSubspace, SearchBudget, find_violating_subspace, slack
-from conftest import mixed_data, random_datum, scalar_mixed_datum
+from conftest import clear_slots, mixed_data, random_datum, scalar_mixed_datum
 
 
 def diag_subspace():
@@ -212,10 +219,12 @@ class TestCheckFiniteness:
         (B,) = v.witness.subspace.bases
         u = np.array([2.0, -1.0, -4.0]) / math.sqrt(21.0)
         assert B.shape == (3, 1) and abs(float(B[:, 0] @ u)) == pytest.approx(1.0, abs=1e-12)
-        # without the pairwise tier the search finds nothing
+        # without the pairwise tier the search finds nothing; the slot
+        # still holds the verdict found with it
         monkeypatch.setattr(
             "blepi.subspace._kernel_pair_intersection", lambda Ka, Kb: np.zeros((3, 0))
         )
+        clear_slots()
         assert check_finiteness(d).status == FINITE
 
     def test_negative_profile_cap_is_rejected_by_the_budget(self):
@@ -340,6 +349,155 @@ def test_every_entry_point_makes_one_root_pass(entry, d, monkeypatch):
     entry(d)
     assert sum(x is d for x in passes) == 1
     assert len(probes) <= 1 and all(x is d for x in probes)
+
+
+def _violating_member_datum():
+    """Block one is the kernel of the one map: slack 0.5."""
+    return Datum(
+        partition=Partition((1, 1)),
+        maps=(np.array([[0.0, 1.0]]),),
+        c=np.array([1.0]),
+        d=np.array([0.5, 0.5]),
+    )
+
+
+@pytest.mark.parametrize(
+    "d, splits",
+    [
+        (blepi.make_epi_datum(0.3, 3), True),
+        (blepi.make_coupled_sums_datum(1.25, 0.5, 0.5, 0.5), False),
+        (Datum(partition=Partition((1,)), maps=(np.eye(1),), c=np.array([0.5]), d=np.ones(1)), False),
+        (_violating_member_datum(), False),
+    ],
+    ids=["epi", "coupled_sums", "unbalanced", "violating"],
+)
+def test_check_certify_solve_share_one_validation_one_root_pass_and_one_tree(d, splits, monkeypatch):
+    """In turn on one datum object the three entry points validate once,
+    make one candidate pass over the root and try the splits of one
+    certify; certify returns the same tree again, or raises again."""
+    reports, passes, tried = [], [], []
+    report, scan = blepi.datum.ValidationReport, blepi.finiteness._scan
+    split = blepi.finiteness.split_datum
+    monkeypatch.setattr(blepi.datum, "ValidationReport", lambda i: reports.append(i) or report(i))
+    monkeypatch.setattr(blepi.finiteness, "_scan", lambda x, b: passes.append(x) or scan(x, b))
+    monkeypatch.setattr(blepi.finiteness, "split_datum", lambda x, U: tried.append(x) or split(x, U))
+    finite = check_finiteness(d).status == FINITE
+    if finite:
+        tree = certify(d)
+        assert certify(d) is tree
+    else:
+        with pytest.raises(ViolationError):
+            certify(d)
+    solve_mg(d)
+    assert len(reports) == 1
+    assert sum(x is d for x in passes) == (scaling_residual(d) == 0)  # the balance decides first
+    shared = len(tried)
+    clear_slots()
+    if finite:
+        certify(d)
+    assert len(tried) == 2 * shared and (shared > 0) == splits
+
+
+def _floats(a) -> list:
+    return [repr(float(x)) for x in np.ravel(a)]
+
+
+def _witness_digest(w) -> list:
+    if isinstance(w, ScalingResidual):
+        return ["residual", repr(w.value)]
+    return ["subspace", repr(w.slack), [_floats(B) for B in w.subspace.bases]]
+
+
+def _tree_digest(node) -> list:
+    maps = [_floats(A) for A in node.datum.maps]
+    if node.is_leaf:
+        return [node.leaf_kind, repr(node.constant), maps]
+    bases = [_floats(B) for B in node.subspace.bases]
+    return [bases, maps, [_tree_digest(child) for child in node.children]]
+
+
+def _stage_digests(datum, cold: bool) -> list:
+    """validate, check, certify and solve_mg outputs, floats by repr; with
+    ``cold`` each stage runs on empty slots."""
+    out = []
+    for stage in (blepi.validate, check_finiteness, certify, solve_mg):
+        if cold:
+            clear_slots()
+        try:
+            result = stage(datum)
+        except ViolationError as exc:
+            out.append(["violation", _witness_digest(exc.witness)])
+            continue
+        if stage is check_finiteness:
+            w = result.witness
+            out.append([result.status, result.notes, None if w is None else _witness_digest(w)])
+        elif stage is certify:
+            out.append(_tree_digest(result))
+        else:  # json writes each float by its repr
+            out.append(json.dumps(result.to_dict()))
+    return out
+
+
+_some_data = st.one_of(
+    mixed_data(),
+    st.tuples(st.integers(0, 2**32 - 1), st.booleans()).map(
+        lambda sb: random_datum(np.random.default_rng(sb[0]), balanced=sb[1])
+    ),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=_some_data, b=_some_data)
+def test_interleaved_calls_give_the_outputs_of_cold_calls(a, b):
+    """On A, B, A, B in turn every stage gives, to the bit, what it gives
+    on empty slots."""
+    cold = [_stage_digests(a, cold=True), _stage_digests(b, cold=True)]
+    for x, expected in zip((a, b, a, b), cold * 2):
+        assert _stage_digests(x, cold=False) == expected
+
+
+def test_the_slots_keep_one_datum():
+    """The slots hold the last datum alive, and let it go once the entry
+    points are called on another."""
+    a, b = blepi.make_epi_datum(0.3, 2), blepi.make_epi_datum(0.4, 2)
+    check_finiteness(a), certify(a), solve_mg(a)
+    kept = weakref.ref(a)
+    del a
+    gc.collect()
+    assert kept() is not None
+    check_finiteness(b), certify(b), solve_mg(b)
+    gc.collect()
+    assert kept() is None
+
+
+def test_the_budget_is_part_of_the_key():
+    """One datum object under two budgets: each call gets its own budget's
+    verdict (16 coordinate members, 2 of them within the small cap)."""
+    d = blepi.make_epi_datum(0.5, 2)
+    small = SearchBudget(profile_cap=2)
+    budgets = (SearchBudget(), small, SearchBudget(), small)
+    assert [check_finiteness(d, b).status for b in budgets] == [FINITE, UNKNOWN, FINITE, UNKNOWN]
+    assert certify(d, small).is_leaf != certify(d).is_leaf
+
+
+def test_an_invalid_or_infinite_datum_raises_on_every_call():
+    """A raise is never kept: an invalid datum raises ValueError on every
+    call of every entry point, and an infinite one ViolationError from
+    certify, with the one witness of the kept root verdict."""
+    bad = _empty_image_datum()
+    for _ in range(3):
+        for entry in (check_finiteness, certify, solve_mg):
+            with pytest.raises(ValueError, match="invalid datum"):
+                entry(bad)
+    infinite = _violating_member_datum()
+    witnesses = []
+    for _ in range(3):
+        with pytest.raises(ViolationError) as exc:
+            certify(infinite)
+        witnesses.append(exc.value.witness)
+        assert solve_mg(infinite).unbounded
+    assert all(w is witnesses[0] for w in witnesses)
+    assert check_finiteness(infinite).witness is witnesses[0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -618,6 +776,7 @@ def test_complete_scalar_family_skips_the_kernel_tiers_exactly(seed):
     skipped = _pipeline_digest(datum)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(blepi.subspace, "_kernel_tiers_run", lambda partition, cap: True)
+        clear_slots()  # the slots hold the skipped run's outputs
         forced = _pipeline_digest(datum)
     assert forced == skipped
 

@@ -40,8 +40,9 @@ same bytes, and files from two commits compare output for output.
 
 ``--limit N`` keeps the first N draws of each set.  Two files are
 compared with ``python tools/audit.py --compare A B``, which prints each
-count and digest that differs, and the draws whose outputs differ; it
-reads the two files only, so it needs no ``PYTHONPATH``.
+count and digest that differs, and the draws whose outputs differ, and
+exits 1 if anything differs ("no difference" and 0 otherwise); it reads
+the two files only, so it needs no ``PYTHONPATH``.
 """
 
 from __future__ import annotations
@@ -256,7 +257,7 @@ def main(argv=None) -> int:
         a, b = (json.loads(Path(p).read_text()) for p in args.compare)
         lines = compare(a, b)
         print("\n".join(lines) if lines else "no difference")
-        return 0
+        return 1 if lines else 0
     if args.label is None:
         parser.error("a label is required unless --compare is given")
     print(run(args.label, args.limit, args.out))
