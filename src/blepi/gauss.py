@@ -16,7 +16,10 @@ root decision ``certify`` shares with ``check_finiteness`` is infinite;
 otherwise it sums the leaf constants of ``certify``'s split tree,
 maximizing the objective on each irreducible leaf by one damped Newton
 ascent from Sigma = I in those coordinates; concavity makes a converged
-ascent the global maximum.
+ascent the global maximum.  The ascent's moved blocks are F exp(X) F^T,
+symmetric by construction, so it checks them by a finiteness test and
+their Cholesky factorization alone; covariances from outside go through
+``_check_spd``, which also tests symmetry.
 This module imports ``certify`` from :mod:`blepi.finiteness`, which
 imports nothing from it.  A split datum's maximizer is reported leaf by
 leaf, as the covariances the leaves computed, each in its leaf's
@@ -69,6 +72,10 @@ LOG_2PIE = math.log(2.0 * math.pi) + 1.0
 
 _SYM_TOL = 1e-10
 
+# the kernel's conditioning rule: a Cholesky diagonal ratio, about
+# 1 / sqrt(condition number), below sqrt(eps) is degenerate
+_DIAG_FLOOR = np.finfo(float).eps ** 0.5
+
 
 class DegenerateImageError(RuntimeError):
     """An image covariance A_j Sigma A_j^T is numerically singular, so the
@@ -77,8 +84,12 @@ class DegenerateImageError(RuntimeError):
 
 def _check_spd(M: np.ndarray, what: str) -> np.ndarray:
     """Lower Cholesky factor of the SPD matrix M.  Raises ValueError unless
-    M is square, finite, symmetric within _SYM_TOL relative to its largest
-    entry, and positive definite."""
+    M is square, finite, symmetric and positive definite.  Symmetric means
+
+        |M - M^T| <= _SYM_TOL max(1, max |M|) + 1e-5 |M^T|   entrywise,
+
+    which is ``np.allclose(M, M.T, atol=_SYM_TOL * max(1, max |M|))`` with
+    its default rtol written out, as one ufunc expression."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"{what} must be square, got shape {M.shape}")
@@ -86,8 +97,8 @@ def _check_spd(M: np.ndarray, what: str) -> np.ndarray:
         return M
     if not np.isfinite(M).all():
         raise ValueError(f"{what} has non-finite entries")
-    scale = max(1.0, float(np.abs(M).max()))
-    if not np.allclose(M, M.T, atol=_SYM_TOL * scale):
+    atol = _SYM_TOL * max(1.0, float(np.abs(M).max()))
+    if not np.all(np.abs(M - M.T) <= atol + 1e-5 * np.abs(M.T)):
         raise ValueError(f"{what} is not symmetric")
     try:
         return np.linalg.cholesky(M)
@@ -175,8 +186,6 @@ def _logdet_kernel(datum, factors, epsilon=0.0, basis=None):
         H(X, X) = -1/2 sum_j c_j ||(I - P_j) X Q_j||_F^2 <= 0.
     """
     L = block_diag(factors)
-    # the diagonal ratio is about 1 / sqrt(condition number)
-    diag_floor = np.finfo(float).eps ** 0.5
     val = 0.0
     for di, F in zip(datum.d, factors):
         val += di * 0.5 * (F.shape[0] * LOG_2PIE + 2.0 * np.log(np.diag(F)).sum())
@@ -189,7 +198,7 @@ def _logdet_kernel(datum, factors, epsilon=0.0, basis=None):
             BT = np.vstack([BT, math.sqrt(epsilon) * np.eye(A.shape[0])])
         Q, R = np.linalg.qr(BT)
         dg = np.abs(np.diag(R))
-        if not dg.min() >= diag_floor * dg.max():
+        if not dg.min() >= _DIAG_FLOOR * dg.max():
             raise DegenerateImageError("image covariance is ill-conditioned")
         val -= cj * 0.5 * (A.shape[0] * LOG_2PIE + 2.0 * np.log(dg).sum())
         if basis is not None:
@@ -283,6 +292,7 @@ class SolverOptions:
 
 _NEWTON_STEPS = 60    # Newton steps per ascent
 _HALVINGS = 10        # step halvings before the ascent stops
+_STEP_SIZES = tuple(0.5 ** np.arange(_HALVINGS))   # 1, 1/2, ..., the tried step lengths
 _MAX_STEP = 2.0       # Frobenius norm cap on one step X
 _ROUNDING = 1e-14     # predicted rises below this, relative to max(1, |value|), are rounding
 
@@ -305,15 +315,20 @@ class GaussianSolveResult:
 
 def _moved(datum: Datum, factors, X: np.ndarray):
     """Blocks of L exp(X) L^T and their lower Cholesky factors; raises
-    DegenerateImageError when a block is not numerically positive definite."""
+    DegenerateImageError when a block is not finite or not numerically
+    positive definite.  A block is half half^T, symmetric by construction
+    up to rounding, far inside ``_check_spd``'s symmetry tolerance, so it
+    is checked by its Cholesky factorization alone."""
     blocks, out = [], []
     for (start, stop), F in zip(datum.partition.offsets(), factors):
         w, V = np.linalg.eigh(X[start:stop, start:stop])
         half = F @ (V * np.exp(0.5 * w))
         S = half @ half.T
+        if not np.isfinite(S).all():
+            raise DegenerateImageError("covariance block is not finite")
         try:
-            out.append(_check_spd(S, "covariance block"))
-        except ValueError as exc:
+            out.append(np.linalg.cholesky(S))
+        except np.linalg.LinAlgError as exc:
             raise DegenerateImageError("covariance block is numerically singular") from exc
         blocks.append(S)
     return blocks, out
@@ -350,7 +365,7 @@ def _newton(datum: Datum, opts: SolverOptions):
         if rounding and gnorm <= opts.tol:
             break
         X = np.tensordot(x, basis, 1)
-        for t in 0.5 ** np.arange(_HALVINGS):
+        for t in _STEP_SIZES:
             try:
                 tblocks, tfactors = _moved(datum, factors, t * X)
                 tval, tg, tH = _logdet_kernel(datum, tfactors, basis=basis)

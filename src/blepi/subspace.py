@@ -47,13 +47,17 @@ A critical or violating member, the only kind a scan
 reads, is passed on as its per-block dimensions, its slack (``slack``'s
 own expression, bit for bit) and a builder: it becomes a
 ``ProductSubspace`` only when a scan uses it, as a witness or as a
-split to try.  The kernel tiers follow, each candidate built and scored
-by ``slack``; on data whose blocks are all scalar with the whole family
-within the cap they are skipped, as every product subspace is then a
-coordinate one the screen scored.  A scan (``finiteness.check_finiteness``
-and ``certify``) reads one score per candidate from
-``_scored_candidates``; ``candidate_subspaces`` yields the same
-subspaces built and unscored.
+split to try.  A violating member is first counted again exactly, with
+the ranks of its column submatrices over the rationals
+(:mod:`blepi.exact`), and skipped unless that slack is positive.  The
+kernel tiers follow, each candidate built and scored by ``slack`` with
+the maps' rank cuts computed once per scan, and each kernel's
+orthocomplement once for all its pairs; on data whose blocks are all
+scalar with the whole family within the cap they are skipped, as every
+product subspace is then a coordinate one the screen scored.  A scan
+(``finiteness.check_finiteness`` and ``certify``) reads one score per
+candidate from ``_scored_candidates``; ``candidate_subspaces`` yields
+the same subspaces built and unscored.
 
 Together with the scaling balance, slack is the package's one
 unboundedness decision (Bennett-Carbery-Christ-Tao: the constant is
@@ -74,10 +78,12 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
 import numpy as np
 
+from . import exact
 from .datum import Datum, Partition, _orthonormal
 
 __all__ = [
@@ -239,22 +245,33 @@ def rank_tol(A: np.ndarray) -> float:
 def dim_image(A: np.ndarray, V: ProductSubspace) -> int:
     """Numerical rank of A restricted to V, i.e. dim(A V), cut at rank_tol(A)."""
     A = np.asarray(A, dtype=float)
+    return _image_rank(A, V, rank_tol(A))
+
+
+def _image_rank(A: np.ndarray, V: ProductSubspace, tol: float) -> int:
+    """``dim_image(A, V)`` given ``tol = rank_tol(A)``."""
     E = V.embedding
     if A.shape[1] != E.shape[0]:
         raise ValueError(f"map has {A.shape[1]} columns, subspace lives in R^{E.shape[0]}")
     if E.shape[1] == 0:
         return 0
-    # np.linalg.matrix_rank(A @ E, tol=rank_tol(A)) without its wrapper
-    return int(np.count_nonzero(np.linalg.svd(A @ E, compute_uv=False) > rank_tol(A)))
+    # np.linalg.matrix_rank(A @ E, tol=tol) without its wrapper
+    return int(np.count_nonzero(np.linalg.svd(A @ E, compute_uv=False) > tol))
 
 
-def slack(datum: Datum, V: ProductSubspace) -> SlackResult:
-    """Criticality slack of V for the datum (positive means violation)."""
+def slack(datum: Datum, V: ProductSubspace, *, tols: Optional[list] = None) -> SlackResult:
+    """Criticality slack of V for the datum (positive means violation).
+
+    ``tols``, the maps' ``rank_tol`` in order, lets a scan that scores
+    many candidates compute them once; they are computed here otherwise.
+    """
     if V.ambient != datum.partition.blocks:
         raise ValueError(
             f"subspace block shape {V.ambient} does not match partition {datum.partition.blocks}"
         )
-    img = tuple(dim_image(A, V) for A in datum.maps)
+    if tols is None:
+        tols = [rank_tol(A) for A in datum.maps]
+    img = tuple(_image_rank(A, V, tol) for A, tol in zip(datum.maps, tols))
     return SlackResult(slack=_slack_value(datum, V.block_dims, img), per_map_dims=img)
 
 
@@ -436,6 +453,15 @@ def _coordinate_subspace(partition: Partition, axes: np.ndarray) -> ProductSubsp
 _Scored = tuple[tuple[int, ...], Callable[[], ProductSubspace], SlackResult]
 
 
+def _exact_slack(datum: Datum, block_dims, axes: np.ndarray) -> Fraction:
+    """The slack of the coordinate subspace on the axes of R^n set in the
+    boolean row ``axes``, with per-block dimensions ``block_dims``, in exact
+    arithmetic: the exponents as the rationals they are and the exact
+    ranks of the column submatrices A_j[:, axes], with no rank cut."""
+    kept = sum(Fraction(di) * int(t) for di, t in zip(datum.d, block_dims))
+    return kept - sum(Fraction(cj) * exact.rank(A[:, axes]) for cj, A in zip(datum.c, datum.maps))
+
+
 def _coordinate_screen(datum: Datum, table: _CoordinateTable) -> Iterator[_Scored]:
     """The critical or violating members of the coordinate subspaces in
     ``table``, in order, each with its ``slack``; a member is built only
@@ -444,7 +470,10 @@ def _coordinate_screen(datum: Datum, table: _CoordinateTable) -> Iterator[_Score
     All members are scored at once; a member whose bulk score lies below
     -CRITICAL_TOL by more than the rounding bound of the two dot products
     is neither, and the rest are rescored with ``slack``'s own expression,
-    bit for bit.
+    bit for bit.  A violating member is counted again exactly
+    (``_exact_slack``) before it is yielded, and skipped if its exact
+    slack is not positive: a witness never rests on a rank the cut
+    miscounted.
     """
     partition = datum.partition
     img = _coordinate_ranks(datum, table)
@@ -455,6 +484,8 @@ def _coordinate_screen(datum: Datum, table: _CoordinateTable) -> Iterator[_Score
     margin = 4 * (datum.k + datum.m) * np.finfo(float).eps * bound
     for q in np.flatnonzero(table.dims @ datum.d - img @ datum.c >= -CRITICAL_TOL - margin):
         sr = SlackResult(_slack_value(datum, table.dims[q], img[q]), tuple(img[q].tolist()))
+        if sr.violating and _exact_slack(datum, table.dims[q], table.mask[q]) <= 0:
+            continue
         if sr.critical or sr.violating:
             build = functools.partial(_coordinate_subspace, partition, table.mask[q])
             yield tuple(table.dims[q].tolist()), build, sr
@@ -472,10 +503,10 @@ def _block_projections(partition: Partition, K: np.ndarray) -> Optional[ProductS
     return None if V.dim == partition.n else V
 
 
-def _kernel_pair_intersection(Ka: np.ndarray, Kb: np.ndarray) -> np.ndarray:
-    """Basis of span(Ka) ∩ span(Kb) via the joint orthocomplement."""
-    stacked = np.hstack([null_space(Ka.T), null_space(Kb.T)])
-    return null_space(stacked.T)
+def _kernel_pair_intersection(Pa: np.ndarray, Pb: np.ndarray) -> np.ndarray:
+    """Basis of span(Ka) ∩ span(Kb), the joint orthocomplement of bases
+    Pa and Pb of their orthocomplements."""
+    return null_space(np.hstack([Pa, Pb]).T)
 
 
 def _kernel_tiers_run(partition: Partition, cap: int) -> bool:
@@ -495,10 +526,11 @@ def _kernel_candidates(datum: Datum, cap: int) -> Iterator[ProductSubspace]:
         V = _block_projections(partition, K)
         if V is not None:
             yield V
-    for Ka, Kb in itertools.combinations(kernels, 2):
-        if Ka.shape[1] == 0 or Kb.shape[1] == 0:
-            continue
-        K = _kernel_pair_intersection(Ka, Kb)
+    # each nonzero kernel's orthocomplement, computed once for all its pairs
+    nonzero = [K for K in kernels if K.shape[1] > 0]
+    perps = [null_space(K.T) for K in nonzero] if len(nonzero) > 1 else []
+    for Pa, Pb in itertools.combinations(perps, 2):
+        K = _kernel_pair_intersection(Pa, Pb)
         V = _block_projections(partition, K)
         if V is not None:
             yield V
@@ -514,10 +546,14 @@ def _scored_candidates(datum: Datum, budget: SearchBudget) -> Iterator[_Scored]:
     """The candidates of ``candidate_subspaces``, in its order, each with
     its one score: a screen member carries its bulk score (``slack``'s bit
     for bit) and is built only on use, a kernel-tier candidate is built to
-    be scored once with ``slack``."""
+    be scored once with ``slack``, at the maps' rank cuts computed once
+    when the first such candidate comes."""
     yield from _coordinate_screen(datum, _coordinate_table(datum.partition, budget.profile_cap))
+    tols = None
     for V in _kernel_candidates(datum, budget.profile_cap):
-        yield V.block_dims, lambda V=V: V, slack(datum, V)
+        if tols is None:
+            tols = [rank_tol(A) for A in datum.maps]
+        yield V.block_dims, lambda V=V: V, slack(datum, V, tols=tols)
 
 
 def candidate_subspaces(
@@ -528,8 +564,9 @@ def candidate_subspaces(
     """Yield candidate product subspaces in a fixed order.
 
     (a) coordinate-axis products: the first ``budget.profile_cap`` are
-        scored in bulk and the critical or violating ones yielded, in
-        order (the others are neither, so no scan needs them);
+        scored in bulk and the critical ones, and the violating ones whose
+        exact slack is positive, yielded in order (no scan needs the
+        others);
     (b) per-block projections of each map kernel and of pairwise kernel
         intersections, unless they span the whole space;
     (c) per-block kernel products ker(A_j|block_1) x ... x ker(A_j|block_k),
@@ -578,8 +615,8 @@ def divergence_probe(datum: Datum) -> Optional[ProductSubspace]:
     0.5 * slack(V) * log(lam) + O(1), so a ray escapes exactly when its
     slack is positive.  The rays are coordinate subspaces, so the probe
     is the coordinate screen over ``_ray_table``: the first violating
-    member, built by its builder, is a re-checkable witness, as from
-    ``find_violating_subspace``.
+    member whose exact slack is positive, built by its builder, is a
+    re-checkable witness, as from ``find_violating_subspace``.
     """
     for _, build, sr in _coordinate_screen(datum, _ray_table(datum.partition)):
         if sr.violating:

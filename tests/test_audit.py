@@ -9,9 +9,10 @@ Claims:
       digests are kept
     - a file compares equal to itself (exit 0), and a moved count or
       draw digest is named; --compare exits 1 on any moved count or digest
-    - each set's wall time and SVD count go to stderr and not into the
-      file, so two runs write byte-identical files; the count, matrices
-      passed to np.linalg.svd, is the same on both runs
+    - each set's wall time and its counts of the matrices passed to
+      np.linalg.svd, qr, cholesky, eigh and lstsq go to stderr and not
+      into the file, so two runs write byte-identical files; the counts
+      are the same on both runs, and every set takes SVDs
     - --compare runs in a fresh interpreter with no PYTHONPATH, as it
       reads the two files only
 """
@@ -114,14 +115,17 @@ def test_compare_exits_1_on_any_difference(audit, slice_doc, key, tmp_path, caps
     assert capsys.readouterr().out == expected
 
 
-def _stderr_lines(capsys):
-    """(set, seconds, SVD count) of each line a run printed to stderr."""
+def _stderr_lines(audit, capsys):
+    """(set, seconds, matrix counts by factorization) of each line a run
+    printed to stderr."""
     lines = []
     for line in capsys.readouterr().err.splitlines():
-        name, rest = line.split(": ")
-        seconds, svds = rest.split(", ")
-        assert seconds.endswith(" s") and svds.endswith(" SVDs")
-        lines.append((name, float(seconds[:-2]), int(svds[:-5])))
+        name, rest = line.split(": ", 1)
+        seconds, matrices = rest.split(", matrices: ")
+        assert seconds.endswith(" s")
+        counts = [item.split(" ") for item in matrices.split(", ")]
+        assert [factor for _, factor in counts] == list(audit.FACTORIZATIONS)
+        lines.append((name, float(seconds[:-2]), {f: int(c) for c, f in counts}))
     return lines
 
 
@@ -133,11 +137,11 @@ def test_two_runs_write_the_same_bytes_and_report_each_set_on_stderr(
     for out in (tmp_path / "a", tmp_path / "b"):
         out.mkdir()
         assert _run_slice(audit, out) == slice_bytes
-        runs.append(_stderr_lines(capsys))
+        runs.append(_stderr_lines(audit, capsys))
     for lines in runs:
         assert [name for name, _, _ in lines] == list(slice_doc["sets"])
-        assert all(seconds >= 0 and svds > 0 for _, seconds, svds in lines)
-    assert [svds for _, _, svds in runs[0]] == [svds for _, _, svds in runs[1]]
+        assert all(seconds >= 0 and counts["svd"] > 0 for _, seconds, counts in lines)
+    assert [counts for _, _, counts in runs[0]] == [counts for _, _, counts in runs[1]]
 
 
 def test_compare_runs_without_pythonpath(slice_bytes, tmp_path):

@@ -15,6 +15,13 @@ Claims:
       Sigma = I without a RuntimeWarning, reports values accurate to
       rounding on seeded random draws, and reports equal-block
       covariances for the entropy power datum
+    - _check_spd's one-expression symmetry test factors and rejects
+      exactly the matrices np.allclose and Cholesky do (tolerance edges,
+      NaN, inf and non-PD matrices included); the ascent's moved blocks,
+      checked by Cholesky alone, still raise DegenerateImageError when
+      not finite or not PD; and solve_mg on the families and 50 random
+      draws equals, bit for bit, the solve with both checks as written
+      with np.allclose and _check_spd on every moved block
     - scaling a map's rows shifts the solve by the log-determinant of the
       scaling, with the same flags and never NaN; scaling two scalar
       blocks 1e9 apart shifts it by -sum_i d_i log s_i to 1e-12; the
@@ -65,6 +72,7 @@ import blepi
 from blepi.datum import Datum, Partition, doubled_datum
 from blepi.finiteness import INFINITE, ViolatingSubspace, ViolationError, certify
 from blepi.gauss import (
+    _check_spd,
     _logdet_kernel,
     _moved,
     _newton,
@@ -693,12 +701,17 @@ def test_all_square_datum_solves_to_its_log_determinant(d):
 @given(seed=st.integers(0, 2**32 - 1))
 @example(seed=6)
 @example(seed=32)
+@example(seed=64411)
 def test_row_scaling_shifts_the_solve_by_its_log_determinant(seed):
     """Scaling the rows of A_j by s_jk moves M by -sum_j c_j sum_k log s_jk
     and nothing else.  With every row scaled by 10^U(-6, 6) the solve has
     the unscaled flags and is never NaN, and where it converges its value
     is the unscaled one plus that shift.  Seeds 6 and 32 solved to NaN
-    when the solver cut image condition numbers at 1e12."""
+    when the solver cut image condition numbers at 1e12.  On seed 64411
+    the rank cut scores a coordinate member of the scaled datum violating
+    (float slack 0.035) whose exact ranks give slack -1.04; the scaled
+    side read unbounded and the unscaled side finite until the screen
+    confirmed a violating member by its exact slack."""
     d, scaled, s = _row_scaled(seed)
     base, res = solve_mg(d), solve_mg(scaled)
     assert not math.isnan(res.mg_value)
@@ -759,6 +772,125 @@ def test_split_tree_value_matches_the_whole_datum_ascent(seed, draw):
         assert res.converged
         assert res.mg_value == pytest.approx(whole, abs=1e-9)
         assert abs(_leaf_objective_sum(d, res) - res.mg_value) <= 1e-12 * (1 + abs(res.mg_value))
+
+
+def _allclose_spd(M, what):
+    """``_check_spd`` as written with ``np.allclose``, kept to pin the
+    one-expression symmetry test to it."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"{what} must be square, got shape {M.shape}")
+    if M.shape[0] == 0:
+        return M
+    if not np.isfinite(M).all():
+        raise ValueError(f"{what} has non-finite entries")
+    scale = max(1.0, float(np.abs(M).max()))
+    if not np.allclose(M, M.T, atol=1e-10 * scale):
+        raise ValueError(f"{what} is not symmetric")
+    try:
+        return np.linalg.cholesky(M)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"{what} is not positive definite") from exc
+
+
+def _checked_moved(datum, factors, X):
+    """``_moved`` as written with each block through ``_allclose_spd``."""
+    blocks, out = [], []
+    for (start, stop), F in zip(datum.partition.offsets(), factors):
+        w, V = np.linalg.eigh(X[start:stop, start:stop])
+        half = F @ (V * np.exp(0.5 * w))
+        S = half @ half.T
+        try:
+            out.append(_allclose_spd(S, "covariance block"))
+        except ValueError as exc:
+            raise DegenerateImageError("covariance block is numerically singular") from exc
+        blocks.append(S)
+    return blocks, out
+
+
+def _spd_outcome(check, M):
+    """The factor's bytes, or the message of the ValueError raised."""
+    try:
+        return check(M, "M").tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 4),
+    kind=st.sampled_from(["spd", "straddle", "asymmetric", "non-finite", "non-pd"]),
+    decade=st.integers(-12, 12),
+    edge=st.sampled_from([0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0]),
+)
+def test_check_spd_accepts_and_rejects_as_allclose_and_cholesky(seed, n, kind, decade, edge):
+    """The symmetry test |M - M^T| <= atol + 1e-5 |M^T| is np.allclose's,
+    so _check_spd factors, and rejects with the same message, exactly the
+    matrices the np.allclose form does: SPD matrices over 24 decades,
+    asymmetries placed at edge times the tolerance of one entry, generic
+    matrices, matrices with a NaN or an infinity, and symmetric ones with
+    an eigenvalue at or below zero."""
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((n, n))
+    M = 10.0**decade * (G @ G.T + 0.1 * np.eye(n))
+    M = 0.5 * (M + M.T)
+    i, j = (int(x) for x in rng.integers(0, n, 2))
+    if kind == "straddle":
+        atol = 1e-10 * max(1.0, float(np.abs(M).max()))
+        M[i, j] = M[j, i] + rng.choice([-1.0, 1.0]) * edge * (atol + 1e-5 * abs(M[j, i]))
+    elif kind == "asymmetric":
+        M = 10.0**decade * G
+    elif kind == "non-finite":
+        M[i, j] = rng.choice([np.nan, np.inf, -np.inf])
+    elif kind == "non-pd":
+        w = rng.standard_normal(n)
+        w[i] = 0.0 if edge == 1.0 else -abs(w[i])  # an eigenvalue at or below zero
+        Q = np.linalg.qr(G)[0]
+        M = 10.0**decade * (Q * w) @ Q.T
+        M = 0.5 * (M + M.T)
+    assert _spd_outcome(_check_spd, M) == _spd_outcome(_allclose_spd, M)
+
+
+@pytest.mark.parametrize(
+    "F",
+    [
+        np.array([[1.0, 0.0], [1.0, 0.0]]),       # singular: not positive definite
+        np.array([[1.0, 0.0], [math.nan, 1.0]]),  # NaN block
+        np.array([[1e200, 0.0], [0.0, 1.0]]),     # block overflows to inf
+    ],
+    ids=["singular", "nan", "overflow"],
+)
+def test_moved_raises_on_a_block_that_is_not_finite_or_not_positive_definite(F):
+    datum = blepi.make_epi_datum(0.5, 2)
+    factors = [F, np.eye(2)]
+    with np.errstate(over="ignore"):
+        for moved in (_moved, _checked_moved):
+            with pytest.raises(DegenerateImageError):
+                moved(datum, factors, np.zeros((4, 4)))
+
+
+def _solve_bits(res):
+    """Every output of a solve, floats by their bits."""
+    sigmas = res.sigma_star if isinstance(res.sigma_star, tuple) else (res.sigma_star,)
+    blocks = [S.tobytes() for sigma in sigmas for S in sigma.blocks]
+    flags = (res.converged, res.unbounded, res.starts_used)
+    return repr(res.mg_value), repr(res.gradient_norm), flags, blocks
+
+
+def test_solves_equal_those_of_the_allclose_checks_bit_for_bit(monkeypatch):
+    """The ascent checks its moved blocks by Cholesky alone and _check_spd
+    tests symmetry in one expression; solve_mg on the named families and
+    50 balanced random draws gives, to the bit, the outputs it gives with
+    both written as before (np.allclose, and _check_spd on every block)."""
+    rng = np.random.default_rng(2019)
+    data = _FAMILIES + [random_datum(rng, balanced=True) for _ in range(50)]
+    new = [_solve_bits(solve_mg(d)) for d in data]
+    monkeypatch.setattr("blepi.gauss._moved", _checked_moved)
+    monkeypatch.setattr("blepi.gauss._check_spd", _allclose_spd)
+    old = [_solve_bits(solve_mg(d)) for d in data]
+    assert new == old
+    assert sum(flags[2] for _, _, flags, _ in new) >= 20  # ascents were run
 
 
 # the accuracy checks below cover image covariances of condition number

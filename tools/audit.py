@@ -34,9 +34,10 @@ the current directory).  Per set it holds the draw count and:
   ``draws_digests``: each draw's three output digests.
 
 Each set's wall time (``time.perf_counter``) and the number of matrices
-it passed to ``np.linalg.svd`` (a stacked call counts each matrix) go to
-stderr and not into the file, so two runs on the same code write the
-same bytes, and files from two commits compare output for output.
+it passed to each of ``np.linalg.svd``, ``qr``, ``cholesky``, ``eigh``
+and ``lstsq`` (a stacked call counts each matrix) go to stderr and not
+into the file, so two runs on the same code write the same bytes, and
+files from two commits compare output for output.
 
 ``--limit N`` keeps the first N draws of each set.  Two files are
 compared with ``python tools/audit.py --compare A B``, which prints each
@@ -72,6 +73,8 @@ COUNTS = (
     "dropped_subroot_violations",
 )
 OUTPUTS = ("check", "certify", "solve")
+# the factorizations whose matrices a run counts, on stderr
+FACTORIZATIONS = ("svd", "qr", "cholesky", "eigh", "lstsq")
 
 
 def audit_sets(limit=None):
@@ -204,22 +207,31 @@ def audit_set(draws) -> dict:
 
 def run(label: str, limit=None, out=".") -> Path:
     doc = {"label": label, "limit": limit, "sets": {}}
-    svd, stacked = np.linalg.svd, []
+    originals = {name: getattr(np.linalg, name) for name in FACTORIZATIONS}
+    counts = dict.fromkeys(FACTORIZATIONS, 0)
 
-    def counting(a, *args, **kwargs):
-        stacked.append(int(np.prod(np.shape(a)[:-2])))
-        return svd(a, *args, **kwargs)
+    def counting(name):
+        factor = originals[name]
 
-    np.linalg.svd = counting
+        def counted(a, *args, **kwargs):
+            counts[name] += int(np.prod(np.shape(a)[:-2]))
+            return factor(a, *args, **kwargs)
+
+        return counted
+
+    for name in FACTORIZATIONS:
+        setattr(np.linalg, name, counting(name))
     try:
         for name, draws in audit_sets(limit):
-            stacked.clear()
+            counts.update(dict.fromkeys(FACTORIZATIONS, 0))
             start = time.perf_counter()
             doc["sets"][name] = audit_set(draws)
             seconds = time.perf_counter() - start
-            print(f"{name}: {seconds:.2f} s, {sum(stacked)} SVDs", file=sys.stderr)
+            matrices = ", ".join(f"{counts[f]} {f}" for f in FACTORIZATIONS)
+            print(f"{name}: {seconds:.2f} s, matrices: {matrices}", file=sys.stderr)
     finally:
-        np.linalg.svd = svd
+        for name, factor in originals.items():
+            setattr(np.linalg, name, factor)
     path = Path(out) / f"AUDIT_{label}.json"
     path.write_text(json.dumps(doc, indent=1, allow_nan=False) + "\n")
     return path
