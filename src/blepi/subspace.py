@@ -41,8 +41,14 @@ value, each smaller one lies inside one of size k_j and by Cauchy
 interlacing its least singular value is at least that member's k_j-th,
 and the SVD's rounding is an order of magnitude below rank_tol, so the
 margin proves the rank min(|S|, k_j) each member's own SVD would count.
-Otherwise every size is stacked.  On a generic Zamir-Feder datum this
-leaves 126 of the 511 SVDs at 9x4 and 495 of 4,095 at 12x4 and 13x4.
+Otherwise every size is stacked.  A size k_j of 32 or more members is
+first tried without an SVD: one determinant per member, of its rows
+scaled to unit norm, with LU's backward error allowed for, bounds its
+exact sigma_{k_j} from below, and if that bound clears 2 rank_tol(A_j)
+on every member the map is settled the same way.  On a generic
+Zamir-Feder datum this leaves no SVD but one batch of 56, 126 and 495
+determinants at 8x3, 9x4 and 12x4 (and 495 at 13x4), where stacking
+every size would take 255, 511 and 4,095 SVDs.
 A critical or violating member, the only kind a scan
 reads, is passed on as its per-block dimensions, its slack (``slack``'s
 own expression, bit for bit) and a builder: it becomes a
@@ -408,7 +414,14 @@ def _coordinate_ranks(datum: Datum, table: _CoordinateTable) -> np.ndarray:
     within a few eps ||A_j|| of the exact one, an order of magnitude
     below rank_tol (see ``_RANK_TOL``), so with the 2x margin each of
     S's own computed singular values up to min(|S|, k_j) would clear
-    2 rank_tol less both SVDs' rounding, which is above rank_tol.
+    2 rank_tol less both SVDs' rounding, which is above rank_tol.  A size
+    k_j of at least ``_DET_MEMBERS`` members first tries the determinant
+    certificate (``_full_rank_by_determinant``), which proves the exact
+    sigma_{k_j} of every member above 2 rank_tol(A_j) and so settles the
+    map with no SVD; if it fails, size k_j is stacked as above.  On a
+    generic Zamir-Feder datum, whose one map's size k has 56 members at
+    8x3, 126 at 9x4 and 495 at 12x4 and 13x4, the screen takes one
+    batch of determinants and no SVD.
 
     Otherwise (a member of size k_j without the margin, or a table that
     is not closed, such as the probe's ray table or a truncated one whose
@@ -425,7 +438,11 @@ def _coordinate_ranks(datum: Datum, table: _CoordinateTable) -> np.ndarray:
         first = None
         if table.closed and 0 < k <= len(table.groups):
             # a closed table has one group per size 1..u, in order
-            first = _stacked_singular_values(A, table.groups[k - 1][1])
+            cols = table.groups[k - 1][1]
+            if len(cols) >= _DET_MEMBERS and _full_rank_by_determinant(A, cols, tol):
+                img[:, j] = np.minimum(table.sizes, k)
+                continue
+            first = _stacked_singular_values(A, cols)
             if np.all(first[:, k - 1] > 2 * tol):
                 img[:, j] = np.minimum(table.sizes, k)
                 continue
@@ -439,6 +456,59 @@ def _stacked_singular_values(A: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """The singular values of A[:, S] for each row S of ``cols``, read off
     A^T's rows with no axis move."""
     return np.linalg.svd(A.T[cols].swapaxes(1, 2), compute_uv=False)
+
+
+# a size-k stack of at least this many members tries the determinant
+# certificate before its SVDs: the certificate has a fixed cost of about
+# 20 us on a 2-vCPU host, so it beats the stacked SVDs from about 8
+# members at k = 3 and 4 and from 32 at k = 2, and a refused certificate
+# adds its cost to the SVDs
+_DET_MEMBERS = 32
+
+
+def _full_rank_by_determinant(A: np.ndarray, cols: np.ndarray, tol: float) -> bool:
+    """Whether the determinants prove sigma_k(B) > 2 tol for every square
+    member B = A[:, S], S a row of ``cols`` and k = len(A), with ``tol =
+    rank_tol(A)``; False proves nothing.  With u = eps / 2:
+
+    - A and tol are scaled by a power of two to max|A| in [1/2, 1), which
+      is exact (an entry pushed below the normal range moves by at most
+      2^-1075) and keeps the squares finite.
+    - B = D C + E, D its computed row norms and C = fl(D^-1 B): one
+      rounding per entry gives |E| <= u |B|, so ||E||_2 <= u ||A||_F =
+      tol / (20 max(A.shape)) and sigma_k(B) >= min(D) sigma_k(C) - tol
+      / 20.  C's rows have norm 1 within (k + 3) u.
+    - ``np.linalg.det`` factors P C = L U - F with LAPACK's partial
+      pivoting: |F| <= gamma_k |L| |U|, |L| <= 1 and |U| <= 2^(k-1)
+      max|C| (the growth bound), so ||F||_F <= k^3 2^(k-2) eps to first
+      order, below delta = k^3 2^(k-1) eps.  It returns sign exp(sum
+      log|u_ii|), within the relative ``rel`` of |det(L U)|: a passing
+      member has |det| >= 20 eps, and |u_ii| < 2^k, so sum |log|u_ii||
+      <= 34 + 2 k^2.
+    - The singular values of L U other than the least have a product at
+      most (||L U||_F^2 / (k - 1))^((k-1)/2) (AM-GM), and ||L U||_F <=
+      sqrt(k) + 2 delta, so sigma_k(L U) >= |det(L U)| g, and
+      sigma_k(C) >= sigma_k(L U) - delta (Weyl).
+
+    So min(D) (|det| (1 - rel) g - delta) > 2.1 tol proves sigma_k(B) >
+    2 tol, the 0.1 tol holding E and the rounding of the bound's own few
+    operations.  If any member has a row of norm at most 2 tol, which
+    bounds its sigma_k (a zero row or a non-finite entry among them), the
+    certificate fails before any determinant.
+    """
+    k = len(A)
+    eps = np.finfo(float).eps
+    e = -int(np.frexp(np.abs(A).max())[1])
+    tol = np.ldexp(tol, e)
+    T = np.ldexp(A, e).T[cols]  # B^T per member
+    d = np.sqrt(np.einsum("nij,nij->nj", T, T))
+    if not d.min() > 2 * tol:
+        return False
+    det = np.abs(np.linalg.det(T / d[:, None, :]))
+    delta = k**3 * 2.0 ** (k - 1) * eps
+    g = ((k - 1) / (k**0.5 + 2 * delta) ** 2) ** ((k - 1) / 2)
+    rel = 2 * (k + 2) * (2 * k * k + 34) * eps
+    return bool((d.min(axis=1) * (det * ((1 - rel) * g) - delta)).min() > 2.1 * tol)
 
 
 def _coordinate_subspace(partition: Partition, axes: np.ndarray) -> ProductSubspace:

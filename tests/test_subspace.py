@@ -47,17 +47,23 @@ Claims:
       exactly when it has 2^u members for u used axes; on a closed table
       each member lies inside one of every larger size, so a map's size
       equal to its row count, stacked first with twice the rank cut as
-      margin on every member, settles every other size, leaving 56, 126
-      and 495 of the 2^n - 1 SVDs on generic Zamir-Feder 8x3, 9x4 and
-      12x4, 495 on the truncated but closed 13x4 table and 17 of 21 on
-      coupled sums, while a table that is not closed (EPI at dimension 7)
-      and a member inside the margin stack every size; the ranks stay the
-      per-member SVD counts bit for bit on data whose singular values fall
-      around the rank cut, on data with exactly singular members of that
-      size, on closed and unclosed truncated tables, and on a map with no
-      rows; the ray table is not closed and never settles a size, so the
-      probe still finds a violating ray one size above a full-rank ray it
-      does not contain
+      margin on every member, settles every other size, leaving 17 of 21
+      SVDs on coupled sums, while a table that is not closed (EPI at
+      dimension 7) and a member inside the margin stack every size; a size
+      of 32 or more members is first settled by one batch of determinants,
+      with no SVD: 56, 126 and 495 on generic Zamir-Feder 8x3, 9x4 and
+      12x4, and 495 on the truncated but closed 13x4 table; the ranks stay
+      the per-member SVD counts bit for bit on data whose singular values
+      fall around the rank cut, on data with exactly singular members of
+      that size, on closed and unclosed truncated tables, and on a map
+      with no rows; the ray table is not closed and never settles a size,
+      so the probe still finds a violating ray one size above a full-rank
+      ray it does not contain
+    - the determinant certificate never settles a map with a member whose
+      sigma_k is within twice the rank cut or with a zero column, settles
+      one past the margin, and holds at entries near 1e-150, 1e150 and
+      1e200; the near-cut and singular data reach it both settled and
+      refused
     - SearchBudget rejects a profile cap that is not an int >= 0
 """
 
@@ -66,12 +72,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import blepi
 from blepi.datum import Datum, Partition
 from blepi.subspace import (
+    _DET_MEMBERS,
     _ORTHO_TOL,
     _TABLE_CACHE,
     ProductSubspace,
@@ -80,6 +87,7 @@ from blepi.subspace import (
     _coordinate_ranks,
     _coordinate_screen,
     _coordinate_table,
+    _full_rank_by_determinant,
     _kernel_candidates,
     _ray_table,
     _scored_candidates,
@@ -780,44 +788,56 @@ def test_a_closed_table_is_every_subset_of_its_axes(blocks, cap):
     assert not _ray_table(part).closed
 
 
-@pytest.fixture
-def stacked_svds(monkeypatch):
-    """The matrices passed to np.linalg.svd, counted by batch."""
-    svd, counted = np.linalg.svd, []
+def _counted(monkeypatch, name):
+    """The matrices passed to np.linalg.<name>, counted by batch."""
+    factor, counted = getattr(np.linalg, name), []
 
     def counting(a, *args, **kwargs):
         counted.append(int(np.prod(a.shape[:-2])))
-        return svd(a, *args, **kwargs)
+        return factor(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting)
+    monkeypatch.setattr(np.linalg, name, counting)
     return counted
 
 
+@pytest.fixture
+def stacked_svds(monkeypatch):
+    return _counted(monkeypatch, "svd")
+
+
+@pytest.fixture
+def stacked_dets(monkeypatch):
+    return _counted(monkeypatch, "det")
+
+
 @pytest.mark.parametrize(
-    "name, stacked",
+    "name, stacked, dets",
     [
-        ("zf-8x3", 56),
-        ("zf-9x4", 126),
-        ("zf-12x4", 495),
-        ("zf-13x4", 495),
-        ("coupled-sums", 17),
-        ("epi-7", 4095),
+        ("zf-8x3", 0, 56),
+        ("zf-9x4", 0, 126),
+        ("zf-12x4", 0, 495),
+        ("zf-13x4", 0, 495),
+        ("coupled-sums", 17, 0),
+        ("epi-7", 4095, 0),
     ],
 )
-def test_a_full_rank_size_settles_the_other_sizes_without_an_svd(name, stacked, stacked_svds):
-    """On a closed table a map's size k, its row count, is stacked first;
+def test_a_full_rank_size_settles_the_other_sizes_without_an_svd(
+    name, stacked, dets, stacked_svds, stacked_dets
+):
+    """On a closed table a map's size k, its row count, is tried first;
     if every member has rank k with the margin, no other size is
     stacked: the smaller members lie in one of size k (interlacing) and
-    the larger ones contain one.  On a generic Zamir-Feder datum that
-    leaves the C(n, k) SVDs of size k, also at 13x4, whose table is
-    truncated at the cap but closed on the last 12 axes.  On coupled
-    sums the two-row map's size 2 settles its sizes 1 and 3, while each
-    single-row map has rank 0 on the axes it does not read, so it stacks
-    every size, reusing size 1.  EPI at dimension 7 has a truncated
-    table that is not closed (the cap cuts into the first block's
-    subsets), so every nonzero member is stacked.  The same table not
-    closed stacks every nonzero member of each map, with the same ranks,
-    which are the per-member SVD counts."""
+    the larger ones contain one.  On a generic Zamir-Feder datum size k
+    has 32 or more members, so their C(n, k) determinants prove the
+    margin and no SVD runs, also at 13x4, whose table is truncated at the
+    cap but closed on the last 12 axes.  On coupled sums the two-row
+    map's size 2 (three members, too few for the determinants) is stacked
+    and settles its sizes 1 and 3, while each single-row map has rank 0
+    on the axes it does not read, so it stacks every size, reusing size
+    1.  EPI at dimension 7 has a truncated table that is not closed (the
+    cap cuts into the first block's subsets), so every nonzero member is
+    stacked.  The same table not closed stacks every nonzero member of
+    each map, with the same ranks, which are the per-member SVD counts."""
     if name == "coupled-sums":
         datum = coupled(1.25, 0.5, 0.5, 0.5)
     elif name == "epi-7":
@@ -830,9 +850,12 @@ def test_a_full_rank_size_settles_the_other_sizes_without_an_svd(name, stacked, 
     assert table.closed == (name != "epi-7")
     img = _coordinate_ranks(datum, table)
     assert sum(stacked_svds) == stacked
+    assert sum(stacked_dets) == dets
     stacked_svds.clear()
+    stacked_dets.clear()
     full = _coordinate_ranks(datum, _table(datum.partition, table.mask.copy()))
     assert sum(stacked_svds) == datum.m * (len(table.mask) - 1)
+    assert not stacked_dets
     assert img.tobytes() == full.tobytes()
     assert img.tobytes() == _ranks_from_mask(datum, table.mask).tobytes()
 
@@ -924,6 +947,8 @@ def _near_dependent_datum(rng):
 
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), cap=st.sampled_from([4096, 64, 19, 16, 5]))
+@example(seed=89, cap=4096)  # a 35-member size 3 settled by its determinants
+@example(seed=22, cap=4096)  # a 56-member size 3 they do not settle
 def test_ranks_settled_by_prefixes_equal_the_per_member_svds_near_the_cut(seed, cap):
     """Where singular values sit around rank_tol, the ranks are the
     per-member SVD counts, bit for bit, on the complete table and on
@@ -989,6 +1014,7 @@ def _size_k_settles(A, table):
 
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), cap=st.sampled_from([4096, 64, 19, 16, 5]))
+@example(seed=33, cap=4096)  # one 126-member size 5 settled by its determinants, one not
 def test_ranks_with_exactly_singular_size_k_members_equal_the_per_member_svds(seed, cap):
     """Where some members of a map's size k are exactly singular (integer
     entries, a repeated column) and the scales span twelve decades, the
@@ -1011,6 +1037,83 @@ def test_singular_data_take_both_the_settled_and_the_stacked_branch():
         table = _coordinate_table(datum.partition, 4096)
         settles += [_size_k_settles(A, table) for A in datum.maps]
     assert 10 <= sum(settles) <= len(settles) - 10
+
+
+def _determinants_settle(A, table):
+    """Whether map A's size k, its row count, tries the determinant
+    certificate on the closed table ``table``, and if so whether it settles."""
+    k = len(A)
+    if not 0 < k <= len(table.groups) or len(table.groups[k - 1][0]) < _DET_MEMBERS:
+        return None
+    return _full_rank_by_determinant(A, table.groups[k - 1][1], rank_tol(A))
+
+
+@pytest.mark.parametrize("make", [_near_dependent_datum, _singular_datum])
+def test_near_cut_and_singular_data_take_the_determinant_branch_both_ways(make):
+    """The data of the two properties above reach a size k of 32 or more
+    members on complete tables (n <= 9) on some draws only, and there the
+    determinants settle some maps and refuse others: on seeds 0-299 the
+    near-cut data settle 1 of 63 such maps (their pushes put most members
+    inside the margin), the singular data 12 of 69."""
+    tried = []
+    for seed in range(300):
+        datum = make(np.random.default_rng(seed))
+        table = _coordinate_table(datum.partition, 4096)
+        tried += [t for t in (_determinants_settle(A, table) for A in datum.maps) if t is not None]
+    assert 1 <= sum(tried) <= len(tried) - 10
+
+
+def _map_with_a_member_near_the_cut(factor, scale):
+    """A 3 x 8 Gaussian map times ``scale`` whose member on axes 0-2 is
+    U diag(s, s, x) V^T with U's last column (1, 1, 1) / sqrt(3): its
+    rows have equal norms and its two larger singular values are equal,
+    the case where the certificate's determinant bound is sigma_3 = x
+    itself, and s is a hundredth of the map's, so that LU's error
+    allowance, which scales with the member's rows, costs under 1% of
+    the cut.  x is ``factor`` rank_tol(A), the cut of the map so changed
+    (one pass more leaves it as it is)."""
+    rng = np.random.default_rng(8)
+    A = scale * rng.standard_normal((3, 8))
+    u = np.linalg.qr(np.column_stack([np.ones(3), rng.standard_normal((3, 2))]))[0][:, [1, 2, 0]]
+    _, s, vt = np.linalg.svd(A[:, :3])
+    s[:2] = s[:2].mean() / 100
+    for _ in range(3):
+        s[2] = factor * rank_tol(A)
+        A[:, :3] = (u * s) @ vt
+    return A
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150, 1e200])
+@pytest.mark.parametrize("factor", [1.5, 2.0, 2.5, 10.0, "zero column", "zero row"])
+def test_the_determinants_never_settle_a_member_inside_the_margin(
+    factor, scale, stacked_svds, stacked_dets
+):
+    """On 8 scalar blocks a 3-row map's size 3 has 56 members, so its
+    determinants are tried.  A member with sigma_3 = f rank_tol(A) on
+    which their bound is tight is never settled within the 2 rank_tol
+    margin (f = 1.5, 2), and the sizes are stacked; past it (f = 2.5,
+    10) the determinants settle the map with no SVD.  A zero column is
+    refused, and a zero row before any determinant.  The ranks are the
+    per-member SVD counts at entries near 1e-150, 1, 1e150 and 1e200,
+    whose squares overflow (the certificate scales by a power of two
+    first), and no RuntimeWarning escapes."""
+    if isinstance(factor, str):
+        A = scale * np.random.default_rng(8).standard_normal((3, 8))
+        if factor == "zero column":
+            A[:, 5] = 0.0
+        else:
+            A[1] = 0.0
+    else:
+        A = _map_with_a_member_near_the_cut(factor, scale)
+        sigma = np.linalg.svd(A[:, :3], compute_uv=False)[2]
+        assert sigma == pytest.approx(factor * rank_tol(A), rel=0.02)
+    datum = Datum(Partition((1,) * 8), (A,), np.array([1.0]), np.full(8, 3 / 8))
+    table = _coordinate_table(datum.partition, 4096)
+    stacked_svds.clear()
+    img = _coordinate_ranks(datum, table)
+    assert sum(stacked_dets) == (0 if factor == "zero row" else 56)
+    assert (not stacked_svds) == (not isinstance(factor, str) and factor > 2)
+    assert img.tobytes() == _ranks_from_mask(datum, table.mask).tobytes()
 
 
 @pytest.mark.parametrize("cap", [2.5, True, "4096", None])

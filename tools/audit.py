@@ -34,8 +34,8 @@ the current directory).  Per set it holds the draw count and:
   ``draws_digests``: each draw's three output digests.
 
 Each set's wall time (``time.perf_counter``) and the number of matrices
-it passed to each of ``np.linalg.svd``, ``qr``, ``cholesky``, ``eigh``
-and ``lstsq`` (a stacked call counts each matrix) go to stderr and not
+it passed to each of ``np.linalg.svd``, ``qr``, ``cholesky``, ``eigh``,
+``lstsq`` and ``det`` (a stacked call counts each matrix) go to stderr and not
 into the file, so two runs on the same code write the same bytes, and
 files from two commits compare output for output.
 
@@ -74,7 +74,7 @@ COUNTS = (
 )
 OUTPUTS = ("check", "certify", "solve")
 # the factorizations whose matrices a run counts, on stderr
-FACTORIZATIONS = ("svd", "qr", "cholesky", "eigh", "lstsq")
+FACTORIZATIONS = ("svd", "qr", "cholesky", "eigh", "lstsq", "det")
 
 
 def audit_sets(limit=None):
